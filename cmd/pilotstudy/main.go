@@ -44,7 +44,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "study scale factor (1.0 = ~10,000 probes)")
 		seed     = flag.Int64("seed", 0, "override the spec's deterministic seed")
 		workers  = flag.Int("workers", 0, "parallel study shards (0 = all cores); output is identical at any count")
-		lanes    = flag.Int("lanes", 0, "probe lanes per shard, each its own event loop over the shared world core; output is identical at any count (in-memory: 0 = auto from spare cores; -stream: 0 = 1, and checkpoints move to lane boundaries; torture: 0 = varied per cycle)")
+		lanes    = flag.Int("lanes", 0, "probe lanes per shard, each its own event loop over the shared world core; output is identical at any count (0 = 1; with -stream, checkpoints move to lane boundaries; torture: 0 = varied per cycle)")
 		table    = flag.Int("table", 0, "print only this table (1-5)")
 		figure   = flag.Int("figure", 0, "print only this figure (3-4)")
 		csv      = flag.Bool("csv", false, "emit Table 4 as CSV")

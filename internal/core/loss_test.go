@@ -5,15 +5,16 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/homelab"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
-// TestRetriesSurviveLossyNetwork injects 10% per-hop loss into the
-// simulated network — a brutally lossy path — and checks that the
+// TestRetriesSurviveLossyNetwork injects 10% per-hop client-flow loss
+// (a drop-only fault profile) — a brutally lossy path — and checks that the
 // detector with retries still localizes the XB6, while losses never
 // produce false interception evidence (timeouts are conservative).
 func TestRetriesSurviveLossyNetwork(t *testing.T) {
 	lab := homelab.New(homelab.XB6)
-	lab.Net.SetLoss(0.10, 7)
+	lab.Net.SetDefaultFault(netsim.FaultProfile{Seed: 7, LossGood: 0.10})
 	det := lab.Detector()
 	det.Retries = 5
 	r := det.Run()
@@ -28,7 +29,7 @@ func TestLossNeverFabricatesInterception(t *testing.T) {
 	// conservative-timeout rule of §3.1 in action.
 	for seed := int64(1); seed <= 5; seed++ {
 		lab := homelab.New(homelab.Clean)
-		lab.Net.SetLoss(0.25, seed)
+		lab.Net.SetDefaultFault(netsim.FaultProfile{Seed: seed, LossGood: 0.25})
 		r := lab.Detector().Run()
 		if r.Intercepted() {
 			t.Errorf("seed %d: loss produced interception evidence\n%s", seed, r)
@@ -38,7 +39,7 @@ func TestLossNeverFabricatesInterception(t *testing.T) {
 
 func TestHeavyLossDegradesToTimeouts(t *testing.T) {
 	lab := homelab.New(homelab.Clean)
-	lab.Net.SetLoss(0.9, 3)
+	lab.Net.SetDefaultFault(netsim.FaultProfile{Seed: 3, LossGood: 0.9})
 	r := lab.Detector().Run()
 	timeouts := 0
 	for _, p := range r.Location {

@@ -9,9 +9,8 @@ import (
 )
 
 // FaultProfile describes deterministic fault injection on forwarded
-// packets. The repo's original loss model (SetLoss) is a uniform
-// per-hop coin flip; real DNS paths misbehave in structured ways —
-// bursty loss (Wei & Heidemann's Whac-A-Mole), duplication, reordering,
+// packets. Real DNS paths misbehave in structured ways, not as a
+// uniform per-hop coin flip: bursty loss (Wei & Heidemann's Whac-A-Mole), duplication, reordering,
 // and CPE/resolver-side damage such as response truncation and rate
 // limiting. A profile models all of them at once, each scaled
 // independently, and every decision is derived either from a

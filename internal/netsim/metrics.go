@@ -7,13 +7,10 @@ import "github.com/dnswatch/dnsloc/internal/metrics"
 // check plus one atomic add. Only client flows (isClientFlow) feed the
 // Stable counters: infrastructure recursion traffic depends on which
 // probes share a world (resolver cache warmth), so counting it would
-// break snapshot byte-identity across worker counts. The legacy SetLoss
-// model draws from a shared RNG stream — also not shard-invariant —
-// so its drops are Diagnostic.
+// break snapshot byte-identity across worker counts.
 type netMetrics struct {
 	forwarded *metrics.Counter // client-flow hops handed to the next device
 	ttlDrops  *metrics.Counter // client-flow packets expired in Forward
-	lossDrops *metrics.Counter // legacy SetLoss drops (any flow)
 
 	burstDrops *metrics.Counter // fault: Gilbert–Elliott burst loss
 	truncated  *metrics.Counter // fault: response clipped to TruncBytes
@@ -41,7 +38,6 @@ func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.metrics = &netMetrics{
 		forwarded:    reg.Counter("netsim.client_hops_forwarded", metrics.Stable),
 		ttlDrops:     reg.Counter("netsim.client_ttl_drops", metrics.Stable),
-		lossDrops:    reg.Counter("netsim.legacy_loss_drops", metrics.Diagnostic),
 		burstDrops:   reg.Counter("netsim.fault_burst_loss_drops", metrics.Stable),
 		truncated:    reg.Counter("netsim.fault_truncated_responses", metrics.Stable),
 		dupCopies:    reg.Counter("netsim.fault_duplicated_copies", metrics.Stable),

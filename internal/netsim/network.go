@@ -3,7 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -62,13 +61,6 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 				r.sendTimeExceeded(c, pkt)
 			}
 		}
-		return
-	}
-	if c.net.lose() {
-		if c.net.metrics != nil {
-			c.net.metrics.lossDrops.Inc()
-		}
-		c.net.trace(c.dev, TraceDrop, pkt, "packet loss")
 		return
 	}
 	at := c.net.now + c.net.delayFrom(c.dev)
@@ -148,9 +140,6 @@ type Network struct {
 	// with ICMP Time Exceeded — traceroute support.
 	EmitTimeExceeded bool
 
-	lossRate float64
-	lossRng  *rand.Rand
-
 	// faults is the installed fault-injection plane (see fault.go);
 	// nil when no profile has ever been set.
 	faults *faultPlane
@@ -202,24 +191,6 @@ func (n *Network) RecyclePayload(buf []byte) {
 		return
 	}
 	n.payloadFree = append(n.payloadFree, buf[:0])
-}
-
-// SetLoss installs a deterministic random-loss model: every forwarded
-// hop independently drops the packet with the given probability.
-// Locally-delivered and emitted packets are not affected — loss is a
-// property of links. A zero rate disables the model.
-func (n *Network) SetLoss(rate float64, seed int64) {
-	if rate <= 0 {
-		n.lossRate, n.lossRng = 0, nil
-		return
-	}
-	n.lossRate = rate
-	n.lossRng = rand.New(rand.NewSource(seed))
-}
-
-// lose samples the loss model for one hop.
-func (n *Network) lose() bool {
-	return n.lossRng != nil && n.lossRng.Float64() < n.lossRate
 }
 
 // NewNetwork returns an empty network with a generous event budget.

@@ -36,16 +36,8 @@ import (
 //     shard restarts from cursor 0 with a logged warning and a
 //     study.checkpoint_recoveries count. Determinism makes restarting
 //     safe: re-measuring from 0 lands on byte-identical output.
-//
-// Legacy compatibility: the pre-A/B single file shard-K-of-N.json
-// (raw payload, no CRC envelope) is still read, as a generation-0
-// candidate — an old checkpoint directory resumes seamlessly and the
-// next write starts the slot rotation.
 
-// checkpointVersion guards the on-disk checkpoint payload layout. The
-// payload is unchanged since v1 (Generation is additive, absent fields
-// decode as zero), so v1 files written before the A/B scheme remain
-// valid.
+// checkpointVersion guards the on-disk checkpoint payload layout.
 const checkpointVersion = 1
 
 // shardCheckpoint is one shard's persisted progress: everything needed
@@ -56,8 +48,7 @@ type shardCheckpoint struct {
 	Fingerprint string `json:"fingerprint"`
 	// Generation orders the A/B slots: each store increments it, so the
 	// reader picks the newest intact slot and falls back to the older
-	// one when the newest is torn or rotted. Legacy single-file
-	// checkpoints decode as generation 0.
+	// one when the newest is torn or rotted.
 	Generation int64 `json:"generation,omitempty"`
 	// Cursor counts the shard's folded records; on resume the first
 	// Cursor records are skipped.
@@ -92,14 +83,6 @@ func checkpointFingerprint(spec Spec, k, workers int) string {
 	return fmt.Sprintf("v%d seed=%d probes=%d seats=%d shard=%d/%d fault=%t retry=%t",
 		checkpointVersion, spec.Seed, spec.TotalProbes, spec.TotalSeats(), k, workers,
 		spec.Fault != nil && spec.Fault.Active(), spec.Retry != nil)
-}
-
-// CheckpointPath returns shard k's legacy (pre-A/B, single-slot)
-// checkpoint file under dir. Current runs write the generation slots
-// from CheckpointSlotPaths instead, but this path is still read as a
-// generation-0 fallback candidate.
-func CheckpointPath(dir string, k, workers int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.json", k, workers))
 }
 
 // CheckpointSlotPaths returns shard k's two alternating generation
@@ -162,10 +145,8 @@ const (
 	ckFileForeign // intact but wrong version or fingerprint
 )
 
-// readCheckpointFile reads and validates one slot. legacy selects the
-// pre-envelope layout (raw payload, no CRC — corruption detection is
-// best-effort JSON validity there).
-func readCheckpointFile(path, fingerprint string, legacy bool) (*shardCheckpoint, ckFileStatus, string) {
+// readCheckpointFile reads and validates one slot.
+func readCheckpointFile(path, fingerprint string) (*shardCheckpoint, ckFileStatus, string) {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, ckFileMissing, ""
@@ -173,26 +154,33 @@ func readCheckpointFile(path, fingerprint string, legacy bool) (*shardCheckpoint
 	if err != nil {
 		return nil, ckFileCorrupt, fmt.Sprintf("%s: %v", filepath.Base(path), err)
 	}
-	payload := blob
-	if !legacy {
-		var env checkpointEnvelope
-		if err := json.Unmarshal(blob, &env); err != nil || len(env.Payload) == 0 {
-			return nil, ckFileCorrupt, fmt.Sprintf("%s: torn or invalid envelope", filepath.Base(path))
-		}
-		if got := crc32.Checksum(env.Payload, ckCRCTable); got != env.CRC {
-			return nil, ckFileCorrupt, fmt.Sprintf("%s: crc mismatch (got %08x, want %08x)", filepath.Base(path), got, env.CRC)
-		}
-		payload = env.Payload
+	ck, status, detail := decodeCheckpoint(blob, fingerprint)
+	if detail != "" {
+		detail = filepath.Base(path) + ": " + detail
+	}
+	return ck, status, detail
+}
+
+// decodeCheckpoint validates one slot's bytes: envelope, CRC-32C,
+// payload JSON, then version and fingerprint. It never panics on
+// arbitrary input; only ckFileOK returns a checkpoint.
+func decodeCheckpoint(blob []byte, fingerprint string) (*shardCheckpoint, ckFileStatus, string) {
+	var env checkpointEnvelope
+	if err := json.Unmarshal(blob, &env); err != nil || len(env.Payload) == 0 {
+		return nil, ckFileCorrupt, "torn or invalid envelope"
+	}
+	if got := crc32.Checksum(env.Payload, ckCRCTable); got != env.CRC {
+		return nil, ckFileCorrupt, fmt.Sprintf("crc mismatch (got %08x, want %08x)", got, env.CRC)
 	}
 	var ck shardCheckpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, ckFileCorrupt, fmt.Sprintf("%s: %v", filepath.Base(path), err)
+	if err := json.Unmarshal(env.Payload, &ck); err != nil {
+		return nil, ckFileCorrupt, err.Error()
 	}
 	if ck.Version != checkpointVersion {
-		return nil, ckFileForeign, fmt.Sprintf("%s: version %d, want %d", filepath.Base(path), ck.Version, checkpointVersion)
+		return nil, ckFileForeign, fmt.Sprintf("version %d, want %d", ck.Version, checkpointVersion)
 	}
 	if ck.Fingerprint != fingerprint {
-		return nil, ckFileForeign, fmt.Sprintf("%s: written by a different run (%q, want %q)", filepath.Base(path), ck.Fingerprint, fingerprint)
+		return nil, ckFileForeign, fmt.Sprintf("written by a different run (%q, want %q)", ck.Fingerprint, fingerprint)
 	}
 	return &ck, ckFileOK, ""
 }
@@ -203,7 +191,6 @@ type ckStore struct {
 	fs          faultfs.FS
 	dir         string
 	slots       [2]string
-	legacy      string
 	fingerprint string
 
 	gen  int64 // newest generation loaded or stored
@@ -219,34 +206,24 @@ func newCkStore(fsys faultfs.FS, dir string, k, workers int, fingerprint string)
 		fs:          fsys,
 		dir:         dir,
 		slots:       CheckpointSlotPaths(dir, k, workers),
-		legacy:      CheckpointPath(dir, k, workers),
 		fingerprint: fingerprint,
 	}
 }
 
-// load reads both generation slots plus the legacy file, returns the
-// newest intact checkpoint (nil when the shard must start at cursor 0),
-// the recovery classification, and a human-readable detail string for
-// the warning log. It never fails: every corruption mode degrades to
+// load reads both generation slots and returns the newest intact
+// checkpoint (nil when the shard must start at cursor 0), the recovery
+// classification, and a human-readable detail string for the warning
+// log. It never fails: every corruption mode degrades to
 // an older generation or a from-scratch restart. It also sweeps stale
 // temp files a previous crash left behind.
 func (s *ckStore) load() (*shardCheckpoint, ckRecovery, string) {
 	s.sweepTemps()
-	type candidate struct {
-		path   string
-		legacy bool
-	}
-	cands := []candidate{
-		{s.slots[0], false},
-		{s.slots[1], false},
-		{s.legacy, true},
-	}
 	var best *shardCheckpoint
 	bestSlot := -1
 	corrupt, foreign := 0, 0
 	var details []string
-	for i, c := range cands {
-		ck, status, detail := readCheckpointFile(c.path, s.fingerprint, c.legacy)
+	for i, path := range s.slots {
+		ck, status, detail := readCheckpointFile(path, s.fingerprint)
 		switch status {
 		case ckFileMissing:
 		case ckFileCorrupt:
@@ -271,9 +248,7 @@ func (s *ckStore) load() (*shardCheckpoint, ckRecovery, string) {
 	}
 	if best != nil {
 		s.gen = best.Generation
-		if bestSlot == 0 || bestSlot == 1 {
-			s.next = 1 - bestSlot
-		}
+		s.next = 1 - bestSlot
 		if corrupt > 0 || foreign > 0 {
 			return best, ckFallback, detail
 		}
@@ -292,7 +267,7 @@ func (s *ckStore) load() (*shardCheckpoint, ckRecovery, string) {
 // whatever a previous run left in the directory, so a later crash
 // restart can never resurrect a stale cursor. Best-effort.
 func (s *ckStore) clear() {
-	for _, p := range []string{s.slots[0], s.slots[1], s.legacy} {
+	for _, p := range s.slots {
 		s.fs.Remove(p) //nolint:errcheck // absent files are fine
 	}
 	s.sweepTemps()

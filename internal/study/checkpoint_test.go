@@ -3,6 +3,8 @@ package study
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -131,39 +133,6 @@ func TestCheckpointForeignFingerprint(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyCompat: a pre-A/B single-file checkpoint (raw
-// payload, no CRC envelope) still resumes, as a generation-0 candidate
-// that newer slot generations outrank.
-func TestCheckpointLegacyCompat(t *testing.T) {
-	dir := t.TempDir()
-	legacy := shardCheckpoint{
-		Version:     checkpointVersion,
-		Fingerprint: "test-fingerprint",
-		Cursor:      7,
-		Acc:         json.RawMessage(`{"state":"legacy"}`),
-	}
-	blob, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(CheckpointPath(dir, 0, 2), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st := testStore(t, nil, dir)
-	ck, class, _ := st.load()
-	if class != ckClean || ck == nil || ck.Cursor != 7 {
-		t.Fatalf("legacy load = (%+v, %v), want cursor 7 clean", ck, class)
-	}
-	// A newer slot generation outranks the legacy file.
-	if err := st.store(30, &ckAcc{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	ck, class, _ = testStore(t, nil, dir).load()
-	if class != ckClean || ck.Cursor != 30 {
-		t.Fatalf("post-store load = (cursor %d, %v), want 30 clean", ck.Cursor, class)
-	}
-}
-
 // TestCheckpointStoreFailureKeepsPrevious: a store that faults at any
 // step of the write protocol leaves the previous generation loadable,
 // and a retry against a clean disk succeeds into the same slot.
@@ -226,8 +195,8 @@ func TestCheckpointSweepTemps(t *testing.T) {
 	}
 }
 
-// TestCheckpointClear: a non-resume run's clear removes every slot and
-// the legacy file so stale cursors cannot resurface.
+// TestCheckpointClear: a non-resume run's clear removes every slot so
+// stale cursors cannot resurface.
 func TestCheckpointClear(t *testing.T) {
 	dir := t.TempDir()
 	st := testStore(t, nil, dir)
@@ -235,9 +204,6 @@ func TestCheckpointClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := st.store(20, &ckAcc{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(CheckpointPath(dir, 0, 2), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st.clear()
@@ -260,4 +226,63 @@ func TestCheckpointWriteDurability(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("fsync failure surfaced as %v, want EIO", err)
 	}
+}
+
+// FuzzReadCheckpoint drives the slot decoder — envelope, CRC-32C,
+// payload JSON, version and fingerprint — with arbitrary bytes. It must
+// never panic, and it may only accept a slot whose CRC matches its
+// payload and whose fingerprint is this run's. The seeds are a valid
+// slot plus the post-crash corruptions the torture harness applies.
+func FuzzReadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	st := newCkStore(nil, dir, 0, 2, "test-fingerprint")
+	if err := st.store(10, &ckAcc{State: "seed"}, nil); err != nil {
+		f.Fatal(err)
+	}
+	slot := CheckpointSlotPaths(dir, 0, 2)[0]
+	valid, err := os.ReadFile(slot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for i, corrupt := range []func(path string) error{
+		func(p string) error { return faultfs.FlipBit(p, 3) },
+		func(p string) error { return faultfs.FlipBit(p, uint64(len(valid))*4) },
+		func(p string) error { return faultfs.TruncateTail(p, 1) },
+		func(p string) error { return faultfs.TruncateTail(p, len(valid)/2) },
+		func(p string) error { return faultfs.AppendGarbage(p, []byte("\x00garbage}")) },
+	} {
+		p := filepath.Join(dir, fmt.Sprintf("variant-%d.json", i))
+		if err := os.WriteFile(p, valid, 0o644); err != nil {
+			f.Fatal(err)
+		}
+		if err := corrupt(p); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ck, status, _ := decodeCheckpoint(blob, "test-fingerprint")
+		if (status == ckFileOK) != (ck != nil) {
+			t.Fatalf("status %v with checkpoint %v", status, ck)
+		}
+		if status != ckFileOK {
+			return
+		}
+		var env checkpointEnvelope
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatalf("accepted a slot whose envelope does not parse: %v", err)
+		}
+		if got := crc32.Checksum(env.Payload, ckCRCTable); got != env.CRC {
+			t.Fatalf("accepted a slot with crc %08x over a payload summing to %08x", env.CRC, got)
+		}
+		if ck.Fingerprint != "test-fingerprint" || ck.Version != checkpointVersion {
+			t.Fatalf("accepted a foreign slot: version %d fingerprint %q", ck.Version, ck.Fingerprint)
+		}
+	})
 }

@@ -25,7 +25,8 @@ import (
 // guarantee the in-memory pipeline has.
 type Accumulator interface {
 	// Fold adds one record's contribution. The record is released after
-	// the call returns; implementations must not retain it.
+	// the call returns; implementations must not retain it. (The one
+	// exception is RunSharded's record keeper, whose job is to retain.)
 	Fold(rec *ProbeRecord)
 	// Merge folds another shard's accumulator (always the same concrete
 	// type) into this one.
@@ -44,20 +45,20 @@ type StreamOptions struct {
 	// into Lanes contiguous windows, each simulated end-to-end by its own
 	// world over the template's shared immutable core, with one committer
 	// per shard folding the lanes' records strictly in lane order — so
-	// every output byte matches the single-lane pipeline. Unlike the
-	// in-memory engine, <= 0 means 1 here: lane mode moves the
-	// checkpoint cadence from record intervals (CheckpointEvery) to lane
-	// boundaries — the only points where the accumulator, sink, and
-	// registry are exactly aligned while lanes run ahead of the
-	// committer — so it is opt-in rather than inferred from the machine.
+	// every output byte matches the single-lane pipeline. <= 0 means 1:
+	// lane mode moves the checkpoint cadence from record intervals
+	// (CheckpointEvery) to lane boundaries — the only points where the
+	// accumulator, sink, and registry are exactly aligned while lanes run
+	// ahead of the committer — so it is opt-in rather than inferred from
+	// the machine.
 	Lanes int
 	// Progress, when non-nil, receives one call per completed shard,
 	// serialized but in completion order.
 	Progress func(shard, workers, probes int, elapsed time.Duration)
 
 	// NewAccumulator builds shard k's accumulator; required. It is
-	// called once per shard before the shard's world builds, plus once
-	// with shard -1 for the final merge target.
+	// called once per shard attempt, plus once with shard -1 for the
+	// final merge target.
 	NewAccumulator func(shard int) Accumulator
 
 	// NewSink, when non-nil, opens shard k's record sink: every
@@ -168,17 +169,11 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 	if spec.TotalProbes > 0 && workers > spec.TotalProbes {
 		workers = spec.TotalProbes
 	}
-	lanes := opts.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
+	// The one lane default: <= 0 means 1, clamped so every lane window
+	// is nonempty.
+	lanes := max(opts.Lanes, 1)
 	if spec.TotalProbes > 0 {
-		if per := spec.TotalProbes / workers; lanes > per {
-			lanes = per
-		}
-		if lanes < 1 {
-			lanes = 1
-		}
+		lanes = max(min(lanes, spec.TotalProbes/workers), 1)
 	}
 	fsys := opts.FS
 	if fsys == nil {
@@ -235,7 +230,9 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 				// accumulator (and registry) is discarded wholesale, so
 				// nothing it half-counted can double into the merge.
 				accs[k] = nil
-				reg, n, skip, halt, err := runShardAttempt(tpl, spec, k, workers, lanes, opts, fsys, attempt, warnf, &accs[k])
+				a := &shardAttempt{tpl: tpl, spec: spec, k: k, workers: workers, opts: opts,
+					fsys: fsys, attempt: attempt, warnf: warnf, accSlot: &accs[k]}
+				reg, n, skip, halt, err := a.run(lanes)
 				if err == nil {
 					shardRegs[k], folded[k], skipped[k], stopped[k] = reg, n, skip, halt
 					if opts.Progress != nil {
@@ -289,59 +286,69 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 	return res, nil
 }
 
-// runShardAttempt is one supervised execution of a shard worker,
-// converting a panic into an error the supervisor can restart on.
-func runShardAttempt(tpl *WorldTemplate, spec Spec, k, workers, lanes int, opts StreamOptions, fsys faultfs.FS, attempt int, warnf func(string, ...any), accSlot *Accumulator) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
+// shardAttempt is one supervised execution of shard k's worker.
+type shardAttempt struct {
+	tpl        *WorldTemplate
+	spec       Spec
+	k, workers int
+	opts       StreamOptions
+	fsys       faultfs.FS
+	attempt    int
+	warnf      func(string, ...any)
+	// accSlot is the supervisor's slot for the shard's accumulator, so
+	// a partially folded state survives a contained panic (the
+	// supervisor discards it, but the slot must not hold a stale value).
+	accSlot *Accumulator
+}
+
+// run measures the shard's probes, converting a panic into an error
+// the supervisor can restart on. It returns the shard registry, the
+// records folded this attempt, the records skipped via checkpoint, and
+// whether StopAfterProbes halted the sweep.
+func (a *shardAttempt) run(lanes int) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panicked: %v", r)
 		}
 	}()
 	if lanes > 1 {
-		return runStreamShardLanes(tpl, spec, k, workers, lanes, opts, fsys, attempt, warnf, accSlot)
+		return a.runLanes(lanes)
 	}
-	return runStreamShard(tpl, spec, k, workers, opts, fsys, attempt, warnf, accSlot)
+	return a.runSingle()
 }
 
-// runStreamShard measures one shard's probes, streaming each record
-// into the accumulator and sink. It returns the shard registry, the
-// records folded this attempt, the records skipped via checkpoint, and
-// whether StopAfterProbes halted the sweep. The accumulator is passed
-// by pointer so a partially folded state survives a contained panic
-// (the supervisor discards it, but the slot must not hold a stale
-// value).
-func runStreamShard(tpl *WorldTemplate, spec Spec, k, workers int, opts StreamOptions, fsys faultfs.FS, attempt int, warnf func(string, ...any), accSlot *Accumulator) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
-	acc := opts.NewAccumulator(k)
-	*accSlot = acc
-
-	fingerprint := checkpointFingerprint(spec, k, workers)
-	var store *ckStore
-	if opts.CheckpointDir != "" {
-		store = newCkStore(fsys, opts.CheckpointDir, k, workers, fingerprint)
-	}
-	var restored *metrics.Snapshot
+// prologue is the setup both fold loops share: a fresh accumulator in
+// the supervisor's slot, the checkpoint store (nil without
+// CheckpointDir; loaded on resume, cleared on a fresh run), the
+// restored metric snapshot and recovery accounting on the shard
+// registry, and the sink (nil without NewSink) opened at skip, the
+// records the loaded checkpoint already covers.
+func (a *shardAttempt) prologue(reg *metrics.Registry, sm *studyMetrics) (acc Accumulator, store *ckStore, sink RecordSink, skip int, err error) {
+	acc = a.opts.NewAccumulator(a.k)
+	*a.accSlot = acc
 	recovery := ckFresh
-	if store != nil {
+	if a.opts.CheckpointDir != "" {
+		store = newCkStore(a.fsys, a.opts.CheckpointDir, a.k, a.workers, checkpointFingerprint(a.spec, a.k, a.workers))
 		// A supervisor restart (attempt > 0) always resumes: the last
 		// good checkpoint is the whole point of restarting.
-		if opts.Resume || attempt > 0 {
+		if a.opts.Resume || a.attempt > 0 {
 			ck, class, detail := store.load()
 			recovery = class
 			if detail != "" {
-				warnf("study: shard %d/%d checkpoint recovery (%s): %s", k, workers, class, detail)
+				a.warnf("study: shard %d/%d checkpoint recovery (%s): %s", a.k, a.workers, class, detail)
 			}
 			if ck != nil {
 				if lerr := acc.LoadState(ck.Acc); lerr != nil {
 					// The envelope's CRC passed but the accumulator rejects
 					// the state (implementation drift): recoverable like any
 					// other corruption — restart from cursor 0.
-					warnf("study: shard %d/%d checkpoint state rejected (%v); restarting from cursor 0", k, workers, lerr)
-					acc = opts.NewAccumulator(k)
-					*accSlot = acc
+					a.warnf("study: shard %d/%d checkpoint state rejected (%v); restarting from cursor 0", a.k, a.workers, lerr)
+					acc = a.opts.NewAccumulator(a.k)
+					*a.accSlot = acc
 					recovery = ckAllCorrupt
 				} else {
 					skip = ck.Cursor
-					restored = ck.Metrics
+					reg.AddSnapshot(ck.Metrics)
 				}
 			}
 		} else {
@@ -351,25 +358,27 @@ func runStreamShard(tpl *WorldTemplate, spec Spec, k, workers int, opts StreamOp
 			store.clear()
 		}
 	}
-
-	world := tpl.Build(spec.Shard(k, workers))
-	reg = world.Metrics
-	if restored != nil {
-		reg.AddSnapshot(restored)
-	}
-	world.studyMetrics.noteResumeSkipped(skip)
+	sm.noteResumeSkipped(skip)
 	if recovery.recovered() {
-		world.studyMetrics.noteCheckpointRecovery()
+		sm.noteCheckpointRecovery()
 	}
+	if a.opts.NewSink != nil {
+		sink, err = a.opts.NewSink(a.k, a.workers, skip)
+	}
+	return acc, store, sink, skip, err
+}
 
-	var sink RecordSink
-	if opts.NewSink != nil {
-		sink, err = opts.NewSink(k, workers, skip)
-		if err != nil {
-			return reg, 0, skip, false, err
-		}
+// runSingle measures the shard in one world, folding each record into
+// the accumulator and sink as it completes and checkpointing every
+// CheckpointEvery records.
+func (a *shardAttempt) runSingle() (reg *metrics.Registry, folded, skip int, halted bool, err error) {
+	world := a.tpl.Build(a.spec.Shard(a.k, a.workers))
+	reg = world.Metrics
+	acc, store, sink, skip, err := a.prologue(reg, world.studyMetrics)
+	if err != nil {
+		return reg, 0, skip, false, err
 	}
-	every := opts.CheckpointEvery
+	every := a.opts.CheckpointEvery
 	if every <= 0 {
 		every = 1000
 	}
@@ -404,14 +413,14 @@ func runStreamShard(tpl *WorldTemplate, spec Spec, k, workers int, opts StreamOp
 				// extra interval.
 				if cerr := store.store(skip+folded, acc, reg); cerr != nil {
 					world.studyMetrics.noteCheckpointWriteFailure()
-					warnf("study: shard %d/%d checkpoint write at cursor %d failed (retrying next interval): %v",
-						k, workers, skip+folded, cerr)
+					a.warnf("study: shard %d/%d checkpoint write at cursor %d failed (retrying next interval): %v",
+						a.k, a.workers, skip+folded, cerr)
 				} else {
 					world.studyMetrics.noteCheckpoint()
 				}
 			}
 		}
-		if opts.StopAfterProbes > 0 && folded >= opts.StopAfterProbes {
+		if a.opts.StopAfterProbes > 0 && folded >= a.opts.StopAfterProbes {
 			halted = true
 			return false
 		}
@@ -437,7 +446,7 @@ func runStreamShard(tpl *WorldTemplate, spec Spec, k, workers int, opts StreamOp
 	if store != nil && !halted {
 		if cerr := store.store(skip+folded, acc, reg); cerr != nil {
 			world.studyMetrics.noteCheckpointWriteFailure()
-			warnf("study: shard %d/%d final checkpoint failed (a resume will re-measure the tail): %v", k, workers, cerr)
+			a.warnf("study: shard %d/%d final checkpoint failed (a resume will re-measure the tail): %v", a.k, a.workers, cerr)
 		} else {
 			world.studyMetrics.noteCheckpoint()
 		}
@@ -463,13 +472,13 @@ type laneFeed struct {
 	start, end, skip int
 }
 
-// runStreamShardLanes is runStreamShard's lane-parallel variant: the
-// shard's owned probe ranks split into lanes contiguous windows, each
-// measured end-to-end by its own world (over the template's shared
-// immutable core), while a single committer — this function — drains
-// the lanes strictly in lane order, folding into one accumulator and
-// sink. Because lane windows are contiguous and ordered, the fold order
-// is exactly the single-lane order, and every output byte matches.
+// runLanes is runSingle's lane-parallel variant: the shard's owned
+// probe ranks split into lanes contiguous windows, each measured
+// end-to-end by its own world (over the template's shared immutable
+// core), while a single committer — this function — drains the lanes
+// strictly in lane order, folding into one accumulator and sink.
+// Because lane windows are contiguous and ordered, the fold order is
+// exactly the single-lane order, and every output byte matches.
 //
 // Checkpoints move to lane boundaries: lanes run ahead of the committer,
 // so mid-lane the lane registries hold counts past the fold cursor and
@@ -480,68 +489,32 @@ type laneFeed struct {
 // skipped probes produce no Stable counts) — and that boundary is
 // durably checkpointed. The fingerprint stays lane-free, so a
 // checkpoint written at one lane count resumes at any other.
-func runStreamShardLanes(tpl *WorldTemplate, spec Spec, k, workers, lanes int, opts StreamOptions, fsys faultfs.FS, attempt int, warnf func(string, ...any), accSlot *Accumulator) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
-	acc := opts.NewAccumulator(k)
-	*accSlot = acc
-
-	fingerprint := checkpointFingerprint(spec, k, workers)
-	var store *ckStore
-	if opts.CheckpointDir != "" {
-		store = newCkStore(fsys, opts.CheckpointDir, k, workers, fingerprint)
-	}
-	var restored *metrics.Snapshot
-	recovery := ckFresh
-	if store != nil {
-		if opts.Resume || attempt > 0 {
-			ck, class, detail := store.load()
-			recovery = class
-			if detail != "" {
-				warnf("study: shard %d/%d checkpoint recovery (%s): %s", k, workers, class, detail)
-			}
-			if ck != nil {
-				if lerr := acc.LoadState(ck.Acc); lerr != nil {
-					warnf("study: shard %d/%d checkpoint state rejected (%v); restarting from cursor 0", k, workers, lerr)
-					acc = opts.NewAccumulator(k)
-					*accSlot = acc
-					recovery = ckAllCorrupt
-				} else {
-					skip = ck.Cursor
-					restored = ck.Metrics
-				}
-			}
-		} else {
-			store.clear()
-		}
-	}
-
+func (a *shardAttempt) runLanes(lanes int) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
 	// The shard registry lives above the lane worlds: restored snapshot
 	// first, then each completed lane's registry in lane order. The
 	// shard-level instruments (resume accounting, checkpoint and sink
 	// health) land here rather than on any one lane's world.
 	var sm *studyMetrics
-	if !spec.DisableMetrics {
+	if !a.spec.DisableMetrics {
 		reg = metrics.New()
-		reg.AddSnapshot(restored)
 		sm = newStudyMetrics(reg)
 	}
-	sm.noteResumeSkipped(skip)
-	if recovery.recovered() {
-		sm.noteCheckpointRecovery()
-	}
-
-	var sink RecordSink
-	if opts.NewSink != nil {
-		sink, err = opts.NewSink(k, workers, skip)
-		if err != nil {
-			return reg, 0, skip, false, err
-		}
+	acc, store, sink, skip, err := a.prologue(reg, sm)
+	if err != nil {
+		return reg, 0, skip, false, err
 	}
 	var flusher SinkFlusher
 	if f, ok := sink.(SinkFlusher); ok {
 		flusher = f
 	}
 
-	shardSpec := spec.Shard(k, workers)
+	// A record keeper retains every record anyway, so bounding the
+	// run-ahead would only serialize the lanes behind the committer.
+	buf := laneChanBuf
+	if _, keeps := acc.(*recordKeeper); keeps {
+		buf = a.spec.TotalProbes
+	}
+	shardSpec := a.spec.Shard(a.k, a.workers)
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	cancel := func() { doneOnce.Do(func() { close(done) }) }
@@ -550,7 +523,7 @@ func runStreamShardLanes(tpl *WorldTemplate, spec Spec, k, workers, lanes int, o
 	for l := 0; l < lanes; l++ {
 		laneSpec := shardSpec.Lane(l, lanes)
 		s, e := laneSpec.laneWindow()
-		lf := &laneFeed{ch: make(chan *ProbeRecord, laneChanBuf), start: s, end: e}
+		lf := &laneFeed{ch: make(chan *ProbeRecord, min(buf, e-s)), start: s, end: e}
 		feeds[l] = lf
 		lf.skip = skip - s
 		if lf.skip < 0 {
@@ -576,7 +549,7 @@ func runStreamShardLanes(tpl *WorldTemplate, spec Spec, k, workers, lanes int, o
 					lf.err = fmt.Errorf("lane %d/%d panicked: %v", l, lanes, r)
 				}
 			}()
-			world := tpl.Build(laneSpec)
+			world := a.tpl.Build(laneSpec)
 			lf.reg = world.Metrics
 			streamRecords(world, lf.skip, func(rec *ProbeRecord) bool {
 				select {
@@ -601,7 +574,7 @@ commit:
 				ioErr = sink.Append(exp)
 			}
 			folded++
-			if opts.StopAfterProbes > 0 && folded >= opts.StopAfterProbes {
+			if a.opts.StopAfterProbes > 0 && folded >= a.opts.StopAfterProbes {
 				halted = true
 				break commit
 			}
@@ -628,8 +601,8 @@ commit:
 			}
 			if cerr := store.store(lf.end, acc, reg); cerr != nil {
 				sm.noteCheckpointWriteFailure()
-				warnf("study: shard %d/%d checkpoint write at cursor %d failed (retrying at next lane boundary): %v",
-					k, workers, lf.end, cerr)
+				a.warnf("study: shard %d/%d checkpoint write at cursor %d failed (retrying at next lane boundary): %v",
+					a.k, a.workers, lf.end, cerr)
 			} else {
 				sm.noteCheckpoint()
 				wroteCk = true
@@ -664,7 +637,7 @@ commit:
 	if store != nil && !halted && !wroteCk {
 		if cerr := store.store(skip+folded, acc, reg); cerr != nil {
 			sm.noteCheckpointWriteFailure()
-			warnf("study: shard %d/%d final checkpoint failed (a resume will re-measure the tail): %v", k, workers, cerr)
+			a.warnf("study: shard %d/%d final checkpoint failed (a resume will re-measure the tail): %v", a.k, a.workers, cerr)
 		} else {
 			sm.noteCheckpoint()
 		}

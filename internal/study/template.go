@@ -54,8 +54,8 @@ type WorldTemplate struct {
 	chaosCache *dnsserver.PackedAnswerCache
 
 	// BuildWorkers caps the goroutines one Build uses to populate orgs
-	// in parallel; <= 0 means GOMAXPROCS. The sharded engines set it to
-	// GOMAXPROCS/workers so concurrent shard builds do not oversubscribe
+	// in parallel; <= 0 means GOMAXPROCS. RunStreamed sets it to
+	// GOMAXPROCS/(workers×lanes) so concurrent builds do not oversubscribe
 	// the machine. Set before the first Build; the template is read-only
 	// during builds.
 	BuildWorkers int

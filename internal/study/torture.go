@@ -356,7 +356,6 @@ func tortureCorrupt(o TortureOptions, rep *TortureReport, rng *rand.Rand, ckDir,
 		for _, slot := range slots {
 			faultfs.FlipBit(slot, rng.Uint64()) //nolint:errcheck // missing slot = no-op
 		}
-		os.Remove(CheckpointPath(ckDir, k, workers)) //nolint:errcheck
 		rep.Corruptions["both_generations_corrupt"]++
 	} else if rng.Intn(2) == 0 {
 		k := rng.Intn(workers)

@@ -38,11 +38,7 @@ func RunTTLExtension(res *Results, cleanSample int, maxTTL int) TTLStats {
 			}
 			cleanSeen++
 		}
-		net := rec.Net
-		if net == nil {
-			net = res.World.Net
-		}
-		client := &ttlprobe.SimTTLClient{Net: net, Host: rec.Probe.Host}
+		client := &ttlprobe.SimTTLClient{Net: rec.Net, Host: rec.Probe.Host}
 		ladder, err := ttlprobe.Ladder(client, google, publicdns.CanaryDomain, maxTTL)
 		if err != nil {
 			continue
