@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math/rand"
 	"net/netip"
 	"time"
 )
@@ -119,10 +116,11 @@ type faultKey struct {
 	client netip.Addr
 }
 
-// geChain is one Gilbert–Elliott channel state.
+// geChain is one Gilbert–Elliott channel: its state and its position
+// in the flow's seeded math/rand stream, 24 bytes per flow.
 type geChain struct {
+	rng lazyRand
 	bad bool
-	rng *rand.Rand
 }
 
 // rateState is one client's token bucket at a rate-limited device.
@@ -135,15 +133,15 @@ type rateState struct {
 type faultPlane struct {
 	def    *FaultProfile
 	byDev  map[string]*FaultProfile
-	chains map[faultKey]*geChain
-	rates  map[faultKey]*rateState
+	chains map[faultKey]geChain
+	rates  map[faultKey]rateState
 }
 
 func newFaultPlane() *faultPlane {
 	return &faultPlane{
 		byDev:  make(map[string]*FaultProfile),
-		chains: make(map[faultKey]*geChain),
-		rates:  make(map[faultKey]*rateState),
+		chains: make(map[faultKey]geChain),
+		rates:  make(map[faultKey]rateState),
 	}
 }
 
@@ -210,25 +208,24 @@ func isClientFlow(pkt Packet) bool {
 }
 
 // geDrop advances the flow's Gilbert–Elliott chain one packet and
-// samples loss. The chain RNG is seeded from (profile seed, device,
-// client), so its stream depends only on the flow's own packet count
-// through this device.
+// samples loss. The chain's stream is math/rand's, seeded from
+// (profile seed, device, client), so it depends only on the flow's own
+// packet count through this device.
 func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
 	if fp.PGoodBad <= 0 && fp.LossGood <= 0 {
 		return false
 	}
 	key := faultKey{dev: dev, client: clientOf(pkt)}
-	ch := f.chains[key]
-	if ch == nil {
-		ch = &geChain{rng: rand.New(rand.NewSource(flowSeed(fp.Seed, dev, key.client)))}
-		f.chains[key] = ch
+	ch, ok := f.chains[key]
+	if !ok {
+		ch.rng = newLazyRand(flowSeed(fp.Seed, dev, key.client))
 	}
 	if ch.bad {
-		if ch.rng.Float64() < fp.PBadGood {
+		if ch.rng.float64() < fp.PBadGood {
 			ch.bad = false
 		}
 	} else {
-		if ch.rng.Float64() < fp.PGoodBad {
+		if ch.rng.float64() < fp.PGoodBad {
 			ch.bad = true
 		}
 	}
@@ -236,7 +233,9 @@ func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
 	if ch.bad {
 		p = fp.LossBad
 	}
-	return p > 0 && ch.rng.Float64() < p
+	drop := p > 0 && ch.rng.float64() < p
+	f.chains[key] = ch
+	return drop
 }
 
 // allowRate charges one token for a query arriving at a rate-limited
@@ -246,63 +245,84 @@ func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt Packet) bool {
 		return true
 	}
 	key := faultKey{dev: dev, client: clientOf(pkt)}
-	rs := f.rates[key]
-	if rs == nil {
-		rs = &rateState{tokens: fp.RateBurst}
-		f.rates[key] = rs
+	rs, ok := f.rates[key]
+	if !ok {
+		rs.tokens = fp.RateBurst
 	}
 	rs.seen++
 	if fp.RateRefillEvery > 0 && rs.seen%fp.RateRefillEvery == 0 && rs.tokens < fp.RateBurst {
 		rs.tokens++
 	}
-	if rs.tokens <= 0 {
-		return false
+	allow := rs.tokens > 0
+	if allow {
+		rs.tokens--
 	}
-	rs.tokens--
-	return true
+	f.rates[key] = rs
+	return allow
 }
 
 // roll derives a deterministic uniform [0, 1) draw from the packet's
 // content, the device, and a per-mechanism tag. Retransmissions differ
 // (fresh ephemeral source port), duplicate copies differ (salt), and
 // the same packet at successive hops differs (TTL), so every decision
-// point gets an independent draw with no cross-flow state.
+// point gets an independent draw with no cross-flow state. The hash is
+// 64-bit FNV-1a over the seed, the device name, (tag, TTL, salt), both
+// endpoints, the payload length and the DNS query ID.
 func roll(seed int64, dev string, pkt Packet, tag byte) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(dev))
-	h.Write([]byte{tag, byte(pkt.TTL), pkt.FaultSalt})
-	writeAddrPort(h, pkt.Src)
-	writeAddrPort(h, pkt.Dst)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(pkt.Payload)))
-	h.Write(buf[:])
+	h := fnvUint64(fnvOffset64, uint64(seed))
+	h = fnvString(h, dev)
+	h = fnvByte(fnvByte(fnvByte(h, tag), byte(pkt.TTL)), pkt.FaultSalt)
+	h = fnvAddrPort(h, pkt.Src)
+	h = fnvAddrPort(h, pkt.Dst)
+	h = fnvUint64(h, uint64(len(pkt.Payload)))
 	if len(pkt.Payload) >= 2 {
-		h.Write(pkt.Payload[:2]) // the DNS query ID
+		h = fnvByte(fnvByte(h, pkt.Payload[0]), pkt.Payload[1]) // the DNS query ID
 	}
-	return float64(h.Sum64()>>11) / (1 << 53)
+	return float64(h>>11) / (1 << 53)
 }
 
-// flowSeed derives a chain seed from (profile seed, device, client).
+// flowSeed derives a chain seed from (profile seed, device, client):
+// 64-bit FNV-1a over the seed, the device name and the client address.
 func flowSeed(seed int64, dev string, client netip.Addr) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(dev))
-	a := client.As16()
-	h.Write(a[:])
-	return int64(h.Sum64())
+	h := fnvUint64(fnvOffset64, uint64(seed))
+	h = fnvString(h, dev)
+	return int64(fnvAddr(h, client))
 }
 
-// writeAddrPort hashes an address-port pair.
-func writeAddrPort(h interface{ Write([]byte) (int, error) }, ap netip.AddrPort) {
-	a := ap.Addr().As16()
-	h.Write(a[:])
-	var p [2]byte
-	binary.LittleEndian.PutUint16(p[:], ap.Port())
-	h.Write(p[:])
+// 64-bit FNV-1a, computed inline so that hashing a packet allocates
+// nothing. Multi-byte integers are hashed little-endian and addresses
+// in their 16-byte form.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = fnvByte(h, byte(v>>i))
+	}
+	return h
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+func fnvAddr(h uint64, a netip.Addr) uint64 {
+	for _, b := range a.As16() {
+		h = fnvByte(h, b)
+	}
+	return h
+}
+
+func fnvAddrPort(h uint64, ap netip.AddrPort) uint64 {
+	p := ap.Port()
+	return fnvByte(fnvByte(fnvAddr(h, ap.Addr()), byte(p)), byte(p>>8))
 }
 
 // applyFaults runs the fault plane on one forwarded hop: link faults

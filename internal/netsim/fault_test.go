@@ -1,10 +1,16 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash"
+	"hash/fnv"
+	"math"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // stressProfile exercises every mechanism at once with rates high
@@ -184,5 +190,113 @@ func TestReorderJitterDelaysDelivery(t *testing.T) {
 	}
 	if r1[0].RTT() <= r0[0].RTT() {
 		t.Errorf("jittered RTT %v not above clean RTT %v", r1[0].RTT(), r0[0].RTT())
+	}
+}
+
+// rollFNV and flowSeedFNV are roll and flowSeed as first written, over
+// hash/fnv: the reference the inline FNV-1a must reproduce.
+func rollFNV(seed int64, dev string, pkt Packet, tag byte) float64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
+	h.Write(buf[:])
+	h.Write([]byte(dev))
+	h.Write([]byte{tag, byte(pkt.TTL), pkt.FaultSalt})
+	writeAddrPortFNV(h, pkt.Src)
+	writeAddrPortFNV(h, pkt.Dst)
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(pkt.Payload)))
+	h.Write(buf[:])
+	if len(pkt.Payload) >= 2 {
+		h.Write(pkt.Payload[:2])
+	}
+	return float64(h.Sum64()>>11) / (1 << 53)
+}
+
+func flowSeedFNV(seed int64, dev string, client netip.Addr) int64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
+	h.Write(buf[:])
+	h.Write([]byte(dev))
+	a := client.As16()
+	h.Write(a[:])
+	return int64(h.Sum64())
+}
+
+func writeAddrPortFNV(h hash.Hash64, ap netip.AddrPort) {
+	a := ap.Addr().As16()
+	h.Write(a[:])
+	var p [2]byte
+	binary.LittleEndian.PutUint16(p[:], ap.Port())
+	h.Write(p[:])
+}
+
+func TestRollMatchesFNV(t *testing.T) {
+	flows := [][2]netip.AddrPort{
+		{ap("192.168.1.10:49152"), ap("8.8.8.8:53")},
+		{ap("8.8.8.8:53"), ap("203.0.113.7:30001")},
+		{ap("[2001:db8::10]:51000"), ap("[2001:4860:4860::8888]:53")},
+		{ap("[2001:4860:4860::8888]:53"), ap("[2001:db8::10]:65535")},
+		{ap("[::ffff:10.0.0.1]:28000"), ap("[::1]:0")},
+	}
+	payloads := [][]byte{nil, {}, {0xab}, {0x12, 0x34}, []byte("\x12\x34\x01\x00query")}
+	devs := []string{"", "cpe", "resolver-8888", "isp-router-ü"}
+	seeds := []int64{0, 1, -1, 20211102 + 9000, math.MinInt64, math.MaxInt64}
+	n := 0
+	for _, fl := range flows {
+		for _, pl := range payloads {
+			for _, dev := range devs {
+				for _, seed := range seeds {
+					for _, tag := range []byte{tagDup, tagReorder, tagJitter, tagTrunc} {
+						pkt := Packet{Src: fl[0], Dst: fl[1], Proto: UDP, TTL: 64 - n%70, Payload: pl, FaultSalt: uint8(n)}
+						n++
+						if got, want := roll(seed, dev, pkt, tag), rollFNV(seed, dev, pkt, tag); got != want {
+							t.Fatalf("roll(%d, %q, %v, %d) = %v, hash/fnv gives %v", seed, dev, pkt, tag, got, want)
+						}
+					}
+					for _, client := range []netip.Addr{fl[0].Addr(), fl[1].Addr()} {
+						if got, want := flowSeed(seed, dev, client), flowSeedFNV(seed, dev, client); got != want {
+							t.Fatalf("flowSeed(%d, %q, %v) = %d, hash/fnv gives %d", seed, dev, client, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+var sinkFloat float64
+var sinkSeed int64
+
+// TestFaultPlaneAllocBudget pins the per-hop fault decisions at zero
+// allocations: the packet hashes, and a Gilbert–Elliott step plus a
+// token-bucket charge on a flow that already has state. The run count
+// keeps the chain inside its lazily computed draws.
+func TestFaultPlaneAllocBudget(t *testing.T) {
+	fp := PresetFault(0.5, 1)
+	pkt := Packet{
+		Src: ap("192.168.1.10:49152"), Dst: ap("8.8.8.8:53"), Proto: UDP,
+		TTL: 63, Payload: []byte("\x12\x34\x01\x00query"),
+	}
+	f := newFaultPlane()
+	f.geDrop("cpe", &fp, pkt)
+	f.allowRate("resolver-8888", &fp, pkt)
+	for name, fn := range map[string]func(){
+		"roll":     func() { sinkFloat = roll(fp.Seed, "cpe", pkt, tagDup) },
+		"flowSeed": func() { sinkSeed = flowSeed(fp.Seed, "cpe", pkt.Src.Addr()) },
+		"geDrop+allowRate": func() {
+			f.geDrop("cpe", &fp, pkt)
+			f.allowRate("resolver-8888", &fp, pkt)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, budget 0", name, allocs)
+		}
+	}
+	if ch := f.chains[faultKey{dev: "cpe", client: pkt.Src.Addr()}]; ch.rng.tail != nil || ch.rng.n > lfTap {
+		t.Fatalf("chain left the lazy range after %d draws", ch.rng.n)
+	}
+	if size := unsafe.Sizeof(geChain{}); size > 24 {
+		t.Errorf("geChain is %d bytes, want at most 24", size)
 	}
 }

@@ -1,0 +1,160 @@
+package study
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/dnswatch/dnsloc/internal/faultfs"
+)
+
+// addSinkSeeds seeds a sink-file fuzz target with a valid JSONL sink, a
+// valid CSV sink with its header, and the post-crash corruptions the
+// torture harness applies to each: bit rot, torn tails and a partial
+// record appended after the last complete line.
+func addSinkSeeds(f *testing.F, add func(blob []byte, header bool)) {
+	f.Helper()
+	exports := retryTestExports(3)
+	var jsonl, csv bytes.Buffer
+	js := NewJSONLSink(&jsonl)
+	cs, err := NewCSVSink(&csv, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range exports {
+		if err := js.Append(e); err != nil {
+			f.Fatal(err)
+		}
+		if err := cs.Append(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := js.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if err := cs.Close(); err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	for _, sink := range []struct {
+		blob   []byte
+		header bool
+	}{{jsonl.Bytes(), false}, {csv.Bytes(), true}} {
+		add(sink.blob, sink.header)
+		n := len(sink.blob)
+		for i, corrupt := range []func(path string) error{
+			func(p string) error { return faultfs.FlipBit(p, 3) },
+			func(p string) error { return faultfs.FlipBit(p, uint64(n)*4) },
+			func(p string) error { return faultfs.FlipBit(p, uint64(n-1)*8+3) }, // the final newline
+			func(p string) error { return faultfs.TruncateTail(p, 1) },
+			func(p string) error { return faultfs.TruncateTail(p, n/2) },
+			func(p string) error { return faultfs.AppendGarbage(p, []byte("{\"probe_id\":9,\"coun")) },
+			func(p string) error { return faultfs.AppendGarbage(p, []byte("\x00\n\x00")) },
+		} {
+			p := filepath.Join(dir, fmt.Sprintf("variant-%v-%d", sink.header, i))
+			if err := os.WriteFile(p, sink.blob, 0o644); err != nil {
+				f.Fatal(err)
+			}
+			if err := corrupt(p); err != nil {
+				f.Fatal(err)
+			}
+			blob, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			add(blob, sink.header)
+		}
+	}
+}
+
+// fuzzSinkFile writes blob to a fresh file and returns its path.
+func fuzzSinkFile(t *testing.T, blob []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "records")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// checkSinkPrefix asserts that the file at path holds a prefix of in
+// that is empty or ends at a newline, and returns it.
+func checkSinkPrefix(t *testing.T, path string, in []byte) []byte {
+	t.Helper()
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(in, out) {
+		t.Fatalf("file %q is not a prefix of the input %q", out, in)
+	}
+	if len(out) > 0 && out[len(out)-1] != '\n' {
+		t.Fatalf("file %q does not end at a line boundary", out)
+	}
+	return out
+}
+
+// FuzzRepairSinkTail drives the torn-tail repair with arbitrary sink
+// bytes. It must never panic, must leave exactly the input's complete
+// lines on disk, and may report no more rows than those lines hold.
+func FuzzRepairSinkTail(f *testing.F) {
+	addSinkSeeds(f, func(blob []byte, header bool) { f.Add(blob, header) })
+	f.Fuzz(func(t *testing.T, in []byte, header bool) {
+		path := fuzzSinkFile(t, in)
+		rows, hasHeader, err := RepairSinkTail(path, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := checkSinkPrefix(t, path, in)
+		if want := in[:bytes.LastIndexByte(in, '\n')+1]; !bytes.Equal(out, want) {
+			t.Fatalf("repair kept %q, want the complete lines %q", out, want)
+		}
+		lines := bytes.Count(out, []byte{'\n'})
+		if hasHeader && (!header || lines == 0) {
+			t.Fatalf("hasHeader with header=%v and %d lines", header, lines)
+		}
+		if held := rows + btoi(hasHeader); rows < 0 || held != lines {
+			t.Fatalf("rows %d + header %v, file holds %d complete lines", rows, hasHeader, lines)
+		}
+	})
+}
+
+// FuzzTruncateSinkFile drives the resume-time truncation with arbitrary
+// sink bytes and record counts. It must never panic. On success the
+// file is the input's first records (+ header) lines; when the input
+// holds fewer complete lines it must refuse and leave the file alone.
+func FuzzTruncateSinkFile(f *testing.F) {
+	addSinkSeeds(f, func(blob []byte, header bool) {
+		for _, records := range []int{0, 1, 2, 3, 4} {
+			f.Add(blob, records, header)
+		}
+	})
+	f.Fuzz(func(t *testing.T, in []byte, records int, header bool) {
+		path := fuzzSinkFile(t, in)
+		err := TruncateSinkFile(path, records, header)
+		keep := records + btoi(header)
+		complete := bytes.Count(in, []byte{'\n'})
+		if err != nil {
+			if keep <= complete {
+				t.Fatalf("refused %d lines of an input with %d: %v", keep, complete, err)
+			}
+			if out, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(out, in) {
+				t.Fatalf("a refused truncation changed the file to %q (%v)", out, rerr)
+			}
+			return
+		}
+		out := checkSinkPrefix(t, path, in)
+		if lines := bytes.Count(out, []byte{'\n'}); lines != max(keep, 0) {
+			t.Fatalf("kept %d lines for %d records (header %v)", lines, records, header)
+		}
+	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
