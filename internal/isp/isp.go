@@ -348,6 +348,17 @@ func (n *Network) AttachCPE(seg *Segment, d *cpe.Device, home HomeAddrs) {
 	d.SetUplink(seg.Router)
 }
 
+// DetachCPE undoes AttachCPE: the segment stops routing the home's
+// addresses, so nothing in the ISP refers to the device any more. The
+// home's address allocation stays burned; re-attaching a device with
+// the same HomeAddrs restores the home exactly.
+func (n *Network) DetachCPE(seg *Segment, home HomeAddrs) {
+	seg.Router.RemoveRoute(netip.PrefixFrom(home.WANv4, 32))
+	if home.LANPrefix6.IsValid() {
+		seg.Router.RemoveRoute(home.LANPrefix6)
+	}
+}
+
 // Segments returns the ISP's segments.
 func (n *Network) Segments() []*Segment { return n.segments }
 

@@ -107,18 +107,24 @@ type Router struct {
 
 	// Routes are stored per family in per-prefix-length maps so lookup
 	// is O(distinct prefix lengths) hash probes, not a linear scan —
-	// access routers in the study carry one route per subscriber.
+	// access routers in the study carry one route per live subscriber.
+	// A per-length map outlives its last route, so a length list only
+	// goes stale when an insert brings a new prefix length.
 	routes4  map[int]map[netip.Prefix]*Route
 	routes6  map[int]map[netip.Prefix]*Route
 	lengths4 []int // descending, rebuilt when stale
 	lengths6 []int
 	stale    bool
+	// spareRoutes recycles removed entries, so a subscriber route that
+	// comes and goes with each home costs no allocation.
+	spareRoutes []*Route
 
 	// cache4/cache6 memoize recent lookupRoute results. Routers forward
 	// long runs of packets between the same few endpoints (a probe's
 	// WAN address and a handful of resolvers), so a tiny cache converts
 	// the per-length prefix-map probes into a few address compares.
-	// Invalidated with the lengths whenever the table changes.
+	// A table change drops the memo entries its prefix covers; a stale
+	// length list drops them all.
 	cache4 lookupCache
 	cache6 lookupCache
 
@@ -165,6 +171,16 @@ func (c *lookupCache) put(d netip.Addr, rt *Route) {
 	i := c.next
 	c.dst[i], c.rt[i], c.ok[i] = d, rt, true
 	c.next = (i + 1) % lookupCacheSlots
+}
+
+// invalidate forgets every memoized destination inside p: only those
+// lookups can resolve differently once a route for p comes or goes.
+func (c *lookupCache) invalidate(p netip.Prefix) {
+	for i := range c.dst {
+		if c.ok[i] && p.Contains(c.dst[i]) {
+			c.ok[i], c.rt[i] = false, nil
+		}
+	}
 }
 
 // NewRouter returns a router with the given local addresses.
@@ -250,12 +266,45 @@ func (r *Router) AddInputFilter(f func(Packet) (drop bool, why string)) {
 
 // AddRoute appends a forwarding entry.
 func (r *Router) AddRoute(prefix netip.Prefix, next Device) {
-	r.insertRoute(&Route{Prefix: prefix, Next: next})
+	r.insertRoute(r.newRoute(Route{Prefix: prefix, Next: next}))
 }
 
 // AddRouteFiltered appends a forwarding entry with an egress filter.
 func (r *Router) AddRouteFiltered(prefix netip.Prefix, next Device, filter func(Packet) (bool, string)) {
-	r.insertRoute(&Route{Prefix: prefix, Next: next, Filter: filter})
+	r.insertRoute(r.newRoute(Route{Prefix: prefix, Next: next, Filter: filter}))
+}
+
+// newRoute places a route in a recycled entry when RemoveRoute left one.
+func (r *Router) newRoute(rt Route) *Route {
+	var p *Route
+	if n := len(r.spareRoutes); n > 0 {
+		p = r.spareRoutes[n-1]
+		r.spareRoutes = r.spareRoutes[:n-1]
+	} else {
+		p = new(Route)
+	}
+	*p = rt
+	return p
+}
+
+// RemoveRoute deletes the local forwarding entry for prefix, if there
+// is one. Entries a bound router reads from its shared core are never
+// removed: the core belongs to every world of the template. Lookups
+// the route answered fall back to the next-longest match.
+func (r *Router) RemoveRoute(prefix netip.Prefix) {
+	p := prefix.Masked()
+	table, cache := r.routes4, &r.cache4
+	if p.Addr().Is6() {
+		table, cache = r.routes6, &r.cache6
+	}
+	rt, ok := table[p.Bits()][p]
+	if !ok {
+		return
+	}
+	delete(table[p.Bits()], p)
+	cache.invalidate(p)
+	*rt = Route{}
+	r.spareRoutes = append(r.spareRoutes, rt)
 }
 
 // ShareCore attaches shared routing state (routingcore.go). In
@@ -293,15 +342,16 @@ func (r *Router) insertRoute(rt *Route) {
 			return
 		}
 	}
-	table := r.routes4
+	table, cache := r.routes4, &r.cache4
 	if p.Addr().Is6() {
-		table = r.routes6
+		table, cache = r.routes6, &r.cache6
 	}
 	if table[p.Bits()] == nil {
 		table[p.Bits()] = make(map[netip.Prefix]*Route)
+		r.stale = true
 	}
 	table[p.Bits()][p] = rt
-	r.stale = true
+	cache.invalidate(p)
 }
 
 // AddDefaultRoute installs 0.0.0.0/0 and ::/0 towards next.
@@ -319,7 +369,8 @@ func (r *Router) AddDefaultRouteFiltered(next Device, filter func(Packet) (bool,
 
 // lookupRoute performs longest-prefix-match over the table, memoized
 // per destination. The memo is pure: it only short-circuits a repeat of
-// the identical lookup, and any table change invalidates it via stale.
+// the identical lookup, and a table change invalidates every memoized
+// destination it could affect.
 func (r *Router) lookupRoute(dst netip.Addr) *Route {
 	return r.lookupRouteM(dst, nil)
 }

@@ -1,0 +1,124 @@
+package study
+
+import (
+	"fmt"
+
+	"github.com/dnswatch/dnsloc/internal/atlas"
+	"github.com/dnswatch/dnsloc/internal/cpe"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
+	"github.com/dnswatch/dnsloc/internal/isp"
+	"github.com/dnswatch/dnsloc/internal/netsim"
+)
+
+// A probe's home — its CPE router with NAT, DNAT and forwarder, and
+// the LAN host the detector runs on — lives exactly as long as the
+// probe's measurement. Population only registers a metadata stub and,
+// for an owned probe, a pendingHome; the sweep builds the home right
+// before measuring the probe and releases it once the record is
+// yielded. A world therefore holds one live home, not one per owned
+// probe.
+//
+// Rebuilding is safe because a home carries no state between
+// measurements that the output depends on: Host.Exchange drains the
+// event queue before it returns, so no packet of a finished probe is
+// ever in flight, and nothing in cpe.Build, AttachCPE or AttachHost
+// draws from an RNG.
+
+// pendingHome is what an owned probe's home is rebuilt from: its plan
+// entry, the segment it attaches to, and the addresses population
+// allocated for it. device is the attached CPE while the home is live.
+type pendingHome struct {
+	plan   *orgPlan
+	idx    int // index into plan.probes; the probe ID is plan.startID+idx
+	seg    *isp.Segment
+	addrs  isp.HomeAddrs
+	device *cpe.Device
+}
+
+// pendingFor returns an owned probe's pending home. Owned probes are
+// registered in ID order, which is shard-rank order, and a lane owns a
+// contiguous rank window, so the entry's index is the probe's rank
+// within this world's window.
+func (w *World) pendingFor(id int) *pendingHome {
+	start, _ := w.Spec.laneWindow()
+	i := w.Spec.shardRank(id) - start
+	if i < 0 || i >= len(w.homes) || w.homes[i].plan.startID+w.homes[i].idx != id {
+		panic(fmt.Sprintf("study: probe %d has no pending home in this world", id))
+	}
+	return &w.homes[i]
+}
+
+// buildHome constructs and attaches an owned probe's home and points
+// probe.Host at its LAN host. It is a pure function of the pending
+// entry and world-shared objects (forwarder metrics, the CHAOS answer
+// cache, the regional adversaries), so a home rebuilt after the sweep
+// is the same home the probe was measured from.
+func (w *World) buildHome(probe *atlas.Probe) {
+	ph := w.pendingFor(probe.ID)
+	plan := ph.plan
+	s, home := plan.probes[ph.idx].seat, ph.addrs
+	network := w.ISPs[plan.org.ASN]
+
+	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
+	cfg.Metrics = w.fwdMetrics
+	cfg.ChaosCache = w.chaosCache
+	if probe.HasIPv6 {
+		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
+		cfg.LANPrefix6 = home.LANPrefix6
+		cfg.WANAddr6 = home.WANv6
+	}
+	if s != nil && s.Loc == LocCPE {
+		cfg.Persona = dnsserver.ChaosPersona{Version: s.Persona}
+		cfg.Adversary = w.adversaryFor(plan.region)
+		if e := w.Spec.Encryption; e != nil {
+			// Only intercepting CPEs police the encrypted channel;
+			// clean homes' CPEs pass it through untouched.
+			cfg.Encrypted = e.Policy
+		}
+		if s.PatternV4 == nil {
+			cfg.Intercept.AllV4 = true
+		} else {
+			cfg.Intercept.TargetsV4 = s.PatternV4.addrsV4()
+			// Selective DNAT misses the CPE's own address; the
+			// forwarder itself answers there (see homelab).
+			cfg.WANPort53Open = true
+		}
+		if len(s.PatternV6) > 0 && probe.HasIPv6 {
+			cfg.Intercept.TargetsV6 = s.PatternV6.addrsV6()
+		}
+	}
+
+	ph.device = cpe.Build(cfg)
+	network.AttachCPE(ph.seg, ph.device, home)
+	probe.Host = ph.device.AttachHost(fmt.Sprintf("probe-%d", probe.ID), 0)
+	w.homesLive++
+	w.studyMetrics.noteHomeBuilt(w.homesLive)
+}
+
+// releaseHome detaches a live home from its segment and drops every
+// reference to its devices, leaving the probe a stub again.
+func (w *World) releaseHome(probe *atlas.Probe) {
+	ph := w.pendingFor(probe.ID)
+	w.ISPs[ph.plan.org.ASN].DetachCPE(ph.seg, ph.addrs)
+	ph.device = nil
+	probe.Host = nil
+	w.homesLive--
+}
+
+// WithHome runs fn from the record's probe after the sweep: the probe's
+// home is rebuilt in the record's world, fn gets its LAN host (on the
+// event loop rec.Net), and the home is released again when fn returns.
+// Follow-up measurements such as the TTL extension go through it,
+// because a record never pins its home. Calls on records of one world
+// must not run concurrently. It reports false for a record that no
+// sweep produced, which has no world to rebuild the home in.
+func (rec *ProbeRecord) WithHome(fn func(host *netsim.Host)) bool {
+	w := rec.world
+	if w == nil {
+		return false
+	}
+	w.buildHome(rec.Probe)
+	defer w.releaseHome(rec.Probe)
+	fn(rec.Probe.Host)
+	return true
+}

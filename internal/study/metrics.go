@@ -38,10 +38,13 @@ type studyMetrics struct {
 	throughput     *metrics.Gauge // probes/second, fastest shard
 
 	// Streaming-pipeline instruments. All Diagnostic: retention depends
-	// on the pipeline mode and worker count, and checkpoint/resume
-	// counters differ between an interrupted run and an uninterrupted
-	// one, while both must render the same Stable snapshot.
+	// on the pipeline mode and worker count, homes built and
+	// checkpoint/resume counters differ between an interrupted run and
+	// an uninterrupted one, while both must render the same Stable
+	// snapshot.
 	recordsRetained *metrics.Gauge   // peak ProbeRecords held at once, largest shard
+	homesBuilt      *metrics.Counter // probe homes built (one per measurement)
+	homesLivePeak   *metrics.Gauge   // most homes attached at once in one world
 	checkpoints     *metrics.Counter // shard checkpoints written
 	resumeSkipped   *metrics.Counter // probes skipped on resume via checkpoints
 
@@ -72,6 +75,8 @@ func newStudyMetrics(reg *metrics.Registry) *studyMetrics {
 		throughput:     reg.Gauge("study.shard_probes_per_s", metrics.Diagnostic),
 
 		recordsRetained: reg.Gauge("study.records_retained", metrics.Diagnostic),
+		homesBuilt:      reg.Counter("study.homes_built", metrics.Diagnostic),
+		homesLivePeak:   reg.Gauge("study.homes_live_peak", metrics.Diagnostic),
 		checkpoints:     reg.Counter("study.checkpoints_written", metrics.Diagnostic),
 		resumeSkipped:   reg.Counter("study.resume_probes_skipped", metrics.Diagnostic),
 
@@ -121,6 +126,15 @@ func (sm *studyMetrics) observePredraw(d time.Duration) {
 func (sm *studyMetrics) observeRetained(n int) {
 	if sm != nil {
 		sm.recordsRetained.Observe(int64(n))
+	}
+}
+
+// noteHomeBuilt counts one home built; live is the world's attached
+// homes including it.
+func (sm *studyMetrics) noteHomeBuilt(live int) {
+	if sm != nil {
+		sm.homesBuilt.Inc()
+		sm.homesLivePeak.Observe(int64(live))
 	}
 }
 

@@ -29,11 +29,14 @@ type ProbeRecord struct {
 	// for; experiments it missed do not count it in that experiment's
 	// totals.
 	Responded map[ExpKey]bool
-	// Net is the event loop the probe's host is wired into. In a sharded
-	// run each record points at its own shard's network; follow-up
-	// measurements (the TTL extension) must use it rather than a global
-	// one.
+	// Net is the event loop of the world that measured the probe. In a
+	// sharded run each record points at its own shard's network;
+	// follow-up measurements (the TTL extension) must use it rather than
+	// a global one, from the host WithHome rebuilds.
 	Net *netsim.Network
+	// world measured the record and rebuilds its probe's home for
+	// WithHome; nil for records no sweep produced.
+	world *World
 	// Err records a quarantined measurement: the probe's detector
 	// panicked, the panic was contained, and the rest of the run
 	// proceeded. Report is nil when Err is set.
@@ -107,7 +110,7 @@ func availabilityDraws(probe *atlas.Probe) int {
 }
 
 // runRecords pre-draws the availability stream for the whole fleet, then
-// runs the detector from every responding probe the world instantiated.
+// runs the detector from every responding probe the world owns.
 // In a shard-filtered world the stream still covers every probe (stubs
 // included), so the Responded outcomes match the unsharded build; only
 // the shard's own probes produce records.
@@ -144,7 +147,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	measureStart := time.Now()
 	produced := 0
 	for _, probe := range w.Platform.Probes() {
-		if probe.Host == nil && w.Spec.partitioned() {
+		if !w.Spec.owns(probe.ID) {
 			continue // foreign stub: its own shard or lane records it
 		}
 		if produced < skip {
@@ -152,7 +155,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			continue // checkpointed prefix: already folded and counted
 		}
 		produced++
-		rec := &ProbeRecord{Probe: probe, Responded: make(map[ExpKey]bool), Net: w.Net}
+		rec := &ProbeRecord{Probe: probe, Responded: make(map[ExpKey]bool), Net: w.Net, world: w}
 		sm.noteRecord()
 		if probe.Availability == atlas.Dead {
 			sm.noteUnresponsive()
@@ -187,9 +190,14 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			}
 			continue
 		}
+		// The probe's home exists only for its measurement: built here,
+		// released once the record is handed on (quarantined or not).
+		w.buildHome(probe)
 		rec.Report, rec.Err = measure(w, probe)
 		sm.noteMeasured(rec.Err != "")
-		if !yield(rec) {
+		more := yield(rec)
+		w.releaseHome(probe)
+		if !more {
 			return
 		}
 	}

@@ -368,12 +368,6 @@ func (s Spec) owns(probeID int) bool {
 	return true
 }
 
-// partitioned reports whether this spec builds only part of the probe
-// population (sharded, laned, or both) — i.e. whether stub probes exist.
-func (s Spec) partitioned() bool {
-	return s.ShardCount > 1 || s.LaneCount > 1
-}
-
 // shardResidue is the residue class of this shard's owned IDs relative
 // to firstProbeID: the j-th planned probe (ID firstProbeID+j) belongs to
 // the shard when j % ShardCount == shardResidue.

@@ -204,13 +204,6 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 	}
 
 	tpl := NewWorldTemplate(spec)
-	// Shard and lane builds run concurrently; split the machine between
-	// them for each one's parallel org population.
-	if bw := runtime.GOMAXPROCS(0) / (workers * lanes); bw > 1 {
-		tpl.BuildWorkers = bw
-	} else {
-		tpl.BuildWorkers = 1
-	}
 	accs := make([]Accumulator, workers)
 	shardRegs := make([]*metrics.Registry, workers)
 	shardErrs := make([]string, workers)

@@ -2,7 +2,6 @@ package study
 
 import (
 	"net/netip"
-	"runtime"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
@@ -26,8 +25,9 @@ import (
 //
 // The expensive parts this amortizes are the three DNSSEC key
 // generations and zone signings (the dominant cost of a backbone
-// build) and the seat dealing; each shard still builds its own routers,
-// resolvers, and homes, because those carry per-world mutable state.
+// build) and the seat dealing; each shard still builds its own routers
+// and resolvers, and each measurement its own home, because those carry
+// per-world mutable state.
 type WorldTemplate struct {
 	spec         Spec
 	zones        *backbone.ZoneData
@@ -37,8 +37,8 @@ type WorldTemplate struct {
 
 	// plans is the frozen population plan: per org, the segment layout,
 	// seat placement, and every Seed+1 RNG draw the serial build would
-	// make, in order. Worlds replay it instead of drawing, which is what
-	// makes the per-org parallel population below deterministic.
+	// make, in order. Worlds replay it instead of drawing, and rebuild
+	// homes from it when their probes are measured.
 	plans []orgPlan
 
 	// cores shares the backbone core and regional transit routers'
@@ -52,13 +52,6 @@ type WorldTemplate struct {
 	// functions of the query, so shard and lane worlds running
 	// concurrently can all hit one cache.
 	chaosCache *dnsserver.PackedAnswerCache
-
-	// BuildWorkers caps the goroutines one Build uses to populate orgs
-	// in parallel; <= 0 means GOMAXPROCS. RunStreamed sets it to
-	// GOMAXPROCS/(workers×lanes) so concurrent builds do not oversubscribe
-	// the machine. Set before the first Build; the template is read-only
-	// during builds.
-	BuildWorkers int
 }
 
 // NewWorldTemplate precomputes the shard-invariant parts of a world.
@@ -125,18 +118,11 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 	w.buildISPs(t.orgs, t.plans)
 	w.buildTransitInterceptors()
 	// Every route the shared routers will ever carry is installed by
-	// now — home population below only touches segment and CPE routers —
-	// so the recorder can seal and release any waiting builds.
+	// now — population below only touches segment routers, and homes
+	// built during the sweep only segment and CPE routers — so the
+	// recorder can seal and release any waiting builds.
 	t.cores.Seal()
-	w.populatePlans(t.plans, t.buildWorkers())
+	w.populatePlans(t.plans)
 	w.studyMetrics.observeBuild(time.Since(buildStart))
 	return w
-}
-
-// buildWorkers resolves the population parallelism for one Build.
-func (t *WorldTemplate) buildWorkers() int {
-	if t.BuildWorkers > 0 {
-		return t.BuildWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }

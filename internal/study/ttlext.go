@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/ttlprobe"
 )
@@ -21,7 +22,8 @@ type TTLStats struct {
 
 // RunTTLExtension runs a TTL ladder towards Google's primary v4 address
 // from every intercepted probe, plus cleanSample clean probes for the
-// baseline.
+// baseline. Each ladder runs from the probe's home, rebuilt in its
+// record's world for the ladder and released after it.
 func RunTTLExtension(res *Results, cleanSample int, maxTTL int) TTLStats {
 	stats := TTLStats{FirstTTLs: make(map[core.Verdict][]int)}
 	google := netip.AddrPortFrom(publicdns.Lookup(publicdns.Google).V4[0], 53)
@@ -38,9 +40,13 @@ func RunTTLExtension(res *Results, cleanSample int, maxTTL int) TTLStats {
 			}
 			cleanSeen++
 		}
-		client := &ttlprobe.SimTTLClient{Net: rec.Net, Host: rec.Probe.Host}
-		ladder, err := ttlprobe.Ladder(client, google, publicdns.CanaryDomain, maxTTL)
-		if err != nil {
+		var ladder ttlprobe.Result
+		var err error
+		built := rec.WithHome(func(host *netsim.Host) {
+			client := &ttlprobe.SimTTLClient{Net: rec.Net, Host: host}
+			ladder, err = ttlprobe.Ladder(client, google, publicdns.CanaryDomain, maxTTL)
+		})
+		if !built || err != nil {
 			continue
 		}
 		stats.FirstTTLs[verdict] = append(stats.FirstTTLs[verdict], ladder.FirstTTL)

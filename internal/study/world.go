@@ -6,13 +6,10 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/backbone"
 	"github.com/dnswatch/dnsloc/internal/core"
-	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/geo"
@@ -62,6 +59,13 @@ type World struct {
 	// Spec.Adversary > 0 (see adversary.go). Per world: the L4 budget
 	// map is mutable measurement state.
 	advByRegion map[publicdns.Region]*dnsserver.Adversary
+
+	// homes holds one pending home per owned probe, in probe-ID order:
+	// what buildHome needs to construct the probe's CPE, NAT and LAN
+	// host right before it is measured. homesLive counts the homes
+	// currently attached (see homes.go).
+	homes     []pendingHome
+	homesLive int
 }
 
 // ispResolverPersonas rotate across ISPs for variety in intercepted
@@ -94,8 +98,8 @@ func overflowPrefixes(block, idx int) (v4, v6 netip.Prefix) {
 // buildISPs attaches one AS per organization. Overflow banks for orgs
 // whose scaled quota outgrows one /16 are routed here, up front, from
 // the planned segment counts: bank routing mutates the shared backbone
-// routers, which must not happen during the parallel population phase,
-// so the Overflow callback itself is pure address arithmetic.
+// routers, which the routing core seals before population, so the
+// Overflow callback itself is pure address arithmetic.
 func (w *World) buildISPs(orgs []geo.Org, plans []orgPlan) {
 	plannedSegs := make(map[int]int, len(plans))
 	for i := range plans {
@@ -460,9 +464,9 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 // plannedProbe is one probe's shard-invariant build decisions: its
 // seat, which of the org's segments it lives on, and the RNG draws
 // (v6, availability) that the serial build made from the Seed+1
-// stream. Capturing the draws at plan time is what lets shard worlds
-// build their orgs concurrently — no RNG call crosses a goroutine
-// because no RNG call happens during population at all.
+// stream. Capturing the draws at plan time means no RNG call happens
+// during population at all, so every shard and lane world replays the
+// same draws, whatever part of the fleet it owns.
 type plannedProbe struct {
 	seat     *seat
 	segIndex int // index into the org plan's segSpecs
@@ -585,80 +589,22 @@ func planOrg(spec Spec, org geo.Org, probes int, seats []*seat, rng *rand.Rand) 
 	return p
 }
 
-// transitEntry is one transit seat's DNAT match entry, collected
-// during parallel population and installed serially afterwards.
-type transitEntry struct {
-	region publicdns.Region
-	addr   netip.Addr
-	pat    Pattern
-}
-
-// orgPopulation is one org's population output: the platform roster
-// entries and transit seat patterns it contributes to shared state,
-// applied serially after the parallel phase.
-type orgPopulation struct {
-	probes  []*atlas.Probe
-	transit []transitEntry
-}
-
-// populatePlans builds every org's probes, fanning orgs out over
-// workers goroutines. Everything an org touches during population is
-// org-local (its ISP network, its segments, its CPE devices) or
-// collected into the returned orgPopulation; the shared platform
-// roster and transit pattern tables are filled in serially below, in
-// org order, so the built world is identical to a serial build's.
-func (w *World) populatePlans(plans []orgPlan, workers int) {
-	results := make([]orgPopulation, len(plans))
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers <= 1 {
-		for i := range plans {
-			results[i] = w.populateOrgPlan(&plans[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		panics := make([]any, workers)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				// A population panic must surface on the Build goroutine,
-				// where the engine's per-shard recover quarantines it.
-				defer func() { panics[wk] = recover() }()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(plans) {
-						return
-					}
-					results[i] = w.populateOrgPlan(&plans[i])
-				}
-			}(wk)
-		}
-		wg.Wait()
-		for _, pv := range panics {
-			if pv != nil {
-				panic(pv)
-			}
-		}
-	}
-	for i := range results {
-		for _, pr := range results[i].probes {
-			w.Platform.Add(pr)
-		}
-		for _, te := range results[i].transit {
-			w.transitSeatPatterns[te.region][te.addr] = te.pat
-		}
+// populatePlans registers every org's probes with the platform, org
+// by org in plan order, so probe IDs and addresses come out exactly as
+// the serial build laid them out.
+func (w *World) populatePlans(plans []orgPlan) {
+	start, end := w.Spec.laneWindow()
+	w.homes = make([]pendingHome, 0, end-start)
+	for i := range plans {
+		w.populateOrgPlan(&plans[i])
 	}
 }
 
 // populateOrgPlan replays one org's plan: segments are created in
 // index order, probes in plan order, exactly as the serial build
 // interleaved them.
-func (w *World) populateOrgPlan(plan *orgPlan) orgPopulation {
+func (w *World) populateOrgPlan(plan *orgPlan) {
 	network := w.ISPs[plan.org.ASN]
-	out := orgPopulation{probes: make([]*atlas.Probe, 0, len(plan.probes))}
 	nextSeg := 0
 	var seg *isp.Segment
 	addSeg := func() {
@@ -669,21 +615,17 @@ func (w *World) populateOrgPlan(plan *orgPlan) orgPopulation {
 		seg = network.AddSegment(mb)
 		nextSeg++
 	}
-	id := plan.startID
 	for i := range plan.probes {
-		pp := &plan.probes[i]
-		for nextSeg <= pp.segIndex {
+		for nextSeg <= plan.probes[i].segIndex {
 			addSeg()
 		}
-		w.buildProbe(network, seg, plan, pp, id, &out)
-		id++
+		w.buildProbe(network, seg, plan, i)
 	}
 	// Trailing segments no probe landed on (an all-seat org's empty
 	// clean segment) still exist in the serial layout.
 	for nextSeg < len(plan.segSpecs) {
 		addSeg()
 	}
-	return out
 }
 
 // middleboxSpec compiles a seat's interception into middlebox rules.
@@ -717,117 +659,83 @@ func (w *World) middleboxSpec(s *seat) *isp.MiddleboxSpec {
 	return mb
 }
 
-// buildProbe creates one home (CPE + probe host) on a segment from
-// its plan entry. A nil planned seat is a clean probe.
-func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan, pp *plannedProbe, id int, out *orgPopulation) {
-	org, region, s := plan.org, plan.region, pp.seat
-	hasV6, avail := pp.hasV6, pp.avail
+// buildProbe registers plan.probes[idx] with the platform as a
+// metadata stub: the roster entry the availability stream, the
+// detectors and the exports read. Its home (CPE, NAT and LAN host) is
+// not built here; an owned probe gets a pending entry that buildHome
+// turns into devices when the probe is measured. A nil planned seat is
+// a clean probe.
+func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan, idx int) {
+	org, region, pp := plan.org, plan.region, &plan.probes[idx]
+	id := plan.startID + idx
 
-	// Transport adoption is a pure (seed, ID) hash, so stub and real
-	// builds of the same probe agree on it across shards and lanes.
+	// Transport adoption is a pure (seed, ID) hash, so every world that
+	// registers the probe agrees on it across shards and lanes.
 	enc := core.TransportDo53
 	if w.Spec.adopts(id) {
 		enc = w.Spec.Encryption.Transport
 	}
 
-	// Every probe consumes a home allocation, stub or not: AllocHome is
+	// Every probe consumes a home allocation, owned or not: AllocHome is
 	// pure address arithmetic, and burning it unconditionally keeps WAN
 	// addresses identical to the unsharded build. The fault plane hashes
 	// client addresses into its drop decisions, so an address that moved
 	// with the shard layout would break byte-identical faulted runs.
-	home := network.AllocHome(seg, hasV6)
-
-	// A shard-filtered build registers foreign probes as metadata-only
-	// stubs (no home devices, no host): the platform roster, the RNG
-	// streams, and the address allocators stay aligned with the
-	// unsharded build, but none of the expensive home construction
-	// happens. Stub records never leave their shard — the owning shard
-	// produces the real one.
-	if !w.Spec.owns(id) {
-		out.probes = append(out.probes, &atlas.Probe{
-			ID:           id,
-			Country:      org.Country,
-			ASN:          org.ASN,
-			Org:          org.Name,
-			Region:       region,
-			HasIPv6:      hasV6,
-			WANv4:        home.WANv4,
-			Availability: avail,
-			EncTransport: enc,
-		})
-		return
-	}
-	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", id), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
-	cfg.Metrics = w.fwdMetrics
-	cfg.ChaosCache = w.chaosCache
-	if hasV6 {
-		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
-		cfg.LANPrefix6 = home.LANPrefix6
-		cfg.WANAddr6 = home.WANv6
-	}
-
-	truth := atlas.GroundTruth{Location: "none"}
-	if s != nil {
-		truth.Location = string(s.Loc)
-		if !s.v4None {
-			truth.PatternV4 = s.PatternV4.ids()
-		}
-		truth.PatternV6 = s.PatternV6.ids()
-		if s.PatternV6 == nil {
-			truth.PatternV6 = nil
-		}
-		switch s.Refuse {
-		case RefuseAll:
-			truth.RefusedV4 = truth.PatternV4
-		case RefuseSubset:
-			truth.RefusedV4 = []publicdns.ID{q9, od}
-		}
-		if s.Loc == LocCPE {
-			truth.Persona = s.Persona
-			cfg.Persona = dnsserver.ChaosPersona{Version: s.Persona}
-			cfg.Adversary = w.adversaryFor(region)
-			if e := w.Spec.Encryption; e != nil {
-				// Only intercepting CPEs police the encrypted channel;
-				// clean homes' CPEs pass it through untouched.
-				cfg.Encrypted = e.Policy
-			}
-			if s.PatternV4 == nil {
-				cfg.Intercept.AllV4 = true
-			} else {
-				cfg.Intercept.TargetsV4 = s.PatternV4.addrsV4()
-				// Selective DNAT misses the CPE's own address; the
-				// forwarder itself answers there (see homelab).
-				cfg.WANPort53Open = true
-			}
-			if len(s.PatternV6) > 0 && hasV6 {
-				cfg.Intercept.TargetsV6 = s.PatternV6.addrsV6()
-			}
-		} else {
-			truth.Persona = string(network.Resolver.Persona.Version)
-		}
-	}
-
-	device := cpe.Build(cfg)
-	network.AttachCPE(seg, device, home)
-	host := device.AttachHost(fmt.Sprintf("probe-%d", id), 0)
-
-	if s != nil && s.Loc == LocTransit {
-		out.transit = append(out.transit, transitEntry{region: region, addr: home.WANv4, pat: s.PatternV4})
-	}
-
-	out.probes = append(out.probes, &atlas.Probe{
+	home := network.AllocHome(seg, pp.hasV6)
+	probe := &atlas.Probe{
 		ID:           id,
 		Country:      org.Country,
 		ASN:          org.ASN,
 		Org:          org.Name,
 		Region:       region,
-		HasIPv6:      hasV6,
+		HasIPv6:      pp.hasV6,
 		WANv4:        home.WANv4,
-		Host:         host,
-		Availability: avail,
-		Truth:        truth,
+		Availability: pp.avail,
 		EncTransport: enc,
-	})
+	}
+	w.Platform.Add(probe)
+
+	// A foreign probe (another shard's or lane's) stays a bare stub: the
+	// platform roster, the RNG streams, and the address allocators stay
+	// aligned with the unsharded build, and the owning world produces
+	// its record.
+	if !w.Spec.owns(id) {
+		return
+	}
+	s := pp.seat
+	probe.Truth = truthFor(s, network)
+	if s != nil && s.Loc == LocTransit {
+		w.transitSeatPatterns[region][home.WANv4] = s.PatternV4
+	}
+	w.homes = append(w.homes, pendingHome{plan: plan, idx: idx, seg: seg, addrs: home})
+}
+
+// truthFor is a probe's ground truth from its planned seat.
+func truthFor(s *seat, network *isp.Network) atlas.GroundTruth {
+	truth := atlas.GroundTruth{Location: "none"}
+	if s == nil {
+		return truth
+	}
+	truth.Location = string(s.Loc)
+	if !s.v4None {
+		truth.PatternV4 = s.PatternV4.ids()
+	}
+	truth.PatternV6 = s.PatternV6.ids()
+	if s.PatternV6 == nil {
+		truth.PatternV6 = nil
+	}
+	switch s.Refuse {
+	case RefuseAll:
+		truth.RefusedV4 = truth.PatternV4
+	case RefuseSubset:
+		truth.RefusedV4 = []publicdns.ID{q9, od}
+	}
+	if s.Loc == LocCPE {
+		truth.Persona = s.Persona
+	} else {
+		truth.Persona = string(network.Resolver.Persona.Version)
+	}
+	return truth
 }
 
 // firstHost6 returns the ::1 of a /64.
