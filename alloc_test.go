@@ -21,20 +21,28 @@ import (
 
 // simExchangeAllocBudget is the acceptance gate for one end-to-end
 // simulated exchange. The pre-pooling baseline was 76 allocs/op; the
-// calendar-queue scheduler and the router lookup cache brought the
-// measured steady state to ~23, and the shared routing core kept the
-// merged local+core LPM walk allocation-free (~22 measured), so the
-// budget tightened 57 → 32 → 26 — headroom for toolchain drift without
-// letting the pools, the scheduler fast path, or the core-table merge
+// calendar-queue scheduler, the router lookup cache and the shared
+// routing core brought the steady state to ~22, and the lean codec
+// (exact-size Unpack over a validated View, stack compression table) to
+// 17. The budget is the measured value + 2: headroom for toolchain drift
+// without letting the pools, the scheduler fast path or the codec
 // silently start allocating.
-const simExchangeAllocBudget = 26
+const simExchangeAllocBudget = 19
 
 // forwarderCacheHitAllocBudget bounds a CPE-forwarder cache hit, served
 // by copying pre-packed wire bytes into a recycled buffer. Measured
-// steady state is ~18 (was ~19 before the scheduler rework; unchanged
-// by the sync.Map packed-answer cache, whose hit path is a lock-free
-// Load); budget tightened 30 → 24 → 21.
-const forwarderCacheHitAllocBudget = 21
+// steady state is 9 (18 before the lean codec); budget is that + 2.
+const forwarderCacheHitAllocBudget = 11
+
+// packToAllocBudget bounds PackTo into a recycled buffer: compression
+// runs on a stack table, so packing allocates nothing.
+const packToAllocBudget = 0
+
+// unpackLocationAllocBudget bounds Unpack of a Cloudflare location
+// response (one CHAOS TXT question, one TXT answer): the message with
+// its question slot, the name, the record backing, the boxed TXT body,
+// its []string and the one TXT string. Measured 6.
+const unpackLocationAllocBudget = 6
 
 func TestSimExchangeAllocBudget(t *testing.T) {
 	lab := homelab.New(homelab.Clean)
@@ -74,6 +82,48 @@ func TestForwarderCacheHitAllocBudget(t *testing.T) {
 	})
 	if allocs > forwarderCacheHitAllocBudget {
 		t.Errorf("forwarder cache hit allocates %.1f/op, budget %d", allocs, forwarderCacheHitAllocBudget)
+	}
+}
+
+// locationResponse returns the packed response to a Cloudflare location
+// query, as the simulated resolver sends it.
+func locationResponse(t *testing.T) *dnswire.Message {
+	t.Helper()
+	lab := homelab.New(homelab.Clean)
+	server := netip.AddrPortFrom(netip.MustParseAddr("1.1.1.1"), 53)
+	resps, err := lab.Client().Exchange(server, dnsloc.NewLocationQuery(dnsloc.Cloudflare, 1))
+	if err != nil || len(resps) == 0 {
+		t.Fatalf("location query: %v", err)
+	}
+	return resps[0]
+}
+
+func TestPackToAllocBudget(t *testing.T) {
+	resp := locationResponse(t)
+	buf := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if buf, err = resp.PackTo(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > packToAllocBudget {
+		t.Errorf("PackTo into a recycled buffer allocates %.1f/op, budget %d", allocs, packToAllocBudget)
+	}
+}
+
+func TestUnpackLocationAllocBudget(t *testing.T) {
+	wire, err := locationResponse(t).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := dnswire.Unpack(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > unpackLocationAllocBudget {
+		t.Errorf("Unpack of a location response allocates %.1f/op, budget %d", allocs, unpackLocationAllocBudget)
 	}
 }
 

@@ -104,17 +104,17 @@ func (c *SimClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) (
 	out := make([]*dnswire.Message, 0, len(pkts))
 	var rtt time.Duration
 	for _, p := range pkts {
-		m, err := dnswire.Unpack(p.Payload)
+		v, err := dnswire.ParseView(p.Payload)
 		if err != nil {
 			continue // garbage response: ignore, as a stub would
 		}
-		if m.Header.ID != query.Header.ID {
-			continue // not ours
+		if v.Header.ID != query.Header.ID {
+			continue // not ours: never materialized
 		}
 		if len(out) == 0 {
 			rtt = p.RTT()
 		}
-		out = append(out, m)
+		out = append(out, v.Message())
 	}
 	// The packets are fully parsed; hand the slice back to the host so
 	// the next flow reuses its capacity.

@@ -245,9 +245,9 @@ func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.M
 		pr.Answer = txt
 		return pr, backoff, transient, permanent
 	}
-	if addrs := m.AnswerAddrs(); len(addrs) > 0 {
+	if addr, ok := m.FirstAddr(); ok {
 		pr.Outcome = OutcomeAnswer
-		pr.Answer = addrs[0]
+		pr.Answer = addr.String()
 		return pr, backoff, transient, permanent
 	}
 	// NOERROR with no usable records: treat as an error-shaped response.
@@ -314,9 +314,9 @@ func (d *Detector) stepLocation(r *Report) {
 
 	noteFaults(r, StepLocation, results)
 	d.Metrics.noteStep(StepLocation, results)
+	r.Location = append(r.Location, results...)
 	intercepted := map[publicdns.ID]map[Family]bool{}
 	for _, pr := range results {
-		r.Location = append(r.Location, pr)
 		// Timeouts (and garbled responses) are conservatively not
 		// interception (§3.1); any response that fails validation is.
 		nonStandard := (pr.Outcome == OutcomeAnswer && !pr.Standard) || pr.Outcome == OutcomeError

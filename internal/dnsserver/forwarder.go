@@ -192,15 +192,13 @@ func (f *Forwarder) maybeCache(sc *netsim.ServiceCtx, q dnswire.Question, payloa
 	if q.Class != dnswire.ClassINET {
 		return
 	}
-	m, err := dnswire.Unpack(payload)
-	if err != nil || m.Header.RCode != dnswire.RCodeSuccess || len(m.Answers) == 0 {
+	v, err := dnswire.ParseView(payload)
+	if err != nil || v.Header.RCode != dnswire.RCodeSuccess || v.Header.ANCount == 0 {
 		return
 	}
-	minTTL := m.Answers[0].TTL
-	for _, rr := range m.Answers {
-		if rr.TTL < minTTL {
-			minTTL = rr.TTL
-		}
+	minTTL := ^uint32(0)
+	for ans := v.Answers(); ans.Next(); {
+		minTTL = min(minTTL, ans.TTL)
 	}
 	if minTTL == 0 {
 		return

@@ -6,14 +6,11 @@ import (
 
 // NewQuery builds a standard recursive query for one question.
 func NewQuery(id uint16, name Name, typ Type, class Class) *Message {
-	return &Message{
-		Header: Header{
-			ID:               id,
-			Opcode:           OpcodeQuery,
-			RecursionDesired: true,
-		},
-		Questions: []Question{{Name: name, Type: typ, Class: class}},
-	}
+	return newMessage(Header{
+		ID:               id,
+		Opcode:           OpcodeQuery,
+		RecursionDesired: true,
+	}, Question{Name: name, Type: typ, Class: class})
 }
 
 // NewChaosTXTQuery builds a CHAOS-class TXT query, the shape of every
@@ -30,19 +27,17 @@ func NewChaosTXTQuery(id uint16, name Name) *Message {
 // NewResponse builds a response skeleton echoing the query's ID, first
 // question, opcode, and RD bit, as a well-behaved server must.
 func NewResponse(query *Message, rcode RCode) *Message {
-	resp := &Message{
-		Header: Header{
-			ID:               query.Header.ID,
-			Opcode:           query.Header.Opcode,
-			Response:         true,
-			RecursionDesired: query.Header.RecursionDesired,
-			RCode:            rcode,
-		},
+	h := Header{
+		ID:               query.Header.ID,
+		Opcode:           query.Header.Opcode,
+		Response:         true,
+		RecursionDesired: query.Header.RecursionDesired,
+		RCode:            rcode,
 	}
-	if len(query.Questions) > 0 {
-		resp.Questions = append(resp.Questions, query.Questions[0])
+	if len(query.Questions) == 0 {
+		return &Message{Header: h}
 	}
-	return resp
+	return newMessage(h, query.Questions[0])
 }
 
 // NewTXTResponse answers a (usually CHAOS) TXT query with the given

@@ -89,7 +89,7 @@ func (r RRSIGRData) packRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, r.KeyTag)
 	// Signer name is never compressed (RFC 4034 §3.1.7) and is
 	// lower-cased into canonical form.
-	if buf, err = packName(buf, r.SignerName.Canonical(), nil, 0); err != nil {
+	if buf, err = packName(buf, r.SignerName.Canonical(), nil); err != nil {
 		return buf, err
 	}
 	return append(buf, r.Signature...), nil
@@ -129,41 +129,48 @@ func (r DSRData) String() string {
 	return fmt.Sprintf("%d %d %d %x", r.KeyTag, r.Algorithm, r.DigestType, r.Digest)
 }
 
-// unpackDNSSECRData handles the DNSSEC types inside unpackRData.
-func unpackDNSSECRData(msg []byte, off, rdlen int, typ Type) (RData, error) {
-	body := msg[off : off+rdlen]
+// checkDNSSECRData validates the DNSSEC types inside checkRData.
+func checkDNSSECRData(msg []byte, off, rdlen int, typ Type) error {
+	switch typ {
+	case TypeDNSKEY, TypeDS:
+		if rdlen < 4 {
+			return fmt.Errorf("%w: %s rdlength %d", ErrBadRData, typ, rdlen)
+		}
+	case TypeRRSIG:
+		if rdlen < 18 {
+			return fmt.Errorf("%w: RRSIG rdlength %d", ErrBadRData, rdlen)
+		}
+		end, err := skipName(msg, off+18)
+		if err != nil {
+			return err
+		}
+		if end > off+rdlen {
+			return fmt.Errorf("%w: RRSIG signer overruns rdata", ErrBadRData)
+		}
+	}
+	return nil
+}
+
+// dnssecRData materializes the DNSSEC types inside decoder.rdata.
+func (d *decoder) dnssecRData(off, rdlen int, typ Type) RData {
+	body := d.msg[off : off+rdlen]
 	switch typ {
 	case TypeDNSKEY:
-		if rdlen < 4 {
-			return nil, fmt.Errorf("%w: DNSKEY rdlength %d", ErrBadRData, rdlen)
-		}
 		return DNSKEYRData{
 			Flags:     binary.BigEndian.Uint16(body[0:2]),
 			Protocol:  body[2],
 			Algorithm: body[3],
 			PublicKey: append([]byte(nil), body[4:]...),
-		}, nil
-	case TypeDS:
-		if rdlen < 4 {
-			return nil, fmt.Errorf("%w: DS rdlength %d", ErrBadRData, rdlen)
 		}
+	case TypeDS:
 		return DSRData{
 			KeyTag:     binary.BigEndian.Uint16(body[0:2]),
 			Algorithm:  body[2],
 			DigestType: body[3],
 			Digest:     append([]byte(nil), body[4:]...),
-		}, nil
-	case TypeRRSIG:
-		if rdlen < 18 {
-			return nil, fmt.Errorf("%w: RRSIG rdlength %d", ErrBadRData, rdlen)
 		}
-		signer, end, err := unpackName(msg, off+18)
-		if err != nil {
-			return nil, err
-		}
-		if end > off+rdlen {
-			return nil, fmt.Errorf("%w: RRSIG signer overruns rdata", ErrBadRData)
-		}
+	default: // TypeRRSIG
+		signer, end := d.name(off + 18)
 		return RRSIGRData{
 			TypeCovered: Type(binary.BigEndian.Uint16(body[0:2])),
 			Algorithm:   body[2],
@@ -173,10 +180,8 @@ func unpackDNSSECRData(msg []byte, off, rdlen int, typ Type) (RData, error) {
 			Inception:   binary.BigEndian.Uint32(body[12:16]),
 			KeyTag:      binary.BigEndian.Uint16(body[16:18]),
 			SignerName:  signer,
-			Signature:   append([]byte(nil), msg[end:off+rdlen]...),
-		}, nil
-	default:
-		return nil, fmt.Errorf("%w: not a DNSSEC type %s", ErrBadRData, typ)
+			Signature:   append([]byte(nil), d.msg[end:off+rdlen]...),
+		}
 	}
 }
 

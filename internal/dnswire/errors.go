@@ -35,6 +35,11 @@ var (
 	// e.g. "a..b".
 	ErrEmptyName = errors.New("dnswire: empty label in name")
 
+	// ErrDotInLabel means a decoded label contains a '.' octet. Name
+	// holds unescaped presentation text, so such a label has no faithful
+	// Name: it would re-encode as two labels, or fail to encode at all.
+	ErrDotInLabel = errors.New("dnswire: label contains a '.' octet")
+
 	// ErrTXTTooLong means a TXT character-string exceeds 255 octets.
 	ErrTXTTooLong = errors.New("dnswire: txt string exceeds 255 octets")
 )

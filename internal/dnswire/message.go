@@ -3,6 +3,7 @@ package dnswire
 import (
 	"encoding/binary"
 	"fmt"
+	"net/netip"
 	"strings"
 )
 
@@ -53,6 +54,21 @@ type Message struct {
 	Additional []Record
 }
 
+// messageQ1 lays out a single-question message and its question slot
+// in one allocation; that is the shape of nearly every DNS message.
+type messageQ1 struct {
+	Message
+	q [1]Question
+}
+
+// newMessage allocates a message with header h and the one question q.
+func newMessage(h Header, q Question) *Message {
+	mq := &messageQ1{q: [1]Question{q}}
+	mq.Header = h
+	mq.Questions = mq.q[:]
+	return &mq.Message
+}
+
 // Question returns the first question, or a zero Question if none.
 func (m *Message) Question() Question {
 	if len(m.Questions) == 0 {
@@ -70,6 +86,20 @@ func (m *Message) FirstTXT() (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// FirstAddr returns the address of the first A or AAAA answer, and
+// whether there is one.
+func (m *Message) FirstAddr() (netip.Addr, bool) {
+	for _, rr := range m.Answers {
+		switch d := rr.Data.(type) {
+		case ARData:
+			return d.Addr, true
+		case AAAARData:
+			return d.Addr, true
+		}
+	}
+	return netip.Addr{}, false
 }
 
 // AnswerAddrs collects all A/AAAA answer addresses in order.
@@ -126,11 +156,10 @@ func (m *Message) appendPacked(buf []byte) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = h.pack(buf)
-	cmp := getCompressionMap()
-	defer putCompressionMap(cmp)
+	cmp := compressor{base: start}
 	var err error
 	for _, q := range m.Questions {
-		if buf, err = packName(buf, q.Name, cmp, start); err != nil {
+		if buf, err = packName(buf, q.Name, &cmp); err != nil {
 			return nil, fmt.Errorf("packing question %q: %w", q.Name, err)
 		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Type))
@@ -138,7 +167,7 @@ func (m *Message) appendPacked(buf []byte) ([]byte, error) {
 	}
 	for _, section := range [][]Record{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range section {
-			if buf, err = packRecord(buf, rr, cmp, start); err != nil {
+			if buf, err = packRecord(buf, rr, &cmp); err != nil {
 				return nil, fmt.Errorf("packing record %q: %w", rr.Name, err)
 			}
 		}
@@ -201,14 +230,14 @@ func rdataEstimate(d RData) int {
 	}
 }
 
-// packRecord appends one resource record. base is the message start
-// within buf (see packName).
-func packRecord(buf []byte, rr Record, cmp compressionMap, base int) ([]byte, error) {
+// packRecord appends one resource record, compressing its owner name
+// with cmp.
+func packRecord(buf []byte, rr Record, cmp *compressor) ([]byte, error) {
 	if rr.Data == nil {
 		return buf, fmt.Errorf("%w: record %q has no rdata", ErrBadRData, rr.Name)
 	}
 	var err error
-	if buf, err = packName(buf, rr.Name, cmp, base); err != nil {
+	if buf, err = packName(buf, rr.Name, cmp); err != nil {
 		return buf, err
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Data.Type()))
@@ -228,83 +257,117 @@ func packRecord(buf []byte, rr Record, cmp compressionMap, base int) ([]byte, er
 }
 
 // Unpack decodes a wire-format message. It is strict: counted sections
-// must be fully present, and trailing bytes are rejected.
+// must be fully present, and trailing bytes are rejected. It is
+// ParseView, which does all the checking, followed by View.Message, so
+// the result owns its storage and never aliases msg.
 func Unpack(msg []byte) (*Message, error) {
-	var m Message
-	if err := m.Header.unpack(msg); err != nil {
+	v, err := ParseView(msg)
+	if err != nil {
 		return nil, err
 	}
+	return v.Message(), nil
+}
+
+// Message materializes the view. Every string and byte slice is copied
+// out of the viewed bytes, so the result stays valid after they are
+// recycled. Storage is sized exactly from the validated counts: one
+// []Question (in the message's own allocation when there is one
+// question), one []Record backing shared by the three sections, one
+// string per distinct name and one per TXT rdata. Each section is capped
+// with a full-slice expression, so an append to one section reallocates
+// instead of overwriting the next; empty sections stay nil.
+func (v *View) Message() *Message {
+	h := v.Header
+	var m *Message
+	switch h.QDCount {
+	case 0:
+		m = &Message{Header: h}
+	case 1:
+		m = newMessage(h, Question{})
+	default:
+		m = &Message{Header: h, Questions: make([]Question, h.QDCount)}
+	}
+	d := decoder{msg: v.msg}
 	off := headerLen
-	var err error
-	for i := 0; i < int(m.Header.QDCount); i++ {
-		var q Question
-		q, off, err = unpackQuestion(msg, off)
-		if err != nil {
-			return nil, fmt.Errorf("question %d: %w", i, err)
+	for i := range m.Questions {
+		q := &m.Questions[i]
+		q.Name, off = d.name(off)
+		q.Type = Type(binary.BigEndian.Uint16(v.msg[off : off+2]))
+		q.Class = Class(binary.BigEndian.Uint16(v.msg[off+2 : off+4]))
+		off += 4
+	}
+	an, ns := int(h.ANCount), int(h.NSCount)
+	if n := an + ns + int(h.ARCount); n > 0 {
+		recs := make([]Record, n)
+		for i := range recs {
+			off = d.record(&recs[i], off)
 		}
-		m.Questions = append(m.Questions, q)
+		m.Answers = capSection(recs, 0, an)
+		m.Authority = capSection(recs, an, an+ns)
+		m.Additional = capSection(recs, an+ns, n)
 	}
-	sections := []struct {
-		count int
-		dst   *[]Record
-		name  string
-	}{
-		{int(m.Header.ANCount), &m.Answers, "answer"},
-		{int(m.Header.NSCount), &m.Authority, "authority"},
-		{int(m.Header.ARCount), &m.Additional, "additional"},
+	return m
+}
+
+// capSection returns recs[lo:hi] with its capacity capped, or nil if empty.
+func capSection(recs []Record, lo, hi int) []Record {
+	if lo == hi {
+		return nil
 	}
-	for _, sec := range sections {
-		for i := 0; i < sec.count; i++ {
-			var rr Record
-			rr, off, err = unpackRecord(msg, off)
-			if err != nil {
-				return nil, fmt.Errorf("%s record %d: %w", sec.name, i, err)
+	return recs[lo:hi:hi]
+}
+
+// decoder materializes a message ParseView has validated, so it checks
+// nothing. It remembers the names it has decoded by the wire offset of
+// each of their labels: a compression pointer to one of those offsets
+// reuses that name's string, or the suffix of it the pointer selects.
+type decoder struct {
+	msg   []byte
+	n     int
+	offs  [16]int
+	names [16]Name
+}
+
+// name decodes the name at off and returns it with the offset after its
+// encoding at off.
+func (d *decoder) name(off int) (Name, int) {
+	msg := d.msg
+	switch b := msg[off]; {
+	case b == 0:
+		return "", off + 1
+	case b&0xC0 == 0xC0:
+		target := int(b&0x3F)<<8 | int(msg[off+1])
+		for i := 0; i < d.n; i++ {
+			if d.offs[i] == target {
+				return d.names[i], off + 2
 			}
-			*sec.dst = append(*sec.dst, rr)
 		}
 	}
-	if off != len(msg) {
-		return nil, ErrTrailingBytes
+	var text [maxNameWire]byte
+	b, end := appendName(text[:0], msg, off)
+	n := Name(b)
+	// Each label read before the first pointer starts a suffix of n.
+	for pos := 0; d.n < len(d.offs) && msg[off] != 0 && msg[off]&0xC0 == 0; {
+		d.offs[d.n], d.names[d.n] = off, n[pos:]
+		d.n++
+		l := int(msg[off]) + 1
+		pos, off = pos+l, off+l
 	}
-	return &m, nil
+	return n, end
 }
 
-// unpackQuestion decodes one question entry starting at off.
-func unpackQuestion(msg []byte, off int) (Question, int, error) {
-	n, off, err := unpackName(msg, off)
-	if err != nil {
-		return Question{}, 0, err
-	}
-	if off+4 > len(msg) {
-		return Question{}, 0, ErrShortMessage
-	}
-	q := Question{
-		Name:  n,
-		Type:  Type(binary.BigEndian.Uint16(msg[off : off+2])),
-		Class: Class(binary.BigEndian.Uint16(msg[off+2 : off+4])),
-	}
-	return q, off + 4, nil
-}
-
-// unpackRecord decodes one resource record starting at off.
-func unpackRecord(msg []byte, off int) (Record, int, error) {
-	n, off, err := unpackName(msg, off)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	if off+10 > len(msg) {
-		return Record{}, 0, ErrShortMessage
-	}
+// record decodes the resource record at off into rr and returns the
+// offset after it.
+func (d *decoder) record(rr *Record, off int) int {
+	rr.Name, off = d.name(off)
+	msg := d.msg
 	typ := Type(binary.BigEndian.Uint16(msg[off : off+2]))
-	class := Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
-	ttl := binary.BigEndian.Uint32(msg[off+4 : off+8])
+	rr.Class = Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
+	rr.TTL = binary.BigEndian.Uint32(msg[off+4 : off+8])
 	rdlen := int(binary.BigEndian.Uint16(msg[off+8 : off+10]))
 	off += 10
-	data, err := unpackRData(msg, off, rdlen, typ)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return Record{Name: n, Class: class, TTL: ttl, Data: data}, off + rdlen, nil
+	rr.Data = d.rdata(off, rdlen, typ)
+	return off + rdlen
 }
 
 // String renders the whole message in dig-like form for traces.

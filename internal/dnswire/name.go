@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"strings"
 )
 
@@ -93,21 +94,102 @@ func validateName(n Name) error {
 	return nil
 }
 
-// compressionMap tracks name suffixes already emitted into a message so
-// later occurrences can be replaced by 14-bit pointers (RFC 1035 §4.1.4).
-type compressionMap map[string]int
+// compressor remembers the name suffixes already emitted into one
+// message so later occurrences can be replaced by 14-bit pointers
+// (RFC 1035 §4.1.4). Suffixes are the packed names' own substrings,
+// matched case-insensitively. The first 16 live in an inline array, so
+// a compressor on PackTo's stack packs a message of ordinary shape
+// without allocating; further suffixes spill into a heap slice. (An
+// entries slice aimed at the inline array would send the whole table to
+// the heap: escape analysis cannot see that the pointer stays local.)
+type compressor struct {
+	base   int // buffer offset of the message header; offsets are relative to it
+	n      int // entries used in inline
+	inline [16]cmpEntry
+	spill  []cmpEntry
+}
+
+// cmpEntry is one emitted suffix and its message-relative offset.
+type cmpEntry struct {
+	suffix string
+	off    uint16
+	ascii  bool // suffix has no byte >= 0x80
+}
+
+// find returns the offset of an emitted suffix equal to s.
+func (c *compressor) find(s string, ascii bool) (int, bool) {
+	for i := range c.inline[:c.n] {
+		if c.inline[i].matches(s, ascii) {
+			return int(c.inline[i].off), true
+		}
+	}
+	for i := range c.spill {
+		if c.spill[i].matches(s, ascii) {
+			return int(c.spill[i].off), true
+		}
+	}
+	return 0, false
+}
+
+// add records suffix s as emitted at message offset off (< 0x4000).
+func (c *compressor) add(s string, off int, ascii bool) {
+	e := cmpEntry{suffix: s, off: uint16(off), ascii: ascii}
+	if c.n < len(c.inline) {
+		c.inline[c.n] = e
+		c.n++
+		return
+	}
+	c.spill = append(c.spill, e)
+}
+
+// matches reports whether s equals the entry's suffix under the folding
+// strings.ToLower applies. An ASCII pair compares byte by byte with ASCII
+// case folding; a pair with any byte >= 0x80 compares strings.ToLower of
+// both sides, since Unicode lowering can change lengths or map distinct
+// bytes to one rune (invalid UTF-8 all lowers to U+FFFD), and the packed
+// bytes must not depend on which path ran.
+func (e *cmpEntry) matches(s string, ascii bool) bool {
+	if ascii && e.ascii {
+		return len(e.suffix) == len(s) && equalFoldASCII(e.suffix, s)
+	}
+	return strings.ToLower(e.suffix) == strings.ToLower(s)
+}
+
+// equalFoldASCII reports whether two equal-length ASCII strings match
+// under ASCII case folding.
+func equalFoldASCII(a, b string) bool {
+	for i := 0; i < len(a); i++ {
+		if lowerASCII(a[i]) != lowerASCII(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// lastNonASCII returns the index of the last byte >= 0x80 in s, or -1.
+func lastNonASCII(s string) int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] >= 0x80 {
+			return i
+		}
+	}
+	return -1
+}
 
 // packName appends the wire encoding of n to buf, using and updating cmp
-// for compression. Pass a nil cmp to disable compression (required inside
-// RDATA of types whose RDATA must not be compressed, e.g. in TXT there are
-// no names, but SOA/NS/CNAME historically compress; modern practice for
-// unknown types forbids it). base is the buffer offset where the message
-// header starts: compression offsets are message-relative, so appending a
-// message to a non-empty buffer must subtract the prefix. The nil-cmp path
-// allocates nothing; the compressing path allocates only when a suffix
-// actually contains uppercase (strings.ToLower returns lowercase ASCII
-// input unchanged).
-func packName(buf []byte, n Name, cmp compressionMap, base int) ([]byte, error) {
+// for compression. Pass a nil cmp to disable compression: names inside
+// RDATA are always packed uncompressed (RFC 3597 §4 forbids compression
+// for unknown types, and uncompressed is universally interoperable).
+// Neither path allocates for ASCII names; a suffix comparison that
+// involves a byte >= 0x80 lowers both sides (see cmpEntry.matches).
+func packName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	if err := validateName(n); err != nil {
 		return buf, err
 	}
@@ -115,14 +197,18 @@ func packName(buf []byte, n Name, cmp compressionMap, base int) ([]byte, error) 
 	if s == "" {
 		return append(buf, 0), nil
 	}
+	hi := -1
+	if cmp != nil {
+		hi = lastNonASCII(s)
+	}
 	for pos := 0; ; {
 		if cmp != nil {
-			suffix := strings.ToLower(s[pos:])
-			if off, ok := cmp[suffix]; ok && off < 0x4000 {
+			ascii := pos > hi
+			if off, ok := cmp.find(s[pos:], ascii); ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
-			if off := len(buf) - base; off < 0x4000 {
-				cmp[suffix] = off
+			if off := len(buf) - cmp.base; off < 0x4000 {
+				cmp.add(s[pos:], off, ascii)
 			}
 		}
 		end := strings.IndexByte(s[pos:], '.')
@@ -141,18 +227,26 @@ func packName(buf []byte, n Name, cmp compressionMap, base int) ([]byte, error) 
 	return append(buf, 0), nil
 }
 
-// unpackName decodes a possibly-compressed name starting at off within
-// msg. It returns the name and the offset of the first byte after the
-// name's encoding at its original position (i.e. after the pointer if one
-// was followed).
-func unpackName(msg []byte, off int) (Name, int, error) {
-	var sb strings.Builder
-	seen := 0      // decoded octets, to bound the loop
-	ptrBudget := 0 // pointers followed, to detect loops cheaply
-	end := -1      // resume offset after the first pointer
+// skipName validates the possibly-compressed name at off within msg and
+// returns the offset of the first byte after the name's encoding at its
+// original position (after the pointer, if one was followed). It is the
+// only place names are checked on the decode path:
+//   - labels and pointers must lie inside msg;
+//   - pointers must point strictly backwards, at most 127 of them;
+//   - the 0x40 and 0x80 label types, never standardized, are rejected;
+//   - the encoding, root octet included, is at most 255 octets;
+//   - a label must not contain a '.' octet, which Name, holding
+//     unescaped presentation text, cannot represent.
+//
+// The last two rules make every decoded name pass validateName, so
+// anything Unpack returns can be packed again.
+func skipName(msg []byte, off int) (int, error) {
+	wire := 1     // encoded octets, counting the root terminator
+	pointers := 0 // pointers followed, to detect loops cheaply
+	end := -1     // resume offset after the first pointer
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrShortMessage
+			return 0, ErrShortMessage
 		}
 		b := msg[off]
 		switch {
@@ -160,10 +254,10 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			return Name(sb.String()), end, nil
+			return end, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrShortMessage
+				return 0, ErrShortMessage
 			}
 			target := int(b&0x3F)<<8 | int(msg[off+1])
 			if end < 0 {
@@ -171,30 +265,57 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			}
 			if target >= off {
 				// Forward or self pointers are malformed and would loop.
-				return "", 0, ErrBadPointer
+				return 0, ErrBadPointer
 			}
-			ptrBudget++
-			if ptrBudget > 127 {
-				return "", 0, ErrCompressionLoop
+			pointers++
+			if pointers > 127 {
+				return 0, ErrCompressionLoop
 			}
 			off = target
 		case b&0xC0 != 0:
 			// 0x40 and 0x80 label types were never standardized.
-			return "", 0, ErrBadRData
+			return 0, ErrBadRData
 		default:
 			l := int(b)
 			if off+1+l > len(msg) {
-				return "", 0, ErrShortMessage
+				return 0, ErrShortMessage
 			}
-			seen += l + 1
-			if seen > maxNameWire {
-				return "", 0, ErrNameTooLong
+			wire += l + 1
+			if wire > maxNameWire {
+				return 0, ErrNameTooLong
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if bytes.IndexByte(msg[off+1:off+1+l], '.') >= 0 {
+				return 0, ErrDotInLabel
 			}
-			sb.Write(msg[off+1 : off+1+l])
 			off += 1 + l
+		}
+	}
+}
+
+// appendName appends the presentation text of the name at off, which
+// skipName has validated, and returns the extended slice and the offset
+// after the name's encoding at off.
+func appendName(dst, msg []byte, off int) ([]byte, int) {
+	start, end := len(dst), -1
+	for {
+		b := msg[off]
+		switch {
+		case b == 0:
+			if end < 0 {
+				end = off + 1
+			}
+			return dst, end
+		case b&0xC0 == 0xC0:
+			if end < 0 {
+				end = off + 2
+			}
+			off = int(b&0x3F)<<8 | int(msg[off+1])
+		default:
+			if len(dst) > start {
+				dst = append(dst, '.')
+			}
+			dst = append(dst, msg[off+1:off+1+int(b)]...)
+			off += 1 + int(b)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package dnswire
 import (
 	"errors"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNameLabels(t *testing.T) {
@@ -69,7 +71,7 @@ func TestNameIsSubdomainOf(t *testing.T) {
 }
 
 func TestPackNameRoot(t *testing.T) {
-	buf, err := packName(nil, "", nil, 0)
+	buf, err := packName(nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +82,17 @@ func TestPackNameRoot(t *testing.T) {
 
 func TestPackNameRejectsBadNames(t *testing.T) {
 	long := strings.Repeat("a", 64)
-	if _, err := packName(nil, Name(long+".com"), nil, 0); !errors.Is(err, ErrLabelTooLong) {
+	if _, err := packName(nil, Name(long+".com"), nil); !errors.Is(err, ErrLabelTooLong) {
 		t.Errorf("oversized label: err = %v, want ErrLabelTooLong", err)
 	}
-	if _, err := packName(nil, "a..b", nil, 0); !errors.Is(err, ErrEmptyName) {
+	if _, err := packName(nil, "a..b", nil); !errors.Is(err, ErrEmptyName) {
 		t.Errorf("empty label: err = %v, want ErrEmptyName", err)
 	}
 	var parts []string
 	for i := 0; i < 60; i++ {
 		parts = append(parts, "abcd")
 	}
-	if _, err := packName(nil, Name(strings.Join(parts, ".")), nil, 0); !errors.Is(err, ErrNameTooLong) {
+	if _, err := packName(nil, Name(strings.Join(parts, ".")), nil); !errors.Is(err, ErrNameTooLong) {
 		t.Errorf("oversized name: err = %v, want ErrNameTooLong", err)
 	}
 }
@@ -109,7 +111,7 @@ func TestNameRoundTrip(t *testing.T) {
 		"xn--nxasmq6b.example",
 	}
 	for _, n := range names {
-		buf, err := packName(nil, n, nil, 0)
+		buf, err := packName(nil, n, nil)
 		if err != nil {
 			t.Fatalf("pack %q: %v", n, err)
 		}
@@ -129,13 +131,13 @@ func TestNameRoundTrip(t *testing.T) {
 func TestCompressionPointerRoundTrip(t *testing.T) {
 	// Pack two names sharing a suffix into one buffer; the second must be
 	// shorter than its uncompressed form and still decode correctly.
-	cmp := compressionMap{}
-	buf, err := packName(nil, "www.example.com", cmp, 0)
+	cmp := &compressor{}
+	buf, err := packName(nil, "www.example.com", cmp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := len(buf)
-	buf, err = packName(buf, "mail.example.com", cmp, 0)
+	buf, err = packName(buf, "mail.example.com", cmp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +161,10 @@ func TestCompressionPointerRoundTrip(t *testing.T) {
 }
 
 func TestCompressionIdenticalName(t *testing.T) {
-	cmp := compressionMap{}
-	buf, _ := packName(nil, "a.example.com", cmp, 0)
+	cmp := &compressor{}
+	buf, _ := packName(nil, "a.example.com", cmp)
 	n := len(buf)
-	buf, _ = packName(buf, "a.example.com", cmp, 0)
+	buf, _ = packName(buf, "a.example.com", cmp)
 	if len(buf)-n != 2 {
 		t.Errorf("identical repeat encoded as %d bytes, want 2 (pure pointer)", len(buf)-n)
 	}
@@ -236,7 +238,7 @@ func TestPropertyNameRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := func() bool {
 		n := randomName(r)
-		buf, err := packName(nil, n, nil, 0)
+		buf, err := packName(nil, n, nil)
 		if err != nil {
 			return false
 		}
@@ -249,12 +251,12 @@ func TestPropertyNameRoundTrip(t *testing.T) {
 }
 
 func TestPropertyCompressedRoundTrip(t *testing.T) {
-	// Packing k random names with a shared compression map and decoding
+	// Packing k random names with a shared compression table and decoding
 	// each from its recorded offset must reproduce every name.
 	r := rand.New(rand.NewSource(2))
 	f := func() bool {
 		k := 2 + r.Intn(6)
-		cmp := compressionMap{}
+		cmp := &compressor{}
 		var buf []byte
 		offs := make([]int, k)
 		names := make([]Name, k)
@@ -266,7 +268,7 @@ func TestPropertyCompressedRoundTrip(t *testing.T) {
 			}
 			offs[i] = len(buf)
 			var err error
-			buf, err = packName(buf, names[i], cmp, 0)
+			buf, err = packName(buf, names[i], cmp)
 			if err != nil {
 				return false
 			}
@@ -292,5 +294,87 @@ func TestUnpackNameFuzzNoPanics(t *testing.T) {
 		buf := make([]byte, n)
 		r.Read(buf)
 		unpackName(buf, 0) //nolint:errcheck // only checking for panics/hangs
+	}
+}
+
+// unpackName decodes one name the way Unpack does: skipName validates
+// it, the decoder renders it.
+func unpackName(msg []byte, off int) (Name, int, error) {
+	end, err := skipName(msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	d := decoder{msg: msg}
+	n, _ := d.name(off)
+	return n, end, nil
+}
+
+// TestUnpackNameLengthCountsRoot pins RFC 1035 §3.1's 255-octet limit
+// with the root octet included: labels of 63, 63, 63 and 62 octets
+// encode in 256 octets, which Pack rejects, so the decoder must too.
+func TestUnpackNameLengthCountsRoot(t *testing.T) {
+	wire := func(lens ...int) []byte {
+		var b []byte
+		for _, l := range lens {
+			b = append(b, byte(l))
+			b = append(b, strings.Repeat("x", l)...)
+		}
+		return append(b, 0)
+	}
+	if _, _, err := unpackName(wire(63, 63, 63, 62), 0); !errors.Is(err, ErrNameTooLong) {
+		t.Errorf("256-octet name: err = %v, want ErrNameTooLong", err)
+	}
+	n, _, err := unpackName(wire(63, 63, 63, 61), 0)
+	if err != nil {
+		t.Fatalf("255-octet name: %v", err)
+	}
+	if err := validateName(n); err != nil {
+		t.Errorf("decoded 255-octet name fails validateName: %v", err)
+	}
+
+	q := MustPack(NewQuery(1, "x", TypeA, ClassINET))
+	long := append(append(q[:headerLen:headerLen], wire(63, 63, 63, 62)...), q[len(q)-4:]...)
+	if _, err := Unpack(long); !errors.Is(err, ErrNameTooLong) {
+		t.Errorf("Unpack of a 256-octet question name: err = %v, want ErrNameTooLong", err)
+	}
+}
+
+// TestUnpackNameRejectsDotInLabel: a '.' octet inside a label has no
+// faithful Name (it would re-encode as two labels, or as an empty one).
+func TestUnpackNameRejectsDotInLabel(t *testing.T) {
+	cases := []struct {
+		in  []byte
+		off int
+	}{
+		{[]byte{3, 'a', '.', 'b', 0}, 0},
+		{[]byte{1, '.', 3, 'c', 'o', 'm', 0}, 0},
+		{[]byte{3, 'c', 'o', 'm', 0, 2, 'x', '.', 0xC0, 0x00}, 5},
+	}
+	for _, c := range cases {
+		if _, _, err := unpackName(c.in, c.off); !errors.Is(err, ErrDotInLabel) {
+			t.Errorf("%q at %d: err = %v, want ErrDotInLabel", c.in, c.off, err)
+		}
+	}
+}
+
+// TestDecoderReusesPointedNames: a name that is only a pointer to the
+// start or the middle of an already decoded name reuses that string.
+func TestDecoderReusesPointedNames(t *testing.T) {
+	m := NewQuery(1, "www.Example.com", TypeA, ClassINET)
+	m.Answers = []Record{
+		{Name: "www.example.com", Class: ClassINET, TTL: 1, Data: ARData{Addr: netip.MustParseAddr("192.0.2.1")}},
+		{Name: "example.COM", Class: ClassINET, TTL: 1, Data: ARData{Addr: netip.MustParseAddr("192.0.2.2")}},
+	}
+	got, err := Unpack(MustPack(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, a0, a1 := got.Questions[0].Name, got.Answers[0].Name, got.Answers[1].Name
+	if a0 != "www.Example.com" || a1 != "Example.com" {
+		t.Fatalf("answers named %q, %q", a0, a1)
+	}
+	if unsafe.StringData(string(a0)) != unsafe.StringData(string(q)) ||
+		unsafe.StringData(string(a1)) != unsafe.StringData(string(q[4:])) {
+		t.Error("pointer-only names were decoded into fresh strings")
 	}
 }

@@ -2,33 +2,15 @@ package dnswire
 
 import "sync"
 
-// Buffer pooling for the pack hot path. Two pools live here:
-//
-//   - compression maps, used internally by every PackTo call so the
-//     offset table is not rebuilt from scratch per message;
-//   - pack buffers, for real-socket transports (udpclient/tcpclient)
-//     that pack a query, write it to the wire, and are immediately done
-//     with the bytes.
+// Pack buffers for real-socket transports (udpclient/tcpclient) that
+// pack a query, write it to the wire, and are immediately done with the
+// bytes. Name compression needs no pool: PackTo keeps its suffix table
+// on the stack (see compressor).
 //
 // Ownership discipline: a pooled buffer is only ever returned by the
 // code that took it, after the bytes have left the process (or the
 // simulator). Unpack always deep-copies out of its input, so parsed
 // Messages never alias pooled storage and stay valid across reuse.
-
-// cmpPool recycles compression maps between PackTo calls. Maps are
-// pointer-shaped, so boxing them in an interface does not allocate.
-var cmpPool = sync.Pool{
-	New: func() any { return make(compressionMap, 16) },
-}
-
-func getCompressionMap() compressionMap {
-	return cmpPool.Get().(compressionMap)
-}
-
-func putCompressionMap(cmp compressionMap) {
-	clear(cmp)
-	cmpPool.Put(cmp)
-}
 
 // packBufPool recycles transport pack buffers. Stored as *[]byte so the
 // slice header itself is not re-boxed on every Put.

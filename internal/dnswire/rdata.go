@@ -94,7 +94,7 @@ type CNAMERData struct{ Target Name }
 func (CNAMERData) Type() Type { return TypeCNAME }
 
 func (r CNAMERData) packRData(buf []byte) ([]byte, error) {
-	return packName(buf, r.Target, nil, 0)
+	return packName(buf, r.Target, nil)
 }
 
 func (r CNAMERData) String() string { return string(r.Target) + "." }
@@ -106,7 +106,7 @@ type NSRData struct{ Host Name }
 func (NSRData) Type() Type { return TypeNS }
 
 func (r NSRData) packRData(buf []byte) ([]byte, error) {
-	return packName(buf, r.Host, nil, 0)
+	return packName(buf, r.Host, nil)
 }
 
 func (r NSRData) String() string { return string(r.Host) + "." }
@@ -118,7 +118,7 @@ type PTRRData struct{ Target Name }
 func (PTRRData) Type() Type { return TypePTR }
 
 func (r PTRRData) packRData(buf []byte) ([]byte, error) {
-	return packName(buf, r.Target, nil, 0)
+	return packName(buf, r.Target, nil)
 }
 
 func (r PTRRData) String() string { return string(r.Target) + "." }
@@ -134,7 +134,7 @@ func (MXRData) Type() Type { return TypeMX }
 
 func (r MXRData) packRData(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, r.Preference)
-	return packName(buf, r.Host, nil, 0)
+	return packName(buf, r.Host, nil)
 }
 
 func (r MXRData) String() string { return fmt.Sprintf("%d %s.", r.Preference, r.Host) }
@@ -155,10 +155,10 @@ func (SOARData) Type() Type { return TypeSOA }
 
 func (r SOARData) packRData(buf []byte) ([]byte, error) {
 	var err error
-	if buf, err = packName(buf, r.MName, nil, 0); err != nil {
+	if buf, err = packName(buf, r.MName, nil); err != nil {
 		return buf, err
 	}
-	if buf, err = packName(buf, r.RName, nil, 0); err != nil {
+	if buf, err = packName(buf, r.RName, nil); err != nil {
 		return buf, err
 	}
 	buf = binary.BigEndian.AppendUint32(buf, r.Serial)
@@ -202,91 +202,110 @@ func (r RawRData) packRData(buf []byte) ([]byte, error) {
 
 func (r RawRData) String() string { return fmt.Sprintf(`\# %d %x`, len(r.Data), r.Data) }
 
-// unpackRData decodes the RDATA of one record. msg is the whole message
-// (needed to follow compression pointers inside RDATA), the body spans
-// [off, off+rdlen).
-func unpackRData(msg []byte, off, rdlen int, typ Type) (RData, error) {
+// checkRData validates the RDATA of one record, which spans
+// [off, off+rdlen) of msg (the whole message, since names inside RDATA
+// may point back into it). It accepts exactly what decoder.rdata can
+// materialize.
+func checkRData(msg []byte, off, rdlen int, typ Type) error {
 	if off+rdlen > len(msg) {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	body := msg[off : off+rdlen]
 	switch typ {
 	case TypeA:
 		if rdlen != 4 {
-			return nil, fmt.Errorf("%w: A rdlength %d", ErrBadRData, rdlen)
+			return fmt.Errorf("%w: A rdlength %d", ErrBadRData, rdlen)
 		}
-		return ARData{Addr: netip.AddrFrom4([4]byte(body))}, nil
 	case TypeAAAA:
 		if rdlen != 16 {
-			return nil, fmt.Errorf("%w: AAAA rdlength %d", ErrBadRData, rdlen)
+			return fmt.Errorf("%w: AAAA rdlength %d", ErrBadRData, rdlen)
 		}
-		return AAAARData{Addr: netip.AddrFrom16([16]byte(body))}, nil
 	case TypeTXT:
-		var ss []string
 		for i := 0; i < len(body); {
 			l := int(body[i])
 			if i+1+l > len(body) {
-				return nil, fmt.Errorf("%w: TXT string overruns rdata", ErrBadRData)
+				return fmt.Errorf("%w: TXT string overruns rdata", ErrBadRData)
 			}
-			ss = append(ss, string(body[i+1:i+1+l]))
 			i += 1 + l
 		}
-		if len(ss) == 0 {
-			return nil, fmt.Errorf("%w: empty TXT rdata", ErrBadRData)
+		if rdlen == 0 {
+			return fmt.Errorf("%w: empty TXT rdata", ErrBadRData)
 		}
-		return TXTRData{Strings: ss}, nil
-	case TypeCNAME:
-		n, end, err := unpackName(msg, off)
+	case TypeCNAME, TypeNS, TypePTR:
+		end, err := skipName(msg, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if end != off+rdlen {
-			return nil, fmt.Errorf("%w: CNAME rdata length mismatch", ErrBadRData)
+			return fmt.Errorf("%w: %s rdata length mismatch", ErrBadRData, typ)
 		}
-		return CNAMERData{Target: n}, nil
-	case TypeNS:
-		n, end, err := unpackName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		if end != off+rdlen {
-			return nil, fmt.Errorf("%w: NS rdata length mismatch", ErrBadRData)
-		}
-		return NSRData{Host: n}, nil
-	case TypePTR:
-		n, end, err := unpackName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		if end != off+rdlen {
-			return nil, fmt.Errorf("%w: PTR rdata length mismatch", ErrBadRData)
-		}
-		return PTRRData{Target: n}, nil
 	case TypeMX:
 		if rdlen < 3 {
-			return nil, fmt.Errorf("%w: MX rdlength %d", ErrBadRData, rdlen)
+			return fmt.Errorf("%w: MX rdlength %d", ErrBadRData, rdlen)
 		}
-		pref := binary.BigEndian.Uint16(body[0:2])
-		n, end, err := unpackName(msg, off+2)
+		end, err := skipName(msg, off+2)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if end != off+rdlen {
-			return nil, fmt.Errorf("%w: MX rdata length mismatch", ErrBadRData)
+			return fmt.Errorf("%w: MX rdata length mismatch", ErrBadRData)
 		}
-		return MXRData{Preference: pref, Host: n}, nil
 	case TypeSOA:
-		mname, p, err := unpackName(msg, off)
+		p, err := skipName(msg, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rname, p, err := unpackName(msg, p)
-		if err != nil {
-			return nil, err
+		if p, err = skipName(msg, p); err != nil {
+			return err
 		}
 		if p+20 != off+rdlen {
-			return nil, fmt.Errorf("%w: SOA rdata length mismatch", ErrBadRData)
+			return fmt.Errorf("%w: SOA rdata length mismatch", ErrBadRData)
 		}
+	case TypeDNSKEY, TypeDS, TypeRRSIG:
+		return checkDNSSECRData(msg, off, rdlen, typ)
+	}
+	return nil
+}
+
+// rdata materializes the RDATA checkRData accepted. Byte fields are
+// copied out of the message; a TXT body becomes one string, and its
+// character-strings are substrings of it.
+func (d *decoder) rdata(off, rdlen int, typ Type) RData {
+	body := d.msg[off : off+rdlen]
+	switch typ {
+	case TypeA:
+		return ARData{Addr: netip.AddrFrom4([4]byte(body))}
+	case TypeAAAA:
+		return AAAARData{Addr: netip.AddrFrom16([16]byte(body))}
+	case TypeTXT:
+		all := string(body)
+		n := 0
+		for i := 0; i < len(all); i += 1 + int(all[i]) {
+			n++
+		}
+		ss := make([]string, n)
+		for i, k := 0, 0; i < len(all); k++ {
+			l := int(all[i])
+			ss[k] = all[i+1 : i+1+l]
+			i += 1 + l
+		}
+		return TXTRData{Strings: ss}
+	case TypeCNAME:
+		n, _ := d.name(off)
+		return CNAMERData{Target: n}
+	case TypeNS:
+		n, _ := d.name(off)
+		return NSRData{Host: n}
+	case TypePTR:
+		n, _ := d.name(off)
+		return PTRRData{Target: n}
+	case TypeMX:
+		n, _ := d.name(off + 2)
+		return MXRData{Preference: binary.BigEndian.Uint16(body[0:2]), Host: n}
+	case TypeSOA:
+		mname, p := d.name(off)
+		rname, p := d.name(p)
+		msg := d.msg
 		return SOARData{
 			MName:   mname,
 			RName:   rname,
@@ -295,12 +314,12 @@ func unpackRData(msg []byte, off, rdlen int, typ Type) (RData, error) {
 			Retry:   binary.BigEndian.Uint32(msg[p+8 : p+12]),
 			Expire:  binary.BigEndian.Uint32(msg[p+12 : p+16]),
 			Minimum: binary.BigEndian.Uint32(msg[p+16 : p+20]),
-		}, nil
+		}
 	case TypeOPT:
-		return OPTRData{Options: append([]byte(nil), body...)}, nil
+		return OPTRData{Options: append([]byte(nil), body...)}
 	case TypeDNSKEY, TypeDS, TypeRRSIG:
-		return unpackDNSSECRData(msg, off, rdlen, typ)
+		return d.dnssecRData(off, rdlen, typ)
 	default:
-		return RawRData{RRType: typ, Data: append([]byte(nil), body...)}, nil
+		return RawRData{RRType: typ, Data: append([]byte(nil), body...)}
 	}
 }

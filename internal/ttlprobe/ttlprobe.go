@@ -44,8 +44,8 @@ func (c *SimTTLClient) ExchangeTTL(server netip.AddrPort, query *dnswire.Message
 	}
 	var out []*dnswire.Message
 	for _, p := range pkts {
-		if m, err := dnswire.Unpack(p.Payload); err == nil && m.Header.ID == query.Header.ID {
-			out = append(out, m)
+		if v, err := dnswire.ParseView(p.Payload); err == nil && v.Header.ID == query.Header.ID {
+			out = append(out, v.Message())
 		}
 	}
 	c.Host.Recycle(pkts)
