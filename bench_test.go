@@ -12,6 +12,7 @@
 package dnsloc_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	iofs "io/fs"
@@ -23,9 +24,10 @@ import (
 	dnsloc "github.com/dnswatch/dnsloc"
 	"github.com/dnswatch/dnsloc/internal/analysis"
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/dnssec"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/faultfs"
 	"github.com/dnswatch/dnsloc/internal/homelab"
 	"github.com/dnswatch/dnsloc/internal/netsim"
@@ -544,27 +546,35 @@ func BenchmarkDNSSECValidation(b *testing.B) {
 }
 
 // BenchmarkDoTInterception measures the DoT interception-detection
-// matrix (strict blocks, opportunistic detects).
+// matrix on the packet-level stream plane: a CPE terminating every
+// LAN DoT session behind its own certificate, and a stub in each DoT
+// profile behind it. The strict profile refuses the certificate (no
+// session), the opportunistic one gets the CPE's answer to Cloudflare's
+// location query, which fails validation (interception detected).
 func BenchmarkDoTInterception(b *testing.B) {
-	target := &dotsim.Server{
-		Addr:     netip.MustParseAddr("1.1.1.1"),
-		Cert:     dotsim.Certificate{Subject: netip.MustParseAddr("1.1.1.1"), Trusted: true},
-		Identity: "IAD",
+	lab := homelab.New(homelab.Clean)
+	cfg := cpe.NewPlain("dot-terminator", lab.Home.LANPrefix4, lab.Home.WANv4, lab.ISP.ResolverAddrPort())
+	cfg.Encrypted = dnsserver.EncTerminate
+	terminator := cpe.Build(cfg)
+	lab.ISP.AttachCPE(lab.ISP.Segments()[0], terminator, lab.Home)
+	host := terminator.AttachHost("dot-probe", 0)
+	cf := publicdns.Lookup(publicdns.Cloudflare)
+	exchange := func(mode core.TransportMode) ([]*dnswire.Message, error) {
+		c := &core.EncryptedClient{Sim: &core.SimClient{Net: lab.Net, Host: host}, Mode: mode}
+		return c.Exchange(netip.AddrPortFrom(cf.V4[0], 53), cf.Location.Message(1))
 	}
-	mitm := &dotsim.Interceptor{
-		Cert:    dotsim.Certificate{Subject: netip.MustParseAddr("1.1.1.1"), Trusted: false},
-		Backend: &dotsim.Server{Identity: "unbound"},
-	}
-	validate := func(s string) bool { return len(s) == 3 }
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detected, connected := dotsim.DetectInterception(
-			dotsim.Path{Target: target, Interceptor: mitm}, dotsim.Opportunistic, validate)
-		if !detected || !connected {
+		resps, err := exchange(core.TransportDoTOpportunistic)
+		if err != nil {
+			b.Fatalf("opportunistic DoT through the terminator: %v", err)
+		}
+		if txt, ok := resps[0].FirstTXT(); ok && cf.ValidateLocationAnswer(txt) {
 			b.Fatal("opportunistic DoT interception not detected")
 		}
-		if _, connected := dotsim.DetectInterception(
-			dotsim.Path{Target: target, Interceptor: mitm}, dotsim.Strict, validate); connected {
-			b.Fatal("strict DoT connected through a MITM")
+		if _, err := exchange(core.TransportDoTStrict); !errors.Is(err, core.ErrAuthFailed) {
+			b.Fatalf("strict DoT through the terminator = %v, want ErrAuthFailed", err)
 		}
 	}
 }

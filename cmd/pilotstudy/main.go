@@ -32,9 +32,6 @@ import (
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
-	"github.com/dnswatch/dnsloc/internal/core"
-	"github.com/dnswatch/dnsloc/internal/dnsserver"
-	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/render"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
@@ -72,9 +69,17 @@ func main() {
 	)
 	flag.Parse()
 
+	if *advSweep && (*faults || *encSweep) {
+		fmt.Fprintln(os.Stderr, "pilotstudy: -adversary runs its own sweep; it does not combine with -faults or -encryption")
+		os.Exit(2)
+	}
 	if *stream {
-		if *jsonOut != "" || *ext != "" || *faults || *advSweep || *encSweep {
-			fmt.Fprintln(os.Stderr, "pilotstudy: -stream retains no records; -json, -ext, -faults, -adversary, and -encryption need the in-memory pipeline (use -records for streamed per-probe output)")
+		if *jsonOut != "" || *ext != "" {
+			fmt.Fprintln(os.Stderr, "pilotstudy: -stream retains no records; -json and -ext need the in-memory pipeline (use -records for streamed per-probe output)")
+			os.Exit(2)
+		}
+		if (*faults || *advSweep || *encSweep) && (*recordsOut != "" || *ckptDir != "" || *stopAfter > 0) {
+			fmt.Fprintln(os.Stderr, "pilotstudy: sweeps fold each cell into its own tables; -records, -checkpoint-dir, and -stop-after apply to single runs")
 			os.Exit(2)
 		}
 	} else {
@@ -129,53 +134,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *faults && !*encSweep {
-		levels := []float64{0, 0.25, 0.5, 0.75, 1.0}
-		retry := &core.RetryPolicy{MaxAttempts: 3}
-		fmt.Fprintf(os.Stderr, "resilience sweep: %d probes x %d fault levels, %d worker(s)...\n",
-			spec.TotalProbes, len(levels), nWorkers)
-		start := time.Now()
-		rows := analysis.RunResilienceSweep(spec, study.EngineOptions{Workers: nWorkers, Lanes: *lanes}, levels, retry)
-		fmt.Fprintf(os.Stderr, "sweep complete in %v\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(analysis.FormatResilience(rows))
-		return
+	var (
+		cells      []study.Spec
+		sweepTable renderFunc
+	)
+	switch {
+	case *advSweep:
+		cells, sweepTable = adversarySweep(spec)
+	case *encSweep:
+		cells, sweepTable = encryptionSweep(spec, *faults)
+	case *faults:
+		cells, sweepTable = resilienceSweep(spec)
 	}
-
-	if *advSweep {
-		levels := []int{0, 1, 2, 3, 4}
-		fmt.Fprintf(os.Stderr, "adversary sweep: %d probes x %d evasion levels, %d worker(s)...\n",
-			spec.TotalProbes, len(levels), nWorkers)
+	if cells != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %d probes x %d cells, %d worker(s)...\n", spec.TotalProbes, len(cells), nWorkers)
 		start := time.Now()
-		rows := analysis.RunAdversarySweep(spec, study.EngineOptions{Workers: nWorkers, Lanes: *lanes}, levels, nil)
+		accs, err := analysis.Sweep(cells, study.StreamOptions{Workers: nWorkers, Lanes: *lanes})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pilotstudy: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Fprintf(os.Stderr, "sweep complete in %v\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(analysis.FormatAdversary(rows))
-		return
-	}
-
-	if *encSweep {
-		adoptions := []float64{0, 0.5, 1.0}
-		transports := []core.TransportMode{
-			core.TransportDoTOpportunistic, core.TransportDoTStrict, core.TransportDoH,
-		}
-		policies := []dnsserver.EncryptedPolicy{
-			dnsserver.EncPass, dnsserver.EncBlock, dnsserver.EncTerminate,
-		}
-		// -faults composes: the same grid measured through a mid-level
-		// fault plane, with the retry budget the resilience sweep uses.
-		var retry *core.RetryPolicy
-		if *faults {
-			fp := netsim.PresetFault(0.5, spec.Seed+9000)
-			spec.Fault = &fp
-			retry = &core.RetryPolicy{MaxAttempts: 3}
-		}
-		cells := len(adoptions) * len(transports) * len(policies)
-		fmt.Fprintf(os.Stderr, "encryption sweep: %d probes x %d grid cells, %d worker(s)...\n",
-			spec.TotalProbes, cells, nWorkers)
-		start := time.Now()
-		rows := analysis.RunEncryptionSweep(spec, study.EngineOptions{Workers: nWorkers, Lanes: *lanes},
-			adoptions, transports, policies, retry)
-		fmt.Fprintf(os.Stderr, "sweep complete in %v\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(analysis.FormatEncryption(rows))
+		fmt.Println(sweepTable(accs))
 		return
 	}
 

@@ -62,6 +62,29 @@ func TestCLIPilotstudySmallScale(t *testing.T) {
 	}
 }
 
+// TestCLIPilotstudySweepFlags: the sweeps stream, so -stream accepts
+// them; -adversary runs its own sweep, so pairing it with -faults is a
+// usage error (exit 2, which `go run` reports) rather than a silently
+// different sweep.
+func TestCLIPilotstudySweepFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, c := range []struct {
+		args []string
+		ok   bool
+		want string
+	}{
+		{[]string{"-stream", "-faults", "-scale", "0.02"}, true, "Resilience sweep"},
+		{[]string{"-adversary", "-faults", "-scale", "0.02"}, false, "exit status 2"},
+	} {
+		out, err := runCmd(t, append([]string{"./cmd/pilotstudy"}, c.args...)...)
+		if (err == nil) != c.ok || !strings.Contains(out, c.want) {
+			t.Errorf("pilotstudy %v: err=%v, want success=%t and %q in:\n%s", c.args, err, c.ok, c.want, out)
+		}
+	}
+}
+
 func TestCLIDnsmonSimRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -17,9 +17,11 @@ import (
 	"fmt"
 	"net/netip"
 
+	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/dnssec"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/homelab"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/redirect"
@@ -76,20 +78,24 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("== DNS-over-TLS interception (§6) ==")
-	target := &dotsim.Server{
-		Addr:     cloudflare.Addr(),
-		Cert:     dotsim.Certificate{Subject: cloudflare.Addr(), Trusted: true},
-		Identity: "IAD",
-	}
-	mitm := &dotsim.Interceptor{
-		Cert:    dotsim.Certificate{Subject: cloudflare.Addr(), Trusted: false},
-		Backend: &dotsim.Server{Identity: "unbound"},
-	}
-	validate := func(s string) bool { return publicdns.Lookup(publicdns.Cloudflare).ValidateLocationAnswer(s) }
-	for _, profile := range []dotsim.Profile{dotsim.Strict, dotsim.Opportunistic} {
-		detected, connected := dotsim.DetectInterception(
-			dotsim.Path{Target: target, Interceptor: mitm}, profile, validate)
-		fmt.Printf("  %-14s connected=%-5t interception detected=%t\n", profile, connected, detected)
+	// A CPE that terminates every DoT/DoH stream from its LAN behind its
+	// own untrusted certificate, plugged into a clean home's wall jack.
+	dotLab := homelab.New(homelab.Clean)
+	cfg := cpe.NewPlain("dot-terminator", dotLab.Home.LANPrefix4, dotLab.Home.WANv4, dotLab.ISP.ResolverAddrPort())
+	cfg.Encrypted = dnsserver.EncTerminate
+	terminator := cpe.Build(cfg)
+	dotLab.ISP.AttachCPE(dotLab.ISP.Segments()[0], terminator, dotLab.Home)
+	dotHost := terminator.AttachHost("dot-probe", 0)
+	cf := publicdns.Lookup(publicdns.Cloudflare)
+	for _, mode := range []core.TransportMode{core.TransportDoTStrict, core.TransportDoTOpportunistic} {
+		c := &core.EncryptedClient{Sim: &core.SimClient{Net: dotLab.Net, Host: dotHost}, Mode: mode}
+		resps, err := c.Exchange(cloudflare, cf.Location.Message(1))
+		detected := false
+		if err == nil {
+			txt, ok := resps[0].FirstTXT()
+			detected = !ok || !cf.ValidateLocationAnswer(txt)
+		}
+		fmt.Printf("  %-18s connected=%-5t interception detected=%t\n", mode, err == nil, detected)
 	}
 
 	fmt.Println()

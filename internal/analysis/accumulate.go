@@ -53,6 +53,20 @@ type Accumulator struct {
 	// still adds correctly because zero is the empty tally.
 	FusedScore Accuracy `json:"fused_score"`
 
+	// Sweep-row state (see Sweep). AdoptedScore is Score's confusion
+	// restricted to probes running an encrypted transport; Quarantined
+	// counts records whose measurement panicked; the rest count
+	// responding reports: fault-shaped final outcomes summed over their
+	// StepFault entries, reports with at least one inconclusive step,
+	// with a certificate-consistency mismatch, and with answer drift.
+	AdoptedScore Accuracy `json:"adopted_score"`
+	Quarantined  int      `json:"quarantined"`
+	Timeouts     int      `json:"timeouts"`
+	Garbage      int      `json:"garbage"`
+	Inconclusive int      `json:"inconclusive"`
+	CertFlagged  int      `json:"cert_flagged"`
+	Drifted      int      `json:"drifted"`
+
 	// Folded counts the records folded in (quarantined and unresponsive
 	// ones included) — the streaming engine's progress cursor.
 	Folded int `json:"folded"`
@@ -89,10 +103,16 @@ func NewAccumulator() *Accumulator {
 // not retained; callers may release or reuse it afterwards.
 func (a *Accumulator) Fold(rec *study.ProbeRecord) {
 	a.Folded++
+	if rec.Err != "" {
+		a.Quarantined++
+	}
 	a.foldTable4(rec)
+	if rec.Report == nil {
+		return
+	}
 	a.foldScore(rec)
-	a.foldFusedScore(rec)
-	if rec.Report == nil || !rec.Report.Intercepted() {
+	a.foldEvidence(rec.Report)
+	if !rec.Report.Intercepted() {
 		return
 	}
 	a.Distinct++
@@ -196,22 +216,19 @@ func (a *Accumulator) foldFigure4(rec *study.ProbeRecord) {
 	}
 }
 
+// foldScore scores one report against ground truth three ways: the
+// CHAOS verdict (with its localization split), the signal fusion's
+// detection verdict, and the CHAOS verdict again for the encrypted
+// cohort. The cert and drift signals detect, they do not localize, so
+// only Score carries the localization split.
 func (a *Accumulator) foldScore(rec *study.ProbeRecord) {
-	if rec.Report == nil {
-		return
-	}
-	s := &a.Score
 	truly := rec.Probe.Truth.Intercepted()
 	flagged := rec.Report.Intercepted()
-	switch {
-	case truly && flagged:
-		s.TruePositives++
-	case truly && !flagged:
-		s.FalseNegatives++
-	case !truly && flagged:
-		s.FalsePositives++
-	default:
-		s.TrueNegatives++
+	s := &a.Score
+	s.tally(truly, flagged)
+	a.FusedScore.tally(truly, rec.Report.FusedIntercepted())
+	if rec.Probe.EncTransport.Encrypted() {
+		a.AdoptedScore.tally(truly, flagged)
 	}
 	if !(truly && flagged) {
 		return
@@ -230,16 +247,34 @@ func (a *Accumulator) foldScore(rec *study.ProbeRecord) {
 	}
 }
 
-// foldFusedScore scores the signal fusion's detection verdict. Only the
-// confusion counts are filled: the cert and drift signals detect, they
-// do not localize, so the localization split stays Score's business.
-func (a *Accumulator) foldFusedScore(rec *study.ProbeRecord) {
-	if rec.Report == nil {
-		return
+// foldEvidence counts the report's fault-shaped outcomes, inconclusive
+// steps, and cert and drift flags.
+func (a *Accumulator) foldEvidence(r *core.Report) {
+	inconclusive := false
+	for _, f := range r.Faults {
+		a.Timeouts += f.Timeouts
+		a.Garbage += f.Garbage
+		inconclusive = inconclusive || f.Inconclusive
 	}
-	s := &a.FusedScore
-	truly := rec.Probe.Truth.Intercepted()
-	flagged := rec.Report.FusedIntercepted()
+	if inconclusive {
+		a.Inconclusive++
+	}
+	for _, c := range r.CertChecks {
+		if c.State == core.SignalFlagged {
+			a.CertFlagged++
+			break
+		}
+	}
+	for _, s := range r.Signals {
+		if s.Drift == core.SignalFlagged {
+			a.Drifted++
+			break
+		}
+	}
+}
+
+// tally counts one scored report in the detection confusion matrix.
+func (s *Accuracy) tally(truly, flagged bool) {
 	switch {
 	case truly && flagged:
 		s.TruePositives++
@@ -250,6 +285,30 @@ func (a *Accumulator) foldFusedScore(rec *study.ProbeRecord) {
 	default:
 		s.TrueNegatives++
 	}
+}
+
+// add adds another tally's counts.
+func (s *Accuracy) add(o Accuracy) {
+	s.TruePositives += o.TruePositives
+	s.FalsePositives += o.FalsePositives
+	s.TrueNegatives += o.TrueNegatives
+	s.FalseNegatives += o.FalseNegatives
+	s.CorrectCPE += o.CorrectCPE
+	s.CorrectISP += o.CorrectISP
+	s.CorrectUnknown += o.CorrectUnknown
+	s.Mislocated += o.Mislocated
+	s.HiddenAsUnknown += o.HiddenAsUnknown
+}
+
+// responded counts the scored reports.
+func (s Accuracy) responded() int {
+	return s.TruePositives + s.FalsePositives + s.FalseNegatives + s.TrueNegatives
+}
+
+// localized counts true positives whose verdict matched ground truth,
+// hidden-as-unknown included (the right answer for a bogon-dropper).
+func (s Accuracy) localized() int {
+	return s.CorrectCPE + s.CorrectISP + s.CorrectUnknown + s.HiddenAsUnknown
 }
 
 // Merge folds another accumulator's state into this one. Every field is
@@ -314,19 +373,15 @@ func (a *Accumulator) mergeFrom(o *Accumulator) {
 	a.LocISP += o.LocISP
 	a.LocOther += o.LocOther
 
-	a.Score.TruePositives += o.Score.TruePositives
-	a.Score.FalsePositives += o.Score.FalsePositives
-	a.Score.TrueNegatives += o.Score.TrueNegatives
-	a.Score.FalseNegatives += o.Score.FalseNegatives
-	a.Score.CorrectCPE += o.Score.CorrectCPE
-	a.Score.CorrectISP += o.Score.CorrectISP
-	a.Score.CorrectUnknown += o.Score.CorrectUnknown
-	a.Score.Mislocated += o.Score.Mislocated
-	a.Score.HiddenAsUnknown += o.Score.HiddenAsUnknown
-	a.FusedScore.TruePositives += o.FusedScore.TruePositives
-	a.FusedScore.FalsePositives += o.FusedScore.FalsePositives
-	a.FusedScore.TrueNegatives += o.FusedScore.TrueNegatives
-	a.FusedScore.FalseNegatives += o.FusedScore.FalseNegatives
+	a.Score.add(o.Score)
+	a.FusedScore.add(o.FusedScore)
+	a.AdoptedScore.add(o.AdoptedScore)
+	a.Quarantined += o.Quarantined
+	a.Timeouts += o.Timeouts
+	a.Garbage += o.Garbage
+	a.Inconclusive += o.Inconclusive
+	a.CertFlagged += o.CertFlagged
+	a.Drifted += o.Drifted
 
 	a.Folded += o.Folded
 }
@@ -428,7 +483,7 @@ func (a *Accumulator) Accuracy() Accuracy {
 }
 
 // FusedAccuracy returns the three-signal fusion's confusion matrix
-// (detection counts only; see foldFusedScore).
+// (detection counts only; see foldScore).
 func (a *Accumulator) FusedAccuracy() Accuracy {
 	return a.FusedScore
 }

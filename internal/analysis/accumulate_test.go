@@ -3,18 +3,51 @@ package analysis
 import (
 	"testing"
 
+	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
 // renderAll renders every aggregate an accumulator feeds, as one string
-// — the byte surface the fold-order and merge tests compare.
+// — the byte surface the fold-order and merge tests compare. The sweep
+// rows cover the fused and adopted tallies and the evidence counters.
 func renderAll(a *Accumulator) string {
 	t4 := a.Table4()
+	e := study.Encryption{Adoption: 0.5, Transport: core.TransportDoTOpportunistic, Policy: dnsserver.EncPass}
 	return FormatTable4(t4) + CSVTable4(t4) +
 		FormatTable5(a.Table5()) +
 		FormatFigure3(a.Figure3(10)) +
 		FormatFigure4(a.Figure4(10)) +
-		FormatAccuracy(a.Accuracy())
+		FormatAccuracy(a.Accuracy()) +
+		FormatResilience([]ResilienceRow{a.ResilienceRow(0.5)}) +
+		FormatAdversary([]AdversaryRow{a.AdversaryRow(2)}) +
+		FormatEncryption([]EncryptionRow{a.EncryptionRow(e)})
+}
+
+// hardenedRecords caches a small study with every sweep plane on: the
+// harshest fault plane without retries, the forge rung with the cert
+// and drift signals, and half the fleet on opportunistic DoT.
+var hardenedRecords []*study.ProbeRecord
+
+func hardened(t *testing.T) []*study.ProbeRecord {
+	t.Helper()
+	if hardenedRecords == nil {
+		spec := study.PaperSpec().Scale(0.02)
+		fp := netsim.PresetFault(1, spec.Seed+9000)
+		spec.Fault = &fp
+		spec.Adversary = 2
+		spec.CertCheck = true
+		spec.DriftRounds = 1
+		spec.Encryption = &study.Encryption{Adoption: 0.5, Transport: core.TransportDoTOpportunistic, Policy: dnsserver.EncPass}
+		res := study.RunSharded(spec, study.EngineOptions{Workers: 2})
+		if len(res.Errors) != 0 {
+			t.Fatalf("shard errors: %v", res.Errors)
+		}
+		// Plus one quarantined record, as a panicking measurement leaves.
+		hardenedRecords = append(res.Records, &study.ProbeRecord{Probe: res.Records[0].Probe, Err: "injected panic"})
+	}
+	return hardenedRecords
 }
 
 // TestAccumulatorFoldOrderInvariance: folding the same records in
@@ -37,27 +70,41 @@ func TestAccumulatorFoldOrderInvariance(t *testing.T) {
 
 // TestAccumulatorMergeEqualsFullFold: records dealt round-robin across
 // three accumulators and merged equal one accumulator fed everything —
-// the property the shard merge relies on.
+// the property the shard merge relies on — for a plain run and for one
+// that moves every sweep counter.
 func TestAccumulatorMergeEqualsFullFold(t *testing.T) {
-	recs := results(t).Records
-	full := NewAccumulator()
-	parts := []*Accumulator{NewAccumulator(), NewAccumulator(), NewAccumulator()}
-	for i, rec := range recs {
-		full.Fold(rec)
-		parts[i%len(parts)].Fold(rec)
-	}
-	merged := NewAccumulator()
-	for _, p := range parts {
-		if err := merged.Merge(p); err != nil {
-			t.Fatal(err)
+	for name, recs := range map[string][]*study.ProbeRecord{"plain": results(t).Records, "hardened": hardened(t)} {
+		full := NewAccumulator()
+		parts := []*Accumulator{NewAccumulator(), NewAccumulator(), NewAccumulator()}
+		for i, rec := range recs {
+			full.Fold(rec)
+			parts[i%len(parts)].Fold(rec)
 		}
-	}
-	if merged.Folded != len(recs) {
-		t.Errorf("merged.Folded = %d, want %d", merged.Folded, len(recs))
-	}
-	if renderAll(merged) != renderAll(full) {
-		t.Errorf("merged shards diverge from full fold:\n--- full ---\n%s--- merged ---\n%s",
-			renderAll(full), renderAll(merged))
+		merged := NewAccumulator()
+		for _, p := range parts {
+			if err := merged.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if merged.Folded != len(recs) {
+			t.Errorf("%s: merged.Folded = %d, want %d", name, merged.Folded, len(recs))
+		}
+		if renderAll(merged) != renderAll(full) {
+			t.Errorf("%s: merged shards diverge from full fold:\n--- full ---\n%s--- merged ---\n%s",
+				name, renderAll(full), renderAll(merged))
+		}
+		if name != "hardened" {
+			continue
+		}
+		for counter, n := range map[string]int{
+			"adopted": full.AdoptedScore.responded(), "fused TP": full.FusedScore.TruePositives,
+			"timeouts": full.Timeouts, "garbage": full.Garbage, "inconclusive": full.Inconclusive,
+			"cert": full.CertFlagged, "drift": full.Drifted, "quarantined": full.Quarantined,
+		} {
+			if n == 0 {
+				t.Errorf("hardened run leaves the %s counter at zero; the merge check does not cover it", counter)
+			}
+		}
 	}
 }
 

@@ -3,9 +3,7 @@ package analysis
 import (
 	"fmt"
 
-	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/render"
-	"github.com/dnswatch/dnsloc/internal/study"
 )
 
 // AdversaryRow is one rung of the interceptor evasion ladder: the same
@@ -61,36 +59,16 @@ var adversaryLevelNames = map[int]string{
 	4: "rate-limit",
 }
 
-// RunAdversarySweep runs the sharded study once per adversary level and
-// scores each run. Every level (including the honest baseline) enables
-// the certificate oracle and one drift re-probe round, so the fused
-// column is measured under identical instrumentation throughout and the
-// matrix isolates the adversary as the only variable.
-func RunAdversarySweep(spec study.Spec, opts study.EngineOptions, levels []int, retry *core.RetryPolicy) []AdversaryRow {
-	rows := make([]AdversaryRow, 0, len(levels))
-	for _, lvl := range levels {
-		s := spec
-		s.Adversary = lvl
-		s.CertCheck = true
-		s.DriftRounds = 1
-		s.Retry = retry
-		res := study.RunSharded(s, opts)
-		rows = append(rows, ScoreAdversary(lvl, res))
-	}
-	return rows
-}
-
-// ScoreAdversary reduces one run to its matrix row. Exported so the
-// golden corpus can score the same per-level Results it pins tables
-// and metrics from, without running each level twice.
-func ScoreAdversary(level int, res *study.Results) AdversaryRow {
-	acc := NewAccumulator()
-	for _, rec := range res.Records {
-		acc.Fold(rec)
-	}
-	chaos, fused := acc.Accuracy(), acc.FusedAccuracy()
-	row := AdversaryRow{
+// AdversaryRow reads the matrix row of a cell measured against the
+// given adversary level. Cells run with the certificate oracle and one
+// drift re-probe round at every level, the honest baseline included, so
+// the fused column is measured under identical instrumentation
+// throughout and the adversary is the only variable.
+func (a *Accumulator) AdversaryRow(level int) AdversaryRow {
+	chaos, fused := a.Score, a.FusedScore
+	return AdversaryRow{
 		Level:       level,
+		Responded:   chaos.responded(),
 		ChaosTP:     chaos.TruePositives,
 		ChaosFP:     chaos.FalsePositives,
 		ChaosFN:     chaos.FalseNegatives,
@@ -99,28 +77,11 @@ func ScoreAdversary(level int, res *study.Results) AdversaryRow {
 		FusedFP:     fused.FalsePositives,
 		FusedFN:     fused.FalseNegatives,
 		FusedTN:     fused.TrueNegatives,
-		Localized:   chaos.CorrectCPE + chaos.CorrectISP + chaos.CorrectUnknown + chaos.HiddenAsUnknown,
-		Quarantined: len(res.Quarantined()),
+		Localized:   chaos.localized(),
+		CertFlagged: a.CertFlagged,
+		Drifted:     a.Drifted,
+		Quarantined: a.Quarantined,
 	}
-	for _, rec := range res.Records {
-		if rec.Report == nil {
-			continue
-		}
-		row.Responded++
-		for _, c := range rec.Report.CertChecks {
-			if c.State == core.SignalFlagged {
-				row.CertFlagged++
-				break
-			}
-		}
-		for _, s := range rec.Report.Signals {
-			if s.Drift == core.SignalFlagged {
-				row.Drifted++
-				break
-			}
-		}
-	}
-	return row
 }
 
 // FormatAdversary renders the accuracy-vs-adversary-level matrix.

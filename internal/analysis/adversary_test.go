@@ -13,10 +13,15 @@ import (
 // the fusion recovers, and zero false positives from either scorer.
 func TestRunAdversarySweep(t *testing.T) {
 	spec := study.PaperSpec().Scale(0.0064)
-	rows := RunAdversarySweep(spec, study.EngineOptions{Workers: 2}, []int{0, 2}, nil)
-	if len(rows) != 2 {
-		t.Fatalf("%d rows for 2 levels", len(rows))
+	spec.CertCheck = true
+	spec.DriftRounds = 1
+	forgeSpec := spec
+	forgeSpec.Adversary = 2
+	accs, err := Sweep([]study.Spec{spec, forgeSpec}, study.StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := []AdversaryRow{accs[0].AdversaryRow(0), accs[1].AdversaryRow(2)}
 	honest, forge := rows[0], rows[1]
 
 	if honest.Level != 0 || forge.Level != 2 {

@@ -37,7 +37,8 @@ type EncryptionRow struct {
 
 	// TP/FP/FN/TN score detection against the effective ground truth:
 	// what interception the probe's resolution path actually suffers
-	// once transport and policy are accounted for (see effectiveTruth).
+	// once transport and policy are accounted for (see
+	// Accumulator.EncryptionRow).
 	TP, FP, FN, TN int
 }
 
@@ -57,84 +58,47 @@ func (r EncryptionRow) AdoptedFlaggedRate() float64 {
 	return float64(r.AdoptedFlagged) / float64(r.Adopted)
 }
 
-// RunEncryptionSweep runs the sharded study once per grid cell —
-// every (policy, transport, adoption) combination — and scores each
-// run. An adoption of zero is the Do53 baseline; it is measured per
-// policy so each policy block carries its own reference row, under
-// identical instrumentation.
-func RunEncryptionSweep(spec study.Spec, opts study.EngineOptions, adoptions []float64, transports []core.TransportMode, policies []dnsserver.EncryptedPolicy, retry *core.RetryPolicy) []EncryptionRow {
-	var rows []EncryptionRow
-	for _, pol := range policies {
-		for _, tr := range transports {
-			for _, ad := range adoptions {
-				e := &study.Encryption{Adoption: ad, Transport: tr, Policy: pol}
-				s := spec
-				s.Encryption = e
-				s.Retry = retry
-				res := study.RunSharded(s, opts)
-				rows = append(rows, ScoreEncryption(e, res))
-			}
-		}
-	}
-	return rows
-}
-
-// effectiveTruth is the interception status of a probe's resolution
-// path once transport and middlebox policy are applied. Non-adopting
-// probes keep their Do53 ground truth. For an adopting probe sitting
-// on a true interceptor:
+// EncryptionRow reads the sweep row of a cell measured under e. An
+// adoption of zero is the Do53 baseline.
 //
-//   - pass-through lets the encrypted flow reach the real operator —
-//     the path is clean, so effective truth is false;
+// Detection is scored against effective truth: the interception a
+// probe's resolution path actually suffers once transport and policy
+// apply. Non-adopting probes keep their Do53 ground truth. For an
+// adopting probe on a true interceptor:
+//
+//   - pass-through lets the encrypted flow reach the real operator, so
+//     the path is clean;
 //   - block plus an opportunistic client forces a downgrade to Do53,
-//     which the interceptor owns — truth stays true;
+//     which the interceptor owns, so it stays intercepted;
 //   - block or terminate against a strict client yields no resolution
-//     at all: nothing is intercepted, effective truth is false;
+//     at all, so nothing is intercepted;
 //   - terminate plus an opportunistic client hands the session to the
-//     interceptor's own resolver — truth stays true.
-func effectiveTruth(rec *study.ProbeRecord, e *study.Encryption) bool {
-	truly := rec.Probe.Truth.Intercepted()
-	if !truly || !rec.Probe.EncTransport.Encrypted() {
-		return truly
+//     interceptor's own resolver, so it stays intercepted.
+//
+// Where adopting interceptees are effectively clean, their Do53 true
+// positives become false positives and their misses true negatives.
+func (a *Accumulator) EncryptionRow(e study.Encryption) EncryptionRow {
+	s, adopted := a.Score, a.AdoptedScore
+	row := EncryptionRow{
+		Adoption:       e.Adoption,
+		Transport:      e.Transport,
+		Policy:         e.Policy,
+		Responded:      s.responded(),
+		Adopted:        adopted.responded(),
+		Flagged:        s.TruePositives + s.FalsePositives,
+		AdoptedFlagged: adopted.TruePositives + adopted.FalsePositives,
+		TP:             s.TruePositives,
+		FP:             s.FalsePositives,
+		FN:             s.FalseNegatives,
+		TN:             s.TrueNegatives,
 	}
-	switch e.Policy {
-	case dnsserver.EncBlock, dnsserver.EncTerminate:
-		return !e.Transport.Strict()
-	default: // EncPass
-		return false
-	}
-}
-
-// ScoreEncryption reduces one run to its sweep row. Exported so tests
-// can score the same Results they assert determinism on.
-func ScoreEncryption(e *study.Encryption, res *study.Results) EncryptionRow {
-	row := EncryptionRow{Adoption: e.Adoption, Transport: e.Transport, Policy: e.Policy}
-	for _, rec := range res.Records {
-		if rec.Report == nil {
-			continue
-		}
-		row.Responded++
-		adopted := rec.Probe.EncTransport.Encrypted()
-		if adopted {
-			row.Adopted++
-		}
-		flagged := rec.Report.Intercepted()
-		if flagged {
-			row.Flagged++
-			if adopted {
-				row.AdoptedFlagged++
-			}
-		}
-		switch truth := effectiveTruth(rec, e); {
-		case truth && flagged:
-			row.TP++
-		case truth && !flagged:
-			row.FN++
-		case !truth && flagged:
-			row.FP++
-		default:
-			row.TN++
-		}
+	keepsInterceptor := (e.Policy == dnsserver.EncBlock || e.Policy == dnsserver.EncTerminate) &&
+		!e.Transport.Strict()
+	if !keepsInterceptor {
+		row.TP -= adopted.TruePositives
+		row.FP += adopted.TruePositives
+		row.FN -= adopted.FalseNegatives
+		row.TN += adopted.FalseNegatives
 	}
 	return row
 }

@@ -7,24 +7,64 @@ import (
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
-// TestRunEncryptionSweep drives the sweep at pilot scale over a small
-// grid, pinning the sweep's claim shapes: full strict adoption under a
-// terminating middlebox zeroes the adopting cohort's interception
-// rate, full opportunistic adoption under a blocking one restores the
-// Do53 ground truth, and no cell buys its accuracy with false
-// positives.
+// TestRunEncryptionSweep sweeps every policy x transport pair at
+// adoptions 0, 0.5 and 1, plus one half-adoption cell under a mid-level
+// fault plane. Every half-adoption row read off its accumulator must
+// equal the per-record scoring of the same cell's records. The rows
+// must show the sweep's claim shapes: full strict adoption under a
+// terminating middlebox zeroes the adopting cohort's interception rate,
+// full opportunistic adoption under a blocking one restores the Do53
+// ground truth, and no cell buys its accuracy with false positives.
 func TestRunEncryptionSweep(t *testing.T) {
-	spec := study.PaperSpec().Scale(0.0064)
-	rows := RunEncryptionSweep(spec, study.EngineOptions{Workers: 2},
-		[]float64{0, 1.0},
-		[]core.TransportMode{core.TransportDoTOpportunistic, core.TransportDoTStrict},
-		[]dnsserver.EncryptedPolicy{dnsserver.EncBlock, dnsserver.EncTerminate},
-		nil)
-	if len(rows) != 8 {
-		t.Fatalf("%d rows for a 2x2x2 grid", len(rows))
+	var grid []study.Encryption
+	for _, pol := range []dnsserver.EncryptedPolicy{dnsserver.EncPass, dnsserver.EncBlock, dnsserver.EncTerminate} {
+		for _, tr := range []core.TransportMode{core.TransportDoTOpportunistic, core.TransportDoTStrict, core.TransportDoH} {
+			for _, ad := range []float64{0, 0.5, 1.0} {
+				grid = append(grid, study.Encryption{Adoption: ad, Transport: tr, Policy: pol})
+			}
+		}
+	}
+	spec := study.PaperSpec().Scale(0.02)
+	cells := make([]study.Spec, len(grid), len(grid)+1)
+	for i := range grid {
+		cells[i] = spec
+		cells[i].Encryption = &grid[i]
+	}
+	faulted := spec
+	fp := netsim.PresetFault(0.5, spec.Seed+9000)
+	faulted.Fault = &fp
+	faulted.Retry = &core.RetryPolicy{MaxAttempts: 3}
+	faulted.Encryption = &study.Encryption{Adoption: 0.5, Transport: core.TransportDoTOpportunistic, Policy: dnsserver.EncTerminate}
+	cells, grid = append(cells, faulted), append(grid, *faulted.Encryption)
+
+	accs, err := Sweep(cells, study.StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]EncryptionRow, len(grid))
+	corrected := 0
+	for i, acc := range accs {
+		rows[i] = acc.EncryptionRow(grid[i])
+		if grid[i].Adoption != 0.5 {
+			continue
+		}
+		res := study.RunSharded(cells[i], study.EngineOptions{Workers: 2})
+		if len(res.Errors) != 0 {
+			t.Fatalf("cell %d shard errors: %v", i, res.Errors)
+		}
+		if want := scoreRecords(grid[i], res.Records); rows[i] != want {
+			t.Errorf("cell %d: accumulator row %+v, per-record %+v", i, rows[i], want)
+		}
+		if rows[i].TP != acc.Score.TruePositives || rows[i].FN != acc.Score.FalseNegatives {
+			corrected++
+		}
+	}
+	if corrected == 0 {
+		t.Error("no cell moved an adopter off its Do53 truth; the effective-truth correction went unexercised")
 	}
 
 	byCell := func(pol dnsserver.EncryptedPolicy, tr core.TransportMode, ad float64) EncryptionRow {
@@ -89,6 +129,56 @@ func TestEncryptionRowGuards(t *testing.T) {
 	}
 }
 
+// effectiveTruth is the per-record reference for the effective ground
+// truth Accumulator.EncryptionRow derives from counters: the probe's
+// Do53 truth, cleared for an adopter whose encrypted channel the policy
+// lets escape the interceptor or refuse it outright.
+func effectiveTruth(rec *study.ProbeRecord, e study.Encryption) bool {
+	truly := rec.Probe.Truth.Intercepted()
+	if !truly || !rec.Probe.EncTransport.Encrypted() {
+		return truly
+	}
+	switch e.Policy {
+	case dnsserver.EncBlock, dnsserver.EncTerminate:
+		return !e.Transport.Strict()
+	default: // EncPass
+		return false
+	}
+}
+
+// scoreRecords is the per-record reference for EncryptionRow.
+func scoreRecords(e study.Encryption, recs []*study.ProbeRecord) EncryptionRow {
+	row := EncryptionRow{Adoption: e.Adoption, Transport: e.Transport, Policy: e.Policy}
+	for _, rec := range recs {
+		if rec.Report == nil {
+			continue
+		}
+		row.Responded++
+		adopted := rec.Probe.EncTransport.Encrypted()
+		if adopted {
+			row.Adopted++
+		}
+		flagged := rec.Report.Intercepted()
+		if flagged {
+			row.Flagged++
+			if adopted {
+				row.AdoptedFlagged++
+			}
+		}
+		switch truth := effectiveTruth(rec, e); {
+		case truth && flagged:
+			row.TP++
+		case truth && !flagged:
+			row.FN++
+		case !truth && flagged:
+			row.FP++
+		default:
+			row.TN++
+		}
+	}
+	return row
+}
+
 // TestEffectiveTruth enumerates the truth table the scoring rests on.
 func TestEffectiveTruth(t *testing.T) {
 	rec := func(intercepted bool, tr core.TransportMode) *study.ProbeRecord {
@@ -114,7 +204,7 @@ func TestEffectiveTruth(t *testing.T) {
 		{"terminate is refused by strict", rec(true, core.TransportDoH), dnsserver.EncTerminate, core.TransportDoH, false},
 	}
 	for _, c := range cases {
-		e := &study.Encryption{Adoption: 1, Transport: c.tr, Policy: c.pol}
+		e := study.Encryption{Adoption: 1, Transport: c.tr, Policy: c.pol}
 		if got := effectiveTruth(c.rec, e); got != c.want {
 			t.Errorf("%s: effectiveTruth = %v, want %v", c.name, got, c.want)
 		}

@@ -3,10 +3,7 @@ package analysis
 import (
 	"fmt"
 
-	"github.com/dnswatch/dnsloc/internal/core"
-	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/render"
-	"github.com/dnswatch/dnsloc/internal/study"
 )
 
 // ResilienceRow is one fault level of the resilience sweep: the same
@@ -44,56 +41,24 @@ func (r ResilienceRow) Accuracy() float64 {
 	return float64(r.TP+r.TN) / float64(r.Responded)
 }
 
-// RunResilienceSweep runs the sharded study once per fault level and
-// scores each run. Level 0 runs with no fault plane at all (the exact
-// baseline world); higher levels install netsim.PresetFault(level) as
-// the default profile on every shard network, with the retry policy on
-// every detector.
-func RunResilienceSweep(spec study.Spec, opts study.EngineOptions, levels []float64, retry *core.RetryPolicy) []ResilienceRow {
-	rows := make([]ResilienceRow, 0, len(levels))
-	for _, lvl := range levels {
-		s := spec
-		if lvl > 0 {
-			fp := netsim.PresetFault(lvl, spec.Seed+9000)
-			s.Fault = &fp
-		}
-		s.Retry = retry
-		res := study.RunSharded(s, opts)
-		rows = append(rows, scoreResilience(lvl, res))
+// ResilienceRow reads the sweep row of a cell measured at the given
+// fault level: netsim.PresetFault(level) as every shard network's
+// default profile, or no fault plane at all at level 0.
+func (a *Accumulator) ResilienceRow(level float64) ResilienceRow {
+	s := a.Score
+	return ResilienceRow{
+		Level:        level,
+		Responded:    s.responded(),
+		TP:           s.TruePositives,
+		FP:           s.FalsePositives,
+		FN:           s.FalseNegatives,
+		TN:           s.TrueNegatives,
+		Localized:    s.localized(),
+		Timeouts:     a.Timeouts,
+		Garbage:      a.Garbage,
+		Inconclusive: a.Inconclusive,
+		Quarantined:  a.Quarantined,
 	}
-	return rows
-}
-
-// scoreResilience reduces one run to its sweep row.
-func scoreResilience(level float64, res *study.Results) ResilienceRow {
-	a := BuildAccuracy(res)
-	row := ResilienceRow{
-		Level:       level,
-		TP:          a.TruePositives,
-		FP:          a.FalsePositives,
-		FN:          a.FalseNegatives,
-		TN:          a.TrueNegatives,
-		Localized:   a.CorrectCPE + a.CorrectISP + a.CorrectUnknown + a.HiddenAsUnknown,
-		Quarantined: len(res.Quarantined()),
-	}
-	for _, rec := range res.Records {
-		if rec.Report == nil {
-			continue
-		}
-		row.Responded++
-		inconclusive := false
-		for _, f := range rec.Report.Faults {
-			row.Timeouts += f.Timeouts
-			row.Garbage += f.Garbage
-			if f.Inconclusive {
-				inconclusive = true
-			}
-		}
-		if inconclusive {
-			row.Inconclusive++
-		}
-	}
-	return row
 }
 
 // FormatResilience renders the sweep as a table.

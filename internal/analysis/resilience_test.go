@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
@@ -14,11 +15,15 @@ import (
 // toward false interception verdicts.
 func TestRunResilienceSweep(t *testing.T) {
 	spec := study.PaperSpec().Scale(0.0064)
-	rows := RunResilienceSweep(spec, study.EngineOptions{Workers: 2},
-		[]float64{0, 0.6}, &core.RetryPolicy{MaxAttempts: 3})
-	if len(rows) != 2 {
-		t.Fatalf("%d rows for 2 levels", len(rows))
+	spec.Retry = &core.RetryPolicy{MaxAttempts: 3}
+	faultedSpec := spec
+	fp := netsim.PresetFault(0.6, spec.Seed+9000)
+	faultedSpec.Fault = &fp
+	accs, err := Sweep([]study.Spec{spec, faultedSpec}, study.StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := []ResilienceRow{accs[0].ResilienceRow(0), accs[1].ResilienceRow(0.6)}
 	clean, faulted := rows[0], rows[1]
 
 	if clean.Accuracy() != 1.0 {

@@ -199,7 +199,7 @@ func (c *EncryptedClient) handshake(target netip.AddrPort, alpn uint8, sess *enc
 	if !ok || ackALPN != alpn {
 		return 0, ErrGarbage
 	}
-	if c.Mode.Strict() && !(cert.Trusted && cert.Subject == target.Addr()) {
+	if c.Mode.Strict() && !cert.AuthenticatesStrict(target.Addr()) {
 		c.AuthFails++
 		return 0, ErrAuthFailed
 	}

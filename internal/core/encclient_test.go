@@ -8,7 +8,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -52,7 +51,7 @@ func buildEncWorld(t *testing.T, trusted bool) *encWorld {
 	w.rtr = netsim.NewRouter("resolver", addr)
 	w.rtr.Bind(53, txtService("plain"))
 	w.endpoint = &dnsserver.StreamEndpoint{
-		Cert:  dotsim.Certificate{Subject: addr, Trusted: trusted},
+		Cert:  netsim.StreamCert{Subject: addr, Trusted: trusted},
 		Inner: txtService("session"),
 		Salt:  7,
 	}

@@ -71,9 +71,9 @@ func FuseSignals(chaos, cert, drift SignalVerdict) SignalVerdict {
 
 // CertOracle is the out-of-band certificate-consistency anchor: it
 // returns the identity the operator's site presents over an
-// authenticated channel (modeled on dotsim's strict profile — a DoT
-// session whose certificate verifies for the target address cannot
-// terminate at an interceptor). ok is false when the operator exposes
+// authenticated channel (a strict-profile DoT session: a certificate
+// that passes netsim.StreamCert.AuthenticatesStrict for the target
+// address cannot terminate at an interceptor). ok is false when the operator exposes
 // no identity that way; the signal is then inconclusive for it.
 type CertOracle interface {
 	Identity(id publicdns.ID, server netip.Addr) (identity string, ok bool)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -226,7 +225,7 @@ func (d *Device) installEncrypted() {
 		}
 		ep := &dnsserver.StreamEndpoint{
 			// Self-signed: names the CPE itself, trusted by no one.
-			Cert:  dotsim.Certificate{Subject: cfg.WANAddr},
+			Cert:  netsim.StreamCert{Subject: cfg.WANAddr},
 			Inner: d.Forwarder,
 		}
 		d.Router.BindOn(cfg.LANAddr, netsim.PortDoT, ep)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -139,7 +138,7 @@ func TestEncryptedPassReachesUpstreamEndpoint(t *testing.T) {
 
 	up := netsim.NewRouter("upstream", addr("9.9.9.9"))
 	up.Bind(netsim.PortDoT, &dnsserver.StreamEndpoint{
-		Cert:  dotsim.Certificate{Subject: addr("9.9.9.9"), Trusted: true},
+		Cert:  netsim.StreamCert{Subject: addr("9.9.9.9"), Trusted: true},
 		Inner: d.Forwarder,
 	})
 	up.AddRoute(netip.PrefixFrom(cfg.WANAddr, 32), d.Router)

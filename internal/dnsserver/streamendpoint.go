@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -52,7 +51,7 @@ func (p EncryptedPolicy) String() string {
 type StreamEndpoint struct {
 	// Cert is the certificate presented in the handshake. An operator
 	// endpoint sets Trusted; an interceptor's stays untrusted.
-	Cert dotsim.Certificate
+	Cert netsim.StreamCert
 	// SelfSubject makes the presented certificate name the address the
 	// session was addressed to (at delivery) instead of Cert.Subject —
 	// how one endpoint bound across an operator's anycast addresses
@@ -73,7 +72,7 @@ type StreamEndpoint struct {
 // address the client dialed.
 func (e *StreamEndpoint) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	if alpn, ok := netsim.ParseStreamHello(pkt.Payload); ok {
-		cert := netsim.StreamCert{Subject: e.Cert.Subject, Trusted: e.Cert.Trusted}
+		cert := e.Cert
 		if e.SelfSubject {
 			cert.Subject = pkt.Dst.Addr()
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -14,7 +13,7 @@ func buildStreamWorld(t *testing.T) (*dnsWorld, *StreamEndpoint) {
 	t.Helper()
 	w := buildDNSWorld(t)
 	ep := &StreamEndpoint{
-		Cert:  dotsim.Certificate{Subject: addr("10.53.0.53"), Trusted: true},
+		Cert:  netsim.StreamCert{Subject: addr("10.53.0.53"), Trusted: true},
 		Inner: w.resolver,
 		Salt:  3,
 	}
@@ -57,7 +56,7 @@ func TestStreamEndpointHandshakeIssuesTicket(t *testing.T) {
 func TestStreamEndpointSelfSubjectNamesDeliveryAddress(t *testing.T) {
 	w, ep := buildStreamWorld(t)
 	ep.SelfSubject = true
-	ep.Cert = dotsim.Certificate{Trusted: true} // no subject of its own
+	ep.Cert = netsim.StreamCert{Trusted: true} // no subject of its own
 	pkts := streamExchange(t, w, netsim.PackStreamHello(netsim.ALPNDoT))
 	_, cert, _, ok := netsim.ParseStreamHelloAck(pkts[0].Payload)
 	if !ok || cert.Subject != addr("10.53.0.53") {

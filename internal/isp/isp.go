@@ -15,7 +15,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -164,7 +163,7 @@ func Build(cfg Config, uplink netsim.Device) *Network {
 	// here are answered by the ISP resolver behind a certificate that
 	// names the resolver but verifies for nobody.
 	n.ResolverRtr.BindOn(n.ResolverAddr, netsim.PortDoT, &dnsserver.StreamEndpoint{
-		Cert:  dotsim.Certificate{Subject: n.ResolverAddr},
+		Cert:  netsim.StreamCert{Subject: n.ResolverAddr},
 		Inner: n.Resolver,
 	})
 

@@ -14,9 +14,9 @@ import (
 // can see it (none: the UDP-gated DNAT rules pass TCP flows through),
 // what a terminating interceptor must present (a certificate), and what
 // a session costs (one extra round trip to establish, zero when
-// resumed). No real cryptography is involved, mirroring
-// internal/dotsim's channel model; the frames below are the wire-level
-// transposition of dotsim's Dial/Session into the packet simulator.
+// resumed). No real cryptography is involved: what matters for the
+// technique is the authentication decision (StreamCert.AuthenticatesStrict),
+// not the cipher suite.
 //
 // A session is two frame exchanges:
 //
@@ -74,14 +74,22 @@ const (
 	StreamAlertProtocol uint8 = 2
 )
 
-// StreamCert is the certificate blob a helloAck carries: dotsim's
-// Certificate flattened onto the wire. Subject is the address the
+// StreamCert is the model's stand-in for an X.509 server certificate,
+// and the blob a helloAck carries. Subject is the address the
 // certificate authenticates; Trusted is whether the chain verifies
 // against the client's roots (a terminating interceptor's self-signed
 // certificate does not).
 type StreamCert struct {
 	Subject netip.Addr
 	Trusted bool
+}
+
+// AuthenticatesStrict reports whether a strict-profile client dialing
+// target accepts this certificate: the chain must verify and the
+// subject must name the dialed resolver (RFC 7858 §4.2). An
+// opportunistic client accepts any certificate.
+func (c StreamCert) AuthenticatesStrict(target netip.Addr) bool {
+	return c.Trusted && c.Subject == target
 }
 
 // StreamTicket derives the stateless resumption ticket for a client at

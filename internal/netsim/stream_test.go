@@ -119,3 +119,29 @@ func TestRouterInputFilterBlocksStreamPort(t *testing.T) {
 		t.Error("input filter never saw the TCP packet")
 	}
 }
+
+// TestStreamCertAuthenticatesStrict is the strict profile's whole
+// decision: a certificate authenticates a dialed resolver only if its
+// chain verifies and its subject names that resolver. An opportunistic
+// client skips the check, which is what lets a terminator in.
+func TestStreamCertAuthenticatesStrict(t *testing.T) {
+	target := netip.MustParseAddr("1.1.1.1")
+	cases := []struct {
+		name string
+		cert StreamCert
+		want bool
+	}{
+		{"trusted cert for the target", StreamCert{Subject: target, Trusted: true}, true},
+		{"untrusted cert copying the target subject", StreamCert{Subject: target}, false},
+		{"trusted cert for another resolver", StreamCert{Subject: netip.MustParseAddr("96.120.0.53"), Trusted: true}, false},
+		{"self-signed cert naming the terminator", StreamCert{Subject: netip.MustParseAddr("96.120.1.17")}, false},
+		{"trusted cert naming no one", StreamCert{Trusted: true}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.cert.AuthenticatesStrict(target); got != c.want {
+				t.Errorf("AuthenticatesStrict(%s) = %t, want %t", target, got, c.want)
+			}
+		})
+	}
+}

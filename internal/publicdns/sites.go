@@ -7,7 +7,6 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -206,7 +205,7 @@ func (s Site) Build(rootHints ...netip.Addr) (*netsim.Router, *dnsserver.Recursi
 	// certificate that authenticates whichever anycast address the
 	// client dialed — the real deployments all serve both.
 	ep := &dnsserver.StreamEndpoint{
-		Cert:        dotsim.Certificate{Trusted: true},
+		Cert:        netsim.StreamCert{Trusted: true},
 		SelfSubject: true,
 		Inner:       res,
 	}

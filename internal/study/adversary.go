@@ -8,7 +8,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
@@ -53,29 +52,23 @@ func (w *World) adversaryFor(region publicdns.Region) *dnsserver.Adversary {
 	return adv
 }
 
-// certOracle is the study's core.CertOracle: an out-of-band DoT session
-// against the operator's regional site, authenticated under dotsim's
-// strict profile. Port-853 traffic never matches the port-53 DNAT
-// rules, and a strict session refuses any endpoint whose certificate
-// does not verify for the target address — so whatever identity comes
-// back is the operator's own, no matter what the port-53 path does.
+// certOracle is the study's core.CertOracle: an out-of-band strict-
+// profile DoT session against the operator's regional site, from a
+// vantage outside the probe's path. Port-853 traffic never matches the
+// port-53 DNAT rules, and a strict session refuses any endpoint whose
+// certificate does not authenticate the target address
+// (netsim.StreamCert.AuthenticatesStrict) — so the only identity that
+// can come back is the operator's own, no matter what the port-53 path
+// does.
 type certOracle struct {
 	region publicdns.Region
 }
 
-// Identity implements core.CertOracle.
-func (o certOracle) Identity(id publicdns.ID, server netip.Addr) (string, bool) {
-	want, ok := publicdns.IdentityOverTLS(id, o.region)
-	if !ok {
-		// Google and OpenDNS expose no identity over the authenticated
-		// channel; the cert signal is inconclusive for them.
-		return "", false
-	}
-	sess, err := dotsim.Dial(dotsim.Path{Target: dotsim.NewAuthenticatedServer(server, want)}, dotsim.Strict)
-	if err != nil {
-		return "", false
-	}
-	return sess.QueryIdentity(), true
+// Identity implements core.CertOracle. Google and OpenDNS expose no
+// identity over the authenticated channel; the cert signal is
+// inconclusive for them.
+func (o certOracle) Identity(id publicdns.ID, _ netip.Addr) (string, bool) {
+	return publicdns.IdentityOverTLS(id, o.region)
 }
 
 // installSignals wires the spec's detection-signal options into the

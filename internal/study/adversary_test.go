@@ -107,11 +107,11 @@ func TestAdversaryDeterminism(t *testing.T) {
 // loss back, and neither scorer ever reports a false positive.
 func TestAdversaryAccuracyContract(t *testing.T) {
 	score := func(level int) (chaosAcc, fusedAcc float64, chaosFP, fusedFP int) {
-		res := study.RunSharded(adversarySpec(level, false), study.EngineOptions{Workers: 2})
-		if len(res.Errors) != 0 {
-			t.Fatalf("L%d shard errors: %v", level, res.Errors)
+		accs, err := analysis.Sweep([]study.Spec{adversarySpec(level, false)}, study.StreamOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("L%d: %v", level, err)
 		}
-		row := analysis.ScoreAdversary(level, res)
+		row := accs[0].AdversaryRow(level)
 		return row.ChaosAccuracy(), row.FusedAccuracy(), row.ChaosFP, row.FusedFP
 	}
 

@@ -100,11 +100,11 @@ func TestEncryptionDeterminism(t *testing.T) {
 func TestEncryptionAcceptanceContract(t *testing.T) {
 	score := func(adoption float64, tr core.TransportMode, pol dnsserver.EncryptedPolicy) analysis.EncryptionRow {
 		spec := encryptionSpec(adoption, tr, pol, false)
-		res := study.RunSharded(spec, study.EngineOptions{Workers: 2})
-		if len(res.Errors) != 0 {
-			t.Fatalf("%s/%s shard errors: %v", pol, tr, res.Errors)
+		accs, err := analysis.Sweep([]study.Spec{spec}, study.StreamOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", pol, tr, err)
 		}
-		return analysis.ScoreEncryption(spec.Encryption, res)
+		return accs[0].EncryptionRow(*spec.Encryption)
 	}
 
 	baseline := score(0, core.TransportDoTOpportunistic, dnsserver.EncTerminate)

@@ -96,7 +96,11 @@ func TestAdversaryGolden(t *testing.T) {
 		outputs[fmt.Sprintf("adv-l%d.table4.txt", lvl)] = []byte(analysis.FormatTable4(t4))
 		outputs[fmt.Sprintf("adv-l%d.table5.txt", lvl)] = []byte(analysis.FormatTable5(analysis.BuildTable5(res)))
 		outputs[fmt.Sprintf("adv-l%d.metrics.json", lvl)] = res.MetricsSnapshot(false).JSON()
-		rows = append(rows, analysis.ScoreAdversary(lvl, res))
+		acc := analysis.NewAccumulator()
+		for _, rec := range res.Records {
+			acc.Fold(rec)
+		}
+		rows = append(rows, acc.AdversaryRow(lvl))
 	}
 	outputs["adversary_matrix.txt"] = []byte(analysis.FormatAdversary(rows))
 

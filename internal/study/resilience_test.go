@@ -146,16 +146,25 @@ func TestQuarantineIsolatesPanickingProbe(t *testing.T) {
 // classified as interception (zero false positives at every level).
 func TestResilienceSweep(t *testing.T) {
 	spec := study.PaperSpec().Scale(0.02)
+	spec.Retry = &core.RetryPolicy{MaxAttempts: 3}
 	levels := []float64{0, 0.33, 0.66, 1.0}
-	rows := analysis.RunResilienceSweep(spec, study.EngineOptions{Workers: 4}, levels,
-		&core.RetryPolicy{MaxAttempts: 3})
-	if len(rows) != len(levels) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(levels))
-	}
-	for i, row := range rows {
-		if row.Level != levels[i] {
-			t.Errorf("row %d level = %v, want %v", i, row.Level, levels[i])
+	cells := make([]study.Spec, len(levels))
+	for i, lvl := range levels {
+		cells[i] = spec
+		if lvl > 0 {
+			fp := netsim.PresetFault(lvl, spec.Seed+9000)
+			cells[i].Fault = &fp
 		}
+	}
+	accs, err := analysis.Sweep(cells, study.StreamOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]analysis.ResilienceRow, len(levels))
+	for i, acc := range accs {
+		rows[i] = acc.ResilienceRow(levels[i])
+	}
+	for _, row := range rows {
 		if row.Responded == 0 {
 			t.Errorf("level %v: nobody responded", row.Level)
 		}

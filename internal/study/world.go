@@ -11,7 +11,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/backbone"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
-	"github.com/dnswatch/dnsloc/internal/dotsim"
 	"github.com/dnswatch/dnsloc/internal/geo"
 	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/metrics"
@@ -219,7 +218,7 @@ func (w *World) buildTransitInterceptors() {
 				})
 			case dnsserver.EncTerminate:
 				rtr.BindOn(resolverAddr, netsim.PortDoT, &dnsserver.StreamEndpoint{
-					Cert:  dotsim.Certificate{Subject: resolverAddr}, // untrusted
+					Cert:  netsim.StreamCert{Subject: resolverAddr}, // untrusted
 					Inner: res,
 				})
 				regional.NAT.AddDNAT(netsim.DNATRule{
