@@ -1,7 +1,9 @@
 package dnsloc_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -101,17 +103,42 @@ func TestCLIDnsmonSimRounds(t *testing.T) {
 	}
 }
 
+// TestCLIXB6Lab pins the case study's whole packet capture byte for
+// byte: every DNAT, SNAT and conntrack rewrite on the path shows in it,
+// as each trace point saw the packet. Regenerate the golden with
+//
+//	go run ./cmd/xb6lab > testdata/xb6lab.golden
+//
+// only for a change that means to move the capture.
 func TestCLIXB6Lab(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out, err := runCmd(t, "./cmd/xb6lab")
+	cmd := exec.Command("go", "run", "./cmd/xb6lab")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatalf("%v\nstdout:\n%s\nstderr:\n%s", err, out, stderr.String())
 	}
-	for _, want := range []string{"dnat", "spoofing source", "intercepted by CPE", "well-behaved router"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("case study missing %q", want)
+	want, err := os.ReadFile(filepath.Join("testdata", "xb6lab.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) == string(want) {
+		return
+	}
+	got, exp := strings.Split(string(out), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w {
+			t.Fatalf("capture differs from testdata/xb6lab.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
 		}
 	}
 }

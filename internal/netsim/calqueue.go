@@ -145,10 +145,6 @@ func (q *calQueue) popBatch(dst []event) []event {
 			keep = append(keep, b[i])
 		}
 	}
-	// Zero the vacated tail so Device and Payload references release.
-	for i := len(keep); i < len(b); i++ {
-		b[i] = event{}
-	}
 	q.ring[q.headTick&(calBuckets-1)] = keep
 	removed := len(b) - len(keep)
 	q.size -= removed

@@ -177,7 +177,7 @@ func (f *faultPlane) profileFor(dev Device) *FaultProfile {
 
 // clientOf extracts the flow's client address: the side not speaking
 // from a well-known service port.
-func clientOf(pkt Packet) netip.Addr {
+func clientOf(pkt *Packet) netip.Addr {
 	if pkt.Src.Port() == 53 {
 		return pkt.Dst.Addr()
 	}
@@ -199,7 +199,7 @@ const minClientPort = 28000
 // probes share a world — breaking the byte-identical-at-any-worker-
 // count contract. The client-visible effect is preserved either way:
 // faults land on the access path, where the paper's CPEs live.
-func isClientFlow(pkt Packet) bool {
+func isClientFlow(pkt *Packet) bool {
 	cp := pkt.Src.Port()
 	if cp == 53 {
 		cp = pkt.Dst.Port()
@@ -211,7 +211,7 @@ func isClientFlow(pkt Packet) bool {
 // samples loss. The chain's stream is math/rand's, seeded from
 // (profile seed, device, client), so it depends only on the flow's own
 // packet count through this device.
-func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
+func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if fp.PGoodBad <= 0 && fp.LossGood <= 0 {
 		return false
 	}
@@ -240,7 +240,7 @@ func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt Packet) bool {
 
 // allowRate charges one token for a query arriving at a rate-limited
 // device and reports whether it may pass.
-func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt Packet) bool {
+func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if fp.RateBurst <= 0 {
 		return true
 	}
@@ -268,7 +268,7 @@ func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt Packet) bool {
 // point gets an independent draw with no cross-flow state. The hash is
 // 64-bit FNV-1a over the seed, the device name, (tag, TTL, salt), both
 // endpoints, the payload length and the DNS query ID.
-func roll(seed int64, dev string, pkt Packet, tag byte) float64 {
+func roll(seed int64, dev string, pkt *Packet, tag byte) float64 {
 	h := fnvUint64(fnvOffset64, uint64(seed))
 	h = fnvString(h, dev)
 	h = fnvByte(fnvByte(fnvByte(h, tag), byte(pkt.TTL)), pkt.FaultSalt)
@@ -327,13 +327,13 @@ func fnvAddrPort(h uint64, ap netip.AddrPort) uint64 {
 
 // applyFaults runs the fault plane on one forwarded hop: link faults
 // under the sending device's profile, then rate limiting under the
-// receiving device's. It returns the (possibly rewritten) packet, its
+// receiving device's. It rewrites the packet in place and returns its
 // delivery time, and false when the packet was consumed. Duplicate
 // copies are enqueued directly.
-func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (Packet, time.Duration, bool) {
+func (n *Network) applyFaults(dev, next Device, pkt *Packet, at time.Duration) (time.Duration, bool) {
 	f := n.faults
 	if !isClientFlow(pkt) {
-		return pkt, at, true
+		return at, true
 	}
 	if fp := f.profileFor(dev); fp != nil && fp.linkActive() {
 		name := dev.DeviceName()
@@ -342,7 +342,7 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 				n.metrics.burstDrops.Inc()
 			}
 			n.trace(dev, TraceDrop, pkt, "fault: burst loss")
-			return pkt, at, false
+			return at, false
 		}
 		if fp.TruncProb > 0 && fp.TruncBytes > 0 && pkt.Src.Port() == 53 &&
 			len(pkt.Payload) > fp.TruncBytes && roll(fp.Seed, name, pkt, tagTrunc) < fp.TruncProb {
@@ -355,15 +355,15 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 			n.trace(dev, TraceFault, pkt, "fault: response truncated")
 		}
 		if fp.DupProb > 0 && roll(fp.Seed, name, pkt, tagDup) < fp.DupProb {
-			dup := pkt
+			dup := *pkt
 			dup.FaultSalt++
 			if n.metrics != nil {
 				n.metrics.dupCopies.Inc()
 			}
 			if n.tracing() {
-				n.trace(dev, TraceFault, dup, "fault: duplicated to "+next.DeviceName())
+				n.trace(dev, TraceFault, &dup, "fault: duplicated to "+next.DeviceName())
 			}
-			n.enqueue(next, dup, at)
+			n.enqueue(next, &dup, at)
 		}
 		if fp.ReorderProb > 0 && fp.ReorderJitter > 0 && roll(fp.Seed, name, pkt, tagReorder) < fp.ReorderProb {
 			extra := time.Duration(roll(fp.Seed, name, pkt, tagJitter) * float64(fp.ReorderJitter))
@@ -388,9 +388,9 @@ func (n *Network) applyFaults(dev, next Device, pkt Packet, at time.Duration) (P
 				if n.tracing() {
 					n.trace(dev, TraceDrop, pkt, "fault: rate limited by "+next.DeviceName())
 				}
-				return pkt, at, false
+				return at, false
 			}
 		}
 	}
-	return pkt, at, true
+	return at, true
 }

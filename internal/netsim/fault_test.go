@@ -250,7 +250,7 @@ func TestRollMatchesFNV(t *testing.T) {
 					for _, tag := range []byte{tagDup, tagReorder, tagJitter, tagTrunc} {
 						pkt := Packet{Src: fl[0], Dst: fl[1], Proto: UDP, TTL: 64 - n%70, Payload: pl, FaultSalt: uint8(n)}
 						n++
-						if got, want := roll(seed, dev, pkt, tag), rollFNV(seed, dev, pkt, tag); got != want {
+						if got, want := roll(seed, dev, &pkt, tag), rollFNV(seed, dev, pkt, tag); got != want {
 							t.Fatalf("roll(%d, %q, %v, %d) = %v, hash/fnv gives %v", seed, dev, pkt, tag, got, want)
 						}
 					}
@@ -279,14 +279,14 @@ func TestFaultPlaneAllocBudget(t *testing.T) {
 		TTL: 63, Payload: []byte("\x12\x34\x01\x00query"),
 	}
 	f := newFaultPlane()
-	f.geDrop("cpe", &fp, pkt)
-	f.allowRate("resolver-8888", &fp, pkt)
+	f.geDrop("cpe", &fp, &pkt)
+	f.allowRate("resolver-8888", &fp, &pkt)
 	for name, fn := range map[string]func(){
-		"roll":     func() { sinkFloat = roll(fp.Seed, "cpe", pkt, tagDup) },
+		"roll":     func() { sinkFloat = roll(fp.Seed, "cpe", &pkt, tagDup) },
 		"flowSeed": func() { sinkSeed = flowSeed(fp.Seed, "cpe", pkt.Src.Addr()) },
 		"geDrop+allowRate": func() {
-			f.geDrop("cpe", &fp, pkt)
-			f.allowRate("resolver-8888", &fp, pkt)
+			f.geDrop("cpe", &fp, &pkt)
+			f.allowRate("resolver-8888", &fp, &pkt)
 		},
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -59,7 +59,7 @@ func (h *Host) EgressDelay() time.Duration { return h.Delay }
 // Receive implements Device: packets addressed to the host land in its
 // per-port inbox with an arrival timestamp; anything else is ignored
 // (hosts do not forward).
-func (h *Host) Receive(ctx *Ctx, pkt Packet) {
+func (h *Host) Receive(ctx *Ctx, pkt *Packet) {
 	if pkt.Dst.Addr() != h.Addr4 && pkt.Dst.Addr() != h.Addr6 {
 		ctx.Drop(pkt, "not for this host")
 		return
@@ -68,16 +68,16 @@ func (h *Host) Receive(ctx *Ctx, pkt Packet) {
 	if pkt.Proto == ICMP {
 		// Time Exceeded: file it under the original flow's source port
 		// so the waiting Exchange sees it.
-		if srcPort, _, ok := ParseTimeExceeded(pkt); ok {
+		if srcPort, _, ok := ParseTimeExceeded(*pkt); ok {
 			ctx.Trace(TraceDeliver, pkt, "host inbox (icmp)")
-			h.deliver(srcPort, pkt)
+			h.deliver(srcPort, *pkt)
 			return
 		}
 		ctx.Drop(pkt, "unparseable icmp")
 		return
 	}
 	ctx.Trace(TraceDeliver, pkt, "host inbox")
-	h.deliver(pkt.Dst.Port(), pkt)
+	h.deliver(pkt.Dst.Port(), *pkt)
 }
 
 // deliver files a packet in the per-port inbox, reusing a recycled slice

@@ -13,7 +13,7 @@ import (
 
 // timeExceededPayload encodes the flow identity of the expired packet:
 // original source port, destination port, and destination address.
-func timeExceededPayload(orig Packet) []byte {
+func timeExceededPayload(orig *Packet) []byte {
 	dst16 := orig.Dst.Addr().As16()
 	out := make([]byte, 0, 4+16)
 	out = binary.BigEndian.AppendUint16(out, orig.Src.Port())
@@ -39,7 +39,7 @@ func ParseTimeExceeded(p Packet) (origSrcPort uint16, origDst netip.AddrPort, ok
 // does not need to be routable (real backbone routers answer from
 // interface or loopback addresses all the time); only the destination
 // matters for delivery.
-func (r *Router) sendTimeExceeded(ctx *Ctx, orig Packet) {
+func (r *Router) sendTimeExceeded(ctx *Ctx, orig *Packet) {
 	if !r.RouterID.IsValid() {
 		return // anonymous router: the hop shows as "*"
 	}
@@ -51,5 +51,5 @@ func (r *Router) sendTimeExceeded(ctx *Ctx, orig Packet) {
 		Payload: timeExceededPayload(orig),
 		SentAt:  orig.SentAt,
 	}
-	r.routePacket(ctx, icmp, true)
+	r.routePacket(ctx, &icmp, true)
 }

@@ -88,58 +88,61 @@ func (n *NAT) lanSource(addr netip.Addr) bool {
 	return false
 }
 
-// applyDNAT runs the PREROUTING DNAT step. It returns the (possibly
-// rewritten) packet, whether a rewrite happened, and whether a replica of
-// the original should also continue on its way.
-func (n *NAT) applyDNAT(pkt Packet) (out Packet, rewritten, replicate bool) {
-	for _, r := range n.DNATRules {
-		if r.Match == nil || !r.Match(pkt) {
+// matchDNAT runs the PREROUTING DNAT match: the first rule whose Match
+// accepts the packet decides. It returns nil when no rule matches or
+// when the deciding rule's target is already the destination.
+func (n *NAT) matchDNAT(pkt *Packet) *DNATRule {
+	for i := range n.DNATRules {
+		r := &n.DNATRules[i]
+		if r.Match == nil || !r.Match(*pkt) {
 			continue
 		}
 		if pkt.Dst == r.To {
-			return pkt, false, false // already at target; nothing to do
+			return nil // already at target; nothing to do
 		}
-		key := ctKey{client: pkt.Src, target: r.To}
-		n.dnatCT[key] = pkt.Dst
-		if !pkt.OrigDst.IsValid() {
-			// First rewrite on the path wins: a chain of DNAT hops keeps
-			// the client's true original destination, as conntrack does.
-			pkt.OrigDst = pkt.Dst
-		}
-		pkt.Dst = r.To
-		return pkt, true, r.Replicate
+		return r
 	}
-	return pkt, false, false
+	return nil
 }
 
-// reverseDNAT restores the source address of a reply belonging to a
-// tracked DNAT flow: a packet from the NAT target back to a recorded
-// client gets its source rewritten to the client's original destination.
-// This is the precise moment the response becomes "spoofed".
-func (n *NAT) reverseDNAT(pkt Packet) (Packet, bool) {
+// rewriteDNAT applies a matched rule in place: it records the flow in
+// conntrack and redirects the packet to the rule's target.
+func (n *NAT) rewriteDNAT(pkt *Packet, r *DNATRule) {
+	n.dnatCT[ctKey{client: pkt.Src, target: r.To}] = pkt.Dst
+	if !pkt.OrigDst.IsValid() {
+		// First rewrite on the path wins: a chain of DNAT hops keeps
+		// the client's true original destination, as conntrack does.
+		pkt.OrigDst = pkt.Dst
+	}
+	pkt.Dst = r.To
+}
+
+// reverseDNAT restores, in place, the source address of a reply
+// belonging to a tracked DNAT flow: a packet from the NAT target back to
+// a recorded client gets its source rewritten to the client's original
+// destination. This is the precise moment the response becomes
+// "spoofed".
+func (n *NAT) reverseDNAT(pkt *Packet) bool {
 	key := ctKey{client: pkt.Dst, target: pkt.Src}
 	orig, ok := n.dnatCT[key]
 	if !ok {
-		return pkt, false
+		return false
 	}
 	delete(n.dnatCT, key)
 	pkt.Src = orig
-	return pkt, true
+	return true
 }
 
-// applySNAT runs the POSTROUTING masquerade step for LAN-originated
-// packets leaving upstream. It allocates (or reuses) an external port per
-// flow.
-func (n *NAT) applySNAT(pkt Packet) (Packet, bool) {
-	var ext netip.Addr
-	switch {
-	case pkt.IsIPv6():
+// applySNAT runs the POSTROUTING masquerade step in place for
+// LAN-originated packets leaving upstream. It allocates (or reuses) an
+// external port per flow.
+func (n *NAT) applySNAT(pkt *Packet) bool {
+	ext := n.MasqueradeV4
+	if isIPv6(pkt.Dst.Addr()) {
 		ext = n.MasqueradeV6
-	default:
-		ext = n.MasqueradeV4
 	}
 	if !ext.IsValid() || !n.lanSource(pkt.Src.Addr()) {
-		return pkt, false
+		return false
 	}
 	flow := ctKey{client: pkt.Src, target: pkt.Dst}
 	port, ok := n.snatByFlow[flow]
@@ -149,34 +152,34 @@ func (n *NAT) applySNAT(pkt Packet) (Packet, bool) {
 		n.snatByExt[ctKey{client: netip.AddrPortFrom(ext, port), target: pkt.Dst}] = pkt.Src
 	}
 	pkt.Src = netip.AddrPortFrom(ext, port)
-	return pkt, true
+	return true
 }
 
-// reverseSNAT restores the LAN destination of a reply arriving at the
-// masquerade address.
-func (n *NAT) reverseSNAT(pkt Packet) (Packet, bool) {
-	key := ctKey{client: pkt.Dst, target: pkt.Src}
-	orig, ok := n.snatByExt[key]
+// reverseSNAT restores, in place, the LAN destination of a reply
+// arriving at the masquerade address.
+func (n *NAT) reverseSNAT(pkt *Packet) bool {
+	orig, ok := n.snatByExt[ctKey{client: pkt.Dst, target: pkt.Src}]
 	if !ok {
-		return pkt, false
+		return false
 	}
 	pkt.Dst = orig
-	return pkt, true
+	return true
 }
 
 // reverseDNATICMP fixes up an ICMP Time Exceeded passing back through a
 // DNAT device: the embedded destination is restored to what the client
 // originally queried, so downstream NAT hops (and the client) recognize
-// the flow. The conntrack entry is retired — the flow is dead.
-func (n *NAT) reverseDNATICMP(pkt Packet) (Packet, bool) {
-	srcPort, embDst, ok := ParseTimeExceeded(pkt)
+// the flow. The conntrack entry is retired — the flow is dead. The
+// payload is replaced, never edited: other packets may share it.
+func (n *NAT) reverseDNATICMP(pkt *Packet) bool {
+	srcPort, embDst, ok := ParseTimeExceeded(*pkt)
 	if !ok {
-		return pkt, false
+		return false
 	}
 	key := ctKey{client: netip.AddrPortFrom(pkt.Dst.Addr(), srcPort), target: embDst}
 	orig, found := n.dnatCT[key]
 	if !found {
-		return pkt, false
+		return false
 	}
 	delete(n.dnatCT, key)
 	payload := append([]byte(nil), pkt.Payload...)
@@ -185,22 +188,22 @@ func (n *NAT) reverseDNATICMP(pkt Packet) (Packet, bool) {
 	a16 := orig.Addr().As16()
 	copy(payload[4:20], a16[:])
 	pkt.Payload = payload
-	return pkt, true
+	return true
 }
 
 // reverseSNATICMP rewrites an inbound ICMP Time Exceeded that refers to
 // a masqueraded flow: the notification is re-addressed to the LAN host
 // that originated the expired packet, and the embedded source port is
 // restored — the ICMP half of real connection tracking.
-func (n *NAT) reverseSNATICMP(pkt Packet) (Packet, bool) {
-	srcPort, origDst, ok := ParseTimeExceeded(pkt)
+func (n *NAT) reverseSNATICMP(pkt *Packet) bool {
+	srcPort, origDst, ok := ParseTimeExceeded(*pkt)
 	if !ok || !n.MasqueradeV4.IsValid() {
-		return pkt, false
+		return false
 	}
 	key := ctKey{client: netip.AddrPortFrom(n.MasqueradeV4, srcPort), target: origDst}
 	origSrc, ok := n.snatByExt[key]
 	if !ok {
-		return pkt, false
+		return false
 	}
 	pkt.Dst = netip.AddrPortFrom(origSrc.Addr(), pkt.Dst.Port())
 	// Restore the embedded port so the host files it under its own flow.
@@ -208,7 +211,7 @@ func (n *NAT) reverseSNATICMP(pkt Packet) (Packet, bool) {
 	payload[0] = byte(origSrc.Port() >> 8)
 	payload[1] = byte(origSrc.Port())
 	pkt.Payload = payload
-	return pkt, true
+	return true
 }
 
 // allocPort hands out external SNAT ports, skipping the well-known range.

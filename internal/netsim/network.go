@@ -15,8 +15,10 @@ type Device interface {
 	// DeviceName identifies the device in traces.
 	DeviceName() string
 	// Receive handles one inbound packet. Implementations use ctx to
-	// forward, deliver, or drop.
-	Receive(ctx *Ctx, pkt Packet)
+	// forward, deliver, or drop, and may rewrite the packet in place on
+	// its way through. The packet is borrowed: it is valid only during
+	// the call, and anything kept past it must be a copy.
+	Receive(ctx *Ctx, pkt *Packet)
 }
 
 // EgressDelayer lets a device declare the one-way delay of its uplinks.
@@ -42,8 +44,9 @@ func (c *Ctx) Now() time.Duration { return c.net.now }
 // delay. The TTL is decremented here — every inter-device handoff is a
 // routed hop. Packets whose TTL reaches zero are dropped; when
 // EmitTimeExceeded is enabled, identified routers announce the expiry
-// with ICMP, enabling traceroute.
-func (c *Ctx) Forward(next Device, pkt Packet) {
+// with ICMP, enabling traceroute. The packet is rewritten in place and
+// copied once, into the event queue.
+func (c *Ctx) Forward(next Device, pkt *Packet) {
 	if next == nil {
 		c.Drop(pkt, "no route")
 		return
@@ -66,7 +69,7 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 	at := c.net.now + c.net.delayFrom(c.dev)
 	if pkt.Proto == UDP && c.net.faults != nil {
 		var ok bool
-		if pkt, at, ok = c.net.applyFaults(c.dev, next, pkt, at); !ok {
+		if at, ok = c.net.applyFaults(c.dev, next, pkt, at); !ok {
 			return
 		}
 	}
@@ -81,7 +84,7 @@ func (c *Ctx) Forward(next Device, pkt Packet) {
 
 // Emit originates a packet at this device without a TTL decrement —
 // the device is the packet's first hop, as when a local service answers.
-func (c *Ctx) Emit(next Device, pkt Packet) {
+func (c *Ctx) Emit(next Device, pkt *Packet) {
 	if next == nil {
 		c.Drop(pkt, "no route for emitted packet")
 		return
@@ -94,24 +97,32 @@ func (c *Ctx) Emit(next Device, pkt Packet) {
 
 // Loopback re-enqueues a packet at this same device, used after a DNAT
 // rewrite makes the device itself the destination.
-func (c *Ctx) Loopback(pkt Packet) {
+func (c *Ctx) Loopback(pkt *Packet) {
 	c.net.enqueue(c.dev, pkt, c.net.now)
 }
 
 // Drop discards the packet, recording why.
-func (c *Ctx) Drop(pkt Packet, why string) {
+func (c *Ctx) Drop(pkt *Packet, why string) {
 	c.net.trace(c.dev, TraceDrop, pkt, why)
 }
 
 // Trace records a custom event (NAT rewrites etc.).
-func (c *Ctx) Trace(kind TraceKind, pkt Packet, note string) {
+func (c *Ctx) Trace(kind TraceKind, pkt *Packet, note string) {
 	c.net.trace(c.dev, kind, pkt, note)
 }
 
-// event is one scheduled delivery.
+// event is one scheduled delivery. It holds no pointers: the packet and
+// its target device wait in the network's slot table, so the calendar
+// queue moves 24-byte records with no GC write barriers and its
+// buckets never pin a delivered packet's storage.
 type event struct {
-	at  time.Duration
-	seq int // FIFO tiebreak for equal timestamps
+	at   time.Duration
+	seq  int   // FIFO tiebreak for equal timestamps
+	slot int32 // index into Network.slots
+}
+
+// slot is one packet in flight and the device it is scheduled to reach.
+type slot struct {
 	dev Device
 	pkt Packet
 }
@@ -127,6 +138,18 @@ type Network struct {
 	eventSeq int     // event tiebreak sequence
 	now      time.Duration
 	taps     []func(TraceEvent)
+
+	// slots holds every packet in flight, indexed by event.slot;
+	// freeSlots lists the indices Run has released. The table grows
+	// only to the most packets in flight at once.
+	slots     []slot
+	freeSlots []int32
+
+	// ctx and sctx are the drain's reusable handles: devices and
+	// services use them only synchronously, inside Receive and
+	// ServeUDP, so one of each serves every delivery.
+	ctx  Ctx
+	sctx ServiceCtx
 
 	// DefaultEgressDelay applies to devices that do not implement
 	// EgressDelayer. One millisecond keeps virtual RTTs in a realistic
@@ -226,22 +249,42 @@ func (n *Network) Tap(fn func(TraceEvent)) {
 // on untapped runs.
 func (n *Network) tracing() bool { return len(n.taps) > 0 }
 
-// trace dispatches one event to the taps.
-func (n *Network) trace(dev Device, kind TraceKind, pkt Packet, note string) {
+// trace dispatches one event to the taps, each with its own copy of
+// the packet as it is now.
+func (n *Network) trace(dev Device, kind TraceKind, pkt *Packet, note string) {
 	if len(n.taps) == 0 {
 		return
 	}
 	n.seq++
-	ev := TraceEvent{Seq: n.seq, At: n.now, Device: dev.DeviceName(), Kind: kind, Packet: pkt, Note: note}
+	ev := TraceEvent{Seq: n.seq, At: n.now, Device: dev.DeviceName(), Kind: kind, Packet: *pkt, Note: note}
 	for _, t := range n.taps {
 		t(ev)
 	}
 }
 
-// enqueue schedules a delivery.
-func (n *Network) enqueue(dev Device, pkt Packet, at time.Duration) {
+// enqueue schedules a delivery. It makes the packet's one copy per
+// hop, into a free slot.
+func (n *Network) enqueue(dev Device, pkt *Packet, at time.Duration) {
+	var k int32
+	if f := len(n.freeSlots); f > 0 {
+		k = n.freeSlots[f-1]
+		n.freeSlots = n.freeSlots[:f-1]
+		s := &n.slots[k]
+		s.dev, s.pkt = dev, *pkt
+	} else {
+		k = int32(len(n.slots))
+		n.slots = append(n.slots, slot{dev: dev, pkt: *pkt})
+	}
 	n.eventSeq++
-	n.queue.push(event{at: at, seq: n.eventSeq, dev: dev, pkt: pkt})
+	n.queue.push(event{at: at, seq: n.eventSeq, slot: k})
+}
+
+// release frees a delivered packet's slot, dropping its Device and
+// Payload references so the table never pins a packet's storage.
+func (n *Network) release(k int32) {
+	s := &n.slots[k]
+	s.dev, s.pkt.Payload = nil, nil
+	n.freeSlots = append(n.freeSlots, k)
 }
 
 // Inject introduces a packet at a device from outside (e.g. a host
@@ -250,7 +293,7 @@ func (n *Network) Inject(dev Device, pkt Packet) {
 	if pkt.SentAt == 0 {
 		pkt.SentAt = n.now
 	}
-	n.enqueue(dev, pkt, n.now)
+	n.enqueue(dev, &pkt, n.now)
 }
 
 // ErrEventBudget is returned by Run when the event budget is exhausted,
@@ -269,26 +312,31 @@ var ErrEventBudget = errors.New("netsim: event budget exhausted (forwarding loop
 func (n *Network) Run() (int, error) {
 	processed := 0
 	// One Ctx serves the whole drain: devices only use it synchronously
-	// inside Receive, so re-pointing dev per event is safe and saves an
-	// allocation per delivery.
-	ctx := Ctx{net: n}
+	// inside Receive, so re-pointing dev per event is safe. It lives in
+	// the Network, so handing it to Receive allocates nothing.
+	ctx := &n.ctx
+	ctx.net = n
 	for n.queue.Len() > 0 {
 		n.batch = n.queue.popBatch(n.batch[:0])
 		if at := n.batch[0].at; at > n.now {
 			n.now = at
 		}
-		for i := range n.batch {
+		for i, ev := range n.batch {
 			if processed >= n.MaxEvents {
+				for _, rest := range n.batch[i:] {
+					n.release(rest.slot)
+				}
 				return processed, fmt.Errorf("%w after %d events", ErrEventBudget, processed)
 			}
 			processed++
-			ev := &n.batch[i]
-			ctx.dev = ev.dev
-			n.trace(ev.dev, TraceRecv, ev.pkt, "")
-			ev.dev.Receive(&ctx, ev.pkt)
-			// Release the Device and Payload references so the reused
-			// batch buffer never pins a processed packet's storage.
-			*ev = event{}
+			// Receive borrows the packet in its slot. It may enqueue and
+			// so grow the table, which leaves s pointing at the old
+			// backing array: release re-indexes.
+			s := &n.slots[ev.slot]
+			ctx.dev = s.dev
+			n.trace(s.dev, TraceRecv, &s.pkt, "")
+			s.dev.Receive(ctx, &s.pkt)
+			n.release(ev.slot)
 		}
 	}
 	return processed, nil

@@ -100,7 +100,11 @@ func (p Packet) Clone() Packet {
 
 // IsIPv6 reports whether the packet travels over IPv6, judged by its
 // destination address family.
-func (p Packet) IsIPv6() bool { return p.Dst.Addr().Is6() && !p.Dst.Addr().Is4In6() }
+func (p Packet) IsIPv6() bool { return isIPv6(p.Dst.Addr()) }
+
+// isIPv6 reports whether a is an IPv6 address other than a v4-mapped
+// one.
+func isIPv6(a netip.Addr) bool { return a.Is6() && !a.Is4In6() }
 
 // String renders the packet for traces: "udp 10.0.0.2:5000 > 8.8.8.8:53 ttl=64 len=29".
 func (p Packet) String() string {

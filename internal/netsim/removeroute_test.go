@@ -43,7 +43,7 @@ func TestRemoveRouteInvalidatesMemo(t *testing.T) {
 	other := netip.MustParseAddr("8.8.8.8")
 	for _, dst := range []netip.Addr{wan.Addr(), lan6.Addr(), other} {
 		r.lookupRoute(dst) // warm the memo
-		if _, ok := r.memo(dst).get(dst); !ok {
+		if _, ok := r.memo(dst).get(addrKey(dst)); !ok {
 			t.Fatalf("%s not memoized", dst)
 		}
 	}
@@ -51,14 +51,14 @@ func TestRemoveRouteInvalidatesMemo(t *testing.T) {
 	r.RemoveRoute(wan)
 	r.RemoveRoute(lan6)
 	for _, dst := range []netip.Addr{wan.Addr(), lan6.Addr()} {
-		if rt, ok := r.memo(dst).get(dst); ok {
+		if rt, ok := r.memo(dst).get(addrKey(dst)); ok {
 			t.Errorf("%s still memoized after removal (-> %v)", dst, rt.Next)
 		}
 		if got := r.lookupRoute(dst); got == nil || got.Next != up {
 			t.Errorf("%s routes via %+v after removal, want the default route", dst, got)
 		}
 	}
-	if rt, ok := r.memo(other).get(other); !ok || rt.Next != up {
+	if rt, ok := r.memo(other).get(addrKey(other)); !ok || rt.Next != up {
 		t.Errorf("unrelated memo entry for %s dropped", other)
 	}
 }
@@ -127,7 +127,7 @@ func TestRemoveRouteReaddAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 		t.Errorf("re-adding removed routes: %v allocs/op, want 0", allocs)
 	}
-	if len(r.lengths4) != 2 || r.stale {
-		t.Errorf("lengths4 = %v (stale %v), want [32 0] kept across churn", r.lengths4, r.stale)
+	if len(r.routes4) != 2 {
+		t.Errorf("routes4 has %d lengths, want /32 and /0 kept across churn", len(r.routes4))
 	}
 }

@@ -2,13 +2,15 @@ package netsim
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 )
 
 // Service is a UDP server bound to a port on a Router. Implementations
 // are state machines: they handle one datagram and may send others
-// (responses, upstream queries) through the ServiceCtx.
+// (responses, upstream queries) through the ServiceCtx. The ServiceCtx
+// is shared by every delivery of the network: it is valid only during
+// the ServeUDP call, and a service must not keep it for later sends.
 type Service interface {
 	ServeUDP(sc *ServiceCtx, pkt Packet)
 }
@@ -20,6 +22,9 @@ type ServiceFunc func(sc *ServiceCtx, pkt Packet)
 func (f ServiceFunc) ServeUDP(sc *ServiceCtx, pkt Packet) { f(sc, pkt) }
 
 // ServiceCtx lets a service send packets that originate at its router.
+// It is borrowed for one ServeUDP call: the network reuses it for the
+// next delivery, retargeted at that delivery's router, so a kept
+// ServiceCtx would send from the wrong router.
 type ServiceCtx struct {
 	Router *Router
 	ctx    *Ctx
@@ -39,26 +44,14 @@ func (sc *ServiceCtx) PayloadBuf() []byte { return sc.ctx.net.PayloadBuf() }
 // table is consulted so that responses to intercepted flows leave with
 // the spoofed (original-destination) source address, then the packet is
 // routed normally.
-func (sc *ServiceCtx) Send(pkt Packet) {
-	r := sc.Router
-	if pkt.SentAt == 0 {
-		pkt.SentAt = sc.ctx.Now()
-	}
-	if r.NAT != nil {
-		if rewritten, ok := r.NAT.reverseDNAT(pkt); ok {
-			sc.ctx.Trace(TraceUnDNAT, rewritten, "spoofing source for intercepted flow")
-			pkt = rewritten
-		}
-	}
-	r.routePacket(sc.ctx, pkt, true)
-}
+func (sc *ServiceCtx) Send(pkt Packet) { sc.send(&pkt) }
 
 // Reply builds and sends the conventional response to an inbound
 // datagram: source and destination swapped, fresh TTL, given payload.
 // The request's SentAt carries over so the client can measure the
 // flow's round-trip time.
 func (sc *ServiceCtx) Reply(to Packet, payload []byte) {
-	sc.Send(Packet{
+	pkt := Packet{
 		Src:     to.Dst,
 		Dst:     to.Src,
 		Proto:   to.Proto,
@@ -66,7 +59,20 @@ func (sc *ServiceCtx) Reply(to Packet, payload []byte) {
 		Payload: payload,
 		SentAt:  to.SentAt,
 		Enc:     to.Enc,
-	})
+	}
+	sc.send(&pkt)
+}
+
+// send is Send on a packet it rewrites in place.
+func (sc *ServiceCtx) send(pkt *Packet) {
+	r := sc.Router
+	if pkt.SentAt == 0 {
+		pkt.SentAt = sc.ctx.Now()
+	}
+	if r.NAT != nil && r.NAT.reverseDNAT(pkt) {
+		sc.ctx.Trace(TraceUnDNAT, pkt, "spoofing source for intercepted flow")
+	}
+	r.routePacket(sc.ctx, pkt, true)
 }
 
 // Route is one forwarding-table entry.
@@ -100,21 +106,19 @@ type Router struct {
 	// NAT, if non-nil, enables DNAT/SNAT processing.
 	NAT *NAT
 
-	addrs    map[netip.Addr]bool
+	addrs    []netip.Addr // a handful per router: a scan beats a hash
 	services map[uint16]Service
 	byAddr   map[netip.AddrPort]Service
 	noServe  map[netip.AddrPort]bool
 
-	// Routes are stored per family in per-prefix-length maps so lookup
-	// is O(distinct prefix lengths) hash probes, not a linear scan —
-	// access routers in the study carry one route per live subscriber.
-	// A per-length map outlives its last route, so a length list only
-	// goes stale when an insert brings a new prefix length.
-	routes4  map[int]map[netip.Prefix]*Route
-	routes6  map[int]map[netip.Prefix]*Route
-	lengths4 []int // descending, rebuilt when stale
-	lengths6 []int
-	stale    bool
+	// Routes are stored per family in per-prefix-length tables
+	// (routetable.go) so lookup is O(distinct prefix lengths) probes,
+	// not a linear scan — access routers in the study carry one route
+	// per live subscriber. Entries are keyed by the pointer-free masked
+	// address, so a probe hashes 16 bytes, or compares them when the
+	// length holds a single route.
+	routes4 lenTables[*Route]
+	routes6 lenTables[*Route]
 	// spareRoutes recycles removed entries, so a subscriber route that
 	// comes and goes with each home costs no allocation.
 	spareRoutes []*Route
@@ -122,9 +126,9 @@ type Router struct {
 	// cache4/cache6 memoize recent lookupRoute results. Routers forward
 	// long runs of packets between the same few endpoints (a probe's
 	// WAN address and a handful of resolvers), so a tiny cache converts
-	// the per-length prefix-map probes into a few address compares.
-	// A table change drops the memo entries its prefix covers; a stale
-	// length list drops them all.
+	// the per-length table probes into a few address compares.
+	// A table change drops the memo entries its prefix covers, and a
+	// new prefix length drops them all.
 	cache4 lookupCache
 	cache6 lookupCache
 
@@ -149,16 +153,18 @@ type Router struct {
 // ICMP source), small enough to scan in a few compares.
 const lookupCacheSlots = 4
 
-// lookupCache is a tiny round-robin memo of lookupRoute results. A hit
-// may carry a nil route — "no route" is as cacheable as a match.
+// lookupCache is a tiny round-robin memo of lookupRoute results, keyed
+// by the destination's full-length routeKey (one cache per family, so
+// keys never collide across families). A hit may carry a nil route —
+// "no route" is as cacheable as a match.
 type lookupCache struct {
-	dst  [lookupCacheSlots]netip.Addr
+	dst  [lookupCacheSlots]routeKey
 	rt   [lookupCacheSlots]*Route
 	ok   [lookupCacheSlots]bool
 	next int
 }
 
-func (c *lookupCache) get(d netip.Addr) (*Route, bool) {
+func (c *lookupCache) get(d routeKey) (*Route, bool) {
 	for i := range c.dst {
 		if c.ok[i] && c.dst[i] == d {
 			return c.rt[i], true
@@ -167,17 +173,18 @@ func (c *lookupCache) get(d netip.Addr) (*Route, bool) {
 	return nil, false
 }
 
-func (c *lookupCache) put(d netip.Addr, rt *Route) {
+func (c *lookupCache) put(d routeKey, rt *Route) {
 	i := c.next
 	c.dst[i], c.rt[i], c.ok[i] = d, rt, true
 	c.next = (i + 1) % lookupCacheSlots
 }
 
-// invalidate forgets every memoized destination inside p: only those
-// lookups can resolve differently once a route for p comes or goes.
-func (c *lookupCache) invalidate(p netip.Prefix) {
+// invalidate forgets every memoized destination inside the prefix with
+// masked key k and length bits (in the key's 128-bit space): only
+// those lookups can resolve differently once its route comes or goes.
+func (c *lookupCache) invalidate(k routeKey, bits int) {
 	for i := range c.dst {
-		if c.ok[i] && p.Contains(c.dst[i]) {
+		if c.ok[i] && c.dst[i].mask(bits) == k {
 			c.ok[i], c.rt[i] = false, nil
 		}
 	}
@@ -187,15 +194,12 @@ func (c *lookupCache) invalidate(p netip.Prefix) {
 func NewRouter(name string, addrs ...netip.Addr) *Router {
 	r := &Router{
 		Name:     name,
-		addrs:    make(map[netip.Addr]bool),
 		services: make(map[uint16]Service),
 		byAddr:   make(map[netip.AddrPort]Service),
 		noServe:  make(map[netip.AddrPort]bool),
-		routes4:  make(map[int]map[netip.Prefix]*Route),
-		routes6:  make(map[int]map[netip.Prefix]*Route),
 	}
 	for _, a := range addrs {
-		r.addrs[a] = true
+		r.AddAddr(a)
 	}
 	return r
 }
@@ -207,19 +211,18 @@ func (r *Router) DeviceName() string { return r.Name }
 func (r *Router) EgressDelay() time.Duration { return r.Delay }
 
 // AddAddr adds a local address.
-func (r *Router) AddAddr(a netip.Addr) { r.addrs[a] = true }
+func (r *Router) AddAddr(a netip.Addr) {
+	if !r.HasAddr(a) {
+		r.addrs = append(r.addrs, a)
+	}
+}
 
 // HasAddr reports whether a is local to this router.
-func (r *Router) HasAddr(a netip.Addr) bool { return r.addrs[a] }
+func (r *Router) HasAddr(a netip.Addr) bool { return slices.Contains(r.addrs, a) }
 
-// Addrs returns the router's local addresses (unordered).
-func (r *Router) Addrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(r.addrs))
-	for a := range r.addrs {
-		out = append(out, a)
-	}
-	return out
-}
+// Addrs returns the router's local addresses, in the order they were
+// added.
+func (r *Router) Addrs() []netip.Addr { return slices.Clone(r.addrs) }
 
 // Bind attaches a service to a UDP port on all local addresses.
 // A port with no service is "closed": packets to it are dropped, which
@@ -297,12 +300,17 @@ func (r *Router) RemoveRoute(prefix netip.Prefix) {
 	if p.Addr().Is6() {
 		table, cache = r.routes6, &r.cache6
 	}
-	rt, ok := table[p.Bits()][p]
+	k, bits := prefixKey(p)
+	t := table.find(bits)
+	if t == nil {
+		return
+	}
+	rt, ok := t.get(k)
 	if !ok {
 		return
 	}
-	delete(table[p.Bits()], p)
-	cache.invalidate(p)
+	t.remove(k)
+	cache.invalidate(k, bits)
 	*rt = Route{}
 	r.spareRoutes = append(r.spareRoutes, rt)
 }
@@ -342,16 +350,20 @@ func (r *Router) insertRoute(rt *Route) {
 			return
 		}
 	}
-	table, cache := r.routes4, &r.cache4
+	table, cache := &r.routes4, &r.cache4
 	if p.Addr().Is6() {
-		table, cache = r.routes6, &r.cache6
+		table, cache = &r.routes6, &r.cache6
 	}
-	if table[p.Bits()] == nil {
-		table[p.Bits()] = make(map[netip.Prefix]*Route)
-		r.stale = true
+	k, bits := prefixKey(p)
+	if table.find(bits) == nil {
+		// A new prefix length resets both memos outright. Lengths are
+		// new only while a router is configured, so this costs nothing
+		// per packet; the wider rule stays because the Diagnostic
+		// route-memo counts depend on exactly when entries are dropped.
+		r.cache4, r.cache6 = lookupCache{}, lookupCache{}
 	}
-	table[p.Bits()][p] = rt
-	cache.invalidate(p)
+	table.at(bits).set(k, rt)
+	cache.invalidate(k, bits)
 }
 
 // AddDefaultRoute installs 0.0.0.0/0 and ::/0 towards next.
@@ -378,66 +390,54 @@ func (r *Router) lookupRoute(dst netip.Addr) *Route {
 // lookupRouteM is lookupRoute with the hot path's metric handles; nm
 // may be nil (metrics detached).
 func (r *Router) lookupRouteM(dst netip.Addr, nm *netMetrics) *Route {
-	if r.stale {
-		r.lengths4 = sortedLengthsDesc(r.routes4)
-		r.lengths6 = sortedLengthsDesc(r.routes6)
-		r.cache4 = lookupCache{}
-		r.cache6 = lookupCache{}
-		r.stale = false
+	// A v4-mapped destination keys as its IPv4 address and routes by
+	// the IPv4 table.
+	k := addrKey(dst)
+	bound := r.core != nil && !r.coreRecording
+	table, cache := r.routes4, &r.cache4
+	var core lenTables[coreEntry]
+	if bound {
+		core = r.core.v4
 	}
-	d := dst.Unmap()
-	table, lengths, cache := r.routes4, r.lengths4, &r.cache4
-	var core *coreTable
-	if r.core != nil && !r.coreRecording {
-		core = &r.core.v4
-	}
-	if d.Is6() {
-		table, lengths, cache = r.routes6, r.lengths6, &r.cache6
-		if core != nil {
-			core = &r.core.v6
+	if isIPv6(dst) {
+		table, cache = r.routes6, &r.cache6
+		if bound {
+			core = r.core.v6
 		}
 	}
 	if nm != nil {
 		nm.routeLookups.Inc()
 	}
-	if rt, ok := cache.get(d); ok {
+	if rt, ok := cache.get(k); ok {
 		if nm != nil {
 			nm.routeCacheHits.Inc()
 		}
 		return rt
 	}
-	hit := r.lpmMatch(d, table, lengths, core)
-	cache.put(d, hit)
+	hit := r.lpmMatch(k, table, core)
+	cache.put(k, hit)
 	return hit
 }
 
 // lpmMatch scans the local table and (on bound routers) the shared core
-// in a merged longest-prefix walk. Local entries win ties — a world-
-// local insert shadows the core's entry for the same prefix length.
-func (r *Router) lpmMatch(d netip.Addr, table map[int]map[netip.Prefix]*Route, lengths []int, core *coreTable) *Route {
+// in a merged longest-prefix walk over the destination's key k. Local
+// entries win ties — a world-local insert shadows the core's entry for
+// the same prefix length.
+func (r *Router) lpmMatch(k routeKey, table lenTables[*Route], core lenTables[coreEntry]) *Route {
 	li, ci := 0, 0
-	for li < len(lengths) || (core != nil && ci < len(core.lengths)) {
-		lb, cb := -1, -1
-		if li < len(lengths) {
-			lb = lengths[li]
-		}
-		if core != nil && ci < len(core.lengths) {
-			cb = core.lengths[ci]
-		}
-		if lb >= cb {
+	for li < len(table) || ci < len(core) {
+		if ci == len(core) || (li < len(table) && table[li].bits >= core[ci].bits) {
+			t := &table[li]
 			li++
-			if p, err := d.Prefix(lb); err == nil {
-				if rt, ok := table[lb][p]; ok {
-					return rt
-				}
+			if rt, ok := t.get(k.mask(t.bits)); ok {
+				return rt
 			}
 		} else {
+			t := &core[ci]
 			ci++
-			if p, err := d.Prefix(cb); err == nil {
-				if e, ok := core.byLen[cb][p]; ok {
-					if rt := &r.coreRoutes[e.ord]; rt.Next != nil {
-						return rt
-					}
+			if e, ok := t.get(k.mask(t.bits)); ok {
+				if rt := &r.coreRoutes[e.ord]; rt.Next != nil {
+					return rt
 				}
 			}
 		}
@@ -445,22 +445,13 @@ func (r *Router) lpmMatch(d netip.Addr, table map[int]map[netip.Prefix]*Route, l
 	return nil
 }
 
-// sortedLengthsDesc lists a table's prefix lengths, longest first.
-func sortedLengthsDesc(table map[int]map[netip.Prefix]*Route) []int {
-	out := make([]int, 0, len(table))
-	for bits := range table {
-		out = append(out, bits)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// Receive implements Device: the netfilter-ordered pipeline.
-func (r *Router) Receive(ctx *Ctx, pkt Packet) {
+// Receive implements Device: the netfilter-ordered pipeline. Every
+// stage rewrites the borrowed packet in place.
+func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 	// Firewall drop rules run first: a blocked packet never reaches
 	// conntrack or NAT.
 	for _, f := range r.inputFilters {
-		if drop, why := f(pkt); drop {
+		if drop, why := f(*pkt); drop {
 			ctx.Drop(pkt, why)
 			return
 		}
@@ -471,22 +462,18 @@ func (r *Router) Receive(ctx *Ctx, pkt Packet) {
 	// masqueraded flows are re-addressed to the original LAN host.
 	if r.NAT != nil {
 		if pkt.Proto == ICMP {
-			if p, ok := r.NAT.reverseDNATICMP(pkt); ok {
-				ctx.Trace(TraceUnDNAT, p, "restoring original destination (icmp)")
-				pkt = p
+			if r.NAT.reverseDNATICMP(pkt) {
+				ctx.Trace(TraceUnDNAT, pkt, "restoring original destination (icmp)")
 			}
-			if p, ok := r.NAT.reverseSNATICMP(pkt); ok {
-				ctx.Trace(TraceUnSNAT, p, "restoring LAN destination (icmp)")
-				pkt = p
+			if r.NAT.reverseSNATICMP(pkt) {
+				ctx.Trace(TraceUnSNAT, pkt, "restoring LAN destination (icmp)")
 			}
 		}
-		if p, ok := r.NAT.reverseDNAT(pkt); ok {
-			ctx.Trace(TraceUnDNAT, p, "spoofing source for intercepted flow")
-			pkt = p
+		if r.NAT.reverseDNAT(pkt) {
+			ctx.Trace(TraceUnDNAT, pkt, "spoofing source for intercepted flow")
 		}
-		if p, ok := r.NAT.reverseSNAT(pkt); ok {
-			ctx.Trace(TraceUnSNAT, p, "restoring LAN destination")
-			pkt = p
+		if r.NAT.reverseSNAT(pkt) {
+			ctx.Trace(TraceUnSNAT, pkt, "restoring LAN destination")
 		}
 	}
 
@@ -496,50 +483,62 @@ func (r *Router) Receive(ctx *Ctx, pkt Packet) {
 	// an intercepting CPE answers a version.bind query sent to its own
 	// public address (§3.2 of the paper).
 	if r.NAT != nil {
-		p, rewritten, replicate := r.NAT.applyDNAT(pkt)
-		if rewritten {
+		if rule := r.NAT.matchDNAT(pkt); rule != nil {
+			// Query replication: the original also continues. It is
+			// copied before the rewrite and routed first, after the
+			// rewrite is recorded and traced.
+			var orig Packet
+			if rule.Replicate {
+				orig = *pkt
+			}
+			from := pkt.Dst
+			r.NAT.rewriteDNAT(pkt, rule)
 			ctx.net.observeNAT(r.NAT)
 			if ctx.net.tracing() {
-				ctx.Trace(TraceDNAT, p, "intercepted: "+pkt.Dst.String()+" -> "+p.Dst.String())
+				ctx.Trace(TraceDNAT, pkt, "intercepted: "+from.String()+" -> "+pkt.Dst.String())
 			}
-			if replicate {
-				// The original also continues: query replication.
-				r.routePacket(ctx, pkt, false)
+			if rule.Replicate {
+				r.routePacket(ctx, &orig, false)
 			}
-			pkt = p
 		}
 	}
 
 	// Routing decision: local delivery?
-	if r.addrs[pkt.Dst.Addr()] {
+	if r.HasAddr(pkt.Dst.Addr()) {
 		r.deliverLocal(ctx, pkt)
 		return
 	}
 	r.routePacket(ctx, pkt, false)
 }
 
-// deliverLocal hands the packet to the bound service, if any.
-func (r *Router) deliverLocal(ctx *Ctx, pkt Packet) {
+// deliverLocal hands the packet to the bound service, if any. Services
+// take their packet by value and get the drain's one ServiceCtx: no
+// service keeps it past ServeUDP.
+func (r *Router) deliverLocal(ctx *Ctx, pkt *Packet) {
 	s, ok := r.BoundService(pkt.Dst.Addr(), pkt.Dst.Port())
 	if !ok {
 		ctx.Drop(pkt, "port closed")
 		return
 	}
 	ctx.Trace(TraceDeliver, pkt, "local service")
-	s.ServeUDP(&ServiceCtx{Router: r, ctx: ctx}, pkt)
+	sc := &ctx.net.sctx
+	sc.Router, sc.ctx = r, ctx
+	s.ServeUDP(sc, *pkt)
 }
 
-// routePacket forwards via the table, applying POSTROUTING SNAT.
-// locallyOriginated packets skip route filters' TTL handling edge cases
-// but otherwise follow the same path.
-func (r *Router) routePacket(ctx *Ctx, pkt Packet, locallyOriginated bool) {
+// routePacket forwards via the table, applying POSTROUTING SNAT in
+// place. locallyOriginated packets skip route filters' TTL handling
+// edge cases but otherwise follow the same path.
+func (r *Router) routePacket(ctx *Ctx, pkt *Packet, locallyOriginated bool) {
 	rt := r.lookupRouteM(pkt.Dst.Addr(), ctx.net.metrics)
 	if rt == nil || rt.Next == nil {
-		ctx.Drop(pkt, "no route to "+pkt.Dst.Addr().String())
+		if ctx.net.tracing() {
+			ctx.Drop(pkt, "no route to "+pkt.Dst.Addr().String())
+		}
 		return
 	}
 	if rt.Filter != nil {
-		if drop, why := rt.Filter(pkt); drop {
+		if drop, why := rt.Filter(*pkt); drop {
 			ctx.Drop(pkt, why)
 			return
 		}
@@ -547,32 +546,34 @@ func (r *Router) routePacket(ctx *Ctx, pkt Packet, locallyOriginated bool) {
 	// TTL expiry is decided before POSTROUTING so the ICMP notification
 	// references the original (pre-SNAT) source.
 	if !locallyOriginated && pkt.TTL <= 1 {
-		expired := pkt
-		expired.TTL = 0
-		ctx.Trace(TraceDrop, expired, "ttl exceeded")
+		if ctx.net.tracing() {
+			expired := *pkt
+			expired.TTL = 0
+			ctx.Trace(TraceDrop, &expired, "ttl exceeded")
+		}
 		if ctx.net.EmitTimeExceeded && pkt.Proto != ICMP {
 			// If this very device DNATed the flow, report the client's
-			// original destination in the ICMP (conntrack fixup).
-			icmpRef := pkt
+			// original destination in the ICMP (conntrack fixup). The
+			// packet dies here, so it is rewritten in place.
 			if r.NAT != nil {
 				key := ctKey{client: pkt.Src, target: pkt.Dst}
 				if orig, ok := r.NAT.dnatCT[key]; ok {
 					delete(r.NAT.dnatCT, key)
-					icmpRef.Dst = orig
+					pkt.Dst = orig
 				}
 			}
-			r.sendTimeExceeded(ctx, icmpRef)
+			r.sendTimeExceeded(ctx, pkt)
 		}
 		return
 	}
 	// POSTROUTING: masquerade LAN sources on the way out.
 	if r.NAT != nil && !locallyOriginated {
-		if p, ok := r.NAT.applySNAT(pkt); ok {
+		from := pkt.Src
+		if r.NAT.applySNAT(pkt) {
 			ctx.net.observeNAT(r.NAT)
 			if ctx.net.tracing() {
-				ctx.Trace(TraceSNAT, p, "masqueraded "+pkt.Src.String()+" -> "+p.Src.String())
+				ctx.Trace(TraceSNAT, pkt, "masqueraded "+from.String()+" -> "+pkt.Src.String())
 			}
-			pkt = p
 		}
 	}
 	if locallyOriginated {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"net/netip"
-	"sort"
 	"sync"
 )
 
@@ -87,9 +86,6 @@ func (cs *CoreSet) Seal() {
 		return
 	}
 	cs.sealed = true
-	for _, c := range cs.cores {
-		c.compile()
-	}
 	close(cs.done)
 }
 
@@ -127,19 +123,15 @@ func (cs *CoreSet) For(name string) *RoutingCore {
 }
 
 // RoutingCore is one router's compiled forwarding table: prefixes in
-// per-family, per-length maps (the same shape Router uses locally) with
+// per-family, per-length tables keyed by routeKey (the same shape
+// Router uses locally) with
 // next hops as ordinals into a name list instead of device pointers.
 // Immutable once its CoreSet seals; safe for concurrent readers.
 type RoutingCore struct {
-	v4, v6    coreTable
+	v4, v6    lenTables[coreEntry]
 	hopNames  []string
 	hopIndex  map[string]int
 	numRoutes int
-}
-
-type coreTable struct {
-	byLen   map[int]map[netip.Prefix]coreEntry
-	lengths []int // descending, filled at compile
 }
 
 // coreEntry names a route by ordinal (its materialization slot in each
@@ -147,11 +139,7 @@ type coreTable struct {
 type coreEntry struct{ ord, hop int }
 
 func newRoutingCore() *RoutingCore {
-	return &RoutingCore{
-		v4:       coreTable{byLen: make(map[int]map[netip.Prefix]coreEntry)},
-		v6:       coreTable{byLen: make(map[int]map[netip.Prefix]coreEntry)},
-		hopIndex: make(map[string]int),
-	}
+	return &RoutingCore{hopIndex: make(map[string]int)}
 }
 
 // record mirrors one insert from the recorder world. Re-adding a prefix
@@ -168,14 +156,13 @@ func (c *RoutingCore) record(p netip.Prefix, hopName string) {
 	if p.Addr().Is6() {
 		t = &c.v6
 	}
-	if t.byLen[p.Bits()] == nil {
-		t.byLen[p.Bits()] = make(map[netip.Prefix]coreEntry)
-	}
-	if old, exists := t.byLen[p.Bits()][p]; exists {
-		t.byLen[p.Bits()][p] = coreEntry{ord: old.ord, hop: hop}
+	k, bits := prefixKey(p)
+	lt := t.at(bits)
+	if old, exists := lt.get(k); exists {
+		lt.set(k, coreEntry{ord: old.ord, hop: hop})
 		return
 	}
-	t.byLen[p.Bits()][p] = coreEntry{ord: c.numRoutes, hop: hop}
+	lt.set(k, coreEntry{ord: c.numRoutes, hop: hop})
 	c.numRoutes++
 }
 
@@ -185,20 +172,11 @@ func (c *RoutingCore) entry(p netip.Prefix) (coreEntry, bool) {
 	if p.Addr().Is6() {
 		t = &c.v6
 	}
-	e, ok := t.byLen[p.Bits()][p]
-	return e, ok
-}
-
-func (c *RoutingCore) compile() {
-	c.v4.lengths = coreLengthsDesc(c.v4.byLen)
-	c.v6.lengths = coreLengthsDesc(c.v6.byLen)
-}
-
-func coreLengthsDesc(table map[int]map[netip.Prefix]coreEntry) []int {
-	out := make([]int, 0, len(table))
-	for bits := range table {
-		out = append(out, bits)
+	k, bits := prefixKey(p)
+	lt := t.find(bits)
+	if lt == nil {
+		return coreEntry{}, false
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
+	e, ok := lt.get(k)
+	return e, ok
 }

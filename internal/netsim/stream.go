@@ -137,9 +137,11 @@ func PackStreamHelloAck(alpn uint8, cert StreamCert, ticket uint64) []byte {
 	return append(out, t[:]...)
 }
 
-// ParseStreamHelloAck decodes a helloAck frame.
+// ParseStreamHelloAck decodes a helloAck frame. The trust octet is 0
+// or 1; any other value is rejected, so every accepted frame re-packs
+// to its own bytes.
 func ParseStreamHelloAck(b []byte) (alpn uint8, cert StreamCert, ticket uint64, ok bool) {
-	if len(b) != 3+1+16+8 || b[0] != streamMagic || b[1] != frameHelloAck {
+	if len(b) != 3+1+16+8 || b[0] != streamMagic || b[1] != frameHelloAck || b[3] > 1 {
 		return 0, StreamCert{}, 0, false
 	}
 	alpn = b[2]

@@ -1,8 +1,13 @@
 package netsim
 
 import (
+	"bytes"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/dnswatch/dnsloc/internal/faultfs"
 )
 
 // TestStreamFrameRoundTrips pins the wire format of every stream frame
@@ -144,4 +149,70 @@ func TestStreamCertAuthenticatesStrict(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzStreamFrames drives the four stream-frame readers with arbitrary
+// bytes. None may panic, and every frame a reader accepts must re-pack
+// to exactly the bytes it was parsed from: a reader that accepts a
+// non-canonical encoding would let two byte strings mean one frame.
+// The seeds are one frame of each kind plus the corruptions faultfs
+// applies to files: a flipped bit, a torn tail, appended garbage.
+func FuzzStreamFrames(f *testing.F) {
+	cert := StreamCert{Subject: netip.MustParseAddr("2001:db8::53"), Trusted: true}
+	frames := [][]byte{
+		PackStreamHello(ALPNDoT),
+		PackStreamHelloAck(ALPNDoH, cert, 0xdeadbeefcafe),
+		PackStreamHelloAck(ALPNDoT, StreamCert{Subject: netip.MustParseAddr("9.9.9.9")}, 1),
+		PackStreamData(ALPNDoT, 42, []byte{0x00, 0x02, 0xab, 0xcd}),
+		PackStreamAlert(StreamAlertBadTicket),
+	}
+	dir := f.TempDir()
+	for i, frame := range frames {
+		f.Add(frame)
+		n := len(frame)
+		for j, corrupt := range []func(path string) error{
+			func(p string) error { return faultfs.FlipBit(p, 3) },
+			func(p string) error { return faultfs.FlipBit(p, 25) }, // a helloAck's trust octet
+			func(p string) error { return faultfs.FlipBit(p, uint64(n)*4+1) },
+			func(p string) error { return faultfs.FlipBit(p, uint64(n-1)*8) },
+			func(p string) error { return faultfs.TruncateTail(p, 1) },
+			func(p string) error { return faultfs.TruncateTail(p, n/2) },
+			func(p string) error { return faultfs.AppendGarbage(p, []byte{streamMagic, frameAlert}) },
+		} {
+			p := filepath.Join(dir, "frame")
+			if err := os.WriteFile(p, frame, 0o644); err != nil {
+				f.Fatal(err)
+			}
+			if err := corrupt(p); err != nil {
+				f.Fatalf("frame %d corruption %d: %v", i, j, err)
+			}
+			blob, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if alpn, ok := ParseStreamHello(b); ok {
+			if got := PackStreamHello(alpn); !bytes.Equal(got, b) {
+				t.Errorf("hello %x re-packs as %x", b, got)
+			}
+		}
+		if alpn, cert, ticket, ok := ParseStreamHelloAck(b); ok {
+			if got := PackStreamHelloAck(alpn, cert, ticket); !bytes.Equal(got, b) {
+				t.Errorf("helloAck %x re-packs as %x", b, got)
+			}
+		}
+		if alpn, ticket, framed, ok := ParseStreamData(b); ok {
+			if got := PackStreamData(alpn, ticket, framed); !bytes.Equal(got, b) {
+				t.Errorf("data %x re-packs as %x", b, got)
+			}
+		}
+		if code, ok := ParseStreamAlert(b); ok {
+			if got := PackStreamAlert(code); !bytes.Equal(got, b) {
+				t.Errorf("alert %x re-packs as %x", b, got)
+			}
+		}
+	})
 }
