@@ -207,33 +207,6 @@ func BenchmarkPilotParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPilotLanes measures the probe-lane axis of the sharded
-// engine: the same 1,000-probe sweep with each shard's owned probes
-// split across concurrent per-probe event loops over the shared
-// immutable world core (routing tables, zones, packed CHAOS answers).
-// Output is byte-identical at every (workers, lanes) grid point —
-// TestLaneEngineDeterministic pins that — so only wall clock and
-// allocation totals may move. On a single-core host lanes > 1 pay
-// lane-world build overhead without a parallelism win; the interesting
-// rows are multi-core, where lanes absorb the cores a low worker count
-// leaves idle. Compare against BENCH_pilot.json.
-func BenchmarkPilotLanes(b *testing.B) {
-	spec := study.PaperSpec().Scale(0.1)
-	for _, g := range []struct{ workers, lanes int }{{1, 1}, {1, 2}, {1, 4}, {2, 2}} {
-		g := g
-		b.Run(fmt.Sprintf("workers=%d-lanes=%d", g.workers, g.lanes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := study.RunSharded(spec, study.EngineOptions{Workers: g.workers, Lanes: g.lanes})
-				if len(res.Intercepted()) == 0 {
-					b.Fatal("no interception found")
-				}
-			}
-			b.ReportMetric(float64(spec.TotalProbes), "probes/op")
-		})
-	}
-}
-
 // nosyncFile/nosyncFS strip the fsync calls from the checkpoint write
 // protocol while keeping every other byte of work identical — the
 // control arm for measuring what durability itself costs.

@@ -41,7 +41,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "study scale factor (1.0 = ~10,000 probes)")
 		seed     = flag.Int64("seed", 0, "override the spec's deterministic seed")
 		workers  = flag.Int("workers", 0, "parallel study shards (0 = all cores); output is identical at any count")
-		lanes    = flag.Int("lanes", 0, "probe lanes per shard, each its own event loop over the shared world core; output is identical at any count (0 = 1; with -stream, checkpoints move to lane boundaries; torture: 0 = varied per cycle)")
 		table    = flag.Int("table", 0, "print only this table (1-5)")
 		figure   = flag.Int("figure", 0, "print only this figure (3-4)")
 		csv      = flag.Bool("csv", false, "emit Table 4 as CSV")
@@ -97,6 +96,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pilotstudy: -resume requires -checkpoint-dir")
 		os.Exit(2)
 	}
+	if *ckptDir == "" {
+		// -checkpoint-every has a default, so only an explicit setting
+		// asks for checkpoints that would otherwise silently not happen.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "checkpoint-every" {
+				fmt.Fprintln(os.Stderr, "pilotstudy: -checkpoint-every requires -checkpoint-dir")
+				os.Exit(2)
+			}
+		})
+	}
 
 	// Tables 1-3 need no study run.
 	if *table == 1 {
@@ -126,7 +135,7 @@ func main() {
 	}
 
 	if *tortureSeed != 0 {
-		runTorture(spec, nWorkers, *lanes, *tortureSeed, *tortureCycles)
+		runTorture(spec, nWorkers, *tortureSeed, *tortureCycles)
 		return
 	}
 	if *tortureCycles != 0 {
@@ -149,7 +158,7 @@ func main() {
 	if cells != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %d probes x %d cells, %d worker(s)...\n", spec.TotalProbes, len(cells), nWorkers)
 		start := time.Now()
-		accs, err := analysis.Sweep(cells, study.StreamOptions{Workers: nWorkers, Lanes: *lanes})
+		accs, err := analysis.Sweep(cells, study.StreamOptions{Workers: nWorkers})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pilotstudy: %v\n", err)
 			os.Exit(1)
@@ -200,7 +209,6 @@ func main() {
 	if *stream {
 		opts := study.StreamOptions{
 			Workers:         nWorkers,
-			Lanes:           *lanes,
 			Progress:        progress,
 			NewAccumulator:  func(int) study.Accumulator { return analysis.NewAccumulator() },
 			CheckpointDir:   *ckptDir,
@@ -231,7 +239,7 @@ func main() {
 			{"probes resumed from checkpoint", fmt.Sprintf("%d", res.Skipped)},
 		}))
 	} else {
-		results = study.RunSharded(spec, study.EngineOptions{Workers: nWorkers, Lanes: *lanes, Progress: progress})
+		results = study.RunSharded(spec, study.EngineOptions{Workers: nWorkers, Progress: progress})
 		acc = analysis.NewAccumulator()
 		for _, rec := range results.Records {
 			acc.Fold(rec)
@@ -340,7 +348,7 @@ func main() {
 // on fault-injected filesystems, ending with a byte-level diff of the
 // tables, Stable metrics, and sink files. Exits non-zero on any
 // divergence or fatal abort.
-func runTorture(spec study.Spec, workers, lanes int, seed int64, cycles int) {
+func runTorture(spec study.Spec, workers int, seed int64, cycles int) {
 	dir, err := os.MkdirTemp("", "pilotstudy-torture-")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pilotstudy: %v\n", err)
@@ -353,7 +361,6 @@ func runTorture(spec study.Spec, workers, lanes int, seed int64, cycles int) {
 	rep, err := study.RunTorture(study.TortureOptions{
 		Spec:           spec,
 		Workers:        workers,
-		Lanes:          lanes,
 		Cycles:         cycles,
 		Seed:           seed,
 		Dir:            dir,

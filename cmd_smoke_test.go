@@ -67,7 +67,8 @@ func TestCLIPilotstudySmallScale(t *testing.T) {
 // TestCLIPilotstudySweepFlags: the sweeps stream, so -stream accepts
 // them; -adversary runs its own sweep, so pairing it with -faults is a
 // usage error (exit 2, which `go run` reports) rather than a silently
-// different sweep.
+// different sweep. So is an explicit -checkpoint-every with nowhere to
+// write the checkpoints, and a flag the CLI does not define.
 func TestCLIPilotstudySweepFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -79,6 +80,8 @@ func TestCLIPilotstudySweepFlags(t *testing.T) {
 	}{
 		{[]string{"-stream", "-faults", "-scale", "0.02"}, true, "Resilience sweep"},
 		{[]string{"-adversary", "-faults", "-scale", "0.02"}, false, "exit status 2"},
+		{[]string{"-stream", "-checkpoint-every", "50", "-scale", "0.02"}, false, "-checkpoint-every requires -checkpoint-dir"},
+		{[]string{"-lanes", "2", "-scale", "0.02"}, false, "flag provided but not defined: -lanes"},
 	} {
 		out, err := runCmd(t, append([]string{"./cmd/pilotstudy"}, c.args...)...)
 		if (err == nil) != c.ok || !strings.Contains(out, c.want) {

@@ -124,7 +124,7 @@ func BuildWith(net *netsim.Network, zones *ZoneData) *Backbone {
 
 // BuildWithCores is BuildWith for worlds stamped out of a shared
 // template: the core and regional transit routers — whose forwarding
-// tables are identical in every shard and lane world — attach to the
+// tables are identical in every shard world — attach to the
 // CoreSet so only the first build pays for the table maps (see
 // netsim.RoutingCore). cores may be nil (no sharing).
 func BuildWithCores(net *netsim.Network, zones *ZoneData, cores *netsim.CoreSet, role netsim.CoreRole) *Backbone {

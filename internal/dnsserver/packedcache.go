@@ -14,8 +14,8 @@ import (
 // only on the persona and on the parts of the query the response echoes
 // (first question verbatim, opcode, RD) — plus the message ID, which is
 // patched into the cached bytes per query. One instance is shared by
-// every server of every world stamped from a template — shard and lane
-// worlds running concurrently included — so the map is a sync.Map. Two
+// every server of every world stamped from a template — shard worlds
+// running concurrently included — so the map is a sync.Map. Two
 // worlds racing on a miss both pack the identical bytes (a persona's
 // answer is a pure function of the key), so whichever Store wins, the
 // cached value is the same; cached slices are never mutated (the ID is

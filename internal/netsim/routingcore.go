@@ -7,8 +7,8 @@ import (
 
 // This file implements shared routing state for worlds stamped out of a
 // common template. The big backbone routers (the core and the regional
-// transit routers) carry identical forwarding tables in every shard and
-// lane world — every ISP prefix, overflow bank, operator site, and
+// transit routers) carry identical forwarding tables in every shard
+// world — every ISP prefix, overflow bank, operator site, and
 // transit-resolver block — yet each world used to rebuild those
 // per-length prefix maps from scratch. A RoutingCore compiles that
 // table once, on the first build, into an immutable structure keyed by
@@ -17,8 +17,8 @@ import (
 //
 // Only the lookup tables are shared. Everything mutable on a router —
 // NAT conntrack, bound services, local addresses, and the 4-slot
-// lookup memo — stays per-world, which is what keeps lane workers free
-// of cross-world writes.
+// lookup memo — stays per-world, which is what keeps concurrent shard
+// workers free of cross-world writes.
 
 // CoreRole says how one world build relates to a CoreSet.
 type CoreRole int

@@ -30,8 +30,7 @@ import (
 // session resumption collapsed to its accounting essence. Tickets are
 // stateless (recomputed from flow identity, below) so no server-side
 // session table exists whose contents could depend on which probes
-// share a world — the property that keeps sharded and laned runs
-// byte-identical.
+// share a world — the property that keeps sharded runs byte-identical.
 
 // ALPN codes carried in stream frames.
 const (

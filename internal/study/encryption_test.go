@@ -28,7 +28,7 @@ func encryptionSpec(adoption float64, tr core.TransportMode, pol dnsserver.Encry
 // session tickets, handshake RTTs, downgrade decisions, and the
 // adoption draw itself are all pure functions of flow identity and the
 // seed, never of arrival order or worker count — so the same spec is
-// byte-identical at any (workers x lanes) grid, clean or faulted. Run
+// byte-identical at any worker count, clean or faulted. Run
 // under -race in CI this also shakes out unsynchronized session state.
 func TestEncryptionDeterminism(t *testing.T) {
 	scenarios := []struct {
@@ -58,28 +58,28 @@ func TestEncryptionDeterminism(t *testing.T) {
 
 			for _, grid := range []study.EngineOptions{
 				{Workers: 4},
-				{Workers: 2, Lanes: 3},
+				{Workers: 2},
 			} {
 				parallel := study.RunSharded(spec, grid)
 				if len(parallel.Errors) != 0 {
-					t.Fatalf("workers=%d lanes=%d shard errors: %v", grid.Workers, grid.Lanes, parallel.Errors)
+					t.Fatalf("workers=%d shard errors: %v", grid.Workers, parallel.Errors)
 				}
 				gotExport := exportJSON(t, parallel)
 				gotReports := reportStrings(parallel)
 				if len(gotExport) != len(wantExport) {
-					t.Fatalf("workers=%d lanes=%d: %d export records, want %d",
-						grid.Workers, grid.Lanes, len(gotExport), len(wantExport))
+					t.Fatalf("workers=%d: %d export records, want %d",
+						grid.Workers, len(gotExport), len(wantExport))
 				}
 				for i := range wantExport {
 					if gotExport[i] != wantExport[i] {
-						t.Fatalf("workers=%d lanes=%d: export record %d differs:\n%s\n%s",
-							grid.Workers, grid.Lanes, i, gotExport[i], wantExport[i])
+						t.Fatalf("workers=%d: export record %d differs:\n%s\n%s",
+							grid.Workers, i, gotExport[i], wantExport[i])
 					}
 				}
 				for i := range wantReports {
 					if gotReports[i] != wantReports[i] {
-						t.Fatalf("workers=%d lanes=%d: report %d differs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-							grid.Workers, grid.Lanes, i, wantReports[i], gotReports[i])
+						t.Fatalf("workers=%d: report %d differs:\n--- serial ---\n%s\n--- parallel ---\n%s",
+							grid.Workers, i, wantReports[i], gotReports[i])
 					}
 				}
 			}

@@ -13,11 +13,6 @@ import (
 type EngineOptions struct {
 	// Workers is the shard count; <= 0 means GOMAXPROCS.
 	Workers int
-	// Lanes is the per-shard lane count: each shard's owned probes are
-	// split into Lanes contiguous windows, each simulated end-to-end by
-	// its own world over the template's shared immutable core. <= 0
-	// means 1, as in StreamOptions.
-	Lanes int
 	// Progress, when non-nil, receives one call per completed shard.
 	// Calls are serialized but arrive in completion order, not shard
 	// order.
@@ -45,7 +40,6 @@ type EngineOptions struct {
 func RunSharded(spec Spec, opts EngineOptions) *Results {
 	res, err := RunStreamed(spec, StreamOptions{
 		Workers:        opts.Workers,
-		Lanes:          opts.Lanes,
 		Progress:       opts.Progress,
 		NewAccumulator: func(int) Accumulator { return &recordKeeper{} },
 	})

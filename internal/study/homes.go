@@ -36,12 +36,10 @@ type pendingHome struct {
 }
 
 // pendingFor returns an owned probe's pending home. Owned probes are
-// registered in ID order, which is shard-rank order, and a lane owns a
-// contiguous rank window, so the entry's index is the probe's rank
-// within this world's window.
+// registered in ID order, which is shard-rank order, so the entry's
+// index is the probe's shard rank.
 func (w *World) pendingFor(id int) *pendingHome {
-	start, _ := w.Spec.laneWindow()
-	i := w.Spec.shardRank(id) - start
+	i := w.Spec.shardRank(id)
 	if i < 0 || i >= len(w.homes) || w.homes[i].plan.startID+w.homes[i].idx != id {
 		panic(fmt.Sprintf("study: probe %d has no pending home in this world", id))
 	}

@@ -10,8 +10,7 @@ import (
 // built only for its measurement and released after it. Homes built
 // equals probes measured, so dead, offline and checkpoint-skipped
 // probes are never built, and no world ever holds more than one home
-// at a time — at any shard and lane layout, and across a kill and
-// resume.
+// at a time — at any shard layout, and across a kill and resume.
 func TestStreamedHomesBounded(t *testing.T) {
 	spec := streamSpec()
 	check := func(t *testing.T, res *study.StreamResults) {
@@ -30,13 +29,11 @@ func TestStreamedHomesBounded(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name           string
-		workers, lanes int
-	}{{"w1l1", 1, 1}, {"w2l1", 2, 1}, {"w1l2", 1, 2}} {
+		name    string
+		workers int
+	}{{"w1l1", 1}, {"w2l1", 2}} {
 		t.Run(c.name, func(t *testing.T) {
-			opts := streamOpts(c.workers)
-			opts.Lanes = c.lanes
-			check(t, mustStream(t, spec, opts))
+			check(t, mustStream(t, spec, streamOpts(c.workers)))
 		})
 	}
 

@@ -148,7 +148,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	produced := 0
 	for _, probe := range w.Platform.Probes() {
 		if !w.Spec.owns(probe.ID) {
-			continue // foreign stub: its own shard or lane records it
+			continue // foreign stub: its own shard records it
 		}
 		if produced < skip {
 			produced++

@@ -88,15 +88,6 @@ type Spec struct {
 	// <= 1 means unsharded. Set via Shard.
 	ShardIndex, ShardCount int
 
-	// LaneIndex/LaneCount subdivide a shard's owned probes into
-	// contiguous windows of the shard's rank sequence — lane l of L owns
-	// ranks [l*N/L, (l+1)*N/L) of the shard's N probes — so each lane
-	// world simulates an unbroken run of the shard's probe IDs and lane
-	// outputs concatenate in probe-ID order without a merge sort.
-	// LaneCount <= 1 means one lane (the whole shard). Set via Lane,
-	// after Shard.
-	LaneIndex, LaneCount int
-
 	// Availability model (see atlas.Availability).
 	FullShare    float64
 	PartialShare float64
@@ -175,7 +166,7 @@ type Spec struct {
 type Encryption struct {
 	// Adoption is the fraction of probes whose stub resolver upgrades
 	// to Transport. Per-probe adoption is a pure hash of (Seed, probe
-	// ID), so it is identical on every shard and lane.
+	// ID), so it is identical on every shard.
 	Adoption float64
 	// Transport is the upgraded probes' client mode.
 	Transport core.TransportMode
@@ -333,7 +324,7 @@ func PaperSpec() Spec {
 
 // firstProbeID is the ID planOrgs assigns the first planned probe.
 // Probe IDs are contiguous from here, which is what makes shard ranks
-// and lane windows computable arithmetically from an ID.
+// computable arithmetically from an ID.
 const firstProbeID = 1000
 
 // Shard returns the spec restricted to shard k of total. The shard owns
@@ -346,26 +337,9 @@ func (s Spec) Shard(k, total int) Spec {
 	return s
 }
 
-// Lane returns the spec restricted to lane l of total within its shard
-// window (see LaneIndex). Apply after Shard.
-func (s Spec) Lane(l, total int) Spec {
-	s.LaneIndex, s.LaneCount = l, total
-	return s
-}
-
-// owns reports whether this spec's shard and lane instantiate the probe.
+// owns reports whether this spec's shard instantiates the probe.
 func (s Spec) owns(probeID int) bool {
-	if s.ShardCount > 1 && probeID%s.ShardCount != s.ShardIndex {
-		return false
-	}
-	if s.LaneCount > 1 {
-		r := s.shardRank(probeID)
-		start, end := s.laneWindow()
-		if r < start || r >= end {
-			return false
-		}
-	}
-	return true
+	return s.ShardCount <= 1 || probeID%s.ShardCount == s.ShardIndex
 }
 
 // shardResidue is the residue class of this shard's owned IDs relative
@@ -396,16 +370,6 @@ func (s Spec) shardOwnedCount() int {
 		return 0
 	}
 	return (n + s.ShardCount - 1) / s.ShardCount
-}
-
-// laneWindow is this lane's half-open window [start, end) of shard
-// ranks. Lane windows tile the shard's owned sequence contiguously.
-func (s Spec) laneWindow() (start, end int) {
-	n := s.shardOwnedCount()
-	if s.LaneCount <= 1 {
-		return 0, n
-	}
-	return s.LaneIndex * n / s.LaneCount, (s.LaneIndex + 1) * n / s.LaneCount
 }
 
 // TotalSeats sums the quota table.

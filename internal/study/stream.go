@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -41,17 +42,6 @@ type Accumulator interface {
 type StreamOptions struct {
 	// Workers is the shard count; <= 0 means GOMAXPROCS.
 	Workers int
-	// Lanes is the per-shard lane count: each shard's owned probes split
-	// into Lanes contiguous windows, each simulated end-to-end by its own
-	// world over the template's shared immutable core, with one committer
-	// per shard folding the lanes' records strictly in lane order — so
-	// every output byte matches the single-lane pipeline. <= 0 means 1:
-	// lane mode moves the checkpoint cadence from record intervals
-	// (CheckpointEvery) to lane boundaries — the only points where the
-	// accumulator, sink, and registry are exactly aligned while lanes run
-	// ahead of the committer — so it is opt-in rather than inferred from
-	// the machine.
-	Lanes int
 	// Progress, when non-nil, receives one call per completed shard,
 	// serialized but in completion order.
 	Progress func(shard, workers, probes int, elapsed time.Duration)
@@ -169,12 +159,6 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 	if spec.TotalProbes > 0 && workers > spec.TotalProbes {
 		workers = spec.TotalProbes
 	}
-	// The one lane default: <= 0 means 1, clamped so every lane window
-	// is nonempty.
-	lanes := max(opts.Lanes, 1)
-	if spec.TotalProbes > 0 {
-		lanes = max(min(lanes, spec.TotalProbes/workers), 1)
-	}
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
@@ -225,7 +209,7 @@ func RunStreamed(spec Spec, opts StreamOptions) (*StreamResults, error) {
 				accs[k] = nil
 				a := &shardAttempt{tpl: tpl, spec: spec, k: k, workers: workers, opts: opts,
 					fsys: fsys, attempt: attempt, warnf: warnf, accSlot: &accs[k]}
-				reg, n, skip, halt, err := a.run(lanes)
+				reg, n, skip, halt, err := a.run()
 				if err == nil {
 					shardRegs[k], folded[k], skipped[k], stopped[k] = reg, n, skip, halt
 					if opts.Progress != nil {
@@ -294,29 +278,13 @@ type shardAttempt struct {
 	accSlot *Accumulator
 }
 
-// run measures the shard's probes, converting a panic into an error
-// the supervisor can restart on. It returns the shard registry, the
-// records folded this attempt, the records skipped via checkpoint, and
-// whether StopAfterProbes halted the sweep.
-func (a *shardAttempt) run(lanes int) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panicked: %v", r)
-		}
-	}()
-	if lanes > 1 {
-		return a.runLanes(lanes)
-	}
-	return a.runSingle()
-}
-
-// prologue is the setup both fold loops share: a fresh accumulator in
-// the supervisor's slot, the checkpoint store (nil without
-// CheckpointDir; loaded on resume, cleared on a fresh run), the
-// restored metric snapshot and recovery accounting on the shard
+// prologue is the shard's setup before its fold loop: a fresh
+// accumulator in the supervisor's slot, the checkpoint store (nil
+// without CheckpointDir; loaded on resume, cleared on a fresh run), the
+// restored metric snapshot and recovery accounting on the shard world's
 // registry, and the sink (nil without NewSink) opened at skip, the
 // records the loaded checkpoint already covers.
-func (a *shardAttempt) prologue(reg *metrics.Registry, sm *studyMetrics) (acc Accumulator, store *ckStore, sink RecordSink, skip int, err error) {
+func (a *shardAttempt) prologue(world *World) (acc Accumulator, store *ckStore, sink RecordSink, skip int, err error) {
 	acc = a.opts.NewAccumulator(a.k)
 	*a.accSlot = acc
 	recovery := ckFresh
@@ -341,7 +309,7 @@ func (a *shardAttempt) prologue(reg *metrics.Registry, sm *studyMetrics) (acc Ac
 					recovery = ckAllCorrupt
 				} else {
 					skip = ck.Cursor
-					reg.AddSnapshot(ck.Metrics)
+					world.Metrics.AddSnapshot(ck.Metrics)
 				}
 			}
 		} else {
@@ -351,9 +319,9 @@ func (a *shardAttempt) prologue(reg *metrics.Registry, sm *studyMetrics) (acc Ac
 			store.clear()
 		}
 	}
-	sm.noteResumeSkipped(skip)
+	world.studyMetrics.noteResumeSkipped(skip)
 	if recovery.recovered() {
-		sm.noteCheckpointRecovery()
+		world.studyMetrics.noteCheckpointRecovery()
 	}
 	if a.opts.NewSink != nil {
 		sink, err = a.opts.NewSink(a.k, a.workers, skip)
@@ -361,13 +329,21 @@ func (a *shardAttempt) prologue(reg *metrics.Registry, sm *studyMetrics) (acc Ac
 	return acc, store, sink, skip, err
 }
 
-// runSingle measures the shard in one world, folding each record into
-// the accumulator and sink as it completes and checkpointing every
-// CheckpointEvery records.
-func (a *shardAttempt) runSingle() (reg *metrics.Registry, folded, skip int, halted bool, err error) {
+// run measures the shard in one world, folding each record into the
+// accumulator and sink as it completes and checkpointing every
+// CheckpointEvery records. It converts a panic into an error the
+// supervisor can restart on, and returns the shard registry, the
+// records folded this attempt, the records skipped via checkpoint, and
+// whether StopAfterProbes halted the sweep.
+func (a *shardAttempt) run() (reg *metrics.Registry, folded, skip int, halted bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
 	world := a.tpl.Build(a.spec.Shard(a.k, a.workers))
 	reg = world.Metrics
-	acc, store, sink, skip, err := a.prologue(reg, world.studyMetrics)
+	acc, store, sink, skip, err := a.prologue(world)
 	if err != nil {
 		return reg, 0, skip, false, err
 	}
@@ -447,197 +423,6 @@ func (a *shardAttempt) runSingle() (reg *metrics.Registry, folded, skip int, hal
 	return reg, folded, skip, halted, nil
 }
 
-// laneChanBuf bounds how far one lane's event loop can run ahead of the
-// shard committer: the streaming pipeline's O(1)-per-probe memory bound
-// becomes O(lanes × laneChanBuf) records in flight, never O(probes).
-const laneChanBuf = 32
-
-// laneFeed is one lane's side of the shard committer handshake. The
-// lane goroutine fills reg and err, then closes ch; the channel close
-// is the happens-before edge, so the committer reads them only after
-// the drain loop ends.
-type laneFeed struct {
-	ch  chan *ProbeRecord
-	reg *metrics.Registry
-	err error
-	// start/end are the lane's rank window within the shard; skip is the
-	// checkpointed prefix of that window.
-	start, end, skip int
-}
-
-// runLanes is runSingle's lane-parallel variant: the shard's owned
-// probe ranks split into lanes contiguous windows, each measured
-// end-to-end by its own world (over the template's shared immutable
-// core), while a single committer — this function — drains the lanes
-// strictly in lane order, folding into one accumulator and sink.
-// Because lane windows are contiguous and ordered, the fold order is
-// exactly the single-lane order, and every output byte matches.
-//
-// Checkpoints move to lane boundaries: lanes run ahead of the committer,
-// so mid-lane the lane registries hold counts past the fold cursor and
-// a snapshot there would double-count on resume. When lane l's channel
-// closes, its registry merges into the shard registry — the merged
-// state then covers exactly the ranks below the lane's end (restored
-// checkpoint < skip, completed lanes are a contiguous prefix, stubs and
-// skipped probes produce no Stable counts) — and that boundary is
-// durably checkpointed. The fingerprint stays lane-free, so a
-// checkpoint written at one lane count resumes at any other.
-func (a *shardAttempt) runLanes(lanes int) (reg *metrics.Registry, folded, skip int, halted bool, err error) {
-	// The shard registry lives above the lane worlds: restored snapshot
-	// first, then each completed lane's registry in lane order. The
-	// shard-level instruments (resume accounting, checkpoint and sink
-	// health) land here rather than on any one lane's world.
-	var sm *studyMetrics
-	if !a.spec.DisableMetrics {
-		reg = metrics.New()
-		sm = newStudyMetrics(reg)
-	}
-	acc, store, sink, skip, err := a.prologue(reg, sm)
-	if err != nil {
-		return reg, 0, skip, false, err
-	}
-	var flusher SinkFlusher
-	if f, ok := sink.(SinkFlusher); ok {
-		flusher = f
-	}
-
-	// A record keeper retains every record anyway, so bounding the
-	// run-ahead would only serialize the lanes behind the committer.
-	buf := laneChanBuf
-	if _, keeps := acc.(*recordKeeper); keeps {
-		buf = a.spec.TotalProbes
-	}
-	shardSpec := a.spec.Shard(a.k, a.workers)
-	done := make(chan struct{})
-	var doneOnce sync.Once
-	cancel := func() { doneOnce.Do(func() { close(done) }) }
-	var lwg sync.WaitGroup
-	feeds := make([]*laneFeed, lanes)
-	for l := 0; l < lanes; l++ {
-		laneSpec := shardSpec.Lane(l, lanes)
-		s, e := laneSpec.laneWindow()
-		lf := &laneFeed{ch: make(chan *ProbeRecord, min(buf, e-s)), start: s, end: e}
-		feeds[l] = lf
-		lf.skip = skip - s
-		if lf.skip < 0 {
-			lf.skip = 0
-		}
-		if lf.skip >= e-s {
-			// The checkpoint already covers this whole window (or the
-			// window is empty): nothing to measure, so the lane's world is
-			// never built.
-			lf.skip = e - s
-			close(lf.ch)
-			continue
-		}
-		lwg.Add(1)
-		go func(l int, lf *laneFeed, laneSpec Spec) {
-			defer lwg.Done()
-			defer close(lf.ch)
-			// Quarantine is per-probe inside streamRecords; this recover
-			// catches a lane world build blowing up, surfacing it as the
-			// attempt error so the supervisor restarts the shard.
-			defer func() {
-				if r := recover(); r != nil {
-					lf.err = fmt.Errorf("lane %d/%d panicked: %v", l, lanes, r)
-				}
-			}()
-			world := a.tpl.Build(laneSpec)
-			lf.reg = world.Metrics
-			streamRecords(world, lf.skip, func(rec *ProbeRecord) bool {
-				select {
-				case lf.ch <- rec:
-					return true
-				case <-done:
-					return false
-				}
-			})
-		}(l, lf, laneSpec)
-	}
-
-	var ioErr error
-	var exp ProbeExport // reused across records; serialized before the next fill
-	wroteCk := false
-commit:
-	for _, lf := range feeds {
-		for rec := range lf.ch {
-			acc.Fold(rec)
-			if sink != nil && ioErr == nil {
-				ExportRecordInto(rec, &exp)
-				ioErr = sink.Append(exp)
-			}
-			folded++
-			if a.opts.StopAfterProbes > 0 && folded >= a.opts.StopAfterProbes {
-				halted = true
-				break commit
-			}
-			if ioErr != nil {
-				break commit
-			}
-		}
-		// Channel closed: the lane goroutine has finished and its
-		// registry covers exactly the lane's non-skipped ranks.
-		reg.Merge(lf.reg)
-		if lf.err != nil {
-			err = lf.err
-			break commit
-		}
-		// Lane boundary: accumulator, sink, and registry agree on the
-		// cursor — the only alignment point in lane mode, so this is
-		// where checkpoints happen (CheckpointEvery does not apply).
-		if store != nil && lf.end > skip && ioErr == nil {
-			if flusher != nil {
-				ioErr = flusher.Flush()
-			}
-			if ioErr != nil {
-				break commit
-			}
-			if cerr := store.store(lf.end, acc, reg); cerr != nil {
-				sm.noteCheckpointWriteFailure()
-				a.warnf("study: shard %d/%d checkpoint write at cursor %d failed (retrying at next lane boundary): %v",
-					a.k, a.workers, lf.end, cerr)
-			} else {
-				sm.noteCheckpoint()
-				wroteCk = true
-			}
-		}
-	}
-	// Unblock any lane still ahead of a halt or error, then wait: lanes
-	// select on done in their yield, so they exit after at most one more
-	// record.
-	cancel()
-	lwg.Wait()
-
-	if sink != nil {
-		cerr := sink.Close()
-		if ioErr == nil {
-			ioErr = cerr
-		}
-		if ss, ok := sink.(SinkStatser); ok {
-			sm.noteSinkHealing(ss.SinkStats())
-		}
-	}
-	if err != nil {
-		return reg, folded, skip, halted, err
-	}
-	if ioErr != nil {
-		return reg, folded, skip, halted, ioErr
-	}
-	// Every lane boundary writes a checkpoint, so the last one already
-	// marked the shard complete. The exception is a resume of an
-	// already-complete shard (every lane fully skipped): refresh the
-	// final checkpoint as the single-lane path would.
-	if store != nil && !halted && !wroteCk {
-		if cerr := store.store(skip+folded, acc, reg); cerr != nil {
-			sm.noteCheckpointWriteFailure()
-			a.warnf("study: shard %d/%d final checkpoint failed (a resume will re-measure the tail): %v", a.k, a.workers, cerr)
-		} else {
-			sm.noteCheckpoint()
-		}
-	}
-	return reg, folded, skip, halted, nil
-}
-
 // TruncateSinkFile trims a line-oriented sink file (JSONL or CSV) back
 // to the first records entries — the prefix a shard's checkpoint
 // covers. header reserves one leading header line (CSV). A resuming
@@ -659,7 +444,7 @@ func TruncateSinkFile(path string, records int, header bool) error {
 	}
 	off, lines := 0, 0
 	for ; lines < keep; lines++ {
-		j := indexByte(blob[off:], '\n')
+		j := bytes.IndexByte(blob[off:], '\n')
 		if j < 0 {
 			// Fewer complete lines than the checkpoint covers: the file
 			// is shorter than the checkpoint claims, which means the
@@ -674,14 +459,4 @@ func TruncateSinkFile(path string, records int, header bool) error {
 	// Truncate in place rather than rewriting: the kept prefix is
 	// already durable, so shortening the file cannot tear it.
 	return os.Truncate(path, int64(off))
-}
-
-// indexByte is bytes.IndexByte without the import.
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }

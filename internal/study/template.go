@@ -49,8 +49,8 @@ type WorldTemplate struct {
 
 	// chaosCache is the packed CHAOS answer cache, shared by every world
 	// of this template — the persona answers it memoizes are pure
-	// functions of the query, so shard and lane worlds running
-	// concurrently can all hit one cache.
+	// functions of the query, so shard worlds running concurrently can
+	// all hit one cache.
 	chaosCache *dnsserver.PackedAnswerCache
 }
 
@@ -75,7 +75,7 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 }
 
 // Build constructs one world over the template. The spec must agree
-// with the template's on everything except the shard window — in
+// with the template's on everything except the shard selection — in
 // practice it is the template's spec or a Shard() of it. The template
 // is only ever read, so concurrent Builds are safe.
 func (t *WorldTemplate) Build(spec Spec) *World {

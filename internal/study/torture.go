@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -25,13 +26,6 @@ type TortureOptions struct {
 	Spec Spec
 	// Workers is the shard count; <= 0 means 4.
 	Workers int
-	// Lanes pins the per-shard lane count for every tortured cycle;
-	// <= 0 means the campaign varies it per cycle (1..3) from Seed,
-	// exercising cross-lane resume: the checkpoint cursor counts shard
-	// ranks and the fingerprint is lane-free, so a cycle killed at one
-	// lane count must resume cleanly at another. The undisturbed
-	// reference always runs single-lane.
-	Lanes int
 	// Cycles is the number of kill/corrupt/resume rounds; the final
 	// round always runs to completion. <= 0 means 30.
 	Cycles int
@@ -275,17 +269,9 @@ func RunTorture(o TortureOptions) (*TortureReport, error) {
 			faultfs.TornWrite: 0.03,
 			faultfs.WriteEIO:  0.04,
 		}})
-		// The lane draw is unconditional so a pinned Lanes option changes
-		// only the lane count — kill points and corruption choices stay
-		// comparable across campaigns at the same seed.
-		laneDraw := 1 + rng.Intn(3)
-		lanes := o.Lanes
-		if lanes <= 0 {
-			lanes = laneDraw
-		}
+		rng.Intn(3) // discarded: keeps every seed's kill points and corruption choices
 		run := StreamOptions{
 			Workers:         workers,
-			Lanes:           lanes,
 			NewAccumulator:  o.NewAccumulator,
 			CheckpointDir:   ckDir,
 			CheckpointEvery: every,
@@ -425,7 +411,7 @@ func tearSinkTail(path string, minLines int, rng *rand.Rand) {
 	}
 	off := 0
 	for i := 0; i < minLines && off < len(blob); i++ {
-		j := indexByte(blob[off:], '\n')
+		j := bytes.IndexByte(blob[off:], '\n')
 		if j < 0 {
 			off = len(blob)
 			break

@@ -464,8 +464,8 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 // seat, which of the org's segments it lives on, and the RNG draws
 // (v6, availability) that the serial build made from the Seed+1
 // stream. Capturing the draws at plan time means no RNG call happens
-// during population at all, so every shard and lane world replays the
-// same draws, whatever part of the fleet it owns.
+// during population at all, so every shard world replays the same
+// draws, whatever part of the fleet it owns.
 type plannedProbe struct {
 	seat     *seat
 	segIndex int // index into the org plan's segSpecs
@@ -592,8 +592,7 @@ func planOrg(spec Spec, org geo.Org, probes int, seats []*seat, rng *rand.Rand) 
 // by org in plan order, so probe IDs and addresses come out exactly as
 // the serial build laid them out.
 func (w *World) populatePlans(plans []orgPlan) {
-	start, end := w.Spec.laneWindow()
-	w.homes = make([]pendingHome, 0, end-start)
+	w.homes = make([]pendingHome, 0, w.Spec.shardOwnedCount())
 	for i := range plans {
 		w.populateOrgPlan(&plans[i])
 	}
@@ -669,7 +668,7 @@ func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan
 	id := plan.startID + idx
 
 	// Transport adoption is a pure (seed, ID) hash, so every world that
-	// registers the probe agrees on it across shards and lanes.
+	// registers the probe agrees on it across shards.
 	enc := core.TransportDo53
 	if w.Spec.adopts(id) {
 		enc = w.Spec.Encryption.Transport
@@ -694,7 +693,7 @@ func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan
 	}
 	w.Platform.Add(probe)
 
-	// A foreign probe (another shard's or lane's) stays a bare stub: the
+	// A foreign probe (another shard's) stays a bare stub: the
 	// platform roster, the RNG streams, and the address allocators stay
 	// aligned with the unsharded build, and the owning world produces
 	// its record.
