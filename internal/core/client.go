@@ -65,6 +65,126 @@ type RTTExchanger interface {
 	ExchangeRTT(server netip.AddrPort, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error)
 }
 
+// ReplyExchanger is an optional Client extension for transports that
+// can reduce the responses to a query themselves, reading them in place
+// instead of materializing a Message per response. The detector prefers
+// it over RTTExchanger and Exchange.
+type ReplyExchanger interface {
+	ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error)
+}
+
+// Reply is everything the detector reads from the responses to one
+// query. The first response is what a stub resolver would consume.
+type Reply struct {
+	// Count is the number of responses; more than one means the query
+	// was replicated.
+	Count int
+	// RCode is the first response's rcode.
+	RCode dnswire.RCode
+	// Answer is the first response's first TXT answer, its strings
+	// joined, or when it has none its first A or AAAA answer as text.
+	Answer string
+	// Answered reports whether the first response had such an answer.
+	Answered bool
+	// RTT is the round-trip time of the first response (zero when the
+	// transport does not measure it).
+	RTT time.Duration
+}
+
+// ReplyOf reduces materialized responses to a Reply. It is the
+// detector's path for transports without ExchangeReply: the real-socket
+// clients and any wrapper that forwards only Exchange or ExchangeRTT.
+func ReplyOf(resps []*dnswire.Message, rtt time.Duration) Reply {
+	if len(resps) == 0 {
+		return Reply{}
+	}
+	m := resps[0]
+	r := Reply{Count: len(resps), RCode: m.Header.RCode, RTT: rtt}
+	if txt, ok := m.FirstTXT(); ok {
+		r.Answer, r.Answered = txt, true
+	} else if addr, ok := m.FirstAddr(); ok {
+		r.Answer, r.Answered = addr.String(), true
+	}
+	return r
+}
+
+// replyOf is ReplyOf of one response, read in place from its view. Its
+// one allocation is the answer string.
+func replyOf(v *dnswire.View, rtt time.Duration) Reply {
+	r := Reply{Count: 1, RCode: v.Header.RCode, RTT: rtt}
+	var addr netip.Addr
+	for ans := v.Answers(); ans.Next(); {
+		var buf [256]byte
+		if txt, ok := ans.AppendTXT(buf[:0]); ok {
+			r.Answer, r.Answered = string(txt), true
+			return r
+		}
+		if a, ok := ans.Addr(); ok && !addr.IsValid() {
+			addr = a
+		}
+	}
+	if addr.IsValid() {
+		r.Answer, r.Answered = addr.String(), true
+	}
+	return r
+}
+
+// collector gathers the responses to one query for a simulated
+// transport's packet loop, which hands it every datagram that arrived.
+// It keeps only those that parse as responses to the query's ID, as a
+// stub would, and either reduces them to a Reply or, with keep set,
+// materializes each as a Message for the Client and RTTExchanger APIs.
+type collector struct {
+	id    uint16
+	keep  bool
+	msgs  []*dnswire.Message
+	reply Reply
+}
+
+// add offers one datagram of a batch of n that arrived rtt after the
+// query was sent.
+func (c *collector) add(payload []byte, rtt time.Duration, n int) {
+	v, err := dnswire.ParseView(payload)
+	if err != nil || v.Header.ID != c.id {
+		return // garbage, or not ours: never materialized
+	}
+	switch {
+	case c.reply.Count > 0:
+		c.reply.Count++
+	case c.keep:
+		c.reply = Reply{Count: 1, RTT: rtt}
+	default:
+		c.reply = replyOf(&v, rtt)
+	}
+	if c.keep {
+		if c.msgs == nil {
+			c.msgs = make([]*dnswire.Message, 0, n)
+		}
+		c.msgs = append(c.msgs, v.Message())
+	}
+}
+
+// err is the exchange's outcome once every datagram was offered:
+// ErrGarbage when datagrams arrived but none was a response to the
+// query — a damaged-response fault, not silence.
+func (c *collector) err() error {
+	if c.reply.Count == 0 {
+		return ErrGarbage
+	}
+	return nil
+}
+
+// netErr maps the simulator's transport errors to the detector's.
+func netErr(err error) error {
+	switch {
+	case errors.Is(err, netsim.ErrTimeout):
+		return ErrTimeout
+	case errors.Is(err, netsim.ErrNoAddress):
+		return ErrNoRoute
+	}
+	return err
+}
+
 // SimClient adapts a simulated host to the Client interface. It is NOT
 // safe for concurrent use: the simulator is a single-threaded event
 // loop. Do not combine it with Detector.Parallel.
@@ -82,9 +202,29 @@ func (c *SimClient) Exchange(server netip.AddrPort, query *dnswire.Message) ([]*
 // ExchangeRTT implements RTTExchanger with the virtual-clock RTT of the
 // first response.
 func (c *SimClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+	col := collector{id: query.Header.ID, keep: true}
+	if err := c.exchange(server, query, &col); err != nil {
+		return nil, 0, err
+	}
+	return col.msgs, col.reply.RTT, nil
+}
+
+// ExchangeReply implements ReplyExchanger with the virtual-clock RTT of
+// the first response.
+func (c *SimClient) ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error) {
+	col := collector{id: query.Header.ID}
+	if err := c.exchange(server, query, &col); err != nil {
+		return Reply{}, err
+	}
+	return col.reply, nil
+}
+
+// exchange is the client's one packet loop: it sends query to server
+// and offers every datagram that came back to col.
+func (c *SimClient) exchange(server netip.AddrPort, query *dnswire.Message, col *collector) error {
 	payload, err := query.PackTo(c.Net.PayloadBuf())
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	pkts, err := c.Host.Exchange(c.Net, server, payload, netsim.ExchangeOptions{})
 	// The exchange has fully drained the event queue: nothing in flight
@@ -93,36 +233,14 @@ func (c *SimClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) (
 	// the freelist before the responses are even parsed — response
 	// payloads are distinct buffers.
 	c.Net.RecyclePayload(payload)
-	switch {
-	case errors.Is(err, netsim.ErrTimeout):
-		return nil, 0, ErrTimeout
-	case errors.Is(err, netsim.ErrNoAddress):
-		return nil, 0, ErrNoRoute
-	case err != nil:
-		return nil, 0, err
+	if err != nil {
+		return netErr(err)
 	}
-	out := make([]*dnswire.Message, 0, len(pkts))
-	var rtt time.Duration
-	for _, p := range pkts {
-		v, err := dnswire.ParseView(p.Payload)
-		if err != nil {
-			continue // garbage response: ignore, as a stub would
-		}
-		if v.Header.ID != query.Header.ID {
-			continue // not ours: never materialized
-		}
-		if len(out) == 0 {
-			rtt = p.RTT()
-		}
-		out = append(out, v.Message())
+	for i := range pkts {
+		col.add(pkts[i].Payload, pkts[i].RTT(), len(pkts))
 	}
-	// The packets are fully parsed; hand the slice back to the host so
+	// The packets are fully read; hand the slice back to the host so
 	// the next flow reuses its capacity.
 	c.Host.Recycle(pkts)
-	if len(out) == 0 {
-		// Datagrams arrived (Host.Exchange returned some) but none
-		// parsed as ours: a damaged-response fault, not silence.
-		return nil, 0, ErrGarbage
-	}
-	return out, rtt, nil
+	return col.err()
 }

@@ -170,8 +170,8 @@ func (d *Detector) exchangeOne(id publicdns.ID, server netip.AddrPort, q *dnswir
 }
 
 // exchange sends a query and reduces the result to a ProbeResult.
-// For TXT-shaped queries the answer is the joined TXT; for address
-// queries it is the first address. Transient transport errors consume
+// The answer is the first response's joined TXT, or else its first
+// address (see Reply). Transient transport errors consume
 // retry attempts under the policy; permanent ones (no route) fail the
 // query on the spot. Alongside the result it returns the total backoff
 // slept and the per-attempt failure classification tallies.
@@ -184,16 +184,10 @@ func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.M
 	pol := d.policy()
 	maxAttempts := pol.Attempts()
 	salt := QuerySalt(server, q.Header.ID)
-	var resps []*dnswire.Message
-	var rtt time.Duration
+	var rep Reply
 	var err error
-	rttClient, hasRTT := d.Client.(RTTExchanger)
 	for attempt := 1; ; attempt++ {
-		if hasRTT {
-			resps, rtt, err = rttClient.ExchangeRTT(server, q)
-		} else {
-			resps, err = d.Client.Exchange(server, q)
-		}
+		rep, err = d.reply(server, q)
 		pr.Attempts = attempt
 		if err != nil {
 			if Classify(err) == ClassPermanent {
@@ -231,28 +225,43 @@ func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.M
 	}
 	// Replication: prior work observed the interceptor's answer arriving
 	// first; either way interception and replication are
-	// indistinguishable here (§3.1), so take the first response.
-	m := resps[0]
-	pr.Replicated = len(resps) > 1
-	pr.RCode = m.Header.RCode
-	pr.RTT = rtt
-	if m.Header.RCode != dnswire.RCodeSuccess {
+	// indistinguishable here (§3.1), so the reply is the first response.
+	pr.Replicated = rep.Count > 1
+	pr.RCode = rep.RCode
+	pr.RTT = rep.RTT
+	if rep.RCode == dnswire.RCodeSuccess && rep.Answered {
+		pr.Outcome = OutcomeAnswer
+		pr.Answer = rep.Answer
+	} else {
+		// An error rcode, or NOERROR with no usable records.
 		pr.Outcome = OutcomeError
-		return pr, backoff, transient, permanent
 	}
-	if txt, ok := m.FirstTXT(); ok {
-		pr.Outcome = OutcomeAnswer
-		pr.Answer = txt
-		return pr, backoff, transient, permanent
-	}
-	if addr, ok := m.FirstAddr(); ok {
-		pr.Outcome = OutcomeAnswer
-		pr.Answer = addr.String()
-		return pr, backoff, transient, permanent
-	}
-	// NOERROR with no usable records: treat as an error-shaped response.
-	pr.Outcome = OutcomeError
 	return pr, backoff, transient, permanent
+}
+
+// reply sends one attempt of a query through the richest interface the
+// client implements. A client that reports success without a response
+// has sent nothing the detector can read: that is ErrGarbage.
+func (d *Detector) reply(server netip.AddrPort, q *dnswire.Message) (Reply, error) {
+	var rep Reply
+	var err error
+	switch c := d.Client.(type) {
+	case ReplyExchanger:
+		rep, err = c.ExchangeReply(server, q)
+	case RTTExchanger:
+		var resps []*dnswire.Message
+		var rtt time.Duration
+		resps, rtt, err = c.ExchangeRTT(server, q)
+		rep = ReplyOf(resps, rtt)
+	default:
+		var resps []*dnswire.Message
+		resps, err = d.Client.Exchange(server, q)
+		rep = ReplyOf(resps, 0)
+	}
+	if err == nil && rep.Count == 0 {
+		return Reply{}, ErrGarbage
+	}
+	return rep, err
 }
 
 // probeSpec names one (operator, server) location-query target.

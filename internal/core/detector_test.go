@@ -1,10 +1,14 @@
 package core_test
 
 import (
+	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/homelab"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -232,6 +236,82 @@ func TestReportString(t *testing.T) {
 	for _, want := range []string{"intercepted by CPE", "dnsmasq-2.78", "NON-STANDARD", "version.bind"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// exchangeOnly hides a client's optional interfaces: the detector must
+// reduce its Messages with ReplyOf.
+type exchangeOnly struct{ c core.Client }
+
+func (e exchangeOnly) Exchange(server netip.AddrPort, q *dnswire.Message) ([]*dnswire.Message, error) {
+	return e.c.Exchange(server, q)
+}
+
+// rttOnly forwards Exchange and ExchangeRTT only, as a timing wrapper
+// written before ReplyExchanger does.
+type rttOnly struct{ c *core.SimClient }
+
+func (r rttOnly) Exchange(server netip.AddrPort, q *dnswire.Message) ([]*dnswire.Message, error) {
+	return r.c.Exchange(server, q)
+}
+
+func (r rttOnly) ExchangeRTT(server netip.AddrPort, q *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+	return r.c.ExchangeRTT(server, q)
+}
+
+// TestReplyPathsAgree: in every scenario the report is the same whether
+// the detector reduces responses in place (SimClient.ExchangeReply) or
+// through ReplyOf behind a wrapper that forwards ExchangeRTT. Behind an
+// Exchange-only wrapper only the RTTs are lost.
+func TestReplyPathsAgree(t *testing.T) {
+	for _, s := range homelab.AllScenarios {
+		t.Run(string(s), func(t *testing.T) {
+			want := homelab.New(s).Detector().Run()
+
+			lab := homelab.New(s)
+			d := lab.Detector()
+			d.Client = rttOnly{lab.Client()}
+			if got := d.Run(); !reflect.DeepEqual(got, want) {
+				t.Errorf("ExchangeRTT path:\n%s\nExchangeReply path:\n%s", got, want)
+			}
+
+			lab = homelab.New(s)
+			d = lab.Detector()
+			d.Client = exchangeOnly{lab.Client()}
+			got := d.Run()
+			if got.Verdict != want.Verdict || len(got.Location) != len(want.Location) {
+				t.Fatalf("Exchange path:\n%s\nExchangeReply path:\n%s", got, want)
+			}
+			for i := range got.Location {
+				g, w := got.Location[i], want.Location[i]
+				w.RTT = 0
+				if g != w {
+					t.Errorf("location %d: Exchange path %+v, ExchangeReply path %+v", i, g, w)
+				}
+			}
+		})
+	}
+}
+
+// emptySuccess reports success with no response at all.
+type emptySuccess struct{}
+
+func (emptySuccess) Exchange(netip.AddrPort, *dnswire.Message) ([]*dnswire.Message, error) {
+	return nil, nil
+}
+
+// TestEmptySuccessIsGarbage: a transport that reports success without a
+// response gave the detector nothing to read — garbage, never evidence.
+func TestEmptySuccessIsGarbage(t *testing.T) {
+	d := &core.Detector{Client: emptySuccess{}, Resolvers: []publicdns.ID{publicdns.Cloudflare}}
+	r := d.Run()
+	if r.Intercepted() || len(r.Location) == 0 {
+		t.Fatalf("report:\n%s", r)
+	}
+	for _, p := range r.Location {
+		if p.Outcome != core.OutcomeGarbage {
+			t.Errorf("%s: outcome %s, want garbage", p.Server, p.Outcome)
 		}
 	}
 }

@@ -110,18 +110,38 @@ func (c *EncryptedClient) Exchange(server netip.AddrPort, query *dnswire.Message
 // exchange as the client experienced it: handshake round trip included
 // when one was needed, just the data round trip on a resumed session.
 func (c *EncryptedClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+	col := collector{id: query.Header.ID, keep: true}
+	if err := c.exchange(server, query, &col); err != nil {
+		return nil, 0, err
+	}
+	return col.msgs, col.reply.RTT, nil
+}
+
+// ExchangeReply implements ReplyExchanger, with the RTT ExchangeRTT
+// reports.
+func (c *EncryptedClient) ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error) {
+	col := collector{id: query.Header.ID}
+	if err := c.exchange(server, query, &col); err != nil {
+		return Reply{}, err
+	}
+	return col.reply, nil
+}
+
+// exchange runs one query over the transport the mode and target call
+// for, offering the responses to col.
+func (c *EncryptedClient) exchange(server netip.AddrPort, query *dnswire.Message, col *collector) error {
 	if !c.Mode.Encrypted() || (c.Upgrade != nil && !c.Upgrade(server.Addr())) {
-		return c.Sim.ExchangeRTT(server, query)
+		return c.Sim.exchange(server, query, col)
 	}
 	sess := c.session(server.Addr())
 	if sess.downgraded {
-		return c.Sim.ExchangeRTT(server, query)
+		return c.Sim.exchange(server, query, col)
 	}
 
 	alpn := c.Mode.alpn()
 	port, err := netsim.StreamPortFor(alpn)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	target := netip.AddrPortFrom(server.Addr(), port)
 
@@ -129,14 +149,14 @@ func (c *EncryptedClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Mess
 	if !sess.haveTicket {
 		rtt, err := c.handshake(target, alpn, sess)
 		if err != nil {
-			return c.failOrDowngrade(sess, server, query, err)
+			return c.failOrDowngrade(sess, server, query, col, err)
 		}
 		handshakeRTT = rtt
 	} else {
 		c.Resumed++
 	}
 
-	resps, rtt, err := c.data(target, alpn, sess, query)
+	err = c.data(target, alpn, sess, query, col)
 	if errors.Is(err, errBadTicket) {
 		// The endpoint rejected our resumption (its salt changed, or the
 		// path now terminates somewhere new): redo the handshake once.
@@ -144,15 +164,16 @@ func (c *EncryptedClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Mess
 		c.Resumed--
 		hrtt, herr := c.handshake(target, alpn, sess)
 		if herr != nil {
-			return c.failOrDowngrade(sess, server, query, herr)
+			return c.failOrDowngrade(sess, server, query, col, herr)
 		}
 		handshakeRTT = hrtt
-		resps, rtt, err = c.data(target, alpn, sess, query)
+		err = c.data(target, alpn, sess, query, col)
 	}
 	if err != nil {
-		return c.failOrDowngrade(sess, server, query, err)
+		return c.failOrDowngrade(sess, server, query, col, err)
 	}
-	return resps, handshakeRTT + rtt, nil
+	col.reply.RTT += handshakeRTT
+	return nil
 }
 
 // session returns (creating on demand) the per-target session state.
@@ -171,13 +192,13 @@ func (c *EncryptedClient) session(addr netip.Addr) *encSession {
 // failOrDowngrade resolves an encrypted-channel failure per profile:
 // opportunistic clients mark the target downgraded and retry the same
 // query over Do53; strict clients surface the failure.
-func (c *EncryptedClient) failOrDowngrade(sess *encSession, server netip.AddrPort, query *dnswire.Message, err error) ([]*dnswire.Message, time.Duration, error) {
+func (c *EncryptedClient) failOrDowngrade(sess *encSession, server netip.AddrPort, query *dnswire.Message, col *collector, err error) error {
 	if c.Mode.Strict() {
-		return nil, 0, err
+		return err
 	}
 	sess.downgraded = true
 	c.Downgrades++
-	return c.Sim.ExchangeRTT(server, query)
+	return c.Sim.exchange(server, query, col)
 }
 
 // handshake runs the hello/helloAck round trip against target,
@@ -185,14 +206,8 @@ func (c *EncryptedClient) failOrDowngrade(sess *encSession, server netip.AddrPor
 // the issued ticket on success.
 func (c *EncryptedClient) handshake(target netip.AddrPort, alpn uint8, sess *encSession) (time.Duration, error) {
 	pkts, err := c.Sim.Host.Exchange(c.Sim.Net, target, netsim.PackStreamHello(alpn), netsim.ExchangeOptions{Proto: netsim.TCP})
-	if errors.Is(err, netsim.ErrTimeout) {
-		return 0, ErrTimeout
-	}
-	if errors.Is(err, netsim.ErrNoAddress) {
-		return 0, ErrNoRoute
-	}
 	if err != nil {
-		return 0, err
+		return 0, netErr(err)
 	}
 	defer c.Sim.Host.Recycle(pkts)
 	ackALPN, cert, ticket, ok := netsim.ParseStreamHelloAck(pkts[0].Payload)
@@ -210,54 +225,39 @@ func (c *EncryptedClient) handshake(target netip.AddrPort, alpn uint8, sess *enc
 }
 
 // errBadTicket is the internal signal that the endpoint rejected our
-// resumption ticket; ExchangeRTT reacts by redoing the handshake.
+// resumption ticket; exchange reacts by redoing the handshake.
 var errBadTicket = errors.New("core: stream endpoint rejected resumption ticket")
 
-// data sends one query inside the session and parses the responses.
-func (c *EncryptedClient) data(target netip.AddrPort, alpn uint8, sess *encSession, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+// data sends one query inside the session and offers the responses to
+// col. An alert anywhere in the batch fails the exchange before any
+// response is offered.
+func (c *EncryptedClient) data(target netip.AddrPort, alpn uint8, sess *encSession, query *dnswire.Message, col *collector) error {
 	packed, err := query.PackTo(c.Sim.Net.PayloadBuf())
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	framed, err := dnswire.AppendTCPFrame(nil, packed)
 	c.Sim.Net.RecyclePayload(packed)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	payload := netsim.PackStreamData(alpn, sess.ticket, framed)
 
 	pkts, err := c.Sim.Host.Exchange(c.Sim.Net, target, payload, netsim.ExchangeOptions{Proto: netsim.TCP})
-	if errors.Is(err, netsim.ErrTimeout) {
-		return nil, 0, ErrTimeout
-	}
-	if errors.Is(err, netsim.ErrNoAddress) {
-		return nil, 0, ErrNoRoute
-	}
 	if err != nil {
-		return nil, 0, err
+		return netErr(err)
 	}
-	out := make([]*dnswire.Message, 0, len(pkts))
-	var rtt time.Duration
-	for _, p := range pkts {
-		if code, ok := netsim.ParseStreamAlert(p.Payload); ok {
-			c.Sim.Host.Recycle(pkts)
+	defer c.Sim.Host.Recycle(pkts)
+	for i := range pkts {
+		if code, ok := netsim.ParseStreamAlert(pkts[i].Payload); ok {
 			if code == netsim.StreamAlertBadTicket {
-				return nil, 0, errBadTicket
+				return errBadTicket
 			}
-			return nil, 0, ErrGarbage
+			return ErrGarbage
 		}
-		m, err := dnswire.Unpack(p.Payload)
-		if err != nil || m.Header.ID != query.Header.ID {
-			continue // not ours / damaged, as in SimClient
-		}
-		if len(out) == 0 {
-			rtt = p.RTT()
-		}
-		out = append(out, m)
 	}
-	c.Sim.Host.Recycle(pkts)
-	if len(out) == 0 {
-		return nil, 0, ErrGarbage
+	for i := range pkts {
+		col.add(pkts[i].Payload, pkts[i].RTT(), len(pkts))
 	}
-	return out, rtt, nil
+	return col.err()
 }

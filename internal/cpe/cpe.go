@@ -125,11 +125,6 @@ type Config struct {
 	// study engine shares one set across every CPE in a world.
 	Metrics *dnsserver.ForwarderMetrics
 
-	// ChaosCache, when non-nil, is installed on the built forwarder so
-	// persona answers are served from pre-packed bytes; the study engine
-	// shares one cache across every CPE in a world.
-	ChaosCache *dnsserver.PackedAnswerCache
-
 	// Adversary, when non-nil, makes the forwarder evade CHAOS
 	// fingerprinting on diverted flows (see dnsserver.Adversary). Direct
 	// queries to the CPE itself keep the honest persona.
@@ -169,7 +164,6 @@ func Build(cfg Config) *Device {
 		fwd := dnsserver.NewForwarder(cfg.Persona, cfg.WANAddr, cfg.Upstream)
 		fwd.ForwardUnhandledChaos = cfg.ForwardUnhandledChaos
 		fwd.Metrics = cfg.Metrics
-		fwd.ChaosCache = cfg.ChaosCache
 		fwd.Adversary = cfg.Adversary
 		d.Forwarder = fwd
 		r.Bind(53, fwd)

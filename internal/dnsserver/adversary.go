@@ -92,39 +92,39 @@ const (
 	advTagBogon = "adv-bogon"
 )
 
-// ChaosAnswer intercepts a CHAOS debugging query diverted to the device
-// at self. It returns the evasive response to send, or drop=true when
-// the query must be silently consumed (L4 rate limiting). Both zero
-// means the adversary does not apply — serve honestly.
-func (a *Adversary) ChaosAnswer(query *dnswire.Message, pkt netsim.Packet, self netip.Addr) (resp *dnswire.Message, drop bool) {
+// chaosAnswer intercepts a CHAOS debugging query diverted to the device
+// at self. It returns the evasive reply with ok set, or drop=true when
+// the query must be silently consumed (L4 rate limiting). Neither means
+// the adversary does not apply — serve honestly.
+func (a *Adversary) chaosAnswer(v *dnswire.View, pkt netsim.Packet, self netip.Addr) (r chaosReply, ok, drop bool) {
 	if a == nil || a.Level < 1 {
-		return nil, false
+		return r, false, false
 	}
 	target := pkt.OrigDst
-	if !target.IsValid() || target.Addr() == self {
-		return nil, false
+	if !target.IsValid() || target.Addr() == self || !isChaosTXT(v) {
+		return r, false, false
 	}
-	q := query.Question()
-	if q.Class != dnswire.ClassCHAOS || q.Type != dnswire.TypeTXT || !IsChaosDebugName(q.Name) {
-		return nil, false
+	name := chaosDebugName(v)
+	if name == "" {
+		return r, false, false
 	}
 	if a.Level >= 4 && !a.allowChaos(self, pkt.Src.Addr()) {
-		return nil, true
+		return r, false, true
 	}
 	if a.Level >= 2 && a.Forge != nil {
-		if s, ok := a.Forge(target.Addr(), q.Name, a.forgeDraw(target.Addr(), q.Name, query.Header.ID)); ok {
-			return dnswire.NewTXTResponse(query, s), false
+		if s, ok := a.Forge(target.Addr(), name, a.forgeDraw(target.Addr(), name, v.Header.ID)); ok {
+			return chaosReply{txt: s}, true, false
 		}
 	}
 	if a.Genuine != nil {
-		if txt, rc, ok := a.Genuine(target.Addr(), q.Name); ok {
+		if txt, rc, ok := a.Genuine(target.Addr(), name); ok {
 			if txt != "" {
-				return dnswire.NewTXTResponse(query, txt), false
+				return chaosReply{txt: txt}, true, false
 			}
-			return dnswire.NewErrorResponse(query, rc), false
+			return chaosError(rc), true, false
 		}
 	}
-	return nil, false
+	return r, false, false
 }
 
 // AllowBogon gates INET queries whose original destination is a bogon

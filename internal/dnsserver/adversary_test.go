@@ -43,6 +43,22 @@ func replayAdversary(level int) *Adversary {
 	}
 }
 
+// advAnswer runs the adversary's CHAOS decision on q and returns the
+// response the server sends, nil when the adversary does not apply.
+func advAnswer(t *testing.T, adv *Adversary, q *dnswire.Message, pkt netsim.Packet) (*dnswire.Message, bool) {
+	t.Helper()
+	v := viewOf(t, q)
+	r, ok, drop := adv.chaosAnswer(v, pkt, advSelf)
+	if !ok {
+		return nil, drop
+	}
+	resp, err := dnswire.Unpack(replyWire(t, r, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, drop
+}
+
 func chaosTXT(t *testing.T, m *dnswire.Message) string {
 	t.Helper()
 	if m == nil {
@@ -83,9 +99,9 @@ func TestChaosAnswerHonestPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, drop := tc.adv.ChaosAnswer(tc.q, tc.pkt, advSelf)
+			resp, drop := advAnswer(t, tc.adv, tc.q, tc.pkt)
 			if resp != nil || drop {
-				t.Errorf("ChaosAnswer = (%v, %v), want honest fall-through (nil, false)", resp, drop)
+				t.Errorf("chaosAnswer = (%v, %v), want honest fall-through (nil, false)", resp, drop)
 			}
 		})
 	}
@@ -97,7 +113,7 @@ func TestChaosAnswerHonestPaths(t *testing.T) {
 func TestChaosAnswerReplay(t *testing.T) {
 	adv := replayAdversary(1)
 
-	resp, drop := adv.ChaosAnswer(dnswire.NewChaosTXTQuery(1, "id.server"), advPacket(advClient, advTarget), advSelf)
+	resp, drop := advAnswer(t, adv, dnswire.NewChaosTXTQuery(1, "id.server"), advPacket(advClient, advTarget))
 	if drop {
 		t.Fatal("replay dropped the query")
 	}
@@ -105,7 +121,7 @@ func TestChaosAnswerReplay(t *testing.T) {
 		t.Errorf("replayed identity = %q, want genuine-site", got)
 	}
 
-	resp, drop = adv.ChaosAnswer(dnswire.NewChaosTXTQuery(2, "version.bind"), advPacket(advClient, advTarget), advSelf)
+	resp, drop = advAnswer(t, adv, dnswire.NewChaosTXTQuery(2, "version.bind"), advPacket(advClient, advTarget))
 	if drop {
 		t.Fatal("replay dropped the query")
 	}
@@ -160,7 +176,7 @@ func forgeLabel(draw uint64) string {
 
 func mustAnswer(t *testing.T, adv *Adversary, q *dnswire.Message, pkt netsim.Packet) *dnswire.Message {
 	t.Helper()
-	resp, drop := adv.ChaosAnswer(q, pkt, advSelf)
+	resp, drop := advAnswer(t, adv, q, pkt)
 	if drop {
 		t.Fatal("query dropped")
 	}
@@ -179,26 +195,26 @@ func TestChaosAnswerRateLimit(t *testing.T) {
 	pkt := advPacket(advClient, advTarget)
 
 	for i := 0; i < 2; i++ {
-		resp, drop := adv.ChaosAnswer(dnswire.NewChaosTXTQuery(uint16(i), "id.server"), pkt, advSelf)
+		resp, drop := advAnswer(t, adv, dnswire.NewChaosTXTQuery(uint16(i), "id.server"), pkt)
 		if drop || resp == nil {
 			t.Fatalf("query %d within budget: resp=%v drop=%v", i, resp, drop)
 		}
 	}
-	resp, drop := adv.ChaosAnswer(dnswire.NewChaosTXTQuery(9, "id.server"), pkt, advSelf)
+	resp, drop := advAnswer(t, adv, dnswire.NewChaosTXTQuery(9, "id.server"), pkt)
 	if !drop || resp != nil {
 		t.Fatalf("query past budget: resp=%v drop=%v, want silent drop", resp, drop)
 	}
 
 	// A different client starts with a fresh budget.
 	other := advPacket(advClient2, advTarget)
-	resp, drop = adv.ChaosAnswer(dnswire.NewChaosTXTQuery(10, "id.server"), other, advSelf)
+	resp, drop = advAnswer(t, adv, dnswire.NewChaosTXTQuery(10, "id.server"), other)
 	if drop || resp == nil {
 		t.Fatalf("second client's first query: resp=%v drop=%v, want answered", resp, drop)
 	}
 
 	// Non-diverted queries never touch the budget.
 	direct := advPacket(advClient, advSelf)
-	if resp, drop := adv.ChaosAnswer(dnswire.NewChaosTXTQuery(11, "id.server"), direct, advSelf); resp != nil || drop {
+	if resp, drop := advAnswer(t, adv, dnswire.NewChaosTXTQuery(11, "id.server"), direct); resp != nil || drop {
 		t.Errorf("direct query hit the adversary: resp=%v drop=%v", resp, drop)
 	}
 }
@@ -210,7 +226,7 @@ func TestChaosAnswerDefaultBudget(t *testing.T) {
 	pkt := advPacket(advClient, advTarget)
 	answered := 0
 	for i := 0; i < DefaultChaosBudget+3; i++ {
-		if resp, drop := adv.ChaosAnswer(dnswire.NewChaosTXTQuery(uint16(i), "id.server"), pkt, advSelf); resp != nil && !drop {
+		if resp, drop := advAnswer(t, adv, dnswire.NewChaosTXTQuery(uint16(i), "id.server"), pkt); resp != nil && !drop {
 			answered++
 		}
 	}

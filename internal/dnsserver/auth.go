@@ -44,10 +44,15 @@ func (s *AuthServer) bestZone(name dnswire.Name) *Zone {
 
 // ServeUDP implements netsim.Service.
 func (s *AuthServer) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
-	query, err := dnswire.Unpack(pkt.Payload)
-	if err != nil || query.Header.Response || len(query.Questions) == 0 {
+	v, err := dnswire.ParseView(pkt.Payload)
+	if err != nil || v.Header.Response || v.Header.QDCount == 0 {
 		return // garbage or not a query: drop silently
 	}
+	if r, ok := s.Persona.answerView(&v); ok {
+		r.send(sc, pkt, &v)
+		return
+	}
+	query := v.Message()
 	resp := s.handle(query, pkt)
 	if resp == nil {
 		return
@@ -59,11 +64,9 @@ func (s *AuthServer) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	sc.Reply(pkt, payload)
 }
 
-// handle computes the response message.
+// handle computes the response message to a query the persona does not
+// answer.
 func (s *AuthServer) handle(query *dnswire.Message, pkt netsim.Packet) *dnswire.Message {
-	if chaos := s.Persona.Answer(query); chaos != nil {
-		return chaos
-	}
 	q := query.Question()
 	if q.Class != dnswire.ClassINET {
 		return dnswire.NewErrorResponse(query, dnswire.RCodeNotImplemented)

@@ -39,30 +39,22 @@ type Forwarder struct {
 	// shared by every forwarder in a world (see ForwarderMetrics).
 	Metrics *ForwarderMetrics
 
-	// ChaosCache, when non-nil, serves persona answers from pre-packed
-	// bytes (ID patched per query). Shared by every CPE of a world —
-	// thousands of probes ask the same version.bind questions.
-	ChaosCache *PackedAnswerCache
-
 	// Adversary, when non-nil and active, evades CHAOS fingerprinting on
 	// diverted flows instead of answering with the honest persona.
 	Adversary *Adversary
 
-	pending  map[uint16]fwdPending
-	cache    map[fwdCacheKey]fwdCacheEntry
+	pending map[uint16]fwdPending
+	// cache is keyed by the question in canonical wire form (see
+	// dnswire.View.AppendCanonicalQuestion).
+	cache    map[string]fwdCacheEntry
 	nextPort uint16
 }
 
 type fwdPending struct {
 	clientPkt netsim.Packet
-	clientID  uint16
-	q         dnswire.Question
-}
-
-type fwdCacheKey struct {
-	name  dnswire.Name
-	typ   dnswire.Type
-	class dnswire.Class
+	// key is the cache key the answer is stored under, or "" when the
+	// answer is not to be cached.
+	key string
 }
 
 type fwdCacheEntry struct {
@@ -80,7 +72,7 @@ func NewForwarder(persona ChaosPersona, egress netip.Addr, upstream netip.AddrPo
 		Upstream: upstream,
 		Egress:   egress,
 		pending:  make(map[uint16]fwdPending),
-		cache:    make(map[fwdCacheKey]fwdCacheEntry),
+		cache:    make(map[string]fwdCacheEntry),
 		nextPort: 20000,
 	}
 }
@@ -96,67 +88,65 @@ func (f *Forwarder) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 		f.handleUpstream(sc, pkt)
 		return
 	}
-	query, err := dnswire.Unpack(pkt.Payload)
-	if err != nil || query.Header.Response || len(query.Questions) == 0 {
+	v, err := dnswire.ParseView(pkt.Payload)
+	if err != nil || v.Header.Response || v.Header.QDCount == 0 {
 		return
 	}
 	f.Metrics.query()
-	q := query.Question()
 	if !f.Adversary.AllowBogon(pkt, f.Egress) {
 		return
 	}
-	isChaosDebug := q.Class == dnswire.ClassCHAOS && q.Type == dnswire.TypeTXT && IsChaosDebugName(q.Name)
-	if isChaosDebug {
-		if resp, drop := f.Adversary.ChaosAnswer(query, pkt, f.Egress); drop {
+	var name dnswire.Name // the CHAOS debugging name asked, if any
+	if isChaosTXT(&v) {
+		name = chaosDebugName(&v)
+	}
+	if name != "" {
+		if r, ok, drop := f.Adversary.chaosAnswer(&v, pkt, f.Egress); drop {
 			return
-		} else if resp != nil {
+		} else if ok {
 			f.Metrics.chaosLocal()
-			f.reply(sc, pkt, resp)
+			r.send(sc, pkt, &v)
 			return
 		}
-		answersLocally := (IsVersionQuery(q.Name) && f.Persona.Version != "") ||
-			(IsIdentityQuery(q.Name) && f.Persona.Identity != "")
+		answersLocally := (IsVersionQuery(name) && f.Persona.Version != "") ||
+			(IsIdentityQuery(name) && f.Persona.Identity != "")
 		if answersLocally || !f.ForwardUnhandledChaos {
-			if wire := f.ChaosCache.Serve(sc, f.Persona, query); wire != nil {
-				f.Metrics.chaosLocal()
-				sc.Reply(pkt, wire)
-				return
-			}
-			if resp := f.Persona.Answer(query); resp != nil {
-				f.Metrics.chaosLocal()
-				f.reply(sc, pkt, resp)
-				return
-			}
+			f.Metrics.chaosLocal()
+			f.Persona.answer(name).send(sc, pkt, &v)
+			return
 		}
 		// Fall through: forward the debugging query upstream.
 	}
 	// dnsmasq-style cache: repeated LAN lookups are answered locally.
-	if !f.NoCache && q.Class == dnswire.ClassINET {
-		key := fwdCacheKey{name: q.Name.Canonical(), typ: q.Type, class: q.Class}
-		if e, ok := f.cache[key]; ok {
+	var keyBuf [260]byte // a question's canonical wire form fits
+	var key []byte
+	if _, class, _ := v.Question(); !f.NoCache && class == dnswire.ClassINET {
+		key = v.AppendCanonicalQuestion(keyBuf[:0])
+		if e, ok := f.cache[string(key)]; ok {
 			if e.expires > sc.Now() {
 				f.Metrics.cacheHit()
 				buf := append(sc.PayloadBuf(), e.wire...)
-				binary.BigEndian.PutUint16(buf[0:2], query.Header.ID)
+				binary.BigEndian.PutUint16(buf[0:2], v.Header.ID)
 				sc.Reply(pkt, buf)
 				return
 			}
-			delete(f.cache, key)
+			delete(f.cache, string(key))
 		}
 		f.Metrics.cacheMiss()
 	}
-	f.forward(sc, pkt, query)
+	f.forward(sc, pkt, &v, key)
 }
 
-// forward relays the query upstream on a fresh ephemeral port.
-func (f *Forwarder) forward(sc *netsim.ServiceCtx, pkt netsim.Packet, query *dnswire.Message) {
+// forward relays the viewed query upstream on a fresh ephemeral port;
+// the answer is cached under key unless key is empty.
+func (f *Forwarder) forward(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, key []byte) {
 	if !f.Upstream.IsValid() || !f.Egress.IsValid() {
-		f.reply(sc, pkt, dnswire.NewErrorResponse(query, dnswire.RCodeServerFailure))
+		sendError(sc, pkt, v, dnswire.RCodeServerFailure)
 		return
 	}
 	f.Metrics.forwarded()
 	port := f.allocPort()
-	f.pending[port] = fwdPending{clientPkt: pkt, clientID: query.Header.ID, q: query.Question()}
+	f.pending[port] = fwdPending{clientPkt: pkt, key: string(key)}
 	sc.Router.Bind(port, f)
 	// The upstream query shares the client's payload bytes: payloads are
 	// immutable in flight, and only the exchange initiator recycles them.
@@ -177,21 +167,18 @@ func (f *Forwarder) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	}
 	delete(f.pending, pkt.Dst.Port())
 	sc.Router.Unbind(pkt.Dst.Port())
-	if !f.NoCache {
-		f.maybeCache(sc, p.q, pkt.Payload)
+	if p.key != "" {
+		f.maybeCache(sc, p.key, pkt.Payload)
 	}
 	// Relay the upstream bytes as-is; the client (the flow's initiator)
 	// owns the recycling of this payload.
 	sc.Reply(p.clientPkt, pkt.Payload)
 }
 
-// maybeCache stores a successful upstream answer for its minimum TTL.
-// TTL-zero records (the dynamic echo zones) stay uncacheable, and
-// CHAOS-class traffic is never cached.
-func (f *Forwarder) maybeCache(sc *netsim.ServiceCtx, q dnswire.Question, payload []byte) {
-	if q.Class != dnswire.ClassINET {
-		return
-	}
+// maybeCache stores a successful upstream answer under key for its
+// minimum TTL. TTL-zero records (the dynamic echo zones) stay
+// uncacheable.
+func (f *Forwarder) maybeCache(sc *netsim.ServiceCtx, key string, payload []byte) {
 	v, err := dnswire.ParseView(payload)
 	if err != nil || v.Header.RCode != dnswire.RCodeSuccess || v.Header.ANCount == 0 {
 		return
@@ -205,20 +192,10 @@ func (f *Forwarder) maybeCache(sc *netsim.ServiceCtx, q dnswire.Question, payloa
 	}
 	// Own the bytes: the relayed payload buffer is recycled by the
 	// client once parsed, so the entry must keep its own copy.
-	f.cache[fwdCacheKey{name: q.Name.Canonical(), typ: q.Type, class: q.Class}] = fwdCacheEntry{
+	f.cache[key] = fwdCacheEntry{
 		wire:    append([]byte(nil), payload...),
 		expires: sc.Now() + time.Duration(minTTL)*time.Second,
 	}
-}
-
-// reply packs and sends a locally-generated answer into a recycled
-// payload buffer.
-func (f *Forwarder) reply(sc *netsim.ServiceCtx, to netsim.Packet, m *dnswire.Message) {
-	payload, err := m.PackTo(sc.PayloadBuf())
-	if err != nil {
-		return
-	}
-	sc.Reply(to, payload)
 }
 
 // allocPort cycles upstream ports within [20000, 28000).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
+	"github.com/dnswatch/dnsloc/internal/metrics"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
@@ -79,5 +80,62 @@ func TestForwarderNoCacheFlag(t *testing.T) {
 
 	if nocacheWarm <= cachedWarm {
 		t.Errorf("NoCache warm lookup used %d events, cached %d — flag ineffective", nocacheWarm, cachedWarm)
+	}
+}
+
+// TestForwarderCacheKeepsNonASCIINamesApart: the cache folds ASCII case
+// only (RFC 4343 §3). "\u212a.example.com" starts with KELVIN SIGN, which
+// Unicode folds to "k"; were the cache keyed that way, the second query
+// would be answered with the first name's cached wire, echoing the
+// wrong question.
+func TestForwarderCacheKeepsNonASCIINamesApart(t *testing.T) {
+	w, _ := fwdWorld(t)
+	w.authZone.AddAddr("k.example.com", 300, addr("192.0.2.81"))
+	if m, _ := askFwd(t, w, "K.example.com", 41); len(m.Answers) != 1 {
+		t.Fatalf("k.example.com: %s", m)
+	}
+	if m, _ := askFwd(t, w, "k.EXAMPLE.com", 42); len(m.Answers) != 1 || m.Question().Name != "K.example.com" {
+		t.Fatalf("ASCII case variant missed the cache entry: %s", m)
+	}
+	kelvin := "\u212a.example.com"
+	m, _ := askFwd(t, w, kelvin, 43)
+	if m.Question().Name != dnswire.Name(kelvin) {
+		t.Errorf("answer echoes question %q, want %q", m.Question().Name, kelvin)
+	}
+	if m.Header.RCode != dnswire.RCodeNameError || len(m.Answers) != 0 {
+		t.Errorf("%q answered from k.example.com: %s", kelvin, m)
+	}
+}
+
+// TestForwarderMetricsRecording: the registered counters record through
+// the nil-safe helpers, and a nil registry disables the set entirely.
+func TestForwarderMetricsRecording(t *testing.T) {
+	if NewForwarderMetrics(nil) != nil {
+		t.Error("nil registry should yield nil metrics")
+	}
+	var disabled *ForwarderMetrics
+	disabled.query() // must not panic
+
+	fm := NewForwarderMetrics(metrics.New())
+	fm.query()
+	fm.query()
+	fm.chaosLocal()
+	fm.cacheHit()
+	fm.cacheMiss()
+	fm.forwarded()
+	for name, got := range map[string]int64{
+		"queries":      fm.Queries.Value(),
+		"chaos_local":  fm.ChaosLocal.Value(),
+		"cache_hits":   fm.CacheHits.Value(),
+		"cache_misses": fm.CacheMisses.Value(),
+		"forwarded":    fm.Forwarded.Value(),
+	} {
+		want := int64(1)
+		if name == "queries" {
+			want = 2
+		}
+		if got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package dnsserver
 
 import (
 	"github.com/dnswatch/dnsloc/internal/dnswire"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
 // ChaosPersona describes how a DNS server answers the CHAOS-class
@@ -44,9 +45,11 @@ const (
 	chaosIDServer     = dnswire.Name("id.server")
 )
 
+var chaosDebugNames = [...]dnswire.Name{chaosVersionBind, chaosVersionSrv, chaosHostnameBind, chaosIDServer}
+
 // IsChaosDebugName reports whether name is one of the debugging names.
 func IsChaosDebugName(name dnswire.Name) bool {
-	for _, n := range []dnswire.Name{chaosVersionBind, chaosVersionSrv, chaosHostnameBind, chaosIDServer} {
+	for _, n := range chaosDebugNames {
 		if name.Equal(n) {
 			return true
 		}
@@ -64,28 +67,90 @@ func IsIdentityQuery(name dnswire.Name) bool {
 	return name.Equal(chaosHostnameBind) || name.Equal(chaosIDServer)
 }
 
-// Answer builds the persona's response to a CHAOS TXT query, or returns
-// nil if the query is not a CHAOS debugging query this persona handles.
-func (p ChaosPersona) Answer(q *dnswire.Message) *dnswire.Message {
-	question := q.Question()
-	if question.Class != dnswire.ClassCHAOS || question.Type != dnswire.TypeTXT {
-		return nil
+// isChaosTXT reports whether the viewed query asks a CHAOS TXT question.
+func isChaosTXT(v *dnswire.View) bool {
+	typ, class, _ := v.Question()
+	return class == dnswire.ClassCHAOS && typ == dnswire.TypeTXT
+}
+
+// chaosDebugName returns the debugging name the viewed query asks, in
+// canonical form, or "" if it asks none. Passing the canonical constant
+// on keeps the query's own name undecoded.
+func chaosDebugName(v *dnswire.View) dnswire.Name {
+	for _, n := range chaosDebugNames {
+		if v.QuestionNameEqual(n) {
+			return n
+		}
 	}
+	return ""
+}
+
+// chaosReply is a CHAOS debugging answer as data: one TXT string, or
+// with isErr an error response with rc.
+type chaosReply struct {
+	txt   string
+	rc    dnswire.RCode
+	isErr bool
+}
+
+// chaosError is the error reply with rc.
+func chaosError(rc dnswire.RCode) chaosReply { return chaosReply{rc: rc, isErr: true} }
+
+// send answers pkt, which carries the viewed query, with the reply.
+func (r chaosReply) send(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View) {
+	if r.isErr {
+		sendError(sc, pkt, v, r.rc)
+		return
+	}
+	sendTXT(sc, pkt, v, r.txt)
+}
+
+// sendTXT answers pkt, which carries the viewed query, with one TXT
+// record per string of txts (see dnswire.View.AppendTXTResponse), written
+// into a recycled payload buffer. An answer that cannot be encoded, a
+// string over 255 octets, is a server fault: the client gets SERVFAIL.
+func sendTXT(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, txts ...string) {
+	buf := sc.PayloadBuf()
+	wire, err := v.AppendTXTResponse(buf, txts...)
+	if err != nil {
+		wire = v.AppendErrorResponse(buf, dnswire.RCodeServerFailure)
+	}
+	sc.Reply(pkt, wire)
+}
+
+// sendError answers pkt, which carries the viewed query, with an error
+// response written into a recycled payload buffer.
+func sendError(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, rc dnswire.RCode) {
+	sc.Reply(pkt, v.AppendErrorResponse(sc.PayloadBuf(), rc))
+}
+
+// answer returns the persona's reply to a CHAOS TXT query for name, one
+// of the debugging names or "" for any other.
+func (p ChaosPersona) answer(name dnswire.Name) chaosReply {
 	switch {
-	case IsVersionQuery(question.Name):
+	case IsVersionQuery(name):
 		if p.Version == "" {
-			return dnswire.NewErrorResponse(q, rcodeOrNotImp(p.VersionRCode))
+			return chaosError(rcodeOrNotImp(p.VersionRCode))
 		}
-		return dnswire.NewTXTResponse(q, p.Version)
-	case IsIdentityQuery(question.Name):
+		return chaosReply{txt: p.Version}
+	case IsIdentityQuery(name):
 		if p.Identity == "" {
-			return dnswire.NewErrorResponse(q, rcodeOrNotImp(p.IdentityRCode))
+			return chaosError(rcodeOrNotImp(p.IdentityRCode))
 		}
-		return dnswire.NewTXTResponse(q, p.Identity)
+		return chaosReply{txt: p.Identity}
 	default:
 		// Unknown CHAOS name: NOTIMP, as BIND-family servers answer.
-		return dnswire.NewErrorResponse(q, dnswire.RCodeNotImplemented)
+		return chaosError(dnswire.RCodeNotImplemented)
 	}
+}
+
+// answerView returns the persona's reply to the viewed query, and false
+// unless it is a CHAOS TXT query.
+func (p ChaosPersona) answerView(v *dnswire.View) (chaosReply, bool) {
+	if !isChaosTXT(v) {
+		return chaosReply{}, false
+	}
+	return p.answer(chaosDebugName(v)), true
 }
 
 // Stock personas. The version strings reproduce Table 5 of the paper —

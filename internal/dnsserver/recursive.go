@@ -29,8 +29,12 @@ type RecursiveResolver struct {
 	// Hook, if non-nil, gets first crack at every INET query before
 	// recursion. Public resolvers use it for names they answer at the
 	// front door, like o-o.myaddr.l.google.com and debug.opendns.com.
-	// Returning nil passes the query on.
-	Hook func(query *dnswire.Message, src netip.AddrPort) *dnswire.Message
+	// It returns the answer as data: one TXT record per string, each
+	// holding that one string (see dnswire.View.AppendTXTResponse).
+	// Returning nil passes the query on. The view is passed by value, so
+	// that calling through the func value does not move the caller's
+	// view to the heap.
+	Hook func(query dnswire.View, src netip.AddrPort) []string
 
 	// RefuseAll, when nonzero, makes the resolver answer every INET query
 	// with this rcode — the "status modified" alternate resolvers of
@@ -38,7 +42,8 @@ type RecursiveResolver struct {
 	RefuseAll dnswire.RCode
 
 	// Blocklist maps canonical names to the rcode the resolver answers
-	// with instead of resolving — per-domain filtering.
+	// with instead of resolving — per-domain filtering. Keys must be
+	// canonical, so that at most one matches a query.
 	Blocklist map[dnswire.Name]dnswire.RCode
 
 	// MaxReferrals bounds delegation-following per query.
@@ -51,10 +56,6 @@ type RecursiveResolver struct {
 	// form of DNS *redirection*, distinct from the interception this
 	// repository localizes, and internal/redirect detects it.
 	NXDomainWildcard netip.Addr
-
-	// ChaosCache, when non-nil, serves front-door persona answers from
-	// pre-packed bytes (see PackedAnswerCache). Optional fast path.
-	ChaosCache *PackedAnswerCache
 
 	// Adversary, when non-nil and active, evades CHAOS fingerprinting on
 	// flows diverted to this resolver instead of answering honestly.
@@ -129,50 +130,51 @@ func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 		r.handleUpstream(sc, pkt)
 		return
 	}
-	query, err := dnswire.Unpack(pkt.Payload)
-	if err != nil || query.Header.Response || len(query.Questions) == 0 {
+	// Every front-door case is decided from the view; only a query that
+	// starts iteration is materialized.
+	v, err := dnswire.ParseView(pkt.Payload)
+	if err != nil || v.Header.Response || v.Header.QDCount == 0 {
 		return
 	}
-	if query.Question().Class == dnswire.ClassCHAOS {
-		if resp, drop := r.Adversary.ChaosAnswer(query, pkt, r.Egress); drop {
+	_, class, _ := v.Question()
+	if class == dnswire.ClassCHAOS {
+		if rep, ok, drop := r.Adversary.chaosAnswer(&v, pkt, r.Egress); drop {
 			return
-		} else if resp != nil {
-			r.reply(sc, pkt, resp)
-			return
-		}
-		if wire := r.ChaosCache.Serve(sc, r.Persona, query); wire != nil {
-			sc.Reply(pkt, wire)
+		} else if ok {
+			rep.send(sc, pkt, &v)
 			return
 		}
 	}
-	if chaos := r.Persona.Answer(query); chaos != nil {
-		r.reply(sc, pkt, chaos)
+	if rep, ok := r.Persona.answerView(&v); ok {
+		rep.send(sc, pkt, &v)
 		return
 	}
-	q := query.Question()
-	if q.Class != dnswire.ClassINET {
-		r.reply(sc, pkt, dnswire.NewErrorResponse(query, dnswire.RCodeNotImplemented))
+	if class != dnswire.ClassINET {
+		sendError(sc, pkt, &v, dnswire.RCodeNotImplemented)
 		return
 	}
 	if !r.Adversary.AllowBogon(pkt, r.Egress) {
 		return
 	}
 	if r.Hook != nil {
-		if resp := r.Hook(query, pkt.Src); resp != nil {
-			r.reply(sc, pkt, resp)
+		if txts := r.Hook(v, pkt.Src); txts != nil {
+			sendTXT(sc, pkt, &v, txts...)
 			return
 		}
 	}
 	if r.RefuseAll != dnswire.RCodeSuccess {
-		r.reply(sc, pkt, dnswire.NewErrorResponse(query, r.RefuseAll))
+		sendError(sc, pkt, &v, r.RefuseAll)
 		return
 	}
-	if rc, blocked := r.Blocklist[q.Name.Canonical()]; blocked {
-		r.reply(sc, pkt, dnswire.NewErrorResponse(query, rc))
-		return
+	for name, rc := range r.Blocklist {
+		if v.QuestionNameEqual(name) {
+			sendError(sc, pkt, &v, rc)
+			return
+		}
 	}
+	query := v.Message()
 	j := &job{
-		clientPkt: pkt, clientQuery: query, q: q,
+		clientPkt: pkt, clientQuery: query, q: query.Question(),
 		wantDNSSEC: r.DNSSECAware && query.DO(),
 	}
 	r.advance(sc, j)

@@ -328,3 +328,17 @@ func TestResolverUnreachableAuthTimesOut(t *testing.T) {
 		t.Errorf("err = %v, want timeout", err)
 	}
 }
+
+// TestAuthServerAddZone: zones attached after construction join the
+// longest-origin-match selection.
+func TestAuthServerAddZone(t *testing.T) {
+	s := NewAuthServer()
+	z := NewZone("example.com")
+	s.AddZone(z)
+	if got := s.bestZone("www.example.com"); got != z {
+		t.Errorf("bestZone = %v, want the added zone", got)
+	}
+	if s.bestZone("www.example.org") != nil {
+		t.Error("bestZone matched a foreign origin")
+	}
+}

@@ -129,35 +129,53 @@ func TestZoneANYQuery(t *testing.T) {
 }
 
 func TestChaosPersonaAnswers(t *testing.T) {
+	answer := func(p ChaosPersona, q *dnswire.Message) *dnswire.Message {
+		t.Helper()
+		v := viewOf(t, q)
+		r, ok := p.answerView(v)
+		if !ok {
+			return nil
+		}
+		m, err := dnswire.Unpack(replyWire(t, r, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	p := PersonaUnbound
 	vb := dnswire.NewChaosTXTQuery(1, "version.bind")
-	resp := p.Answer(vb)
+	resp := answer(p, vb)
 	if s, _ := resp.FirstTXT(); s != "unbound 1.9.0" {
 		t.Errorf("version.bind = %q", s)
 	}
 	id := dnswire.NewChaosTXTQuery(2, "id.server")
-	resp = p.Answer(id)
+	resp = answer(p, id)
 	if s, _ := resp.FirstTXT(); s != "unbound" {
 		t.Errorf("id.server = %q", s)
 	}
 	// Silent persona NOTIMPs.
-	resp = PersonaSilent.Answer(vb)
+	resp = answer(PersonaSilent, vb)
 	if resp.Header.RCode != dnswire.RCodeNotImplemented {
 		t.Errorf("silent persona rcode = %s", resp.Header.RCode)
 	}
 	// NXDomain persona.
-	resp = PersonaNXDomain.Answer(vb)
+	resp = answer(PersonaNXDomain, vb)
 	if resp.Header.RCode != dnswire.RCodeNameError {
 		t.Errorf("nxdomain persona rcode = %s", resp.Header.RCode)
 	}
 	// Non-CHAOS queries are not handled.
-	if p.Answer(dnswire.NewQuery(3, "version.bind", dnswire.TypeTXT, dnswire.ClassINET)) != nil {
+	if answer(p, dnswire.NewQuery(3, "version.bind", dnswire.TypeTXT, dnswire.ClassINET)) != nil {
 		t.Error("persona answered an IN query")
 	}
-	// Unknown CHAOS debug name NOTIMPs.
-	resp = p.Answer(dnswire.NewChaosTXTQuery(4, "hostname.bind"))
+	// hostname.bind is an identity query.
+	resp = answer(p, dnswire.NewChaosTXTQuery(4, "hostname.bind"))
 	if s, _ := resp.FirstTXT(); s != "unbound" {
 		t.Errorf("hostname.bind = %q, want identity", s)
+	}
+	// Unknown CHAOS debug name NOTIMPs.
+	resp = answer(p, dnswire.NewChaosTXTQuery(5, "authors.bind"))
+	if resp.Header.RCode != dnswire.RCodeNotImplemented {
+		t.Errorf("authors.bind rcode = %s, want NOTIMP", resp.Header.RCode)
 	}
 }
 

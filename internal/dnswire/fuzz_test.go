@@ -244,8 +244,9 @@ func FuzzPackCompression(f *testing.F) {
 }
 
 // legacyAppendPacked is Message.appendPacked as it was with a map-keyed
-// compression table (keys: strings.ToLower of each suffix), kept as
-// FuzzPackCompression's reference.
+// compression table, kept as FuzzPackCompression's reference. Its keys
+// are each suffix's Canonical form, so names that differ outside ASCII
+// (U+212A KELVIN SIGN against "k") never share a pointer.
 func legacyAppendPacked(m *Message, buf []byte) ([]byte, error) {
 	h := m.Header
 	h.QDCount = uint16(len(m.Questions))
@@ -292,7 +293,7 @@ func legacyPackName(buf []byte, n Name, cmp map[string]int, base int) ([]byte, e
 		return append(buf, 0), nil
 	}
 	for pos := 0; ; {
-		suffix := strings.ToLower(s[pos:])
+		suffix := string(Name(s[pos:]).Canonical())
 		if off, ok := cmp[suffix]; ok && off < 0x4000 {
 			return append(buf, byte(0xC0|off>>8), byte(off)), nil
 		}
@@ -313,4 +314,70 @@ func legacyPackName(buf []byte, n Name, cmp map[string]int, base int) ([]byte, e
 		pos = end + 1
 	}
 	return append(buf, 0), nil
+}
+
+// FuzzAppendResponse is differential against the Message builders: for
+// every query ParseView accepts, the View's response appenders write the
+// bytes that packing the builders' Message writes, ClientSubnet reads
+// what Message.ClientSubnet reads, and AppendCanonicalQuestion writes the
+// question with its Canonical name, uncompressed.
+func FuzzAppendResponse(f *testing.F) {
+	for _, s := range seedMessages() {
+		f.Add(s, "IAD", "edns0-client-subnet 192.0.2.0/24", uint8(4))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, txt, extra string, rc uint8) {
+		v, err := ParseView(data)
+		if err != nil {
+			return
+		}
+		q := v.Message()
+		pre := []byte("pre")
+
+		erc := RCode(rc & 0xF)
+		got := v.AppendErrorResponse(append([]byte(nil), pre...), erc)
+		want, err := NewErrorResponse(q, erc).PackTo(append([]byte(nil), pre...))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("error response\n%x\nbuilder (%v)\n%x", got, err, want)
+		}
+
+		for _, txts := range [][]string{{txt}, {txt, extra}} {
+			ref := NewTXTResponse(q, txts[0])
+			for _, s := range txts[1:] {
+				ref.Answers = append(ref.Answers, Record{
+					Name: q.Question().Name, Class: q.Question().Class,
+					Data: TXTRData{Strings: []string{s}},
+				})
+			}
+			got, gotErr := v.AppendTXTResponse(append([]byte(nil), pre...), txts...)
+			want, wantErr := ref.PackTo(append([]byte(nil), pre...))
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%d TXT answers: err = %v, builder err = %v", len(txts), gotErr, wantErr)
+			}
+			if gotErr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("%d TXT answers\n%x\nbuilder\n%x", len(txts), got, want)
+			}
+			if gotErr != nil && string(got) != string(pre) {
+				t.Fatalf("failed append left %x, want the prefix alone", got)
+			}
+		}
+
+		ecs, ok := v.ClientSubnet()
+		wantECS, wantOK := q.ClientSubnet()
+		if ecs != wantECS || ok != wantOK {
+			t.Fatalf("ClientSubnet = %v, %t, want %v, %t", ecs, ok, wantECS, wantOK)
+		}
+
+		var wantKey []byte
+		if len(q.Questions) > 0 {
+			qq := q.Questions[0]
+			if wantKey, err = packName(nil, qq.Name.Canonical(), nil); err != nil {
+				t.Fatal(err)
+			}
+			wantKey = binary.BigEndian.AppendUint16(wantKey, uint16(qq.Type))
+			wantKey = binary.BigEndian.AppendUint16(wantKey, uint16(qq.Class))
+		}
+		if key := v.AppendCanonicalQuestion(nil); !bytes.Equal(key, wantKey) {
+			t.Fatalf("canonical question %x, want %x", key, wantKey)
+		}
+	})
 }

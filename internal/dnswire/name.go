@@ -14,13 +14,30 @@ const maxLabel = 63
 // Name is a fully-qualified domain name in presentation format without a
 // trailing dot (the root name is the empty string). Comparison is
 // case-insensitive per RFC 1035 §2.3.3; use Canonical for map keys.
+// Labels are octets, so case folding maps the ASCII letters A-Z to a-z
+// and nothing else (RFC 4343 §3): the name "\u212a.example" (KELVIN
+// SIGN) is not "k.example".
 type Name string
 
-// Canonical lower-cases the name for case-insensitive comparison.
-func (n Name) Canonical() Name { return Name(strings.ToLower(string(n))) }
+// Canonical lower-cases the name's ASCII letters for case-insensitive
+// comparison. A name with no upper-case letter is returned as is.
+func (n Name) Canonical() Name {
+	for i := 0; i < len(n); i++ {
+		if 'A' <= n[i] && n[i] <= 'Z' {
+			b := []byte(n)
+			for j := i; j < len(b); j++ {
+				b[j] = lowerASCII(b[j])
+			}
+			return Name(b)
+		}
+	}
+	return n
+}
 
 // Equal reports whether two names are equal under DNS case-folding.
-func (n Name) Equal(m Name) bool { return strings.EqualFold(string(n), string(m)) }
+func (n Name) Equal(m Name) bool {
+	return len(n) == len(m) && equalFoldASCII(string(n), string(m))
+}
 
 // Labels splits the name into its labels, most-specific first.
 // The root name yields no labels.
@@ -47,8 +64,8 @@ func (n Name) Parent() (Name, bool) {
 
 // IsSubdomainOf reports whether n is equal to or underneath zone.
 func (n Name) IsSubdomainOf(zone Name) bool {
-	nn := strings.ToLower(strings.TrimSuffix(string(n), "."))
-	zz := strings.ToLower(strings.TrimSuffix(string(zone), "."))
+	nn := string(Name(strings.TrimSuffix(string(n), ".")).Canonical())
+	zz := string(Name(strings.TrimSuffix(string(zone), ".")).Canonical())
 	if zz == "" {
 		return true
 	}
@@ -97,7 +114,7 @@ func validateName(n Name) error {
 // compressor remembers the name suffixes already emitted into one
 // message so later occurrences can be replaced by 14-bit pointers
 // (RFC 1035 §4.1.4). Suffixes are the packed names' own substrings,
-// matched case-insensitively. The first 16 live in an inline array, so
+// matched under Name.Equal. The first 16 live in an inline array, so
 // a compressor on PackTo's stack packs a message of ordinary shape
 // without allocating; further suffixes spill into a heap slice. (An
 // entries slice aimed at the inline array would send the whole table to
@@ -113,18 +130,17 @@ type compressor struct {
 type cmpEntry struct {
 	suffix string
 	off    uint16
-	ascii  bool // suffix has no byte >= 0x80
 }
 
 // find returns the offset of an emitted suffix equal to s.
-func (c *compressor) find(s string, ascii bool) (int, bool) {
+func (c *compressor) find(s string) (int, bool) {
 	for i := range c.inline[:c.n] {
-		if c.inline[i].matches(s, ascii) {
+		if Name(c.inline[i].suffix).Equal(Name(s)) {
 			return int(c.inline[i].off), true
 		}
 	}
 	for i := range c.spill {
-		if c.spill[i].matches(s, ascii) {
+		if Name(c.spill[i].suffix).Equal(Name(s)) {
 			return int(c.spill[i].off), true
 		}
 	}
@@ -132,8 +148,8 @@ func (c *compressor) find(s string, ascii bool) (int, bool) {
 }
 
 // add records suffix s as emitted at message offset off (< 0x4000).
-func (c *compressor) add(s string, off int, ascii bool) {
-	e := cmpEntry{suffix: s, off: uint16(off), ascii: ascii}
+func (c *compressor) add(s string, off int) {
+	e := cmpEntry{suffix: s, off: uint16(off)}
 	if c.n < len(c.inline) {
 		c.inline[c.n] = e
 		c.n++
@@ -142,21 +158,8 @@ func (c *compressor) add(s string, off int, ascii bool) {
 	c.spill = append(c.spill, e)
 }
 
-// matches reports whether s equals the entry's suffix under the folding
-// strings.ToLower applies. An ASCII pair compares byte by byte with ASCII
-// case folding; a pair with any byte >= 0x80 compares strings.ToLower of
-// both sides, since Unicode lowering can change lengths or map distinct
-// bytes to one rune (invalid UTF-8 all lowers to U+FFFD), and the packed
-// bytes must not depend on which path ran.
-func (e *cmpEntry) matches(s string, ascii bool) bool {
-	if ascii && e.ascii {
-		return len(e.suffix) == len(s) && equalFoldASCII(e.suffix, s)
-	}
-	return strings.ToLower(e.suffix) == strings.ToLower(s)
-}
-
-// equalFoldASCII reports whether two equal-length ASCII strings match
-// under ASCII case folding.
+// equalFoldASCII reports whether two equal-length strings match under
+// ASCII case folding; bytes outside A-Z and a-z must match exactly.
 func equalFoldASCII(a, b string) bool {
 	for i := 0; i < len(a); i++ {
 		if lowerASCII(a[i]) != lowerASCII(b[i]) {
@@ -173,22 +176,11 @@ func lowerASCII(c byte) byte {
 	return c
 }
 
-// lastNonASCII returns the index of the last byte >= 0x80 in s, or -1.
-func lastNonASCII(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] >= 0x80 {
-			return i
-		}
-	}
-	return -1
-}
-
 // packName appends the wire encoding of n to buf, using and updating cmp
 // for compression. Pass a nil cmp to disable compression: names inside
 // RDATA are always packed uncompressed (RFC 3597 §4 forbids compression
 // for unknown types, and uncompressed is universally interoperable).
-// Neither path allocates for ASCII names; a suffix comparison that
-// involves a byte >= 0x80 lowers both sides (see cmpEntry.matches).
+// Neither path allocates.
 func packName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	if err := validateName(n); err != nil {
 		return buf, err
@@ -197,18 +189,13 @@ func packName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	if s == "" {
 		return append(buf, 0), nil
 	}
-	hi := -1
-	if cmp != nil {
-		hi = lastNonASCII(s)
-	}
 	for pos := 0; ; {
 		if cmp != nil {
-			ascii := pos > hi
-			if off, ok := cmp.find(s[pos:], ascii); ok {
+			if off, ok := cmp.find(s[pos:]); ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
 			if off := len(buf) - cmp.base; off < 0x4000 {
-				cmp.add(s[pos:], off, ascii)
+				cmp.add(s[pos:], off)
 			}
 		}
 		end := strings.IndexByte(s[pos:], '.')

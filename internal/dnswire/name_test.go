@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -377,4 +378,61 @@ func TestDecoderReusesPointedNames(t *testing.T) {
 		unsafe.StringData(string(a1)) != unsafe.StringData(string(q[4:])) {
 		t.Error("pointer-only names were decoded into fresh strings")
 	}
+}
+
+// TestNameCaseFoldingIsASCII pins RFC 4343 §3: labels are octets, and
+// case folding maps A-Z to a-z and nothing else. Unicode folding would
+// make "\u212a.example" (KELVIN SIGN, octets E2 84 AA) the name
+// "k.example", so a cache keyed by Canonical could answer one name with
+// the other's wire and compression could point one at the other.
+func TestNameCaseFoldingIsASCII(t *testing.T) {
+	kelvin := Name("\u212a.example")
+	longS := Name("ver\u017fion.bind") // U+017F LATIN SMALL LETTER LONG S
+	for _, c := range []struct{ a, b Name }{
+		{kelvin, "k.example"},
+		{kelvin, "K.example"},
+		{longS, "version.bind"},
+		{"\u0130.example", "i.example"}, // U+0130 LATIN CAPITAL LETTER I WITH DOT ABOVE
+	} {
+		if c.a.Equal(c.b) || c.b.Equal(c.a) {
+			t.Errorf("%q equals %q", c.a, c.b)
+		}
+		if c.a.Canonical() == c.b.Canonical() {
+			t.Errorf("%q and %q share the canonical form %q", c.a, c.b, c.a.Canonical())
+		}
+		if c.a.IsSubdomainOf(c.b) {
+			t.Errorf("%q is a subdomain of %q", c.a, c.b)
+		}
+	}
+	if got := Name("WWW.\u00c9xample.COM").Canonical(); got != "www.\u00c9xample.com" {
+		t.Errorf("Canonical folds outside ASCII: %q", got)
+	}
+	if !Name("WWW.Example.COM").Equal("www.example.com") {
+		t.Error("ASCII case folding lost")
+	}
+
+	m := NewQuery(1, kelvin, TypeA, ClassINET)
+	m.Answers = []Record{{Name: "k.example", Class: ClassINET, TTL: 1, Data: ARData{Addr: netip.MustParseAddr("192.0.2.1")}}}
+	v, err := ParseView(MustPack(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.QuestionNameEqual("k.example") || !v.QuestionNameEqual(kelvin) {
+		t.Error("View folds the question name outside ASCII")
+	}
+	if got := v.Message().Answers[0].Name; got != "k.example" {
+		t.Errorf("answer owner packed as %q: compressed against the question", got)
+	}
+	if a, b := v.AppendCanonicalQuestion(nil), mustView(t, NewQuery(2, "k.example", TypeA, ClassINET)).AppendCanonicalQuestion(nil); bytes.Equal(a, b) {
+		t.Error("canonical question keys of distinct names collide")
+	}
+}
+
+func mustView(t *testing.T, m *Message) *View {
+	t.Helper()
+	v, err := ParseView(MustPack(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &v
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"strings"
 )
 
 // View is a validated, read-only view of one wire-format message over
@@ -193,10 +192,160 @@ func nameEnd(msg []byte, off int) int {
 }
 
 // nameEqual reports whether the validated name at off equals n under
-// Name.Equal. It renders the labels into a stack buffer rather than a
-// new string.
+// Name.Equal. It compares the wire labels against n's text in place.
 func nameEqual(msg []byte, off int, n Name) bool {
-	var buf [maxNameWire]byte
-	text, _ := appendName(buf[:0], msg, off)
-	return strings.EqualFold(string(text), string(n))
+	pos := 0 // offset in n of the next label's text
+	for {
+		switch b := msg[off]; {
+		case b == 0:
+			return pos == len(n)
+		case b&0xC0 == 0xC0:
+			off = int(b&0x3F)<<8 | int(msg[off+1])
+		default:
+			if pos > 0 {
+				if pos >= len(n) || n[pos] != '.' {
+					return false
+				}
+				pos++
+			}
+			l := int(b)
+			if pos+l > len(n) {
+				return false
+			}
+			for i, c := range msg[off+1 : off+1+l] {
+				if lowerASCII(c) != lowerASCII(n[pos+i]) {
+					return false
+				}
+			}
+			pos += l
+			off += 1 + l
+		}
+	}
+}
+
+// ClientSubnet returns the client-subnet option of the message's first
+// OPT record, as Message.ClientSubnet does.
+func (v *View) ClientSubnet() (ECS, bool) {
+	off := v.an
+	for i := 0; i < int(v.Header.ANCount)+int(v.Header.NSCount); i++ {
+		off = recordEnd(v.msg, off)
+	}
+	for i := 0; i < int(v.Header.ARCount); i++ {
+		b := v.msg[nameEnd(v.msg, off):]
+		if Type(binary.BigEndian.Uint16(b[0:2])) == TypeOPT {
+			rdlen := int(binary.BigEndian.Uint16(b[8:10]))
+			return parseECS(b[10 : 10+rdlen])
+		}
+		off = recordEnd(v.msg, off)
+	}
+	return ECS{}, false
+}
+
+// recordEnd returns the offset after the validated record at off.
+func recordEnd(msg []byte, off int) int {
+	off = nameEnd(msg, off)
+	return off + 10 + int(binary.BigEndian.Uint16(msg[off+8:off+10]))
+}
+
+// AppendCanonicalQuestion appends the first question in canonical wire
+// form: its name uncompressed with ASCII letters lowered, then its type
+// and class. Two questions equal under Name.Equal with the same type and
+// class append the same bytes, so the result serves as a map key.
+func (v *View) AppendCanonicalQuestion(dst []byte) []byte {
+	if v.Header.QDCount == 0 {
+		return dst
+	}
+	start := len(dst)
+	dst = appendWireName(dst, v.msg, headerLen)
+	for i := start; i < len(dst); i++ {
+		dst[i] = lowerASCII(dst[i]) // length octets are < 'A'
+	}
+	return append(dst, v.msg[v.qType:v.qType+4]...)
+}
+
+// appendWireName appends the validated name at off in uncompressed wire
+// form.
+func appendWireName(dst, msg []byte, off int) []byte {
+	for {
+		switch b := msg[off]; {
+		case b == 0:
+			return append(dst, 0)
+		case b&0xC0 == 0xC0:
+			off = int(b&0x3F)<<8 | int(msg[off+1])
+		default:
+			dst = append(dst, msg[off:off+1+int(b)]...)
+			off += 1 + int(b)
+		}
+	}
+}
+
+// The response appenders write a server's answer to the viewed query
+// straight into dst. Each writes byte for byte what packing the
+// equivalent dnswire builder's Message writes (named on each), so a
+// server can answer without decoding the query: the header echoes the
+// ID, opcode and RD bit, the first question is copied (uncompressed, as
+// Pack writes it), and answer records name it by a pointer to offset 12.
+
+// AppendErrorResponse appends the response NewErrorResponse(q, rc)
+// packs to, where q is the viewed query.
+func (v *View) AppendErrorResponse(dst []byte, rc RCode) []byte {
+	// Without answers nothing can fail: a header and one question are at
+	// most 271 octets.
+	dst, _ = v.appendResponse(dst, Header{RecursionAvailable: true, RCode: rc}, nil)
+	return dst
+}
+
+// AppendTXTResponse appends the response that answers the viewed query
+// with one TXT record per element of txts, each holding that one
+// character-string. With one element it packs as NewTXTResponse(q, s)
+// does; further elements are the further records a server appends to
+// that Message's answers, with the question's name and class and TTL 0.
+// Like PackTo it fails, appending nothing, on a string longer than 255
+// octets or a response longer than 512.
+func (v *View) AppendTXTResponse(dst []byte, txts ...string) ([]byte, error) {
+	return v.appendResponse(dst, Header{Authoritative: true}, txts)
+}
+
+// appendResponse appends a response with the flags of h, the query's
+// echoed header fields, its first question, and one TXT answer per
+// element of txts.
+func (v *View) appendResponse(dst []byte, h Header, txts []string) ([]byte, error) {
+	start := len(dst)
+	h.ID = v.Header.ID
+	h.Opcode = v.Header.Opcode
+	h.Response = true
+	h.RecursionDesired = v.Header.RecursionDesired
+	h.ANCount = uint16(len(txts))
+	var class Class
+	named := false // the question has a non-root name to point at
+	if v.Header.QDCount > 0 {
+		h.QDCount = 1
+	}
+	dst = h.pack(dst)
+	if v.Header.QDCount > 0 {
+		dst = appendWireName(dst, v.msg, headerLen)
+		named = dst[start+headerLen] != 0
+		dst = append(dst, v.msg[v.qType:v.qType+4]...)
+		class = Class(binary.BigEndian.Uint16(v.msg[v.qType+2:]))
+	}
+	for _, s := range txts {
+		if len(s) > 255 {
+			return dst[:start], ErrTXTTooLong
+		}
+		if named {
+			dst = append(dst, 0xC0, headerLen)
+		} else {
+			dst = append(dst, 0)
+		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(TypeTXT))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(class))
+		dst = binary.BigEndian.AppendUint32(dst, 0) // TTL
+		dst = binary.BigEndian.AppendUint16(dst, uint16(1+len(s)))
+		dst = append(dst, byte(len(s)))
+		dst = append(dst, s...)
+	}
+	if len(dst)-start > maxUDPPayload {
+		return dst[:start], fmt.Errorf("dnswire: message is %d bytes, exceeds %d-byte UDP payload", len(dst)-start, maxUDPPayload)
+	}
+	return dst, nil
 }

@@ -75,15 +75,11 @@ type Lab struct {
 	CPE      *cpe.Device
 	Probe    *netsim.Host
 	Home     isp.HomeAddrs
-
-	// chaosCache is the lab-wide pre-packed persona answer cache,
-	// shared by the CPE forwarder and the resolvers like a study world's.
-	chaosCache *dnsserver.PackedAnswerCache
 }
 
 // New builds a scenario world.
 func New(scenario Scenario) *Lab {
-	l := &Lab{Scenario: scenario, Net: netsim.NewNetwork(), chaosCache: dnsserver.NewPackedAnswerCache()}
+	l := &Lab{Scenario: scenario, Net: netsim.NewNetwork()}
 	l.Net.EmitTimeExceeded = true // labs support traceroute
 	l.Backbone = backbone.Build(l.Net)
 
@@ -96,9 +92,6 @@ func New(scenario Scenario) *Lab {
 		PrefixV6:        netip.MustParsePrefix("2601:db00::/48"),
 		ResolverPersona: dnsserver.PersonaUnbound,
 	})
-
-	l.ISP.Resolver.ChaosCache = l.chaosCache
-	l.ISP.Refusing.ChaosCache = l.chaosCache
 
 	google := publicdns.Lookup(publicdns.Google)
 	quad9 := publicdns.Lookup(publicdns.Quad9)
@@ -166,7 +159,6 @@ func New(scenario Scenario) *Lab {
 		cfg.Persona = dnsserver.PersonaSilent
 		cfg.ForwardUnhandledChaos = true
 	}
-	cfg.ChaosCache = l.chaosCache
 	l.CPE = cpe.Build(cfg)
 	l.ISP.AttachCPE(seg, l.CPE, l.Home)
 	l.Probe = l.CPE.AttachHost("probe", 0)
@@ -186,7 +178,6 @@ func (l *Lab) installTransitInterceptor() {
 	rtr := netsim.NewRouter("transit-interceptor-resolver", resolverAddr)
 	res := dnsserver.NewRecursiveResolver(resolverAddr, backbone.RootAddr)
 	res.Persona = dnsserver.PersonaPowerDNS
-	res.ChaosCache = l.chaosCache
 	rtr.Bind(53, res)
 	rtr.AddDefaultRoute(regional)
 	regional.AddRoute(netip.MustParsePrefix("64.86.0.0/24"), rtr)
@@ -243,7 +234,6 @@ func (l *Lab) ReplaceCPE() {
 	cfg.LANAddr6 = firstHost6(l.Home.LANPrefix6)
 	cfg.LANPrefix6 = l.Home.LANPrefix6
 	cfg.WANAddr6 = l.Home.WANv6
-	cfg.ChaosCache = l.chaosCache
 	l.CPE = cpe.Build(cfg)
 	// Re-wire the segment routes: inserting the same prefixes replaces
 	// the old next-hops, exactly like plugging a new router into the

@@ -1,10 +1,13 @@
 package publicdns
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
 
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 )
 
@@ -147,11 +150,44 @@ func TestSitePersonasMatchExpectedFormats(t *testing.T) {
 	}
 }
 
+// hookResponse runs res's hook on q from src and returns the response
+// the resolver sends, nil when the hook passes the query on.
+func hookResponse(t *testing.T, res *dnsserver.RecursiveResolver, q *dnswire.Message, src netip.AddrPort) *dnswire.Message {
+	t.Helper()
+	wire := hookWire(t, res, q, src)
+	if wire == nil {
+		return nil
+	}
+	m, err := dnswire.Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// hookWire is hookResponse's wire form.
+func hookWire(t *testing.T, res *dnsserver.RecursiveResolver, q *dnswire.Message, src netip.AddrPort) []byte {
+	t.Helper()
+	v, err := dnswire.ParseView(dnswire.MustPack(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txts := res.Hook(v, src)
+	if txts == nil {
+		return nil
+	}
+	wire, err := v.AppendTXTResponse(nil, txts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 func TestSiteHooksSynthesizeAnswers(t *testing.T) {
 	gSite := Sites(Google)[0]
 	_, res := gSite.Build(netip.MustParseAddr("198.41.0.4"))
 	q := Lookup(Google).Location.Message(9)
-	resp := res.Hook(q, netip.MustParseAddrPort("96.120.0.10:40000"))
+	resp := hookResponse(t, res, q, netip.MustParseAddrPort("96.120.0.10:40000"))
 	if resp == nil {
 		t.Fatal("google hook did not answer")
 	}
@@ -160,7 +196,7 @@ func TestSiteHooksSynthesizeAnswers(t *testing.T) {
 		t.Errorf("google myaddr answer %q not standard", s)
 	}
 	// v6 client gets a v6 egress.
-	resp = res.Hook(q, netip.MustParseAddrPort("[2001:db8::1]:40000"))
+	resp = hookResponse(t, res, q, netip.MustParseAddrPort("[2001:db8::1]:40000"))
 	s, _ = resp.FirstTXT()
 	if !strings.Contains(s, ":") {
 		t.Errorf("v6 client got %q, want v6 egress", s)
@@ -169,7 +205,7 @@ func TestSiteHooksSynthesizeAnswers(t *testing.T) {
 	oSite := Sites(OpenDNS)[1]
 	_, ores := oSite.Build(netip.MustParseAddr("198.41.0.4"))
 	oq := Lookup(OpenDNS).Location.Message(10)
-	resp = ores.Hook(oq, netip.MustParseAddrPort("96.120.0.10:40000"))
+	resp = hookResponse(t, ores, oq, netip.MustParseAddrPort("96.120.0.10:40000"))
 	if resp == nil {
 		t.Fatal("opendns hook did not answer")
 	}
@@ -182,8 +218,64 @@ func TestSiteHooksSynthesizeAnswers(t *testing.T) {
 	}
 	// Hooks ignore unrelated names.
 	other := dnswire.NewQuery(11, "example.com", dnswire.TypeTXT, dnswire.ClassINET)
-	if ores.Hook(other, netip.MustParseAddrPort("96.120.0.10:1")) != nil {
+	if hookResponse(t, ores, other, netip.MustParseAddrPort("96.120.0.10:1")) != nil {
 		t.Error("opendns hook answered unrelated query")
+	}
+}
+
+// TestSiteHookWireIdentity: the site answers, written from the query's
+// view, are byte for byte the Messages the hooks built before: Google's
+// myaddr answer for v4 and v6 clients, with and without a client-subnet
+// option, and OpenDNS's debug answer.
+func TestSiteHookWireIdentity(t *testing.T) {
+	google, opendns := Sites(Google)[2], Sites(OpenDNS)[3]
+	_, gres := google.Build(netip.MustParseAddr("198.41.0.4"))
+	_, ores := opendns.Build(netip.MustParseAddr("198.41.0.4"))
+	txt := func(q *dnswire.Message, s string) dnswire.Record {
+		return dnswire.Record{Name: q.Question().Name, Class: q.Question().Class, Data: dnswire.TXTRData{Strings: []string{s}}}
+	}
+	v4, v6 := netip.MustParseAddrPort("96.120.0.10:40000"), netip.MustParseAddrPort("[2001:db8::1]:40000")
+	for _, c := range []struct {
+		name  string
+		res   *dnsserver.RecursiveResolver
+		query func() *dnswire.Message
+		src   netip.AddrPort
+		want  func(q *dnswire.Message) *dnswire.Message
+	}{
+		{"google v4", gres, func() *dnswire.Message { return Lookup(Google).Location.Message(20) }, v4,
+			func(q *dnswire.Message) *dnswire.Message { return dnswire.NewTXTResponse(q, google.EgressV4.String()) }},
+		{"google v6", gres, func() *dnswire.Message { return Lookup(Google).Location.Message(21) }, v6,
+			func(q *dnswire.Message) *dnswire.Message { return dnswire.NewTXTResponse(q, google.EgressV6.String()) }},
+		{"google v4 ECS", gres, func() *dnswire.Message {
+			q := dnswire.NewQuery(22, "O-O.MyAddr.l.google.com", dnswire.TypeTXT, dnswire.ClassINET)
+			q.SetECS(netip.MustParsePrefix("198.51.100.0/24"))
+			return q
+		}, v4, func(q *dnswire.Message) *dnswire.Message {
+			m := dnswire.NewTXTResponse(q, google.EgressV4.String())
+			m.Answers = append(m.Answers, txt(q, "edns0-client-subnet 198.51.100.0/24"))
+			return m
+		}},
+		{"google v6 ECS", gres, func() *dnswire.Message {
+			q := Lookup(Google).Location.Message(23)
+			q.Header.RecursionDesired = false
+			q.SetECS(netip.MustParsePrefix("2001:db8:40::/48"))
+			return q
+		}, v6, func(q *dnswire.Message) *dnswire.Message {
+			m := dnswire.NewTXTResponse(q, google.EgressV6.String())
+			m.Answers = append(m.Answers, txt(q, "edns0-client-subnet 2001:db8:40::/48"))
+			return m
+		}},
+		{"opendns", ores, func() *dnswire.Message { return Lookup(OpenDNS).Location.Message(24) }, v4,
+			func(q *dnswire.Message) *dnswire.Message {
+				m := dnswire.NewTXTResponse(q, fmt.Sprintf("server m%d.%s", 80+opendns.Index, opendns.City))
+				m.Answers = append(m.Answers, txt(q, "flags 20 0 2F"))
+				return m
+			}},
+	} {
+		q := c.query()
+		if got, want := hookWire(t, c.res, q, c.src), dnswire.MustPack(c.want(q)); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %x\nwant %x", c.name, got, want)
+		}
 	}
 }
 

@@ -133,45 +133,34 @@ func (s Site) persona() dnsserver.ChaosPersona {
 
 // hook builds the front-door special cases: Google's myaddr answer and
 // OpenDNS's debug answer are synthesized by the resolver itself. The
-// site-constant answers are built once, here, not per query; responses
-// share them read-only.
-func (s Site) hook() func(*dnswire.Message, netip.AddrPort) *dnswire.Message {
+// site-constant answer sets are built once, here, not per query;
+// responses share them read-only.
+func (s Site) hook() func(dnswire.View, netip.AddrPort) []string {
 	switch s.Operator {
 	case Google:
 		egressV4, egressV6 := []string{s.EgressV4.String()}, []string{s.EgressV6.String()}
-		return func(q *dnswire.Message, src netip.AddrPort) *dnswire.Message {
-			question := q.Question()
-			if !question.Name.Equal("o-o.myaddr.l.google.com") || question.Type != dnswire.TypeTXT {
+		return func(q dnswire.View, src netip.AddrPort) []string {
+			if typ, _, _ := q.Question(); typ != dnswire.TypeTXT || !q.QuestionNameEqual("o-o.myaddr.l.google.com") {
 				return nil
 			}
 			egress := egressV4
 			if src.Addr().Is6() && !src.Addr().Is4In6() {
 				egress = egressV6
 			}
-			resp := dnswire.NewTXTResponse(q, egress...)
 			// The real o-o.myaddr echoes a client-subnet option back as a
-			// second TXT string (RFC 7871 diagnostics).
+			// second TXT record (RFC 7871 diagnostics).
 			if ecs, ok := q.ClientSubnet(); ok {
-				resp.Answers = append(resp.Answers, dnswire.Record{
-					Name: question.Name, Class: question.Class, TTL: 0,
-					Data: dnswire.TXTRData{Strings: []string{"edns0-client-subnet " + ecs.String()}},
-				})
+				return []string{egress[0], "edns0-client-subnet " + ecs.String()}
 			}
-			return resp
+			return egress
 		}
 	case OpenDNS:
-		server := []string{fmt.Sprintf("server m%d.%s", 80+s.Index, s.City)}
-		var flags dnswire.RData = dnswire.TXTRData{Strings: []string{"flags 20 0 2F"}}
-		return func(q *dnswire.Message, src netip.AddrPort) *dnswire.Message {
-			question := q.Question()
-			if !question.Name.Equal("debug.opendns.com") || question.Type != dnswire.TypeTXT {
+		debug := []string{fmt.Sprintf("server m%d.%s", 80+s.Index, s.City), "flags 20 0 2F"}
+		return func(q dnswire.View, src netip.AddrPort) []string {
+			if typ, _, _ := q.Question(); typ != dnswire.TypeTXT || !q.QuestionNameEqual("debug.opendns.com") {
 				return nil
 			}
-			resp := dnswire.NewTXTResponse(q, server...)
-			resp.Answers = append(resp.Answers, dnswire.Record{
-				Name: question.Name, Class: question.Class, TTL: 0, Data: flags,
-			})
-			return resp
+			return debug
 		}
 	default:
 		return nil

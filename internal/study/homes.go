@@ -59,7 +59,6 @@ func (w *World) buildHome(probe *atlas.Probe) {
 
 	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
 	cfg.Metrics = w.fwdMetrics
-	cfg.ChaosCache = w.chaosCache
 	if probe.HasIPv6 {
 		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
 		cfg.LANPrefix6 = home.LANPrefix6

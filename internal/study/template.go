@@ -46,12 +46,6 @@ type WorldTemplate struct {
 	// first Build records and seals them, later Builds bind devices by
 	// name instead of rebuilding the prefix maps (netsim.RoutingCore).
 	cores *netsim.CoreSet
-
-	// chaosCache is the packed CHAOS answer cache, shared by every world
-	// of this template — the persona answers it memoizes are pure
-	// functions of the query, so shard worlds running concurrently can
-	// all hit one cache.
-	chaosCache *dnsserver.PackedAnswerCache
 }
 
 // NewWorldTemplate precomputes the shard-invariant parts of a world.
@@ -70,7 +64,6 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 		seats:        seats,
 		plans:        planOrgs(spec, orgs, probesPerOrg, seats),
 		cores:        netsim.NewCoreSet(),
-		chaosCache:   dnsserver.NewPackedAnswerCache(),
 	}
 }
 
@@ -92,14 +85,8 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 		Net:                 netsim.NewNetwork(),
 		ISPs:                make(map[int]*isp.Network),
 		transitSeatPatterns: make(map[publicdns.Region]map[netip.Addr]Pattern),
-		chaosCache:          t.chaosCache,
 	}
 	w.Backbone = backbone.BuildWithCores(w.Net, t.zones, t.cores, role)
-	for _, byRegion := range w.Backbone.Resolvers {
-		for _, res := range byRegion {
-			res.ChaosCache = w.chaosCache
-		}
-	}
 	if spec.Fault != nil && spec.Fault.Active() {
 		w.Net.SetDefaultFault(*spec.Fault)
 	}

@@ -49,11 +49,6 @@ type World struct {
 	fwdMetrics          *dnsserver.ForwarderMetrics
 	studyMetrics        *studyMetrics
 
-	// chaosCache serves pre-packed persona answers; one cache per world
-	// (the world is a single-threaded event loop), shared by every CPE
-	// forwarder and resolver in it.
-	chaosCache *dnsserver.PackedAnswerCache
-
 	// advByRegion caches the per-region evasive-interceptor models when
 	// Spec.Adversary > 0 (see adversary.go). Per world: the L4 budget
 	// map is mutable measurement state.
@@ -131,8 +126,6 @@ func (w *World) buildISPs(orgs []geo.Org, plans []orgPlan) {
 			return overflowPrefixes(block, idx)
 		}
 		n := w.Backbone.AttachISP(cfg)
-		n.Resolver.ChaosCache = w.chaosCache
-		n.Refusing.ChaosCache = w.chaosCache
 		n.Resolver.Adversary = w.adversaryFor(region)
 		n.Refusing.Adversary = w.adversaryFor(region)
 		w.ISPs[org.ASN] = n
@@ -159,7 +152,6 @@ func (w *World) buildTransitInterceptors() {
 		rtr := netsim.NewRouter(fmt.Sprintf("transit-resolver-%s", region), resolverAddr)
 		res := dnsserver.NewRecursiveResolver(resolverAddr, backbone.RootAddr)
 		res.Persona = ispResolverPersonas[(i+1)%len(ispResolverPersonas)]
-		res.ChaosCache = w.chaosCache
 		res.Adversary = w.adversaryFor(region)
 		rtr.Bind(53, res)
 		regional := w.Backbone.Regional[region]
