@@ -235,13 +235,3 @@ func (b *Backbone) AttachISP(cfg isp.Config) *isp.Network {
 	}
 	return n
 }
-
-// FlushResolverCaches clears every public-site resolver cache; the study
-// uses it between phases so cached answers don't mask path changes.
-func (b *Backbone) FlushResolverCaches() {
-	for _, byRegion := range b.Resolvers {
-		for _, res := range byRegion {
-			res.FlushCache()
-		}
-	}
-}

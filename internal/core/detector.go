@@ -323,7 +323,11 @@ func (d *Detector) stepLocation(r *Report) {
 
 	noteFaults(r, StepLocation, results)
 	d.Metrics.noteStep(StepLocation, results)
-	r.Location = append(r.Location, results...)
+	if r.Location == nil && len(results) > 0 {
+		r.Location = results
+	} else {
+		r.Location = append(r.Location, results...)
+	}
 	intercepted := map[publicdns.ID]map[Family]bool{}
 	for _, pr := range results {
 		// Timeouts (and garbled responses) are conservatively not

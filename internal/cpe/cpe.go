@@ -131,16 +131,55 @@ type Config struct {
 	Adversary *dnsserver.Adversary
 }
 
-// Device is a built CPE.
+// Device is a built CPE. It is used by pointer only: the match
+// closures Rebind installs refer to the Device that made them.
 type Device struct {
 	Config    Config
 	Router    *netsim.Router
 	Forwarder *dnsserver.Forwarder
+
+	// The parts Rebind reuses. fwd and ep are kept while a config
+	// needs no forwarder or no terminating endpoint; host is the LAN
+	// host AttachHost(name, 0) hands out.
+	fwd  *dnsserver.Forwarder
+	ep   *dnsserver.StreamEndpoint
+	host *netsim.Host
+
+	// The device's DNAT matches and encrypted-DNS filter, made once per
+	// Device. They read d.Config when called, so a rebind retargets
+	// them without making new closures.
+	matchXDNS4, matchXDNS6 func(netsim.Packet) bool
+	matchEnc4, matchEnc6   func(netsim.Packet) bool
+	blockEnc               func(netsim.Packet) (bool, string)
 }
 
 // Build wires a CPE from its config.
-func Build(cfg Config) *Device {
-	r := netsim.NewRouter(cfg.Name, cfg.LANAddr, cfg.WANAddr)
+func Build(cfg Config) *Device { return new(Device).Rebind(cfg) }
+
+// Rebind turns d into the CPE cfg describes and returns d. It reuses
+// d's router, NAT, forwarder, stream endpoint and LAN host, each reset
+// to the state a new one starts in, so a rebound device behaves exactly
+// like Build(cfg) — Build is Rebind on a new Device. The device must be
+// idle and detached first: no packet of its previous binding in flight
+// and no ISP route pointing at it. Hosts and forwarders handed out
+// before are the same objects afterwards, rebound too.
+func (d *Device) Rebind(cfg Config) *Device {
+	if d.Router == nil {
+		d.Router = new(netsim.Router)
+		d.matchXDNS4 = func(pkt netsim.Packet) bool { return d.divertsDNS(pkt, false) }
+		d.matchXDNS6 = func(pkt netsim.Packet) bool { return d.divertsDNS(pkt, true) }
+		d.matchEnc4 = func(pkt netsim.Packet) bool { return d.encryptedDNS(pkt) && !pkt.IsIPv6() }
+		d.matchEnc6 = func(pkt netsim.Packet) bool { return d.encryptedDNS(pkt) && pkt.IsIPv6() }
+		d.blockEnc = func(pkt netsim.Packet) (bool, string) {
+			if d.encryptedDNS(pkt) {
+				return true, "cpe blocks encrypted DNS"
+			}
+			return false, ""
+		}
+	}
+	d.Config = cfg
+	r, nat := d.Router, d.Router.NAT
+	r.Reset(cfg.Name, cfg.LANAddr, cfg.WANAddr)
 	r.Delay = 500 * time.Microsecond // home uplink
 	r.RouterID = cfg.LANAddr         // what home traceroutes show as hop 1
 	if cfg.LANAddr6.IsValid() {
@@ -150,18 +189,24 @@ func Build(cfg Config) *Device {
 		r.AddAddr(cfg.WANAddr6)
 	}
 
-	nat := netsim.NewNAT()
+	if nat == nil {
+		nat = new(netsim.NAT)
+	}
+	nat.Reset()
 	nat.MasqueradeV4 = cfg.WANAddr
-	nat.LANPrefixes = []netip.Prefix{cfg.LANPrefix}
+	nat.LANPrefixes = append(nat.LANPrefixes, cfg.LANPrefix)
 	if cfg.LANPrefix6.IsValid() {
 		nat.LANPrefixes = append(nat.LANPrefixes, cfg.LANPrefix6)
 	}
 	r.NAT = nat
 
-	d := &Device{Config: cfg, Router: r}
-
+	d.Forwarder = nil
 	if !cfg.DisableForwarder {
-		fwd := dnsserver.NewForwarder(cfg.Persona, cfg.WANAddr, cfg.Upstream)
+		if d.fwd == nil {
+			d.fwd = new(dnsserver.Forwarder)
+		}
+		fwd := d.fwd
+		fwd.Reset(cfg.Persona, cfg.WANAddr, cfg.Upstream)
 		fwd.ForwardUnhandledChaos = cfg.ForwardUnhandledChaos
 		fwd.Metrics = cfg.Metrics
 		fwd.Adversary = cfg.Adversary
@@ -186,7 +231,7 @@ func Build(cfg Config) *Device {
 
 // encryptedDNS matches LAN-originated encrypted-DNS stream traffic.
 func (d *Device) encryptedDNS(pkt netsim.Packet) bool {
-	cfg := d.Config
+	cfg := &d.Config
 	if pkt.Proto != netsim.TCP {
 		return false
 	}
@@ -204,80 +249,81 @@ func (d *Device) encryptedDNS(pkt netsim.Packet) bool {
 // Terminate DNATs the stream to the CPE's own endpoint, which fronts
 // the forwarder behind a certificate no client trusts.
 func (d *Device) installEncrypted() {
-	cfg := d.Config
+	cfg := &d.Config
 	switch cfg.Encrypted {
 	case dnsserver.EncBlock:
-		d.Router.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
-			if d.encryptedDNS(pkt) {
-				return true, "cpe blocks encrypted DNS"
-			}
-			return false, ""
-		})
+		d.Router.AddInputFilter(d.blockEnc)
 	case dnsserver.EncTerminate:
 		if d.Forwarder == nil {
 			return
 		}
-		ep := &dnsserver.StreamEndpoint{
+		if d.ep == nil {
+			d.ep = new(dnsserver.StreamEndpoint)
+		}
+		*d.ep = dnsserver.StreamEndpoint{
 			// Self-signed: names the CPE itself, trusted by no one.
 			Cert:  netsim.StreamCert{Subject: cfg.WANAddr},
 			Inner: d.Forwarder,
 		}
-		d.Router.BindOn(cfg.LANAddr, netsim.PortDoT, ep)
+		d.Router.BindOn(cfg.LANAddr, netsim.PortDoT, d.ep)
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
-			Name: "enc-terminate-v4",
-			Match: func(pkt netsim.Packet) bool {
-				return d.encryptedDNS(pkt) && !pkt.IsIPv6()
-			},
-			To: netip.AddrPortFrom(cfg.LANAddr, netsim.PortDoT),
+			Name:  "enc-terminate-v4",
+			Match: d.matchEnc4,
+			To:    netip.AddrPortFrom(cfg.LANAddr, netsim.PortDoT),
 		})
 		if cfg.LANAddr6.IsValid() {
-			d.Router.BindOn(cfg.LANAddr6, netsim.PortDoT, ep)
+			d.Router.BindOn(cfg.LANAddr6, netsim.PortDoT, d.ep)
 			d.Router.NAT.AddDNAT(netsim.DNATRule{
-				Name: "enc-terminate-v6",
-				Match: func(pkt netsim.Packet) bool {
-					return d.encryptedDNS(pkt) && pkt.IsIPv6()
-				},
-				To: netip.AddrPortFrom(cfg.LANAddr6, netsim.PortDoT),
+				Name:  "enc-terminate-v6",
+				Match: d.matchEnc6,
+				To:    netip.AddrPortFrom(cfg.LANAddr6, netsim.PortDoT),
 			})
 		}
 	}
 }
 
+// divertsDNS is the XDNS-style match: a UDP port-53 packet of the given
+// family, from the LAN, to a destination the intercept spec covers.
+func (d *Device) divertsDNS(pkt netsim.Packet, v6 bool) bool {
+	cfg := &d.Config
+	if pkt.Proto != netsim.UDP || pkt.Dst.Port() != 53 || pkt.IsIPv6() != v6 {
+		return false
+	}
+	src := pkt.Src.Addr()
+	lanSrc := cfg.LANPrefix.Contains(src.Unmap()) ||
+		(cfg.LANPrefix6.IsValid() && cfg.LANPrefix6.Contains(src)) ||
+		// Queries addressed to the CPE's own public IP arrive with a
+		// LAN source too; DNAT must also catch queries a LAN host
+		// sends directly to the WAN address.
+		src == cfg.WANAddr || src == cfg.WANAddr6
+	if !lanSrc {
+		return false
+	}
+	if v6 {
+		return cfg.Intercept.matchesV6(pkt.Dst.Addr())
+	}
+	return cfg.Intercept.matchesV4(pkt.Dst.Addr())
+}
+
 // installInterception adds the XDNS-style DNAT rules.
 func (d *Device) installInterception() {
-	spec := d.Config.Intercept
-	if !spec.Active() || d.Config.DisableForwarder {
+	cfg := &d.Config
+	spec := cfg.Intercept
+	if !spec.Active() || cfg.DisableForwarder {
 		return
-	}
-	cfg := d.Config
-	lanSrc := func(src netip.Addr) bool {
-		return cfg.LANPrefix.Contains(src.Unmap()) ||
-			(cfg.LANPrefix6.IsValid() && cfg.LANPrefix6.Contains(src)) ||
-			// Queries addressed to the CPE's own public IP arrive with a
-			// LAN source too; DNAT must also catch queries a LAN host
-			// sends directly to the WAN address.
-			src == cfg.WANAddr || src == cfg.WANAddr6
 	}
 	if spec.AllV4 || len(spec.TargetsV4) > 0 {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
-			Name: "xdns-v4",
-			Match: func(pkt netsim.Packet) bool {
-				return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
-					!pkt.IsIPv6() && lanSrc(pkt.Src.Addr()) &&
-					spec.matchesV4(pkt.Dst.Addr())
-			},
+			Name:      "xdns-v4",
+			Match:     d.matchXDNS4,
 			To:        netip.AddrPortFrom(cfg.LANAddr, 53),
 			Replicate: spec.Replicate,
 		})
 	}
 	if (spec.AllV6 || len(spec.TargetsV6) > 0) && cfg.LANAddr6.IsValid() {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
-			Name: "xdns-v6",
-			Match: func(pkt netsim.Packet) bool {
-				return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
-					pkt.IsIPv6() && lanSrc(pkt.Src.Addr()) &&
-					spec.matchesV6(pkt.Dst.Addr())
-			},
+			Name:      "xdns-v6",
+			Match:     d.matchXDNS6,
 			To:        netip.AddrPortFrom(cfg.LANAddr6, 53),
 			Replicate: spec.Replicate,
 		})
@@ -290,7 +336,9 @@ func (d *Device) SetUplink(next netsim.Device) {
 }
 
 // AttachHost creates a LAN host behind the CPE and wires routes both
-// ways. hostIdx picks distinct LAN addresses for multiple hosts.
+// ways. hostIdx picks distinct LAN addresses for multiple hosts; index
+// 0 is the device's own LAN host, which later calls rebind instead of
+// replacing.
 func (d *Device) AttachHost(name string, hostIdx int) *netsim.Host {
 	a4 := d.Config.LANAddr.As4()
 	a4[3] += byte(1 + hostIdx)
@@ -303,7 +351,16 @@ func (d *Device) AttachHost(name string, hostIdx int) *netsim.Host {
 		hostV6 = netip.AddrFrom16(a6)
 	}
 
-	h := netsim.NewHost(name, hostV4, hostV6, d.Router)
+	var h *netsim.Host
+	if hostIdx == 0 && d.host != nil {
+		h = d.host // the device's own LAN host, rebound
+	} else {
+		h = new(netsim.Host)
+		if hostIdx == 0 {
+			d.host = h
+		}
+	}
+	h.Reset(name, hostV4, hostV6, d.Router)
 	h.Delay = 200 * time.Microsecond // LAN hop
 	d.Router.AddRoute(netip.PrefixFrom(hostV4, 32), h)
 	if hostV6.IsValid() {

@@ -67,12 +67,30 @@ type fwdCacheEntry struct {
 
 // NewForwarder creates a forwarder relaying to upstream from egress.
 func NewForwarder(persona ChaosPersona, egress netip.Addr, upstream netip.AddrPort) *Forwarder {
-	return &Forwarder{
+	f := new(Forwarder)
+	f.Reset(persona, egress, upstream)
+	return f
+}
+
+// Reset returns the forwarder to the state NewForwarder gives it,
+// keeping its storage: pending upstream queries and cached answers are
+// emptied in place, the optional fields go back to their zero values,
+// and upstream ports restart at 20000. A forwarder-cached answer
+// therefore never outlives the reset.
+func (f *Forwarder) Reset(persona ChaosPersona, egress netip.Addr, upstream netip.AddrPort) {
+	pending, cache := f.pending, f.cache
+	if pending == nil {
+		pending, cache = make(map[uint16]fwdPending), make(map[string]fwdCacheEntry)
+	} else {
+		clear(pending)
+		clear(cache)
+	}
+	*f = Forwarder{
 		Persona:  persona,
 		Upstream: upstream,
 		Egress:   egress,
-		pending:  make(map[uint16]fwdPending),
-		cache:    make(map[string]fwdCacheEntry),
+		pending:  pending,
+		cache:    cache,
 		nextPort: 20000,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -378,6 +379,59 @@ func FuzzAppendResponse(f *testing.F) {
 		}
 		if key := v.AppendCanonicalQuestion(nil); !bytes.Equal(key, wantKey) {
 			t.Fatalf("canonical question %x, want %x", key, wantKey)
+		}
+	})
+}
+
+// FuzzTCPFrame pins the RFC 1035 §4.2.2 framing the real-socket TCP
+// client and the stream plane read through. On arbitrary bytes:
+// AppendTCPFrame then SplitTCPFrame returns the body and the trailing
+// bytes unchanged, and ReadTCP agrees with SplitTCPFrame + Unpack —
+// both fail, or both decode the same message with the same error.
+func FuzzTCPFrame(f *testing.F) {
+	for _, s := range seedMessages() {
+		framed, _ := AppendTCPFrame(nil, s)
+		f.Add(framed, []byte{})
+		f.Add(framed[:len(framed)-1], framed[:3])
+	}
+	f.Add([]byte{0x00}, []byte{0xFF, 0xFF})
+	f.Add([]byte{0x00, 0x00}, []byte(nil))
+	f.Fuzz(func(t *testing.T, data, tail []byte) {
+		framed, err := AppendTCPFrame([]byte("pre"), data)
+		if len(data) > maxTCPMessage {
+			if err == nil {
+				t.Fatalf("framed a %d-byte body", len(data))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-byte body: %v", len(data), err)
+		}
+		if string(framed[:3]) != "pre" {
+			t.Fatalf("frame clobbered its prefix: %x", framed)
+		}
+		body, rest, err := SplitTCPFrame(append(framed[3:], tail...))
+		if err != nil {
+			t.Fatalf("split of a whole frame: %v", err)
+		}
+		if !bytes.Equal(body, data) || !bytes.Equal(rest, tail) {
+			t.Fatalf("round trip gave body %x rest %x, want %x and %x", body, rest, data, tail)
+		}
+
+		m, rerr := ReadTCP(bytes.NewReader(data))
+		body, _, serr := SplitTCPFrame(data)
+		if serr != nil {
+			if rerr == nil {
+				t.Fatalf("ReadTCP decoded %x, which SplitTCPFrame rejects: %v", data, serr)
+			}
+			return
+		}
+		want, uerr := Unpack(body)
+		if fmt.Sprint(rerr) != fmt.Sprint(uerr) {
+			t.Fatalf("ReadTCP err = %v, SplitTCPFrame+Unpack err = %v", rerr, uerr)
+		}
+		if uerr == nil && !reflect.DeepEqual(m, want) {
+			t.Fatalf("ReadTCP = %v, SplitTCPFrame+Unpack = %v", m, want)
 		}
 	})
 }

@@ -20,12 +20,10 @@
 package faultfs
 
 import (
-	"fmt"
 	"hash/fnv"
 	"io"
 	"io/fs"
 	"os"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -162,24 +160,6 @@ func (f *Fault) Counts() map[Class]int64 {
 		out[c] = n
 	}
 	return out
-}
-
-// CountsString renders the injection counts compactly, class-sorted.
-func (f *Fault) CountsString() string {
-	counts := f.Counts()
-	keys := make([]string, 0, len(counts))
-	for c := range counts {
-		keys = append(keys, string(c))
-	}
-	sort.Strings(keys)
-	s := ""
-	for i, k := range keys {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", k, counts[Class(k)])
-	}
-	return s
 }
 
 // nextOp advances and returns path's fault-eligible operation index.

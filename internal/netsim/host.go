@@ -40,13 +40,23 @@ type Host struct {
 
 // NewHost creates a host. Either address may be the zero Addr.
 func NewHost(name string, addr4, addr6 netip.Addr, gw Device) *Host {
-	return &Host{
+	h := new(Host)
+	h.Reset(name, addr4, addr6, gw)
+	return h
+}
+
+// Reset returns the host to the state NewHost gives it, keeping its
+// storage: the inbox is emptied in place (recycled slices stay spare)
+// and ephemeral ports restart at 49152.
+func (h *Host) Reset(name string, addr4, addr6 netip.Addr, gw Device) {
+	*h = Host{
 		Name:     name,
 		Addr4:    addr4,
 		Addr6:    addr6,
 		Gateway:  gw,
 		nextPort: 49152,
-		inbox:    make(map[uint16][]Packet),
+		inbox:    clearOrMake(h.inbox),
+		spare:    h.spare,
 	}
 }
 
@@ -199,8 +209,3 @@ func (h *Host) Exchange(n *Network, dst netip.AddrPort, payload []byte, opts Exc
 	}
 	return got, nil
 }
-
-// PublicAddr4 returns the host's own idea of its IPv4 address; behind a
-// NAT CPE this is a private address, and the *probe platform* (not the
-// host) knows the WAN address, as RIPE Atlas metadata does.
-func (h *Host) PublicAddr4() netip.Addr { return h.Addr4 }

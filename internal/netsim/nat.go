@@ -67,11 +67,22 @@ func (n *NAT) occupancy() int {
 
 // NewNAT returns an empty NAT state.
 func NewNAT() *NAT {
-	return &NAT{
-		dnatCT:     make(map[ctKey]netip.AddrPort),
-		snatByFlow: make(map[ctKey]uint16),
-		snatByExt:  make(map[ctKey]netip.AddrPort),
-		nextPort:   30000,
+	n := new(NAT)
+	n.Reset()
+	return n
+}
+
+// Reset returns the NAT to the state NewNAT gives it, keeping its
+// storage: rules, LAN prefixes and masquerade addresses go, the
+// conntrack maps are emptied in place, and SNAT ports restart at 30000.
+func (n *NAT) Reset() {
+	*n = NAT{
+		DNATRules:   n.DNATRules[:0],
+		dnatCT:      clearOrMake(n.dnatCT),
+		LANPrefixes: n.LANPrefixes[:0],
+		snatByFlow:  clearOrMake(n.snatByFlow),
+		snatByExt:   clearOrMake(n.snatByExt),
+		nextPort:    30000,
 	}
 }
 

@@ -131,3 +131,55 @@ func TestRemoveRouteReaddAllocatesNothing(t *testing.T) {
 		t.Errorf("routes4 has %d lengths, want /32 and /0 kept across churn", len(r.routes4))
 	}
 }
+
+// TestRouterResetForgetsRoutesAndMemos: a reset router routes like a
+// new one — its old routes and memoized lookups are gone, its
+// services and firewall holes are unbound — and rebinding it with the
+// same shape of table allocates nothing, because every route went to
+// the spare list.
+func TestRouterResetForgetsRoutesAndMemos(t *testing.T) {
+	r := NewRouter("cpe-1", netip.MustParseAddr("192.168.1.1"))
+	var up, lan Device = namedDev("up"), namedDev("lan")
+	hostPfx := netip.MustParsePrefix("192.168.1.2/32")
+	bind := func(name string) {
+		r.Reset(name, netip.MustParseAddr("192.168.1.1"))
+		r.AddDefaultRoute(up)
+		r.AddRoute(hostPfx, lan)
+		r.Bind(53, ServiceFunc(func(*ServiceCtx, Packet) {}))
+		r.lookupRoute(hostPfx.Addr())
+	}
+	bind("cpe-1")
+	r.AddInputFilter(func(Packet) (bool, string) { return true, "stale" })
+
+	r.Reset("cpe-2")
+	if r.Name != "cpe-2" || len(r.Addrs()) != 0 || len(r.inputFilters) != 0 {
+		t.Fatalf("reset kept name/addrs/filters: %q %v %d", r.Name, r.Addrs(), len(r.inputFilters))
+	}
+	if got := r.lookupRoute(hostPfx.Addr()); got != nil {
+		t.Fatalf("reset router still routes %s via %v", hostPfx.Addr(), got.Next)
+	}
+	if _, ok := r.BoundService(netip.MustParseAddr("192.168.1.1"), 53); ok {
+		t.Fatal("reset router kept its port-53 service")
+	}
+
+	bind("cpe-3") // grows the spare list back to the table's size
+	if allocs := testing.AllocsPerRun(100, func() { bind("cpe-3") }); allocs != 0 {
+		t.Errorf("rebinding a reset router: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRouterResetRefusesSharedCore: a router bound to a RoutingCore
+// reads routes every world of its template shares, so it cannot be
+// reset.
+func TestRouterResetRefusesSharedCore(t *testing.T) {
+	cs := NewCoreSet()
+	cs.Begin()
+	r := NewRouter("regional")
+	r.ShareCore(cs.For("regional"), true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset on a core-sharing router did not panic")
+		}
+	}()
+	r.Reset("regional")
+}

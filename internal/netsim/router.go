@@ -192,16 +192,57 @@ func (c *lookupCache) invalidate(k routeKey, bits int) {
 
 // NewRouter returns a router with the given local addresses.
 func NewRouter(name string, addrs ...netip.Addr) *Router {
-	r := &Router{
-		Name:     name,
-		services: make(map[uint16]Service),
-		byAddr:   make(map[netip.AddrPort]Service),
-		noServe:  make(map[netip.AddrPort]bool),
+	r := new(Router)
+	r.Reset(name, addrs...)
+	return r
+}
+
+// Reset returns the router to the state NewRouter(name, addrs...)
+// gives it, keeping its storage: the service and forwarding maps are
+// emptied in place, every local route moves to spareRoutes for the
+// next AddRoute, and the lookup memos are zeroed. A CPE slot rebinds
+// one router per probe this way. The prefix lengths a table has held
+// stay, empty, which no lookup can tell apart from a missing length.
+// A router sharing a RoutingCore cannot be reset: its forwarding state
+// is not its own.
+func (r *Router) Reset(name string, addrs ...netip.Addr) {
+	if r.core != nil {
+		panic("netsim: Reset on router " + r.Name + ", which shares a RoutingCore")
+	}
+	spare := r.spareRoutes
+	for _, table := range [...]lenTables[*Route]{r.routes4, r.routes6} {
+		for i := range table {
+			for _, rt := range table[i].m {
+				*rt = Route{}
+				spare = append(spare, rt)
+			}
+			clear(table[i].m)
+		}
+	}
+	*r = Router{
+		Name:         name,
+		addrs:        r.addrs[:0],
+		services:     clearOrMake(r.services),
+		byAddr:       clearOrMake(r.byAddr),
+		noServe:      clearOrMake(r.noServe),
+		routes4:      r.routes4,
+		routes6:      r.routes6,
+		spareRoutes:  spare,
+		inputFilters: r.inputFilters[:0],
 	}
 	for _, a := range addrs {
 		r.AddAddr(a)
 	}
-	return r
+}
+
+// clearOrMake empties m in place, keeping its capacity, or makes it
+// when it is nil.
+func clearOrMake[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // DeviceName implements Device.

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
@@ -101,9 +100,6 @@ func (r *Results) MarshalJSON() ([]byte, error) {
 		Probes:      r.Export(),
 	})
 }
-
-// VerdictOf is a test helper mapping core verdicts to export strings.
-func VerdictOf(v core.Verdict) string { return string(v) }
 
 // RecordSink receives each record's export the moment its measurement
 // completes — the streaming pipeline's alternative to retaining raw

@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/cpe"
@@ -13,26 +14,30 @@ import (
 // A probe's home — its CPE router with NAT, DNAT and forwarder, and
 // the LAN host the detector runs on — lives exactly as long as the
 // probe's measurement. Population only registers a metadata stub and,
-// for an owned probe, a pendingHome; the sweep builds the home right
+// for an owned probe, a pendingHome; the sweep binds the home right
 // before measuring the probe and releases it once the record is
 // yielded. A world therefore holds one live home, not one per owned
-// probe.
+// probe, and it keeps a single cpe.Device, its home slot, that every
+// probe's home is rebound into.
 //
-// Rebuilding is safe because a home carries no state between
+// Rebinding is safe because a home carries no state between
 // measurements that the output depends on: Host.Exchange drains the
 // event queue before it returns, so no packet of a finished probe is
-// ever in flight, and nothing in cpe.Build, AttachCPE or AttachHost
-// draws from an RNG.
+// ever in flight; cpe.Device.Rebind resets the router, NAT, forwarder
+// and LAN host to the state a new one starts in (tables emptied, port
+// counters restarted), so a rebound home is the home cpe.Build would
+// make; and nothing in Rebind, AttachCPE or AttachHost draws from an
+// RNG. Device names stay per probe (cpe-<id>, probe-<id>) because the
+// fault plane keys its per-device profiles and flow seeds by name.
 
-// pendingHome is what an owned probe's home is rebuilt from: its plan
+// pendingHome is what an owned probe's home is bound from: its plan
 // entry, the segment it attaches to, and the addresses population
-// allocated for it. device is the attached CPE while the home is live.
+// allocated for it.
 type pendingHome struct {
-	plan   *orgPlan
-	idx    int // index into plan.probes; the probe ID is plan.startID+idx
-	seg    *isp.Segment
-	addrs  isp.HomeAddrs
-	device *cpe.Device
+	plan  *orgPlan
+	idx   int // index into plan.probes; the probe ID is plan.startID+idx
+	seg   *isp.Segment
+	addrs isp.HomeAddrs
 }
 
 // pendingFor returns an owned probe's pending home. Owned probes are
@@ -46,18 +51,22 @@ func (w *World) pendingFor(id int) *pendingHome {
 	return &w.homes[i]
 }
 
-// buildHome constructs and attaches an owned probe's home and points
-// probe.Host at its LAN host. It is a pure function of the pending
-// entry and world-shared objects (forwarder metrics, the CHAOS answer
-// cache, the regional adversaries), so a home rebuilt after the sweep
-// is the same home the probe was measured from.
+// buildHome binds an owned probe's home into the world's home slot,
+// attaches it and points probe.Host at its LAN host. The home is a pure
+// function of the pending entry and world-shared objects (forwarder
+// metrics, the regional adversaries), so a home bound again after the
+// sweep is the same home the probe was measured from. The slot holds
+// one home: binding a second before the first is released panics.
 func (w *World) buildHome(probe *atlas.Probe) {
+	if w.homesLive != 0 {
+		panic(fmt.Sprintf("study: home of probe %d bound while another home is live", probe.ID))
+	}
 	ph := w.pendingFor(probe.ID)
 	plan := ph.plan
 	s, home := plan.probes[ph.idx].seat, ph.addrs
 	network := w.ISPs[plan.org.ASN]
 
-	cfg := cpe.NewPlain(fmt.Sprintf("cpe-%d", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
+	cfg := cpe.NewPlain(deviceName("cpe-", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
 	cfg.Metrics = w.fwdMetrics
 	if probe.HasIPv6 {
 		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
@@ -85,30 +94,40 @@ func (w *World) buildHome(probe *atlas.Probe) {
 		}
 	}
 
-	ph.device = cpe.Build(cfg)
-	network.AttachCPE(ph.seg, ph.device, home)
-	probe.Host = ph.device.AttachHost(fmt.Sprintf("probe-%d", probe.ID), 0)
+	if w.home == nil {
+		w.home = new(cpe.Device)
+	}
+	w.home.Rebind(cfg)
+	network.AttachCPE(ph.seg, w.home, home)
+	probe.Host = w.home.AttachHost(deviceName("probe-", probe.ID), 0)
 	w.homesLive++
 	w.studyMetrics.noteHomeBuilt(w.homesLive)
 }
 
-// releaseHome detaches a live home from its segment and drops every
-// reference to its devices, leaving the probe a stub again.
+// deviceName is prefix followed by the probe ID in decimal, built with
+// the one allocation of the final string.
+func deviceName(prefix string, id int) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(b[:0], prefix...), int64(id), 10))
+}
+
+// releaseHome detaches a live home from its segment, leaving the probe
+// a stub again and the home slot free for the next probe.
 func (w *World) releaseHome(probe *atlas.Probe) {
 	ph := w.pendingFor(probe.ID)
 	w.ISPs[ph.plan.org.ASN].DetachCPE(ph.seg, ph.addrs)
-	ph.device = nil
 	probe.Host = nil
 	w.homesLive--
 }
 
 // WithHome runs fn from the record's probe after the sweep: the probe's
-// home is rebuilt in the record's world, fn gets its LAN host (on the
-// event loop rec.Net), and the home is released again when fn returns.
-// Follow-up measurements such as the TTL extension go through it,
-// because a record never pins its home. Calls on records of one world
-// must not run concurrently. It reports false for a record that no
-// sweep produced, which has no world to rebuild the home in.
+// home is bound into the record's world's home slot, fn gets its LAN
+// host (on the event loop rec.Net), and the home is released again
+// when fn returns. Follow-up measurements such as the TTL extension go
+// through it, because a record never pins its home. Calls on records
+// of one world must not run concurrently, nor during that world's
+// sweep. It reports false for a record that no sweep produced, which
+// has no world to bind the home in.
 func (rec *ProbeRecord) WithHome(fn func(host *netsim.Host)) bool {
 	w := rec.world
 	if w == nil {

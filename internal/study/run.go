@@ -32,9 +32,9 @@ type ProbeRecord struct {
 	// Net is the event loop of the world that measured the probe. In a
 	// sharded run each record points at its own shard's network;
 	// follow-up measurements (the TTL extension) must use it rather than
-	// a global one, from the host WithHome rebuilds.
+	// a global one, from the host WithHome binds.
 	Net *netsim.Network
-	// world measured the record and rebuilds its probe's home for
+	// world measured the record and binds its probe's home for
 	// WithHome; nil for records no sweep produced.
 	world *World
 	// Err records a quarantined measurement: the probe's detector
@@ -190,8 +190,9 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			}
 			continue
 		}
-		// The probe's home exists only for its measurement: built here,
-		// released once the record is handed on (quarantined or not).
+		// The probe's home exists only for its measurement: bound into
+		// the world's home slot here, released once the record is handed
+		// on (quarantined or not).
 		w.buildHome(probe)
 		rec.Report, rec.Err = measure(w, probe)
 		sm.noteMeasured(rec.Err != "")

@@ -37,7 +37,7 @@ type WorldTemplate struct {
 
 	// plans is the frozen population plan: per org, the segment layout,
 	// seat placement, and every Seed+1 RNG draw the serial build would
-	// make, in order. Worlds replay it instead of drawing, and rebuild
+	// make, in order. Worlds replay it instead of drawing, and bind
 	// homes from it when their probes are measured.
 	plans []orgPlan
 

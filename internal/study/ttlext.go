@@ -22,8 +22,8 @@ type TTLStats struct {
 
 // RunTTLExtension runs a TTL ladder towards Google's primary v4 address
 // from every intercepted probe, plus cleanSample clean probes for the
-// baseline. Each ladder runs from the probe's home, rebuilt in its
-// record's world for the ladder and released after it.
+// baseline. Each ladder runs from the probe's home, bound into its
+// record's world's home slot for the ladder and released after it.
 func RunTTLExtension(res *Results, cleanSample int, maxTTL int) TTLStats {
 	stats := TTLStats{FirstTTLs: make(map[core.Verdict][]int)}
 	google := netip.AddrPortFrom(publicdns.Lookup(publicdns.Google).V4[0], 53)

@@ -10,6 +10,7 @@ import (
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/backbone"
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/geo"
 	"github.com/dnswatch/dnsloc/internal/isp"
@@ -55,10 +56,12 @@ type World struct {
 	advByRegion map[publicdns.Region]*dnsserver.Adversary
 
 	// homes holds one pending home per owned probe, in probe-ID order:
-	// what buildHome needs to construct the probe's CPE, NAT and LAN
-	// host right before it is measured. homesLive counts the homes
-	// currently attached (see homes.go).
+	// what buildHome needs to bind the probe's CPE, NAT and LAN host
+	// right before it is measured. home is the slot every probe's home
+	// is rebound into, and homesLive counts the homes currently
+	// attached, 0 or 1 (see homes.go).
 	homes     []pendingHome
+	home      *cpe.Device
 	homesLive int
 }
 
@@ -653,7 +656,7 @@ func (w *World) middleboxSpec(s *seat) *isp.MiddleboxSpec {
 // metadata stub: the roster entry the availability stream, the
 // detectors and the exports read. Its home (CPE, NAT and LAN host) is
 // not built here; an owned probe gets a pending entry that buildHome
-// turns into devices when the probe is measured. A nil planned seat is
+// binds into the world's home slot when the probe is measured. A nil planned seat is
 // a clean probe.
 func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan, idx int) {
 	org, region, pp := plan.org, plan.region, &plan.probes[idx]
