@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,6 +65,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dnsloc: no -cpe-ip given; the CPE test (step 2) will be skipped")
 		}
 	} else {
+		if !slices.Contains(dnsloc.AllScenarios, dnsloc.Scenario(*sim)) {
+			fmt.Fprintf(os.Stderr, "dnsloc: unknown -sim scenario %q\n", *sim)
+			os.Exit(2)
+		}
 		lab := dnsloc.NewSimHome(dnsloc.Scenario(*sim))
 		det = lab.Detector()
 		det.QueryV6 = *v6

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 	"time"
 
 	dnsloc "github.com/dnswatch/dnsloc"
@@ -49,6 +50,10 @@ func main() {
 			det.CPEPublicV4 = addr
 		}
 	} else {
+		if !slices.Contains(dnsloc.AllScenarios, dnsloc.Scenario(*sim)) {
+			fmt.Fprintf(os.Stderr, "dnsmon: unknown -sim scenario %q\n", *sim)
+			os.Exit(2)
+		}
 		lab := dnsloc.NewSimHome(dnsloc.Scenario(*sim))
 		det = lab.Detector()
 	}

@@ -399,7 +399,7 @@ func runTorture(spec study.Spec, workers int, seed int64, cycles int) {
 func jsonlSink(prefix string) func(k, workers, resumedAt int) (study.RecordSink, error) {
 	return func(k, workers, resumedAt int) (study.RecordSink, error) {
 		path := fmt.Sprintf("%s.shard%d-of-%d.jsonl", prefix, k, workers)
-		if err := study.TruncateSinkFile(path, resumedAt, false); err != nil {
+		if err := study.TruncateSinkFile(path, resumedAt); err != nil {
 			return nil, err
 		}
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

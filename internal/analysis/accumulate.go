@@ -123,13 +123,13 @@ func (a *Accumulator) Fold(rec *study.ProbeRecord) {
 
 func (a *Accumulator) foldTable4(rec *study.ProbeRecord) {
 	for i, id := range publicdns.All {
-		if rec.Responded[study.ExpKey{Resolver: id, Family: core.V4}] {
+		if rec.Responded.Has(id, core.V4) {
 			a.Resolvers[i].TotalV4++
 			if rec.InterceptedFor(id, core.V4) {
 				a.Resolvers[i].InterceptedV4++
 			}
 		}
-		if rec.Responded[study.ExpKey{Resolver: id, Family: core.V6}] {
+		if rec.Responded.Has(id, core.V6) {
 			a.Resolvers[i].TotalV6++
 			if rec.InterceptedFor(id, core.V6) {
 				a.Resolvers[i].InterceptedV6++

@@ -143,9 +143,8 @@ func TestCleanHomeCPEVersionBindTimesOut(t *testing.T) {
 
 func TestXB6HomeInterceptsEverything(t *testing.T) {
 	h := buildHome(t, nil, func(cfg *cpe.Config) {
-		xb6 := cpe.NewXB6(cfg.Name, cfg.LANPrefix, cfg.WANAddr, cfg.Upstream)
-		cfg.Persona = xb6.Persona
-		cfg.Intercept = xb6.Intercept
+		cfg.Persona = dnsserver.PersonaDnsmasqOld
+		cfg.Intercept = cpe.InterceptSpec{AllV4: true}
 	})
 
 	// Location queries come back non-standard: the ISP resolver answers.

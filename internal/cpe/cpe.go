@@ -15,6 +15,7 @@ package cpe
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
@@ -24,57 +25,30 @@ import (
 // InterceptSpec describes which port-53 destinations a CPE diverts to
 // its own forwarder. The zero value intercepts nothing.
 type InterceptSpec struct {
-	// AllV4 intercepts every IPv4 destination (minus ExceptV4).
+	// AllV4 intercepts every IPv4 destination.
 	AllV4 bool
 	// TargetsV4 intercepts only these IPv4 destinations (ignored when
 	// AllV4 is set).
 	TargetsV4 []netip.Addr
-	// ExceptV4 exempts destinations from AllV4 — the "only one resolver
-	// allowed" pattern of §4.1.1.
-	ExceptV4 []netip.Addr
-	// AllV6 and TargetsV6 are the IPv6 equivalents. The paper found v6
-	// interception far rarer than v4 (Table 4), so most specs leave
-	// these empty.
-	AllV6     bool
+	// TargetsV6 intercepts these IPv6 destinations. The paper found v6
+	// interception far rarer than v4 (Table 4), so most specs leave it
+	// empty.
 	TargetsV6 []netip.Addr
-	// Replicate forwards the original query too (query replication).
-	Replicate bool
 }
 
 // Active reports whether the spec intercepts anything.
 func (s InterceptSpec) Active() bool {
-	return s.AllV4 || s.AllV6 || len(s.TargetsV4) > 0 || len(s.TargetsV6) > 0
+	return s.AllV4 || len(s.TargetsV4) > 0 || len(s.TargetsV6) > 0
 }
 
 // matchesV4 reports whether an IPv4 destination is intercepted.
 func (s InterceptSpec) matchesV4(dst netip.Addr) bool {
-	if s.AllV4 {
-		for _, e := range s.ExceptV4 {
-			if e == dst {
-				return false
-			}
-		}
-		return true
-	}
-	for _, t := range s.TargetsV4 {
-		if t == dst {
-			return true
-		}
-	}
-	return false
+	return s.AllV4 || slices.Contains(s.TargetsV4, dst)
 }
 
 // matchesV6 reports whether an IPv6 destination is intercepted.
 func (s InterceptSpec) matchesV6(dst netip.Addr) bool {
-	if s.AllV6 {
-		return true
-	}
-	for _, t := range s.TargetsV6 {
-		if t == dst {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.TargetsV6, dst)
 }
 
 // Config describes one CPE device.
@@ -108,10 +82,6 @@ type Config struct {
 	// even without interception (an "open forwarder" CPE).
 	WANPort53Open bool
 
-	// LANPort53Open serves DNS to the home (the DHCP-advertised
-	// resolver). On by default in Build unless the CPE has no forwarder.
-	DisableForwarder bool
-
 	// Intercept is the DNAT interception behaviour.
 	Intercept InterceptSpec
 
@@ -138,10 +108,9 @@ type Device struct {
 	Router    *netsim.Router
 	Forwarder *dnsserver.Forwarder
 
-	// The parts Rebind reuses. fwd and ep are kept while a config
-	// needs no forwarder or no terminating endpoint; host is the LAN
+	// The parts Rebind reuses besides Router and Forwarder. ep is kept
+	// while a config needs no terminating endpoint; host is the LAN
 	// host AttachHost(name, 0) hands out.
-	fwd  *dnsserver.Forwarder
 	ep   *dnsserver.StreamEndpoint
 	host *netsim.Host
 
@@ -200,28 +169,24 @@ func (d *Device) Rebind(cfg Config) *Device {
 	}
 	r.NAT = nat
 
-	d.Forwarder = nil
-	if !cfg.DisableForwarder {
-		if d.fwd == nil {
-			d.fwd = new(dnsserver.Forwarder)
+	if d.Forwarder == nil {
+		d.Forwarder = new(dnsserver.Forwarder)
+	}
+	fwd := d.Forwarder
+	fwd.Reset(cfg.Persona, cfg.WANAddr, cfg.Upstream)
+	fwd.ForwardUnhandledChaos = cfg.ForwardUnhandledChaos
+	fwd.Metrics = cfg.Metrics
+	fwd.Adversary = cfg.Adversary
+	r.Bind(53, fwd)
+	if !cfg.WANPort53Open {
+		// The forwarder serves the LAN but the WAN-side port is
+		// firewalled: queries to the public IP go unanswered...
+		r.CloseOn(cfg.WANAddr, 53)
+		if cfg.WANAddr6.IsValid() {
+			r.CloseOn(cfg.WANAddr6, 53)
 		}
-		fwd := d.fwd
-		fwd.Reset(cfg.Persona, cfg.WANAddr, cfg.Upstream)
-		fwd.ForwardUnhandledChaos = cfg.ForwardUnhandledChaos
-		fwd.Metrics = cfg.Metrics
-		fwd.Adversary = cfg.Adversary
-		d.Forwarder = fwd
-		r.Bind(53, fwd)
-		if !cfg.WANPort53Open {
-			// The forwarder serves the LAN but the WAN-side port is
-			// firewalled: queries to the public IP go unanswered...
-			r.CloseOn(cfg.WANAddr, 53)
-			if cfg.WANAddr6.IsValid() {
-				r.CloseOn(cfg.WANAddr6, 53)
-			}
-			// ...unless the interception DNAT rule redirects them first,
-			// which is exactly how an intercepting CPE betrays itself.
-		}
+		// ...unless the interception DNAT rule redirects them first,
+		// which is exactly how an intercepting CPE betrays itself.
 	}
 
 	d.installInterception()
@@ -254,9 +219,6 @@ func (d *Device) installEncrypted() {
 	case dnsserver.EncBlock:
 		d.Router.AddInputFilter(d.blockEnc)
 	case dnsserver.EncTerminate:
-		if d.Forwarder == nil {
-			return
-		}
 		if d.ep == nil {
 			d.ep = new(dnsserver.StreamEndpoint)
 		}
@@ -309,23 +271,18 @@ func (d *Device) divertsDNS(pkt netsim.Packet, v6 bool) bool {
 func (d *Device) installInterception() {
 	cfg := &d.Config
 	spec := cfg.Intercept
-	if !spec.Active() || cfg.DisableForwarder {
-		return
-	}
 	if spec.AllV4 || len(spec.TargetsV4) > 0 {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
-			Name:      "xdns-v4",
-			Match:     d.matchXDNS4,
-			To:        netip.AddrPortFrom(cfg.LANAddr, 53),
-			Replicate: spec.Replicate,
+			Name:  "xdns-v4",
+			Match: d.matchXDNS4,
+			To:    netip.AddrPortFrom(cfg.LANAddr, 53),
 		})
 	}
-	if (spec.AllV6 || len(spec.TargetsV6) > 0) && cfg.LANAddr6.IsValid() {
+	if len(spec.TargetsV6) > 0 && cfg.LANAddr6.IsValid() {
 		d.Router.NAT.AddDNAT(netsim.DNATRule{
-			Name:      "xdns-v6",
-			Match:     d.matchXDNS6,
-			To:        netip.AddrPortFrom(cfg.LANAddr6, 53),
-			Replicate: spec.Replicate,
+			Name:  "xdns-v6",
+			Match: d.matchXDNS6,
+			To:    netip.AddrPortFrom(cfg.LANAddr6, 53),
 		})
 	}
 }
@@ -369,24 +326,6 @@ func (d *Device) AttachHost(name string, hostIdx int) *netsim.Host {
 	return h
 }
 
-// Presets for the models seen in the study.
-
-// NewXB6 builds an Arris/Technicolor XB6 with the XDNS interception bug:
-// all LAN port-53 traffic (v4) is DNATed to the CPE forwarder and on to
-// the ISP resolver, with no user-visible indication (§5).
-func NewXB6(name string, lan netip.Prefix, wan netip.Addr, upstream netip.AddrPort) Config {
-	return Config{
-		Name:      name,
-		LANAddr:   firstHost(lan),
-		LANPrefix: lan,
-		WANAddr:   wan,
-		Upstream:  upstream,
-		// XDNS implements a version.bind response (§5).
-		Persona:   dnsserver.ChaosPersona{Version: "dnsmasq-2.78"},
-		Intercept: InterceptSpec{AllV4: true},
-	}
-}
-
 // NewPlain builds a CPE that forwards faithfully and firewalls port 53
 // on its WAN side — the common, well-behaved case.
 func NewPlain(name string, lan netip.Prefix, wan netip.Addr, upstream netip.AddrPort) Config {
@@ -398,25 +337,6 @@ func NewPlain(name string, lan netip.Prefix, wan netip.Addr, upstream netip.Addr
 		Upstream:  upstream,
 		Persona:   dnsserver.PersonaDnsmasq,
 	}
-}
-
-// NewOpenForwarder builds a non-intercepting CPE whose port 53 answers
-// on the WAN address — the case Appendix A shows would confound an
-// A-record-based test, and §6's misclassification risk when combined
-// with ForwardUnhandledChaos.
-func NewOpenForwarder(name string, lan netip.Prefix, wan netip.Addr, upstream netip.AddrPort) Config {
-	cfg := NewPlain(name, lan, wan, upstream)
-	cfg.WANPort53Open = true
-	return cfg
-}
-
-// NewPiHole builds a deliberately-intercepting CPE running Pi-hole:
-// the owner routes all DNS to their own filter (§4.2).
-func NewPiHole(name string, lan netip.Prefix, wan netip.Addr, upstream netip.AddrPort) Config {
-	cfg := NewPlain(name, lan, wan, upstream)
-	cfg.Persona = dnsserver.PersonaPiHole
-	cfg.Intercept = InterceptSpec{AllV4: true}
-	return cfg
 }
 
 // firstHost returns the .1 (or ::1) address of a prefix.

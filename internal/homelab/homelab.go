@@ -1,6 +1,7 @@
 // Package homelab builds single-home laboratory worlds: one simulated
 // Internet (backbone + public resolvers), one ISP, one CPE, one probe
-// host — with the interception behaviour chosen by a named scenario.
+// host — with the interception behaviour of a named scenario, a canned
+// isp.Seat compiled the way the pilot study compiles its seats.
 // It is the workbench the examples, the detector tests, and the XB6
 // case study all share.
 package homelab
@@ -66,6 +67,45 @@ var AllScenarios = []Scenario{
 	ISPRefusing, ISPMixed, BeyondISP, CPESelective, CPEChaosRelay, Replicating,
 }
 
+// canned is a scenario's home: the CPE's device name, the seat the
+// home compiles from on the lab ISP, and the verdict the detector
+// should reach.
+type canned struct {
+	cpe     string
+	seat    isp.Seat
+	verdict core.Verdict
+}
+
+// scenarios are the canned seats. CPEChaosRelay's verdict is the
+// documented §6 misclassification: the CPE relays version.bind to the
+// same alternate resolver the middlebox diverts to, so the strings
+// match and the CPE is blamed.
+var scenarios = map[Scenario]canned{
+	Clean:               {"lab-cpe", isp.Seat{}, core.VerdictNotIntercepted},
+	XB6:                 {"xb6-gateway", isp.Seat{Loc: isp.LocCPE, Persona: &dnsserver.PersonaDnsmasqOld}, core.VerdictCPE},
+	PiHole:              {"lab-cpe", isp.Seat{Loc: isp.LocCPE, Persona: &dnsserver.PersonaPiHole}, core.VerdictCPE},
+	OpenForwarder:       {"lab-cpe", isp.Seat{WANPort53Open: true}, core.VerdictNotIntercepted},
+	ISPMiddlebox:        {"lab-cpe", isp.Seat{Loc: isp.LocISP}, core.VerdictISP},
+	ISPMiddleboxNoBogon: {"lab-cpe", isp.Seat{Loc: isp.LocISPHidden}, core.VerdictUnknown},
+	ISPRefusing:         {"lab-cpe", isp.Seat{Loc: isp.LocISP, Refuse: isp.RefuseAll}, core.VerdictISP},
+	ISPMixed:            {"lab-cpe", isp.Seat{Loc: isp.LocISP, Refuse: isp.RefuseSubset}, core.VerdictISP},
+	BeyondISP:           {"lab-cpe", isp.Seat{Loc: isp.LocTransit}, core.VerdictUnknown},
+	CPESelective:        {"lab-cpe", isp.Seat{Loc: isp.LocCPE, PatternV4: []publicdns.ID{publicdns.Google}}, core.VerdictCPE},
+	CPEChaosRelay: {"lab-cpe", isp.Seat{Loc: isp.LocISPHidden, Persona: &dnsserver.PersonaSilent,
+		WANPort53Open: true, ForwardUnhandledChaos: true}, core.VerdictCPE},
+	Replicating: {"lab-cpe", isp.Seat{Loc: isp.LocISP, Replicate: true}, core.VerdictISP},
+}
+
+// lookup returns a scenario's canned home, panicking on an unknown
+// scenario.
+func lookup(s Scenario) canned {
+	c, ok := scenarios[s]
+	if !ok {
+		panic(fmt.Sprintf("homelab: unknown scenario %q", s))
+	}
+	return c
+}
+
 // Lab is a built scenario.
 type Lab struct {
 	Scenario Scenario
@@ -77,8 +117,10 @@ type Lab struct {
 	Home     isp.HomeAddrs
 }
 
-// New builds a scenario world.
+// New builds a scenario world: one dual-stack home on a Comcast-like
+// ISP in region NA, compiled from the scenario's seat.
 func New(scenario Scenario) *Lab {
+	c := lookup(scenario)
 	l := &Lab{Scenario: scenario, Net: netsim.NewNetwork()}
 	l.Net.EmitTimeExceeded = true // labs support traceroute
 	l.Backbone = backbone.Build(l.Net)
@@ -92,109 +134,25 @@ func New(scenario Scenario) *Lab {
 		PrefixV6:        netip.MustParsePrefix("2601:db00::/48"),
 		ResolverPersona: dnsserver.PersonaUnbound,
 	})
-
-	google := publicdns.Lookup(publicdns.Google)
-	quad9 := publicdns.Lookup(publicdns.Quad9)
-	opendns := publicdns.Lookup(publicdns.OpenDNS)
-
-	var mb *isp.MiddleboxSpec
-	switch scenario {
-	case ISPMiddlebox:
-		mb = &isp.MiddleboxSpec{
-			Rules:           []isp.MiddleboxRule{{All: true}},
-			InterceptBogons: true,
-		}
-	case ISPMiddleboxNoBogon, CPEChaosRelay:
-		mb = &isp.MiddleboxSpec{Rules: []isp.MiddleboxRule{{All: true}}}
-	case ISPRefusing:
-		mb = &isp.MiddleboxSpec{
-			Rules:           []isp.MiddleboxRule{{All: true, UseRefusing: true}},
-			InterceptBogons: true,
-		}
-	case ISPMixed:
-		// Quad9 and OpenDNS are blocked outright; everything else —
-		// including Google, Cloudflare, and bogon-addressed queries —
-		// is transparently diverted to the ISP resolver.
-		mb = &isp.MiddleboxSpec{
-			Rules: []isp.MiddleboxRule{
-				{Targets: append(append([]netip.Addr{}, quad9.V4...), opendns.V4...), UseRefusing: true},
-				{All: true},
-			},
-			InterceptBogons: true,
-		}
-	case Replicating:
-		mb = &isp.MiddleboxSpec{
-			Rules:           []isp.MiddleboxRule{{All: true, Replicate: true}},
-			InterceptBogons: true,
-		}
-	}
-	seg := l.ISP.AddSegment(mb)
-	l.Home = l.ISP.AllocHome(seg, true)
-
-	cfg := cpe.NewPlain("lab-cpe", l.Home.LANPrefix4, l.Home.WANv4, l.ISP.ResolverAddrPort())
-	cfg.LANAddr6 = firstHost6(l.Home.LANPrefix6)
-	cfg.LANPrefix6 = l.Home.LANPrefix6
-	cfg.WANAddr6 = l.Home.WANv6
-
-	switch scenario {
-	case XB6:
-		cfg.Name = "xb6-gateway"
-		cfg.Persona = dnsserver.ChaosPersona{Version: "dnsmasq-2.78"}
-		cfg.Intercept = cpe.InterceptSpec{AllV4: true}
-	case PiHole:
-		cfg.Persona = dnsserver.PersonaPiHole
-		cfg.Intercept = cpe.InterceptSpec{AllV4: true}
-	case OpenForwarder:
-		cfg.WANPort53Open = true
-	case CPESelective:
-		cfg.Persona = dnsserver.PersonaDnsmasq
-		cfg.Intercept = cpe.InterceptSpec{TargetsV4: google.V4}
-		// The selective DNAT rule does not catch queries to the CPE's own
-		// address, so the §3.2 test only works because dnsmasq itself
-		// answers on the public IP — the usual configuration of such
-		// devices.
-		cfg.WANPort53Open = true
-	case CPEChaosRelay:
-		cfg.WANPort53Open = true
-		cfg.Persona = dnsserver.PersonaSilent
-		cfg.ForwardUnhandledChaos = true
-	}
-	l.CPE = cpe.Build(cfg)
-	l.ISP.AttachCPE(seg, l.CPE, l.Home)
-	l.Probe = l.CPE.AttachHost("probe", 0)
-
-	if scenario == BeyondISP {
-		l.installTransitInterceptor()
+	l.Home = l.ISP.AllocHome(l.ISP.AddSegment(c.seat.Middlebox(dnsserver.EncPass)), true)
+	l.attach(c.seat.CPE(c.cpe, l.ISP, l.Home, dnsserver.EncPass, nil), "probe")
+	if c.seat.Loc == isp.LocTransit {
+		// The lab diverts the home whole, not only its queries to the
+		// four operators, so a routable but unowned canary is answered
+		// beyond the AS — the reason step 3 needs a bogon.
+		t := l.Backbone.AddTransit(publicdns.RegionNA, dnsserver.EncPass)
+		t.Resolver.Persona = dnsserver.PersonaPowerDNS
+		t.DivertAll(l.Home.WANv4)
 	}
 	return l
 }
 
-// installTransitInterceptor plants a DNAT interceptor in the regional
-// transit network, outside the client's AS, diverting port-53 flows to
-// a transit-operated resolver.
-func (l *Lab) installTransitInterceptor() {
-	regional := l.Backbone.Regional[publicdns.RegionNA]
-	resolverAddr := netip.MustParseAddr("64.86.0.53")
-	rtr := netsim.NewRouter("transit-interceptor-resolver", resolverAddr)
-	res := dnsserver.NewRecursiveResolver(resolverAddr, backbone.RootAddr)
-	res.Persona = dnsserver.PersonaPowerDNS
-	rtr.Bind(53, res)
-	rtr.AddDefaultRoute(regional)
-	regional.AddRoute(netip.MustParsePrefix("64.86.0.0/24"), rtr)
-	l.Backbone.Core.AddRoute(netip.MustParsePrefix("64.86.0.0/24"), regional)
-
-	regional.NAT = netsim.NewNAT()
-	regional.NAT.AddDNAT(netsim.DNATRule{
-		Name: "transit-interceptor",
-		Match: func(pkt netsim.Packet) bool {
-			return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 &&
-				!pkt.IsIPv6() && pkt.Dst.Addr() != resolverAddr &&
-				// Only subscriber traffic from our lab ISP, so resolver
-				// egress traffic is untouched.
-				l.ISP.Config.PrefixV4.Contains(pkt.Src.Addr())
-		},
-		To: netip.AddrPortFrom(resolverAddr, 53),
-	})
+// attach builds the home's CPE from cfg, wires it to the lab's one
+// segment and puts the probe, named probe, behind it.
+func (l *Lab) attach(cfg cpe.Config, probe string) {
+	l.CPE = cpe.Build(cfg)
+	l.ISP.AttachCPE(l.ISP.Segments()[0], l.CPE, l.Home)
+	l.Probe = l.CPE.AttachHost(probe, 0)
 }
 
 // Traceroute runs a DNS traceroute from the probe to Google's primary
@@ -228,46 +186,14 @@ func (l *Lab) Detector() *core.Detector {
 // ReplaceCPE swaps the home's router for a well-behaved one, keeping
 // the same addressing and ISP — the remediation §7 describes:
 // "replacing these CPE devices sometimes suffices to prevent DNS
-// interception." It returns a new probe host behind the new router.
+// interception." Re-attaching to the segment replaces the old
+// next-hops, exactly like plugging a new router into the same wall
+// jack, and a new probe host sits behind the new router.
 func (l *Lab) ReplaceCPE() {
-	cfg := cpe.NewPlain("replacement-cpe", l.Home.LANPrefix4, l.Home.WANv4, l.ISP.ResolverAddrPort())
-	cfg.LANAddr6 = firstHost6(l.Home.LANPrefix6)
-	cfg.LANPrefix6 = l.Home.LANPrefix6
-	cfg.WANAddr6 = l.Home.WANv6
-	l.CPE = cpe.Build(cfg)
-	// Re-wire the segment routes: inserting the same prefixes replaces
-	// the old next-hops, exactly like plugging a new router into the
-	// same wall jack.
-	seg := l.ISP.Segments()[0]
-	l.ISP.AttachCPE(seg, l.CPE, l.Home)
-	l.Probe = l.CPE.AttachHost("probe-after-swap", 0)
-}
-
-// firstHost6 returns the ::1 of a /64.
-func firstHost6(p netip.Prefix) netip.Addr {
-	a := p.Addr().As16()
-	a[15] |= 1
-	return netip.AddrFrom16(a)
+	var clean isp.Seat
+	l.attach(clean.CPE("replacement-cpe", l.ISP, l.Home, dnsserver.EncPass, nil), "probe-after-swap")
 }
 
 // ExpectedVerdict documents what the detector should conclude for each
 // scenario — used by tests and the quickstart example.
-func ExpectedVerdict(s Scenario) core.Verdict {
-	switch s {
-	case Clean, OpenForwarder:
-		return core.VerdictNotIntercepted
-	case XB6, PiHole, CPESelective:
-		return core.VerdictCPE
-	case ISPMiddlebox, ISPRefusing, ISPMixed, Replicating:
-		return core.VerdictISP
-	case ISPMiddleboxNoBogon, BeyondISP:
-		return core.VerdictUnknown
-	case CPEChaosRelay:
-		// The documented §6 misclassification: the CPE relays
-		// version.bind to the same alternate resolver the middlebox
-		// diverts to, so the strings match and the CPE is blamed.
-		return core.VerdictCPE
-	default:
-		panic(fmt.Sprintf("homelab: unknown scenario %q", s))
-	}
-}
+func ExpectedVerdict(s Scenario) core.Verdict { return lookup(s).verdict }

@@ -1,9 +1,14 @@
 package homelab
 
 import (
+	"net/netip"
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/dnswire"
+	"github.com/dnswatch/dnsloc/internal/netsim"
+	"github.com/dnswatch/dnsloc/internal/publicdns"
+	"github.com/dnswatch/dnsloc/internal/trace"
 )
 
 func TestAllScenariosBuild(t *testing.T) {
@@ -67,5 +72,46 @@ func TestLabsAreIndependent(t *testing.T) {
 	rb := b.Detector().Run()
 	if ra.Verdict != core.VerdictCPE || rb.Verdict != core.VerdictNotIntercepted {
 		t.Errorf("verdicts = %s / %s", ra.Verdict, rb.Verdict)
+	}
+}
+
+// TestBeyondISPLeavesResolverEgressAlone checks that the transit
+// interceptor diverts only the lab home's queries: the ISP resolver's
+// own recursion to the root and TLD servers crosses the same regional
+// router undiverted.
+func TestBeyondISPLeavesResolverEgressAlone(t *testing.T) {
+	lab := New(BeyondISP)
+	capture := trace.New(lab.Net, trace.Kind(netsim.TraceDNAT), 0)
+	query := dnswire.NewQuery(7, "google.com", dnswire.TypeA, dnswire.ClassINET)
+	resps, err := lab.Probe.Exchange(lab.Net, lab.ISP.ResolverAddrPort(), dnswire.MustPack(query), netsim.ExchangeOptions{})
+	if err != nil || len(resps) == 0 {
+		t.Fatalf("query to the ISP resolver: %v (%d responses)", err, len(resps))
+	}
+	if n := capture.Count(trace.Addr(lab.ISP.ResolverAddr)); n != 0 {
+		t.Errorf("%d ISP resolver packets DNATed:\n%s", n, capture)
+	}
+	// The home's own queries to a public resolver are still diverted.
+	google := netip.AddrPortFrom(publicdns.Lookup(publicdns.Google).V4[0], 53)
+	if _, err := lab.Probe.Exchange(lab.Net, google, dnswire.MustPack(query), netsim.ExchangeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if capture.Count(trace.Addr(lab.Home.WANv4)) == 0 {
+		t.Error("the home's query to Google was not diverted")
+	}
+}
+
+// TestBeyondISPAnswersRoutableCanary pins the bogon-choice ablation:
+// with a routable but unowned canary in place of the bogon, the
+// transit interceptor answers step 3 beyond the AS and the detector
+// wrongly blames the ISP. With the default bogon it stays "unknown".
+func TestBeyondISPAnswersRoutableCanary(t *testing.T) {
+	lab := New(BeyondISP)
+	det := lab.Detector()
+	if v := det.Run().Verdict; v != core.VerdictUnknown {
+		t.Errorf("bogon canary: verdict %s, want %s", v, core.VerdictUnknown)
+	}
+	det.BogonV4 = netip.MustParseAddr("64.87.0.1")
+	if v := det.Run().Verdict; v != core.VerdictISP {
+		t.Errorf("routable canary: verdict %s, want %s", v, core.VerdictISP)
 	}
 }

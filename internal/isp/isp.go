@@ -9,6 +9,7 @@ package isp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/bogon"
@@ -21,12 +22,10 @@ import (
 
 // MiddleboxRule is one DNAT rule of an ISP interception middlebox.
 type MiddleboxRule struct {
-	// All intercepts every v4 port-53 destination (minus Except).
+	// All intercepts every v4 port-53 destination.
 	All bool
 	// Targets intercepts only these destinations (ignored when All).
 	Targets []netip.Addr
-	// Except exempts destinations when All is set.
-	Except []netip.Addr
 	// V6 applies the rule to IPv6 instead of IPv4.
 	V6 bool
 	// UseRefusing diverts to the ISP's refusing resolver instead of its
@@ -288,20 +287,7 @@ func (n *Network) dnatRule(seg *Segment, idx int, rule MiddleboxRule) netsim.DNA
 		if bogon.Is(dst) {
 			return false
 		}
-		if rule.All {
-			for _, e := range rule.Except {
-				if e == dst {
-					return false
-				}
-			}
-			return true
-		}
-		for _, t := range rule.Targets {
-			if t == dst {
-				return true
-			}
-		}
-		return false
+		return rule.All || slices.Contains(rule.Targets, dst)
 	}
 	return netsim.DNATRule{
 		Name:      fmt.Sprintf("as%d-seg%d-mb%d", n.Config.ASN, seg.Index, idx),

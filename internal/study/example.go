@@ -40,17 +40,17 @@ func ExampleScenario() []ExampleRow {
 	platform := atlas.NewPlatform(net, 1)
 
 	// Probe 11992's ISP: middlebox interception to a resolver that
-	// answers location queries with NOTIMP-shaped identities.
+	// answers location queries with NOTIMP-shaped identities. 11992's
+	// CPE has port 53 open and answers debugging queries with NXDOMAIN —
+	// Table 3's mixed NOTIMP/NXDOMAIN row.
+	seat11992 := &isp.Seat{Loc: isp.LocISP, Persona: &dnsserver.PersonaNXDomain, WANPort53Open: true}
 	isp1 := bb.AttachISP(isp.Config{
 		ASN: 12389, Name: "Rostelecom", Country: "RU",
 		Region:          publicdns.RegionAS,
 		PrefixV4:        netip.MustParsePrefix("62.183.0.0/16"),
 		ResolverPersona: dnsserver.PersonaSilent,
 	})
-	seg1 := isp1.AddSegment(&isp.MiddleboxSpec{
-		Rules:           []isp.MiddleboxRule{{All: true}},
-		InterceptBogons: true,
-	})
+	seg1 := isp1.AddSegment(seat11992.Middlebox(dnsserver.EncPass))
 
 	// Probes 1053 and 21823 share a clean ISP.
 	isp2 := bb.AttachISP(isp.Config{
@@ -61,13 +61,9 @@ func ExampleScenario() []ExampleRow {
 	})
 	seg2 := isp2.AddSegment(nil)
 
-	build := func(n *isp.Network, seg *isp.Segment, id int, mutate func(*cpe.Config)) *atlas.Probe {
+	build := func(n *isp.Network, seg *isp.Segment, id int, s *isp.Seat) *atlas.Probe {
 		home := n.AllocHome(seg, false)
-		cfg := cpe.NewPlain("cpe", home.LANPrefix4, home.WANv4, n.ResolverAddrPort())
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		d := cpe.Build(cfg)
+		d := cpe.Build(s.CPE("cpe", n, home, dnsserver.EncPass, nil))
 		n.AttachCPE(seg, d, home)
 		p := &atlas.Probe{
 			ID: id, WANv4: home.WANv4,
@@ -79,21 +75,13 @@ func ExampleScenario() []ExampleRow {
 	}
 
 	p1053 := build(isp2, seg2, 1053, nil)
-	// 11992's CPE has port 53 open and answers debugging queries with
-	// NXDOMAIN — Table 3's mixed NOTIMP/NXDOMAIN row.
-	p11992 := build(isp1, seg1, 11992, func(cfg *cpe.Config) {
-		cfg.WANPort53Open = true
-		cfg.Persona = dnsserver.PersonaNXDomain
-	})
+	p11992 := build(isp1, seg1, 11992, seat11992)
 	// 21823's CPE intercepts everything with an unbound forwarder whose
 	// identity string is the odd hostname of Table 2.
-	p21823 := build(isp2, seg2, 21823, func(cfg *cpe.Config) {
-		cfg.Persona = dnsserver.ChaosPersona{
-			Version:  "unbound 1.9.0",
-			Identity: "routing.v2.pw",
-		}
-		cfg.Intercept = cpe.InterceptSpec{AllV4: true}
-	})
+	p21823 := build(isp2, seg2, 21823, &isp.Seat{Loc: isp.LocCPE, Persona: &dnsserver.ChaosPersona{
+		Version:  "unbound 1.9.0",
+		Identity: "routing.v2.pw",
+	}})
 
 	var rows []ExampleRow
 	for _, p := range []*atlas.Probe{p1053, p11992, p21823} {

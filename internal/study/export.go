@@ -2,11 +2,8 @@ package study
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"io"
-	"strconv"
-	"strings"
 
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -169,82 +166,8 @@ func (s *JSONLSink) Close() error {
 	return err
 }
 
-// csvHeader is the CSVSink column order.
-var csvHeader = []string{
-	"probe_id", "country", "asn", "org", "has_ipv6", "responded",
-	"verdict", "transparency", "intercepted_v4", "intercepted_v6",
-	"cpe_fingerprint", "error", "truth_location", "truth_persona",
-}
-
-// CSVSink streams exports as CSV rows. Multi-valued fields are joined
-// with "+" so the row count stays one per probe.
-type CSVSink struct {
-	w   *csv.Writer
-	bw  *bufio.Writer
-	c   io.Closer
-	row []string // reused per-append row buffer
-}
-
-// NewCSVSink wraps a writer. With header true the first Append is
-// preceded by the column header row (a resumed shard appends to an
-// existing file and passes false).
-func NewCSVSink(w io.Writer, header bool) (*CSVSink, error) {
-	bw := bufio.NewWriterSize(w, sinkBufSize)
-	s := &CSVSink{w: csv.NewWriter(bw), bw: bw}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	if header {
-		if err := s.w.Write(csvHeader); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Append implements RecordSink.
-func (s *CSVSink) Append(e ProbeExport) error {
-	s.row = append(s.row[:0],
-		strconv.Itoa(e.ProbeID), e.Country, strconv.Itoa(e.ASN), e.Org,
-		strconv.FormatBool(e.HasIPv6), strconv.FormatBool(e.Responded),
-		e.Verdict, e.Transparency,
-		strings.Join(e.InterceptedV4, "+"), strings.Join(e.InterceptedV6, "+"),
-		e.CPEFingerprint, e.Error, e.TruthLocation, e.TruthPersona,
-	)
-	return s.w.Write(s.row)
-}
-
-// Flush implements SinkFlusher: both the csv.Writer's internal buffer
-// and the byte buffer beneath it.
-func (s *CSVSink) Flush() error {
-	s.w.Flush()
-	if err := s.w.Error(); err != nil {
-		return err
-	}
-	return s.bw.Flush()
-}
-
-// Close flushes and releases the underlying writer.
-func (s *CSVSink) Close() error {
-	err := s.Flush()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// idsToStrings converts operator IDs.
-func idsToStrings(ids []publicdns.ID) []string {
-	if len(ids) == 0 {
-		return nil
-	}
-	return appendIDStrings(nil, ids)
-}
-
 // appendIDStrings appends operator IDs to dst, returning nil for an
-// empty set so omitempty JSON stays identical to idsToStrings' output.
+// empty set so omitempty JSON leaves the field out.
 func appendIDStrings(dst []string, ids []publicdns.ID) []string {
 	if len(ids) == 0 {
 		return nil

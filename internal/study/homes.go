@@ -6,7 +6,6 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/cpe"
-	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
@@ -63,42 +62,15 @@ func (w *World) buildHome(probe *atlas.Probe) {
 	}
 	ph := w.pendingFor(probe.ID)
 	plan := ph.plan
-	s, home := plan.probes[ph.idx].seat, ph.addrs
 	network := w.ISPs[plan.org.ASN]
-
-	cfg := cpe.NewPlain(deviceName("cpe-", probe.ID), home.LANPrefix4, home.WANv4, network.ResolverAddrPort())
+	cfg := plan.probes[ph.idx].seat.CPE(deviceName("cpe-", probe.ID), network, ph.addrs,
+		w.Spec.encPolicy(), w.adversaryFor(plan.region))
 	cfg.Metrics = w.fwdMetrics
-	if probe.HasIPv6 {
-		cfg.LANAddr6 = firstHost6(home.LANPrefix6)
-		cfg.LANPrefix6 = home.LANPrefix6
-		cfg.WANAddr6 = home.WANv6
-	}
-	if s != nil && s.Loc == LocCPE {
-		cfg.Persona = dnsserver.ChaosPersona{Version: s.Persona}
-		cfg.Adversary = w.adversaryFor(plan.region)
-		if e := w.Spec.Encryption; e != nil {
-			// Only intercepting CPEs police the encrypted channel;
-			// clean homes' CPEs pass it through untouched.
-			cfg.Encrypted = e.Policy
-		}
-		if s.PatternV4 == nil {
-			cfg.Intercept.AllV4 = true
-		} else {
-			cfg.Intercept.TargetsV4 = s.PatternV4.addrsV4()
-			// Selective DNAT misses the CPE's own address; the
-			// forwarder itself answers there (see homelab).
-			cfg.WANPort53Open = true
-		}
-		if len(s.PatternV6) > 0 && probe.HasIPv6 {
-			cfg.Intercept.TargetsV6 = s.PatternV6.addrsV6()
-		}
-	}
-
 	if w.home == nil {
 		w.home = new(cpe.Device)
 	}
 	w.home.Rebind(cfg)
-	network.AttachCPE(ph.seg, w.home, home)
+	network.AttachCPE(ph.seg, w.home, ph.addrs)
 	probe.Host = w.home.AttachHost(deviceName("probe-", probe.ID), 0)
 	w.homesLive++
 	w.studyMetrics.noteHomeBuilt(w.homesLive)

@@ -11,12 +11,29 @@ import (
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
-// ExpKey identifies one of the eight location-query experiments: one
-// operator over one address family, the granularity RIPE Atlas schedules
-// measurements at (and the granularity of Table 4's "Total" columns).
-type ExpKey struct {
-	Resolver publicdns.ID
-	Family   core.Family
+// ExpSet is a set of the eight location-query experiments: one
+// operator over one address family, the granularity RIPE Atlas
+// schedules measurements at (and the granularity of Table 4's "Total"
+// columns). Operator i of publicdns.All has bit 2i for IPv4 and bit
+// 2i+1 for IPv6.
+type ExpSet uint8
+
+// expBit is the bit of the i-th operator's experiment in family f.
+func expBit(i int, f core.Family) ExpSet {
+	if f == core.V6 {
+		return 1 << (2*i + 1)
+	}
+	return 1 << (2 * i)
+}
+
+// Has reports whether the set holds operator id's experiment in family f.
+func (s ExpSet) Has(id publicdns.ID, f core.Family) bool {
+	for i, op := range publicdns.All {
+		if op == id {
+			return s&expBit(i, f) != 0
+		}
+	}
+	return false
 }
 
 // ProbeRecord is one probe's contribution to the study.
@@ -28,7 +45,7 @@ type ProbeRecord struct {
 	// Responded marks which location experiments the probe was online
 	// for; experiments it missed do not count it in that experiment's
 	// totals.
-	Responded map[ExpKey]bool
+	Responded ExpSet
 	// Net is the event loop of the world that measured the probe. In a
 	// sharded run each record points at its own shard's network;
 	// follow-up measurements (the TTL extension) must use it rather than
@@ -49,8 +66,8 @@ func (pr *ProbeRecord) RespondedAll4(f core.Family) bool {
 	if pr.Report == nil {
 		return false
 	}
-	for _, id := range publicdns.All {
-		if !pr.Responded[ExpKey{id, f}] {
+	for i := range publicdns.All {
+		if pr.Responded&expBit(i, f) == 0 {
 			return false
 		}
 	}
@@ -155,7 +172,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			continue // checkpointed prefix: already folded and counted
 		}
 		produced++
-		rec := &ProbeRecord{Probe: probe, Responded: make(map[ExpKey]bool), Net: w.Net, world: w}
+		rec := &ProbeRecord{Probe: probe, Net: w.Net, world: w}
 		sm.noteRecord()
 		if probe.Availability == atlas.Dead {
 			sm.noteUnresponsive()
@@ -169,15 +186,15 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 		draws := table[probe.ID]
 		online := false
 		j := 0
-		for _, id := range publicdns.All {
+		for i := range publicdns.All {
 			if draws[j] {
-				rec.Responded[ExpKey{id, core.V4}] = true
+				rec.Responded |= expBit(i, core.V4)
 				online = true
 			}
 			j++
 			if probe.HasIPv6 {
 				if draws[j] {
-					rec.Responded[ExpKey{id, core.V6}] = true
+					rec.Responded |= expBit(i, core.V6)
 					online = true
 				}
 				j++

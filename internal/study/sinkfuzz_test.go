@@ -10,40 +10,27 @@ import (
 	"github.com/dnswatch/dnsloc/internal/faultfs"
 )
 
-// addSinkSeeds seeds a sink-file fuzz target with a valid JSONL sink, a
-// valid CSV sink with its header, and the post-crash corruptions the
-// torture harness applies to each: bit rot, torn tails and a partial
-// record appended after the last complete line.
-func addSinkSeeds(f *testing.F, add func(blob []byte, header bool)) {
+// addSinkSeeds seeds a sink-file fuzz target with two valid JSONL
+// sinks, of three records and of one, and the post-crash corruptions
+// the torture harness applies to each: bit rot, torn tails and a
+// partial record appended after the last complete line.
+func addSinkSeeds(f *testing.F, add func(blob []byte)) {
 	f.Helper()
-	exports := retryTestExports(3)
-	var jsonl, csv bytes.Buffer
-	js := NewJSONLSink(&jsonl)
-	cs, err := NewCSVSink(&csv, true)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range exports {
-		if err := js.Append(e); err != nil {
-			f.Fatal(err)
-		}
-		if err := cs.Append(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := js.Close(); err != nil {
-		f.Fatal(err)
-	}
-	if err := cs.Close(); err != nil {
-		f.Fatal(err)
-	}
 	dir := f.TempDir()
-	for _, sink := range []struct {
-		blob   []byte
-		header bool
-	}{{jsonl.Bytes(), false}, {csv.Bytes(), true}} {
-		add(sink.blob, sink.header)
-		n := len(sink.blob)
+	for s, records := range []int{3, 1} {
+		var buf bytes.Buffer
+		js := NewJSONLSink(&buf)
+		for _, e := range retryTestExports(records) {
+			if err := js.Append(e); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := js.Close(); err != nil {
+			f.Fatal(err)
+		}
+		sink := buf.Bytes()
+		add(sink)
+		n := len(sink)
 		for i, corrupt := range []func(path string) error{
 			func(p string) error { return faultfs.FlipBit(p, 3) },
 			func(p string) error { return faultfs.FlipBit(p, uint64(n)*4) },
@@ -53,8 +40,8 @@ func addSinkSeeds(f *testing.F, add func(blob []byte, header bool)) {
 			func(p string) error { return faultfs.AppendGarbage(p, []byte("{\"probe_id\":9,\"coun")) },
 			func(p string) error { return faultfs.AppendGarbage(p, []byte("\x00\n\x00")) },
 		} {
-			p := filepath.Join(dir, fmt.Sprintf("variant-%v-%d", sink.header, i))
-			if err := os.WriteFile(p, sink.blob, 0o644); err != nil {
+			p := filepath.Join(dir, fmt.Sprintf("variant-%d-%d", s, i))
+			if err := os.WriteFile(p, sink, 0o644); err != nil {
 				f.Fatal(err)
 			}
 			if err := corrupt(p); err != nil {
@@ -64,7 +51,7 @@ func addSinkSeeds(f *testing.F, add func(blob []byte, header bool)) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			add(blob, sink.header)
+			add(blob)
 		}
 	}
 }
@@ -98,12 +85,12 @@ func checkSinkPrefix(t *testing.T, path string, in []byte) []byte {
 
 // FuzzRepairSinkTail drives the torn-tail repair with arbitrary sink
 // bytes. It must never panic, must leave exactly the input's complete
-// lines on disk, and may report no more rows than those lines hold.
+// lines on disk, and must report that many rows.
 func FuzzRepairSinkTail(f *testing.F) {
-	addSinkSeeds(f, func(blob []byte, header bool) { f.Add(blob, header) })
-	f.Fuzz(func(t *testing.T, in []byte, header bool) {
+	addSinkSeeds(f, func(blob []byte) { f.Add(blob) })
+	f.Fuzz(func(t *testing.T, in []byte) {
 		path := fuzzSinkFile(t, in)
-		rows, hasHeader, err := RepairSinkTail(path, header)
+		rows, err := RepairSinkTail(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,34 +98,29 @@ func FuzzRepairSinkTail(f *testing.F) {
 		if want := in[:bytes.LastIndexByte(in, '\n')+1]; !bytes.Equal(out, want) {
 			t.Fatalf("repair kept %q, want the complete lines %q", out, want)
 		}
-		lines := bytes.Count(out, []byte{'\n'})
-		if hasHeader && (!header || lines == 0) {
-			t.Fatalf("hasHeader with header=%v and %d lines", header, lines)
-		}
-		if held := rows + btoi(hasHeader); rows < 0 || held != lines {
-			t.Fatalf("rows %d + header %v, file holds %d complete lines", rows, hasHeader, lines)
+		if lines := bytes.Count(out, []byte{'\n'}); rows != lines {
+			t.Fatalf("rows %d, file holds %d complete lines", rows, lines)
 		}
 	})
 }
 
 // FuzzTruncateSinkFile drives the resume-time truncation with arbitrary
 // sink bytes and record counts. It must never panic. On success the
-// file is the input's first records (+ header) lines; when the input
-// holds fewer complete lines it must refuse and leave the file alone.
+// file is the input's first records lines; when the input holds fewer
+// complete lines it must refuse and leave the file alone.
 func FuzzTruncateSinkFile(f *testing.F) {
-	addSinkSeeds(f, func(blob []byte, header bool) {
+	addSinkSeeds(f, func(blob []byte) {
 		for _, records := range []int{0, 1, 2, 3, 4} {
-			f.Add(blob, records, header)
+			f.Add(blob, records)
 		}
 	})
-	f.Fuzz(func(t *testing.T, in []byte, records int, header bool) {
+	f.Fuzz(func(t *testing.T, in []byte, records int) {
 		path := fuzzSinkFile(t, in)
-		err := TruncateSinkFile(path, records, header)
-		keep := records + btoi(header)
+		err := TruncateSinkFile(path, records)
 		complete := bytes.Count(in, []byte{'\n'})
 		if err != nil {
-			if keep <= complete {
-				t.Fatalf("refused %d lines of an input with %d: %v", keep, complete, err)
+			if records <= complete {
+				t.Fatalf("refused %d lines of an input with %d: %v", records, complete, err)
 			}
 			if out, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(out, in) {
 				t.Fatalf("a refused truncation changed the file to %q (%v)", out, rerr)
@@ -146,15 +128,8 @@ func FuzzTruncateSinkFile(f *testing.F) {
 			return
 		}
 		out := checkSinkPrefix(t, path, in)
-		if lines := bytes.Count(out, []byte{'\n'}); lines != max(keep, 0) {
-			t.Fatalf("kept %d lines for %d records (header %v)", lines, records, header)
+		if lines := bytes.Count(out, []byte{'\n'}); lines != max(records, 0) {
+			t.Fatalf("kept %d lines for %d records", lines, records)
 		}
 	})
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -37,8 +37,7 @@ import (
 // checkpoints) never calls Flush.
 type RetrySink struct {
 	path   string
-	header bool
-	open   func(writeHeader bool) (RecordSink, error)
+	open   func() (RecordSink, error)
 	policy SinkRetryPolicy
 
 	inner   RecordSink
@@ -75,21 +74,15 @@ type SinkStatser interface {
 // this many unflushed rows so a checkpoint-less run stays bounded.
 const retrySinkAutoFlush = 1024
 
-// NewRetrySink builds a self-healing sink over the file at path. header
-// is true for CSV (one leading header line). durable is the complete
-// data rows the file already holds — the checkpoint cursor a resumed
-// shard passes as resumedAt, after the caller truncated the file to it.
-// open (re)opens the file in append mode and wraps it in a RecordSink;
-// writeHeader is true when the header row must be written because the
-// file is empty. open is called once here and again on every heal.
-func NewRetrySink(path string, header bool, durable int, policy SinkRetryPolicy, open func(writeHeader bool) (RecordSink, error)) (*RetrySink, error) {
-	s := &RetrySink{path: path, header: header, durable: durable, policy: policy, open: open}
-	needHeader := false
-	if header {
-		st, err := os.Stat(path)
-		needHeader = err != nil || st.Size() == 0
-	}
-	inner, err := open(needHeader)
+// NewRetrySink builds a self-healing sink over the file at path.
+// durable is the complete rows the file already holds — the checkpoint
+// cursor a resumed shard passes as resumedAt, after the caller
+// truncated the file to it. open (re)opens the file in append mode and
+// wraps it in a RecordSink; it is called once here and again on every
+// heal.
+func NewRetrySink(path string, durable int, policy SinkRetryPolicy, open func() (RecordSink, error)) (*RetrySink, error) {
+	s := &RetrySink{path: path, durable: durable, policy: policy, open: open}
+	inner, err := open()
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +175,7 @@ func (s *RetrySink) heal(cause error) error {
 		s.stats.Retries++
 		time.Sleep(backoff)
 		backoff *= 2
-		rows, hasHeader, err := RepairSinkTail(s.path, s.header)
+		rows, err := RepairSinkTail(s.path)
 		if err != nil {
 			cause = err
 			continue
@@ -196,7 +189,7 @@ func (s *RetrySink) heal(cause error) error {
 			return fmt.Errorf("study: sink %s holds %d rows beyond the %d this run wrote — foreign writer: %w",
 				s.path, surplus, len(s.pending), cause)
 		}
-		inner, err := s.open(s.header && !hasHeader)
+		inner, err := s.open()
 		if err != nil {
 			cause = err
 			continue
@@ -238,7 +231,7 @@ func (s *RetrySink) degrade() {
 		s.inner.Close() //nolint:errcheck
 		s.inner = nil
 	}
-	RepairSinkTail(s.path, s.header) //nolint:errcheck // best-effort cleanup
+	RepairSinkTail(s.path) //nolint:errcheck // best-effort cleanup
 	s.stats.Degraded = true
 	s.pending = nil
 }
@@ -254,36 +247,31 @@ func cloneExport(e ProbeExport) ProbeExport {
 
 // RepairSinkTail truncates a line-oriented sink file back to its last
 // complete line — discarding the partial record a torn write or kill
-// left — and reports the complete data rows on disk. header reserves
-// the first line as a CSV header: hasHeader is true when that line
-// survived, and rows excludes it. Missing files are (0, false, nil).
-func RepairSinkTail(path string, header bool) (rows int, hasHeader bool, err error) {
+// left — and reports the complete rows on disk. A missing file is
+// (0, nil).
+func RepairSinkTail(path string) (rows int, err error) {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	end := bytes.LastIndexByte(blob, '\n')
 	if end < 0 {
 		// The whole file is one torn fragment.
 		if len(blob) > 0 {
 			if err := os.Truncate(path, 0); err != nil {
-				return 0, false, err
+				return 0, err
 			}
 		}
-		return 0, false, nil
+		return 0, nil
 	}
 	if end+1 != len(blob) {
 		if err := os.Truncate(path, int64(end+1)); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		blob = blob[:end+1]
 	}
-	lines := bytes.Count(blob, []byte{'\n'})
-	if header && lines > 0 {
-		return lines - 1, true, nil
-	}
-	return lines, false, nil
+	return bytes.Count(blob, []byte{'\n'}), nil
 }

@@ -60,14 +60,14 @@ func wantJSONL(exports []ProbeExport) string {
 func newScriptedRetrySink(t *testing.T, path string, torn map[int]bool, fail map[int]error) (*RetrySink, *int) {
 	t.Helper()
 	calls := new(int)
-	open := func(bool) (RecordSink, error) {
+	open := func() (RecordSink, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
 		return &scriptedSink{f: f, calls: calls, torn: torn, fail: fail}, nil
 	}
-	s, err := NewRetrySink(path, false, 0, SinkRetryPolicy{Backoff: 10 * time.Microsecond}, open)
+	s, err := NewRetrySink(path, 0, SinkRetryPolicy{Backoff: 10 * time.Microsecond}, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRetrySinkUnhealable(t *testing.T) {
 	}
 	calls := new(int)
 	eio := &os.PathError{Op: "write", Path: path, Err: syscall.EIO}
-	open := func(bool) (RecordSink, error) {
+	open := func() (RecordSink, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
@@ -185,7 +185,7 @@ func TestRetrySinkUnhealable(t *testing.T) {
 		return &scriptedSink{f: f, calls: calls, fail: map[int]error{0: eio}}, nil
 	}
 	// durable claims 5 rows; the file has 1.
-	s, err := NewRetrySink(path, false, 5, SinkRetryPolicy{Backoff: 10 * time.Microsecond}, open)
+	s, err := NewRetrySink(path, 5, SinkRetryPolicy{Backoff: 10 * time.Microsecond}, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,7 @@ func TestRetrySinkUnhealable(t *testing.T) {
 	}
 }
 
-// TestRepairSinkTail pins the tail-repair contract for JSONL and CSV
-// shapes.
+// TestRepairSinkTail pins the tail-repair contract.
 func TestRepairSinkTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
@@ -215,32 +214,26 @@ func TestRepairSinkTail(t *testing.T) {
 	}
 
 	write("a\nb\ntorn-partial")
-	rows, hasHeader, err := RepairSinkTail(path, false)
-	if err != nil || rows != 2 || hasHeader {
-		t.Fatalf("repair = (%d, %v, %v), want (2, false, nil)", rows, hasHeader, err)
+	rows, err := RepairSinkTail(path)
+	if err != nil || rows != 2 {
+		t.Fatalf("repair = (%d, %v), want (2, nil)", rows, err)
 	}
 	if got := read(); got != "a\nb\n" {
 		t.Errorf("repaired file = %q", got)
 	}
 
-	write("hdr\nr1\nr2,torn")
-	rows, hasHeader, err = RepairSinkTail(path, true)
-	if err != nil || rows != 1 || !hasHeader {
-		t.Fatalf("CSV repair = (%d, %v, %v), want (1, true, nil)", rows, hasHeader, err)
-	}
-
 	write("only-a-torn-fragment")
-	rows, hasHeader, err = RepairSinkTail(path, true)
-	if err != nil || rows != 0 || hasHeader {
-		t.Fatalf("fragment repair = (%d, %v, %v), want (0, false, nil)", rows, hasHeader, err)
+	rows, err = RepairSinkTail(path)
+	if err != nil || rows != 0 {
+		t.Fatalf("fragment repair = (%d, %v), want (0, nil)", rows, err)
 	}
 	if got := read(); got != "" {
 		t.Errorf("fragment-only file not emptied: %q", got)
 	}
 
-	rows, hasHeader, err = RepairSinkTail(filepath.Join(dir, "missing"), false)
-	if err != nil || rows != 0 || hasHeader {
-		t.Errorf("missing file repair = (%d, %v, %v), want (0, false, nil)", rows, hasHeader, err)
+	rows, err = RepairSinkTail(filepath.Join(dir, "missing"))
+	if err != nil || rows != 0 {
+		t.Errorf("missing file repair = (%d, %v), want (0, nil)", rows, err)
 	}
 }
 

@@ -20,41 +20,9 @@ import (
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
+	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
-)
-
-// Location is the ground-truth interceptor placement of a seat.
-type Location string
-
-// Seat locations.
-const (
-	// LocCPE: the home's own CPE intercepts.
-	LocCPE Location = "cpe"
-	// LocISP: an in-AS middlebox intercepts, including bogon-addressed
-	// queries, so step 3 localizes it.
-	LocISP Location = "isp"
-	// LocISPHidden: an in-AS middlebox that ignores bogon destinations;
-	// the technique can only say "unknown".
-	LocISPHidden Location = "isp-hidden"
-	// LocTransit: an interceptor beyond the AS.
-	LocTransit Location = "transit"
-)
-
-// Refusal describes whether the alternate resolver blocks queries.
-type Refusal string
-
-// Refusal modes.
-const (
-	// RefuseNone: the alternate resolver resolves everything (the
-	// interception is fully transparent).
-	RefuseNone Refusal = ""
-	// RefuseAll: every intercepted resolver's queries are REFUSED
-	// ("status modified" in Figure 3).
-	RefuseAll Refusal = "all"
-	// RefuseSubset: Quad9 and OpenDNS queries are REFUSED, the others
-	// resolve ("both" in Figure 3). Only meaningful for all-four seats.
-	RefuseSubset Refusal = "subset"
 )
 
 // Pattern is the set of intercepted resolvers; nil means all four.
@@ -63,7 +31,7 @@ type Pattern []publicdns.ID
 // SeatGroup is one row of the interception quota table.
 type SeatGroup struct {
 	Count int
-	Loc   Location
+	Loc   isp.Location
 	// Pattern is the intercepted v4 resolver set; nil means all four
 	// (unless V4None is set).
 	Pattern Pattern
@@ -72,7 +40,7 @@ type SeatGroup struct {
 	// V6 is the intercepted v6 resolver set for this group (usually nil:
 	// v6 interception is rare, Table 4).
 	V6     Pattern
-	Refuse Refusal
+	Refuse isp.Refusal
 }
 
 // Spec parameterizes a pilot study world.
@@ -99,11 +67,11 @@ type Spec struct {
 	// Seats is the interception quota table.
 	Seats []SeatGroup
 
-	// V6Patterns are dealt to all-four transparent LocISP seats, giving
+	// V6Patterns are dealt to all-four transparent isp.LocISP seats, giving
 	// those probes additional IPv6 interception (Table 4's v6 rows).
 	V6Patterns []Pattern
 
-	// CPEPersonas are the version.bind strings of the LocCPE seats, in
+	// CPEPersonas are the version.bind strings of the isp.LocCPE seats, in
 	// dealing order (Table 5).
 	CPEPersonas []string
 
@@ -175,6 +143,15 @@ type Encryption struct {
 	Policy dnsserver.EncryptedPolicy
 }
 
+// encPolicy is how the spec's interceptors treat encrypted DNS (pass
+// when the encrypted plane is off).
+func (s Spec) encPolicy() dnsserver.EncryptedPolicy {
+	if s.Encryption == nil {
+		return dnsserver.EncPass
+	}
+	return s.Encryption.Policy
+}
+
 // adopts reports whether a probe upgrades its transport under the
 // spec's encryption model.
 func (s Spec) adopts(probeID int) bool {
@@ -213,54 +190,54 @@ func PaperSpec() Spec {
 		V6Share:      0.387,
 		Seats: []SeatGroup{
 			// All-four patterns: 108 probes (Table 4's "All Intercepted").
-			{Count: 40, Loc: LocCPE},
-			{Count: 45, Loc: LocISP},
-			{Count: 10, Loc: LocISP, Refuse: RefuseAll},
-			{Count: 5, Loc: LocISP, Refuse: RefuseSubset},
-			{Count: 5, Loc: LocISPHidden},
-			{Count: 3, Loc: LocTransit},
+			{Count: 40, Loc: isp.LocCPE},
+			{Count: 45, Loc: isp.LocISP},
+			{Count: 10, Loc: isp.LocISP, Refuse: isp.RefuseAll},
+			{Count: 5, Loc: isp.LocISP, Refuse: isp.RefuseSubset},
+			{Count: 5, Loc: isp.LocISPHidden},
+			{Count: 3, Loc: isp.LocTransit},
 			// Single-resolver patterns: Cloudflare and Google are
 			// intercepted alone more often than Quad9/OpenDNS (§4.1.1).
-			{Count: 3, Loc: LocCPE, Pattern: Pattern{cf}},
-			{Count: 9, Loc: LocISP, Pattern: Pattern{cf}},
-			{Count: 4, Loc: LocISPHidden, Pattern: Pattern{cf}},
-			{Count: 2, Loc: LocTransit, Pattern: Pattern{cf}},
-			{Count: 3, Loc: LocCPE, Pattern: Pattern{gg}},
-			{Count: 6, Loc: LocISP, Pattern: Pattern{gg}},
-			{Count: 2, Loc: LocISPHidden, Pattern: Pattern{gg}},
-			{Count: 2, Loc: LocTransit, Pattern: Pattern{gg}},
-			{Count: 2, Loc: LocISP, Pattern: Pattern{q9}},
-			{Count: 1, Loc: LocISPHidden, Pattern: Pattern{q9}},
-			{Count: 1, Loc: LocTransit, Pattern: Pattern{q9}},
-			{Count: 2, Loc: LocISP, Pattern: Pattern{od}},
-			{Count: 1, Loc: LocISPHidden, Pattern: Pattern{od}},
-			{Count: 1, Loc: LocTransit, Pattern: Pattern{od}},
+			{Count: 3, Loc: isp.LocCPE, Pattern: Pattern{cf}},
+			{Count: 9, Loc: isp.LocISP, Pattern: Pattern{cf}},
+			{Count: 4, Loc: isp.LocISPHidden, Pattern: Pattern{cf}},
+			{Count: 2, Loc: isp.LocTransit, Pattern: Pattern{cf}},
+			{Count: 3, Loc: isp.LocCPE, Pattern: Pattern{gg}},
+			{Count: 6, Loc: isp.LocISP, Pattern: Pattern{gg}},
+			{Count: 2, Loc: isp.LocISPHidden, Pattern: Pattern{gg}},
+			{Count: 2, Loc: isp.LocTransit, Pattern: Pattern{gg}},
+			{Count: 2, Loc: isp.LocISP, Pattern: Pattern{q9}},
+			{Count: 1, Loc: isp.LocISPHidden, Pattern: Pattern{q9}},
+			{Count: 1, Loc: isp.LocTransit, Pattern: Pattern{q9}},
+			{Count: 2, Loc: isp.LocISP, Pattern: Pattern{od}},
+			{Count: 1, Loc: isp.LocISPHidden, Pattern: Pattern{od}},
+			{Count: 1, Loc: isp.LocTransit, Pattern: Pattern{od}},
 			// One-resolver-allowed patterns (§4.1.1's second family).
-			{Count: 6, Loc: LocISP, Pattern: Pattern{gg, q9, od}},
-			{Count: 2, Loc: LocISPHidden, Pattern: Pattern{gg, q9, od}},
-			{Count: 2, Loc: LocTransit, Pattern: Pattern{gg, q9, od}},
-			{Count: 6, Loc: LocISP, Pattern: Pattern{cf, q9, od}},
-			{Count: 2, Loc: LocISPHidden, Pattern: Pattern{cf, q9, od}},
-			{Count: 2, Loc: LocTransit, Pattern: Pattern{cf, q9, od}},
-			{Count: 4, Loc: LocISP, Pattern: Pattern{cf, gg, od}},
-			{Count: 2, Loc: LocISPHidden, Pattern: Pattern{cf, gg, od}},
-			{Count: 1, Loc: LocTransit, Pattern: Pattern{cf, gg, od}},
-			{Count: 4, Loc: LocISP, Pattern: Pattern{cf, gg, q9}},
-			{Count: 2, Loc: LocISPHidden, Pattern: Pattern{cf, gg, q9}},
-			{Count: 1, Loc: LocTransit, Pattern: Pattern{cf, gg, q9}},
+			{Count: 6, Loc: isp.LocISP, Pattern: Pattern{gg, q9, od}},
+			{Count: 2, Loc: isp.LocISPHidden, Pattern: Pattern{gg, q9, od}},
+			{Count: 2, Loc: isp.LocTransit, Pattern: Pattern{gg, q9, od}},
+			{Count: 6, Loc: isp.LocISP, Pattern: Pattern{cf, q9, od}},
+			{Count: 2, Loc: isp.LocISPHidden, Pattern: Pattern{cf, q9, od}},
+			{Count: 2, Loc: isp.LocTransit, Pattern: Pattern{cf, q9, od}},
+			{Count: 4, Loc: isp.LocISP, Pattern: Pattern{cf, gg, od}},
+			{Count: 2, Loc: isp.LocISPHidden, Pattern: Pattern{cf, gg, od}},
+			{Count: 1, Loc: isp.LocTransit, Pattern: Pattern{cf, gg, od}},
+			{Count: 4, Loc: isp.LocISP, Pattern: Pattern{cf, gg, q9}},
+			{Count: 2, Loc: isp.LocISPHidden, Pattern: Pattern{cf, gg, q9}},
+			{Count: 1, Loc: isp.LocTransit, Pattern: Pattern{cf, gg, q9}},
 			// Pair patterns.
-			{Count: 3, Loc: LocCPE, Pattern: Pattern{cf, gg}},
-			{Count: 4, Loc: LocISP, Pattern: Pattern{cf, gg}},
-			{Count: 3, Loc: LocISP, Pattern: Pattern{cf, gg}, Refuse: RefuseAll},
-			{Count: 3, Loc: LocISPHidden, Pattern: Pattern{cf, gg}},
-			{Count: 2, Loc: LocTransit, Pattern: Pattern{cf, gg}},
-			{Count: 8, Loc: LocISP, Pattern: Pattern{q9, od}},
-			{Count: 5, Loc: LocISPHidden, Pattern: Pattern{q9, od}},
-			{Count: 4, Loc: LocTransit, Pattern: Pattern{q9, od}},
+			{Count: 3, Loc: isp.LocCPE, Pattern: Pattern{cf, gg}},
+			{Count: 4, Loc: isp.LocISP, Pattern: Pattern{cf, gg}},
+			{Count: 3, Loc: isp.LocISP, Pattern: Pattern{cf, gg}, Refuse: isp.RefuseAll},
+			{Count: 3, Loc: isp.LocISPHidden, Pattern: Pattern{cf, gg}},
+			{Count: 2, Loc: isp.LocTransit, Pattern: Pattern{cf, gg}},
+			{Count: 8, Loc: isp.LocISP, Pattern: Pattern{q9, od}},
+			{Count: 5, Loc: isp.LocISPHidden, Pattern: Pattern{q9, od}},
+			{Count: 4, Loc: isp.LocTransit, Pattern: Pattern{q9, od}},
 			// v6-only seats: interception that touches no IPv4 address at
 			// all — the 7 probes that make the distinct total 220.
-			{Count: 4, Loc: LocISP, V4None: true, V6: Pattern{gg}},
-			{Count: 3, Loc: LocISP, V4None: true, V6: Pattern{cf, gg}},
+			{Count: 4, Loc: isp.LocISP, V4None: true, V6: Pattern{gg}},
+			{Count: 3, Loc: isp.LocISP, V4None: true, V6: Pattern{cf, gg}},
 		},
 		V6Patterns: expandPatterns([]struct {
 			n   int
@@ -407,7 +384,7 @@ func (s Spec) Scale(f float64) Spec {
 	// Personas must cover the scaled CPE seat count; repeat if short.
 	cpeSeats := 0
 	for _, g := range out.Seats {
-		if g.Loc == LocCPE {
+		if g.Loc == isp.LocCPE {
 			cpeSeats += g.Count
 		}
 	}

@@ -423,14 +423,13 @@ func (a *shardAttempt) run() (reg *metrics.Registry, folded, skip int, halted bo
 	return reg, folded, skip, halted, nil
 }
 
-// TruncateSinkFile trims a line-oriented sink file (JSONL or CSV) back
-// to the first records entries — the prefix a shard's checkpoint
-// covers. header reserves one leading header line (CSV). A resuming
+// TruncateSinkFile trims a line-oriented sink file back to its first
+// records lines — the prefix a shard's checkpoint covers. A resuming
 // caller runs this before reopening the file in append mode, discarding
 // both whole records written after the last checkpoint and any partial
 // line the kill left behind; the finished file is then byte-identical
 // to an uninterrupted run's. A missing file is a no-op.
-func TruncateSinkFile(path string, records int, header bool) error {
+func TruncateSinkFile(path string, records int) error {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -438,18 +437,14 @@ func TruncateSinkFile(path string, records int, header bool) error {
 	if err != nil {
 		return err
 	}
-	keep := records
-	if header {
-		keep++
-	}
 	off, lines := 0, 0
-	for ; lines < keep; lines++ {
+	for ; lines < records; lines++ {
 		j := bytes.IndexByte(blob[off:], '\n')
 		if j < 0 {
 			// Fewer complete lines than the checkpoint covers: the file
 			// is shorter than the checkpoint claims, which means the
 			// sink and checkpoint disagree — refuse to guess.
-			return fmt.Errorf("study: %s has only %d complete lines, checkpoint covers %d", path, lines, keep)
+			return fmt.Errorf("study: %s has only %d complete lines, checkpoint covers %d", path, lines, records)
 		}
 		off += j + 1
 	}

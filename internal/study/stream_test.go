@@ -120,7 +120,7 @@ func fileSinks(t *testing.T, dir string) func(k, workers, resumedAt int) (study.
 	t.Helper()
 	return func(k, workers, resumedAt int) (study.RecordSink, error) {
 		path := sinkPath(dir, k, workers)
-		if err := study.TruncateSinkFile(path, resumedAt, false); err != nil {
+		if err := study.TruncateSinkFile(path, resumedAt); err != nil {
 			return nil, err
 		}
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -610,89 +610,38 @@ func TestTruncateSinkFile(t *testing.T) {
 	}
 
 	write("a\nb\nc\nd\npart")
-	if err := study.TruncateSinkFile(path, 2, false); err != nil {
+	if err := study.TruncateSinkFile(path, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := read(); got != "a\nb\n" {
 		t.Errorf("truncate to 2 lines = %q", got)
 	}
 
-	write("hdr\nr1\nr2\npartial")
-	if err := study.TruncateSinkFile(path, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := read(); got != "hdr\nr1\n" {
-		t.Errorf("truncate with header = %q", got)
-	}
-
+	// Checkpoint claims records the file never got (buffered rows died
+	// before any flush): must error, not silently under-resume.
 	write("a\n")
-	if err := study.TruncateSinkFile(path, 3, false); err == nil {
+	if err := study.TruncateSinkFile(path, 3); err == nil {
 		t.Error("truncating past the file's line count did not error")
 	}
-	if err := study.TruncateSinkFile(filepath.Join(dir, "missing"), 5, false); err != nil {
+	if err := study.TruncateSinkFile(filepath.Join(dir, "missing"), 5); err != nil {
 		t.Errorf("missing file should be a no-op, got %v", err)
 	}
 
-	// Header-only file: zero records is exactly what the cursor claims,
-	// and the header line must survive the truncation untouched.
-	write("hdr\n")
-	if err := study.TruncateSinkFile(path, 0, true); err != nil {
-		t.Fatalf("header-only truncate to 0: %v", err)
+	// A zero cursor empties the file.
+	if err := study.TruncateSinkFile(path, 0); err != nil {
+		t.Fatalf("truncate to 0: %v", err)
 	}
-	if got := read(); got != "hdr\n" {
-		t.Errorf("header-only truncate = %q, want the header kept", got)
-	}
-
-	// Checkpoint claims records the file never got (buffered rows died
-	// before any flush): must error, not silently under-resume.
-	write("hdr\nr1\n")
-	if err := study.TruncateSinkFile(path, 4, true); err == nil {
-		t.Error("cursor beyond EOF with header did not error")
+	if got := read(); got != "" {
+		t.Errorf("truncate to 0 = %q, want empty", got)
 	}
 
 	// Final line missing its newline: the complete lines before it are
 	// countable and keepable; the unterminated tail is cut.
 	write("a\nb\npartial-no-newline")
-	if err := study.TruncateSinkFile(path, 2, false); err != nil {
+	if err := study.TruncateSinkFile(path, 2); err != nil {
 		t.Fatalf("truncate with unterminated tail: %v", err)
 	}
 	if got := read(); got != "a\nb\n" {
 		t.Errorf("unterminated-tail truncate = %q, want %q", got, "a\nb\n")
-	}
-
-	// Torn CSV last row — a torn write left half a row with no newline;
-	// resuming at the cursor's row count drops exactly the torn tail.
-	write("probe_id,country\n1,nl\n2,de\n3,u")
-	if err := study.TruncateSinkFile(path, 2, true); err != nil {
-		t.Fatalf("torn CSV truncate: %v", err)
-	}
-	if got := read(); got != "probe_id,country\n1,nl\n2,de\n" {
-		t.Errorf("torn CSV truncate = %q", got)
-	}
-}
-
-// TestCSVSinkRoundTrip: the CSV sink writes a header plus one row per
-// record and survives a header-less resumed append.
-func TestCSVSinkRoundTrip(t *testing.T) {
-	mem := study.Run(study.BuildWorld(study.PaperSpec().Scale(0.0032)))
-	var buf bytes.Buffer
-	sink, err := study.NewCSVSink(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range mem.Export() {
-		if err := sink.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Count(buf.Bytes(), []byte{'\n'})
-	if want := len(mem.Records) + 1; lines != want {
-		t.Errorf("CSV sink wrote %d lines, want %d (header + records)", lines, want)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("probe_id,")) {
-		t.Errorf("CSV sink missing header: %q", bytes.Split(buf.Bytes(), []byte{'\n'})[0])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
+	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
@@ -119,7 +120,7 @@ func TestScaleSpecInvariants(t *testing.T) {
 			if g.Count <= 0 {
 				return false
 			}
-			if g.Loc == study.LocCPE {
+			if g.Loc == isp.LocCPE {
 				cpe += g.Count
 			}
 		}

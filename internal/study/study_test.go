@@ -6,6 +6,7 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
@@ -30,7 +31,7 @@ func TestSpecQuotasMatchPaper(t *testing.T) {
 		for _, id := range ids {
 			perResolver[id] += g.Count
 		}
-		if g.Loc == study.LocCPE {
+		if g.Loc == isp.LocCPE {
 			cpeSeats += g.Count
 		}
 	}

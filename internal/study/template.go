@@ -1,7 +1,6 @@
 package study
 
 import (
-	"net/netip"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
@@ -33,7 +32,7 @@ type WorldTemplate struct {
 	zones        *backbone.ZoneData
 	orgs         []geo.Org
 	probesPerOrg map[int]int
-	seats        map[int][]*seat
+	seats        map[int][]*isp.Seat
 
 	// plans is the frozen population plan: per org, the segment layout,
 	// seat placement, and every Seed+1 RNG draw the serial build would
@@ -81,10 +80,10 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 	role := t.cores.Begin()
 	defer t.cores.Abandon()
 	w := &World{
-		Spec:                spec,
-		Net:                 netsim.NewNetwork(),
-		ISPs:                make(map[int]*isp.Network),
-		transitSeatPatterns: make(map[publicdns.Region]map[netip.Addr]Pattern),
+		Spec:    spec,
+		Net:     netsim.NewNetwork(),
+		ISPs:    make(map[int]*isp.Network),
+		transit: make(map[publicdns.Region]*backbone.Transit),
 	}
 	w.Backbone = backbone.BuildWithCores(w.Net, t.zones, t.cores, role)
 	if spec.Fault != nil && spec.Fault.Active() {

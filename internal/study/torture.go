@@ -123,7 +123,7 @@ func tortureSinkPath(dir string, k, workers int) string {
 func plainSinks(dir string) func(k, workers, resumedAt int) (RecordSink, error) {
 	return func(k, workers, resumedAt int) (RecordSink, error) {
 		path := tortureSinkPath(dir, k, workers)
-		if err := TruncateSinkFile(path, resumedAt, false); err != nil {
+		if err := TruncateSinkFile(path, resumedAt); err != nil {
 			return nil, err
 		}
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -140,17 +140,17 @@ func plainSinks(dir string) func(k, workers, resumedAt int) (RecordSink, error) 
 func retrySinks(dir string, fsys faultfs.FS) func(k, workers, resumedAt int) (RecordSink, error) {
 	return func(k, workers, resumedAt int) (RecordSink, error) {
 		path := tortureSinkPath(dir, k, workers)
-		if err := TruncateSinkFile(path, resumedAt, false); err != nil {
+		if err := TruncateSinkFile(path, resumedAt); err != nil {
 			return nil, err
 		}
-		open := func(bool) (RecordSink, error) {
+		open := func() (RecordSink, error) {
 			f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, err
 			}
 			return NewJSONLSink(f), nil
 		}
-		return NewRetrySink(path, false, resumedAt, SinkRetryPolicy{MaxRetries: 4, Backoff: 50 * time.Microsecond}, open)
+		return NewRetrySink(path, resumedAt, SinkRetryPolicy{MaxRetries: 4, Backoff: 50 * time.Microsecond}, open)
 	}
 }
 

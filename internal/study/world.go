@@ -22,17 +22,6 @@ import (
 // maxHomesPerSegment bounds one access segment.
 const maxHomesPerSegment = 200
 
-// seat is one expanded interception assignment.
-type seat struct {
-	Loc       Location
-	PatternV4 Pattern // nil = all four, unless v4None
-	v4None    bool
-	PatternV6 Pattern
-	Refuse    Refusal
-	Persona   string // CPE seats only
-	OrgASN    int
-}
-
 // World is a built pilot-study universe.
 type World struct {
 	Spec     Spec
@@ -46,9 +35,9 @@ type World struct {
 	// Nil when Spec.DisableMetrics is set.
 	Metrics *metrics.Registry
 
-	transitSeatPatterns map[publicdns.Region]map[netip.Addr]Pattern
-	fwdMetrics          *dnsserver.ForwarderMetrics
-	studyMetrics        *studyMetrics
+	transit      map[publicdns.Region]*backbone.Transit
+	fwdMetrics   *dnsserver.ForwarderMetrics
+	studyMetrics *studyMetrics
 
 	// advByRegion caches the per-region evasive-interceptor models when
 	// Spec.Adversary > 0 (see adversary.go). Per world: the L4 budget
@@ -145,120 +134,15 @@ func (w *World) buildISPs(orgs []geo.Org, plans []orgPlan) {
 }
 
 // buildTransitInterceptors plants one interceptor per region in the
-// transit network, outside every AS. Its DNAT matches only the WAN
-// addresses of transit-seat probes, recorded later during population.
+// transit network, outside every AS. It diverts only the homes of
+// transit-seat probes, registered later during population.
 func (w *World) buildTransitInterceptors() {
 	for i, region := range publicdns.Regions {
-		region := region
-		w.transitSeatPatterns[region] = make(map[netip.Addr]Pattern)
-		resolverAddr := netip.AddrFrom4([4]byte{64, 86, byte(i), 53})
-		rtr := netsim.NewRouter(fmt.Sprintf("transit-resolver-%s", region), resolverAddr)
-		res := dnsserver.NewRecursiveResolver(resolverAddr, backbone.RootAddr)
-		res.Persona = ispResolverPersonas[(i+1)%len(ispResolverPersonas)]
-		res.Adversary = w.adversaryFor(region)
-		rtr.Bind(53, res)
-		regional := w.Backbone.Regional[region]
-		rtr.AddDefaultRoute(regional)
-		prefix := netip.PrefixFrom(resolverAddr, 24).Masked()
-		regional.AddRoute(prefix, rtr)
-		w.Backbone.Core.AddRoute(prefix, regional)
-
-		regional.NAT = netsim.NewNAT()
-		seatSet := w.transitSeatPatterns[region]
-		regional.NAT.AddDNAT(netsim.DNATRule{
-			Name: fmt.Sprintf("transit-interceptor-%s", region),
-			Match: func(pkt netsim.Packet) bool {
-				if pkt.Proto != netsim.UDP || pkt.Dst.Port() != 53 || pkt.IsIPv6() {
-					return false
-				}
-				if pkt.Dst.Addr() == resolverAddr {
-					return false
-				}
-				pat, ok := seatSet[pkt.Src.Addr()]
-				if !ok {
-					return false
-				}
-				return pat.matchesV4(pkt.Dst.Addr())
-			},
-			To: netip.AddrPortFrom(resolverAddr, 53),
-		})
-
-		// The encrypted plane: a transit interceptor on the path of its
-		// seats applies the spec's policy to DoT/DoH flows too. Matching
-		// is per-seat-pattern, like the Do53 DNAT above.
-		if e := w.Spec.Encryption; e != nil {
-			matchEnc := func(pkt netsim.Packet) bool {
-				if pkt.Proto != netsim.TCP || pkt.IsIPv6() {
-					return false
-				}
-				if p := pkt.Dst.Port(); p != netsim.PortDoT && p != netsim.PortDoH {
-					return false
-				}
-				if pkt.Dst.Addr() == resolverAddr {
-					return false
-				}
-				pat, ok := seatSet[pkt.Src.Addr()]
-				if !ok {
-					return false
-				}
-				return pat.matchesV4(pkt.Dst.Addr())
-			}
-			switch e.Policy {
-			case dnsserver.EncBlock:
-				regional.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
-					if matchEnc(pkt) {
-						return true, "transit interceptor blocks encrypted DNS"
-					}
-					return false, ""
-				})
-			case dnsserver.EncTerminate:
-				rtr.BindOn(resolverAddr, netsim.PortDoT, &dnsserver.StreamEndpoint{
-					Cert:  netsim.StreamCert{Subject: resolverAddr}, // untrusted
-					Inner: res,
-				})
-				regional.NAT.AddDNAT(netsim.DNATRule{
-					Name:  fmt.Sprintf("transit-enc-terminate-%s", region),
-					Match: matchEnc,
-					To:    netip.AddrPortFrom(resolverAddr, netsim.PortDoT),
-				})
-			}
-		}
+		t := w.Backbone.AddTransit(region, w.Spec.encPolicy())
+		t.Resolver.Persona = ispResolverPersonas[(i+1)%len(ispResolverPersonas)]
+		t.Resolver.Adversary = w.adversaryFor(region)
+		w.transit[region] = t
 	}
-}
-
-// matchesV4 reports whether a destination is in the pattern (nil = all
-// four operators' v4 addresses).
-func (p Pattern) matchesV4(dst netip.Addr) bool {
-	ids := p
-	if ids == nil {
-		ids = Pattern(publicdns.All)
-	}
-	for _, id := range ids {
-		for _, a := range publicdns.Lookup(id).V4 {
-			if a == dst {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// addrsV4 collects the v4 service addresses of a pattern.
-func (p Pattern) addrsV4() []netip.Addr {
-	var out []netip.Addr
-	for _, id := range p {
-		out = append(out, publicdns.Lookup(id).V4...)
-	}
-	return out
-}
-
-// addrsV6 collects the v6 service addresses of a pattern.
-func (p Pattern) addrsV6() []netip.Addr {
-	var out []netip.Addr
-	for _, id := range p {
-		out = append(out, publicdns.Lookup(id).V6...)
-	}
-	return out
 }
 
 // ids returns the pattern's operator set (nil = all four).
@@ -346,14 +230,14 @@ func largestRemainder(total int, weights []int) []int {
 // and distributes seats over organizations. It depends only on
 // shard-invariant spec fields, so the result is computed once per
 // template and shared read-only by every shard world.
-func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*seat {
-	var seats []*seat
+func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*isp.Seat {
+	var seats []*isp.Seat
 	for _, g := range spec.Seats {
 		for i := 0; i < g.Count; i++ {
-			seats = append(seats, &seat{
+			seats = append(seats, &isp.Seat{
 				Loc:       g.Loc,
 				PatternV4: g.Pattern,
-				v4None:    g.V4None,
+				V4None:    g.V4None,
 				PatternV6: g.V6,
 				Refuse:    g.Refuse,
 			})
@@ -365,7 +249,7 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 		if len(v6) == 0 {
 			break
 		}
-		if s.Loc == LocISP && s.PatternV4 == nil && !s.v4None && s.Refuse == RefuseNone && s.PatternV6 == nil {
+		if s.Loc == isp.LocISP && s.PatternV4 == nil && !s.V4None && s.Refuse == isp.RefuseNone && s.PatternV6 == nil {
 			s.PatternV6 = v6[0]
 			v6 = v6[1:]
 		}
@@ -373,14 +257,14 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 	// Attach personas to CPE seats.
 	personas := spec.CPEPersonas
 	for _, s := range seats {
-		if s.Loc != LocCPE {
+		if s.Loc != isp.LocCPE {
 			continue
 		}
 		if len(personas) == 0 {
-			s.Persona = "dnsmasq-2.85"
+			s.Persona = &dnsserver.PersonaDnsmasq
 			continue
 		}
-		s.Persona = personas[0]
+		s.Persona = &dnsserver.ChaosPersona{Version: personas[0]}
 		personas = personas[1:]
 	}
 
@@ -406,9 +290,8 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 		quotaByASN[o.ASN] = q
 	}
 
-	out := make(map[int][]*seat)
-	take := func(s *seat, asn int) {
-		s.OrgASN = asn
+	out := make(map[int][]*isp.Seat)
+	take := func(s *isp.Seat, asn int) {
 		out[asn] = append(out[asn], s)
 		quotaByASN[asn]--
 	}
@@ -420,7 +303,7 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 	rest := seats[:0:0]
 	di := 0
 	for _, s := range seats {
-		if s.Loc == LocCPE && s.Persona == "dnsmasq-2.78" && di < len(rdkbDeployers) &&
+		if s.Loc == isp.LocCPE && s.Persona.Version == "dnsmasq-2.78" && di < len(rdkbDeployers) &&
 			quotaByASN[rdkbDeployers[di]] > 0 {
 			take(s, rdkbDeployers[di])
 			di++
@@ -462,7 +345,7 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*s
 // during population at all, so every shard world replays the same
 // draws, whatever part of the fleet it owns.
 type plannedProbe struct {
-	seat     *seat
+	seat     *isp.Seat
 	segIndex int // index into the org plan's segSpecs
 	hasV6    bool
 	avail    atlas.Availability
@@ -477,7 +360,7 @@ type orgPlan struct {
 	// segSpecs lists the org's access segments in creation (index)
 	// order; each entry is the seat whose interception config the
 	// segment's middlebox compiles from, nil for a clean segment.
-	segSpecs []*seat
+	segSpecs []*isp.Seat
 	probes   []plannedProbe
 }
 
@@ -486,7 +369,7 @@ type orgPlan struct {
 // draw only for clean probes — and freezes the result into per-org
 // plans. Probe IDs are assigned by prefix sum: org boundaries fall at
 // the same IDs as the serial build's single running counter.
-func planOrgs(spec Spec, orgs []geo.Org, probesPerOrg map[int]int, seats map[int][]*seat) []orgPlan {
+func planOrgs(spec Spec, orgs []geo.Org, probesPerOrg map[int]int, seats map[int][]*isp.Seat) []orgPlan {
 	rng := rand.New(rand.NewSource(spec.Seed + 1))
 	plans := make([]orgPlan, 0, len(orgs))
 	nextID := firstProbeID
@@ -508,9 +391,9 @@ func planOrgs(spec Spec, orgs []geo.Org, probesPerOrg map[int]int, seats map[int
 // identical interception config; each group gets its own run of
 // segments, rolled over like clean segments so a scaled-up group
 // never outgrows its /24.
-func planOrg(spec Spec, org geo.Org, probes int, seats []*seat, rng *rand.Rand) orgPlan {
+func planOrg(spec Spec, org geo.Org, probes int, seats []*isp.Seat, rng *rand.Rand) orgPlan {
 	p := orgPlan{org: org, region: publicdns.RegionForCountry(org.Country)}
-	draw := func(s *seat) {
+	draw := func(s *isp.Seat) {
 		pp := plannedProbe{seat: s, segIndex: len(p.segSpecs) - 1, avail: atlas.Full}
 		pp.hasV6 = rng.Float64() < spec.V6Share
 		if s != nil && len(s.PatternV6) > 0 {
@@ -528,13 +411,13 @@ func planOrg(spec Spec, org geo.Org, probes int, seats []*seat, rng *rand.Rand) 
 		p.probes = append(p.probes, pp)
 	}
 
-	mbGroups := make(map[string][]*seat)
-	var plainSeats []*seat // CPE + transit seats live on clean segments
+	mbGroups := make(map[string][]*isp.Seat)
+	var plainSeats []*isp.Seat // CPE + transit seats live on clean segments
 	for _, s := range seats {
 		switch s.Loc {
-		case LocISP, LocISPHidden:
-			k := string(s.Loc) + "|" + s.PatternV4.key() + "|" + s.PatternV6.key() +
-				"|" + string(s.Refuse) + "|" + fmt.Sprint(s.v4None)
+		case isp.LocISP, isp.LocISPHidden:
+			k := string(s.Loc) + "|" + Pattern(s.PatternV4).key() + "|" + Pattern(s.PatternV6).key() +
+				"|" + string(s.Refuse) + "|" + fmt.Sprint(s.V4None)
 			mbGroups[k] = append(mbGroups[k], s)
 		default:
 			plainSeats = append(plainSeats, s)
@@ -601,11 +484,7 @@ func (w *World) populateOrgPlan(plan *orgPlan) {
 	nextSeg := 0
 	var seg *isp.Segment
 	addSeg := func() {
-		var mb *isp.MiddleboxSpec
-		if s := plan.segSpecs[nextSeg]; s != nil {
-			mb = w.middleboxSpec(s)
-		}
-		seg = network.AddSegment(mb)
+		seg = network.AddSegment(plan.segSpecs[nextSeg].Middlebox(w.Spec.encPolicy()))
 		nextSeg++
 	}
 	for i := range plan.probes {
@@ -619,37 +498,6 @@ func (w *World) populateOrgPlan(plan *orgPlan) {
 	for nextSeg < len(plan.segSpecs) {
 		addSeg()
 	}
-}
-
-// middleboxSpec compiles a seat's interception into middlebox rules.
-func (w *World) middleboxSpec(s *seat) *isp.MiddleboxSpec {
-	mb := &isp.MiddleboxSpec{InterceptBogons: s.Loc == LocISP}
-	if e := w.Spec.Encryption; e != nil {
-		mb.Encrypted = e.Policy
-	}
-	if !s.v4None {
-		switch {
-		case s.Refuse == RefuseSubset:
-			// Quad9 + OpenDNS blocked, the rest transparently diverted.
-			mb.Rules = append(mb.Rules,
-				isp.MiddleboxRule{Targets: Pattern{q9, od}.addrsV4(), UseRefusing: true},
-				isp.MiddleboxRule{All: true})
-		case s.PatternV4 == nil:
-			mb.Rules = append(mb.Rules, isp.MiddleboxRule{All: true, UseRefusing: s.Refuse == RefuseAll})
-		default:
-			mb.Rules = append(mb.Rules, isp.MiddleboxRule{
-				Targets:     s.PatternV4.addrsV4(),
-				UseRefusing: s.Refuse == RefuseAll,
-			})
-		}
-	}
-	if len(s.PatternV6) > 0 {
-		mb.Rules = append(mb.Rules, isp.MiddleboxRule{
-			Targets: s.PatternV6.addrsV6(),
-			V6:      true,
-		})
-	}
-	return mb
 }
 
 // buildProbe registers plan.probes[idx] with the platform as a
@@ -697,43 +545,33 @@ func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan
 	}
 	s := pp.seat
 	probe.Truth = truthFor(s, network)
-	if s != nil && s.Loc == LocTransit {
-		w.transitSeatPatterns[region][home.WANv4] = s.PatternV4
+	if s != nil && s.Loc == isp.LocTransit {
+		w.transit[region].Divert(home.WANv4, s.PatternV4)
 	}
 	w.homes = append(w.homes, pendingHome{plan: plan, idx: idx, seg: seg, addrs: home})
 }
 
 // truthFor is a probe's ground truth from its planned seat.
-func truthFor(s *seat, network *isp.Network) atlas.GroundTruth {
+func truthFor(s *isp.Seat, network *isp.Network) atlas.GroundTruth {
 	truth := atlas.GroundTruth{Location: "none"}
 	if s == nil {
 		return truth
 	}
 	truth.Location = string(s.Loc)
-	if !s.v4None {
-		truth.PatternV4 = s.PatternV4.ids()
+	if !s.V4None {
+		truth.PatternV4 = Pattern(s.PatternV4).ids()
 	}
-	truth.PatternV6 = s.PatternV6.ids()
-	if s.PatternV6 == nil {
-		truth.PatternV6 = nil
-	}
+	truth.PatternV6 = s.PatternV6
 	switch s.Refuse {
-	case RefuseAll:
+	case isp.RefuseAll:
 		truth.RefusedV4 = truth.PatternV4
-	case RefuseSubset:
+	case isp.RefuseSubset:
 		truth.RefusedV4 = []publicdns.ID{q9, od}
 	}
-	if s.Loc == LocCPE {
-		truth.Persona = s.Persona
+	if s.Loc == isp.LocCPE {
+		truth.Persona = s.Persona.Version
 	} else {
 		truth.Persona = string(network.Resolver.Persona.Version)
 	}
 	return truth
-}
-
-// firstHost6 returns the ::1 of a /64.
-func firstHost6(p netip.Prefix) netip.Addr {
-	a := p.Addr().As16()
-	a[15] |= 1
-	return netip.AddrFrom16(a)
 }
