@@ -71,13 +71,14 @@ func TestSimExchangeAllocBudget(t *testing.T) {
 	}
 }
 
-// simExchangeReplyAllocBudget bounds one simulated exchange reduced in
-// place (SimClient.ExchangeReply): the query is packed into a recycled
-// buffer, the resolver answers from the query's view, and the reply is
-// read from the response's view, so the one allocation is the answer
-// string. Measured 1 (2 while the CPE's conntrack map is still growing,
-// as it is for the first operator asked); budget is that + 2.
-const simExchangeReplyAllocBudget = 3
+// simExchangeReplyAllocBudget bounds one simulated exchange of packed
+// query bytes reduced in place (SimClient.ExchangeReply): the query is
+// copied into a recycled buffer, the resolver answers from the query's
+// view, and the reply is read from the response's view. A standard
+// answer is the interned string, so nothing allocates. Measured 0 once
+// every bucket of the scheduler's calendar ring has held an event (the
+// warm-up spans its 268 ms of virtual time); the budget is exact.
+const simExchangeReplyAllocBudget = 0
 
 func TestSimExchangeReplyAllocBudget(t *testing.T) {
 	lab := homelab.New(homelab.Clean)
@@ -89,17 +90,17 @@ func TestSimExchangeReplyAllocBudget(t *testing.T) {
 		{dnsloc.Cloudflare, "1.1.1.1"},
 		{dnsloc.Google, "8.8.8.8"},
 	} {
-		q := dnsloc.NewLocationQuery(c.op, 1)
+		q := dnswire.MustPack(dnsloc.NewLocationQuery(c.op, 1))
 		server := netip.AddrPortFrom(netip.MustParseAddr(c.server), 53)
 		var rep core.Reply
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 400; i++ {
 			var err error
 			if rep, err = client.ExchangeReply(server, q); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !rep.Answered || rep.Count != 1 {
-			t.Fatalf("%s: reply %+v, want one answered response", c.op, rep)
+		if !rep.Answered || rep.Count != 1 || !dnsloc.ValidateLocationAnswer(c.op, rep.Answer) {
+			t.Fatalf("%s: reply %+v, want one standard answer", c.op, rep)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := client.ExchangeReply(server, q); err != nil {
@@ -314,4 +315,26 @@ func txtString(m *dnswire.Message) string {
 		}
 	}
 	return ""
+}
+
+// detectorRunAllocBudget bounds one Detector.Run of a clean v4+v6
+// probe once the lab is warm: sixteen location queries copied from the
+// shared query plan, each reduced in place to an interned standard
+// answer that the byte checks validate. Measured 2, the report and its
+// location results (40 while every query was a Message, every answer a
+// new string and the targets a fresh slice); the budget is that + 2.
+const detectorRunAllocBudget = 4
+
+func TestDetectorRunAllocBudget(t *testing.T) {
+	lab := homelab.New(homelab.Clean)
+	d := lab.Detector()
+	for i := 0; i < 50; i++ {
+		if r := d.Run(); r.Intercepted() || len(r.Location) != 16 {
+			t.Fatalf("clean probe report:\n%s", r)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() { d.Run() })
+	if allocs > detectorRunAllocBudget {
+		t.Errorf("Detector.Run of a clean v4+v6 probe allocates %.1f/op, budget %d", allocs, detectorRunAllocBudget)
+	}
 }

@@ -10,12 +10,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/netsim"
+	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
 // ErrTimeout reports that no response arrived for a query. The technique
@@ -66,11 +68,12 @@ type RTTExchanger interface {
 }
 
 // ReplyExchanger is an optional Client extension for transports that
-// can reduce the responses to a query themselves, reading them in place
-// instead of materializing a Message per response. The detector prefers
-// it over RTTExchanger and Exchange.
+// take the query as packed wire bytes and reduce the responses to it
+// themselves, reading them in place instead of materializing a Message
+// per response. The transport reads query only during the call. The
+// detector prefers it over RTTExchanger and Exchange.
 type ReplyExchanger interface {
-	ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error)
+	ExchangeReply(server netip.AddrPort, query []byte) (Reply, error)
 }
 
 // Reply is everything the detector reads from the responses to one
@@ -101,22 +104,24 @@ func ReplyOf(resps []*dnswire.Message, rtt time.Duration) Reply {
 	m := resps[0]
 	r := Reply{Count: len(resps), RCode: m.Header.RCode, RTT: rtt}
 	if txt, ok := m.FirstTXT(); ok {
-		r.Answer, r.Answered = txt, true
+		r.Answer, r.Answered = publicdns.InternString(txt), true
 	} else if addr, ok := m.FirstAddr(); ok {
-		r.Answer, r.Answered = addr.String(), true
+		var buf [64]byte
+		r.Answer, r.Answered = publicdns.Intern(addr.AppendTo(buf[:0])), true
 	}
 	return r
 }
 
-// replyOf is ReplyOf of one response, read in place from its view. Its
-// one allocation is the answer string.
+// replyOf is ReplyOf of one response, read in place from its view. A
+// standard answer is the interned string (publicdns.Intern), so only a
+// non-standard answer allocates.
 func replyOf(v *dnswire.View, rtt time.Duration) Reply {
 	r := Reply{Count: 1, RCode: v.Header.RCode, RTT: rtt}
+	var buf [256]byte
 	var addr netip.Addr
 	for ans := v.Answers(); ans.Next(); {
-		var buf [256]byte
 		if txt, ok := ans.AppendTXT(buf[:0]); ok {
-			r.Answer, r.Answered = string(txt), true
+			r.Answer, r.Answered = publicdns.Intern(txt), true
 			return r
 		}
 		if a, ok := ans.Addr(); ok && !addr.IsValid() {
@@ -124,7 +129,7 @@ func replyOf(v *dnswire.View, rtt time.Duration) Reply {
 		}
 	}
 	if addr.IsValid() {
-		r.Answer, r.Answered = addr.String(), true
+		r.Answer, r.Answered = publicdns.Intern(addr.AppendTo(buf[:0])), true
 	}
 	return r
 }
@@ -139,6 +144,14 @@ type collector struct {
 	keep  bool
 	msgs  []*dnswire.Message
 	reply Reply
+}
+
+// newCollector prepares to collect the responses to a packed query.
+func newCollector(query []byte) (collector, error) {
+	if len(query) < 2 {
+		return collector{}, dnswire.ErrShortMessage
+	}
+	return collector{id: binary.BigEndian.Uint16(query)}, nil
 }
 
 // add offers one datagram of a batch of n that arrived rtt after the
@@ -202,8 +215,12 @@ func (c *SimClient) Exchange(server netip.AddrPort, query *dnswire.Message) ([]*
 // ExchangeRTT implements RTTExchanger with the virtual-clock RTT of the
 // first response.
 func (c *SimClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+	payload, err := query.PackTo(c.Net.PayloadBuf())
+	if err != nil {
+		return nil, 0, err
+	}
 	col := collector{id: query.Header.ID, keep: true}
-	if err := c.exchange(server, query, &col); err != nil {
+	if err := c.send(server, payload, &col); err != nil {
 		return nil, 0, err
 	}
 	return col.msgs, col.reply.RTT, nil
@@ -211,21 +228,24 @@ func (c *SimClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) (
 
 // ExchangeReply implements ReplyExchanger with the virtual-clock RTT of
 // the first response.
-func (c *SimClient) ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error) {
-	col := collector{id: query.Header.ID}
-	if err := c.exchange(server, query, &col); err != nil {
-		return Reply{}, err
+func (c *SimClient) ExchangeReply(server netip.AddrPort, query []byte) (Reply, error) {
+	col, err := newCollector(query)
+	if err == nil {
+		err = c.exchange(server, query, &col)
 	}
-	return col.reply, nil
+	return col.reply, err
 }
 
-// exchange is the client's one packet loop: it sends query to server
-// and offers every datagram that came back to col.
-func (c *SimClient) exchange(server netip.AddrPort, query *dnswire.Message, col *collector) error {
-	payload, err := query.PackTo(c.Net.PayloadBuf())
-	if err != nil {
-		return err
-	}
+// exchange sends a copy of the packed query to server and offers every
+// datagram that came back to col.
+func (c *SimClient) exchange(server netip.AddrPort, query []byte, col *collector) error {
+	return c.send(server, append(c.Net.PayloadBuf(), query...), col)
+}
+
+// send is the client's one packet loop: it sends payload, a buffer from
+// the network's freelist that it recycles, to server and offers every
+// datagram that came back to col.
+func (c *SimClient) send(server netip.AddrPort, payload []byte, col *collector) error {
 	pkts, err := c.Host.Exchange(c.Net, server, payload, netsim.ExchangeOptions{})
 	// The exchange has fully drained the event queue: nothing in flight
 	// references the query bytes anymore (services that stashed the

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/dnswatch/dnsloc/internal/bogon"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -79,6 +78,11 @@ type Detector struct {
 	idMu   sync.Mutex
 	nextID uint16
 
+	// qbuf holds the packed query of the exchange in progress unless
+	// the detector is Parallel, which runs several at once. Every query
+	// of the default plan fits.
+	qbuf [64]byte
+
 	// metMu guards runMetrics, the Report.Metrics of the Run in
 	// progress; Parallel mode updates it from several goroutines.
 	metMu      sync.Mutex
@@ -113,13 +117,14 @@ func (d *Detector) Run() *Report {
 		d.metMu.Unlock()
 	}()
 
-	d.stepLocation(r)
+	p := d.plan()
+	d.stepLocation(r, p)
 	// The counter-signals run before the interception gate: their whole
 	// point is to catch what an evasive interceptor hides from step 1
 	// (see signals.go). They detect; they do not localize — the CPE/ISP
 	// steps below stay driven by the CHAOS evidence.
 	if d.DriftRounds > 0 {
-		d.stepDrift(r)
+		d.stepDrift(r, p)
 	}
 	if d.CertOracle != nil {
 		d.stepCertCheck(r)
@@ -133,14 +138,14 @@ func (d *Detector) Run() *Report {
 	r.Verdict = VerdictUnknown
 
 	if !d.SkipTransparency {
-		d.stepTransparency(r)
+		d.stepTransparency(r, p)
 	}
 
-	if d.stepCPE(r) {
+	if d.stepCPE(r, p) {
 		r.Verdict = VerdictCPE
 		return r
 	}
-	if d.stepISP(r) {
+	if d.stepISP(r, p) {
 		r.Verdict = VerdictISP
 	}
 	return r
@@ -158,7 +163,7 @@ func (d *Detector) policy() RetryPolicy {
 // exchangeOne sends a query, reduces the result to a ProbeResult, and
 // feeds the metrics plane (both the in-progress Report.Metrics tally
 // and, when wired, the shared MetricSet).
-func (d *Detector) exchangeOne(id publicdns.ID, server netip.AddrPort, q *dnswire.Message) ProbeResult {
+func (d *Detector) exchangeOne(id publicdns.ID, server netip.AddrPort, q *planQuery) ProbeResult {
 	pr, backoff, transient, permanent := d.exchange(id, server, q)
 	d.Metrics.note(&pr, backoff, transient, permanent)
 	d.metMu.Lock()
@@ -169,13 +174,13 @@ func (d *Detector) exchangeOne(id publicdns.ID, server netip.AddrPort, q *dnswir
 	return pr
 }
 
-// exchange sends a query and reduces the result to a ProbeResult.
-// The answer is the first response's joined TXT, or else its first
-// address (see Reply). Transient transport errors consume
-// retry attempts under the policy; permanent ones (no route) fail the
-// query on the spot. Alongside the result it returns the total backoff
-// slept and the per-attempt failure classification tallies.
-func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.Message) (_ ProbeResult, backoff time.Duration, transient, permanent int) {
+// exchange sends a query under the next query ID and reduces the result
+// to a ProbeResult. The answer is the first response's joined TXT, or
+// else its first address (see Reply). Transient transport errors
+// consume retry attempts under the policy; permanent ones (no route)
+// fail the query on the spot. Alongside the result it returns the total
+// backoff slept and the per-attempt failure classification tallies.
+func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *planQuery) (_ ProbeResult, backoff time.Duration, transient, permanent int) {
 	family := V4
 	if server.Addr().Is6() && !server.Addr().Is4In6() {
 		family = V6
@@ -183,11 +188,25 @@ func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.M
 	pr := ProbeResult{Resolver: id, Server: server, Family: family}
 	pol := d.policy()
 	maxAttempts := pol.Attempts()
-	salt := QuerySalt(server, q.Header.ID)
+	qid := d.id()
+	salt := QuerySalt(server, qid)
+	// Every attempt sends the same query: wire bytes to a
+	// ReplyExchanger, a Message to any other client.
+	var wire []byte
+	var msg *dnswire.Message
+	if _, ok := d.Client.(ReplyExchanger); !ok {
+		msg = q.message(qid)
+	} else if q.err == nil {
+		buf := d.qbuf[:0]
+		if d.Parallel {
+			buf = nil // several exchanges are in progress at once
+		}
+		wire = q.appendWire(buf, qid)
+	}
 	var rep Reply
 	var err error
 	for attempt := 1; ; attempt++ {
-		rep, err = d.reply(server, q)
+		rep, err = d.reply(server, q, wire, msg)
 		pr.Attempts = attempt
 		if err != nil {
 			if Classify(err) == ClassPermanent {
@@ -239,23 +258,27 @@ func (d *Detector) exchange(id publicdns.ID, server netip.AddrPort, q *dnswire.M
 	return pr, backoff, transient, permanent
 }
 
-// reply sends one attempt of a query through the richest interface the
-// client implements. A client that reports success without a response
-// has sent nothing the detector can read: that is ErrGarbage.
-func (d *Detector) reply(server netip.AddrPort, q *dnswire.Message) (Reply, error) {
+// reply sends one attempt of q through the richest interface the
+// client implements: as wire to a ReplyExchanger, as msg otherwise. A
+// client that reports success without a response has sent nothing the
+// detector can read: that is ErrGarbage.
+func (d *Detector) reply(server netip.AddrPort, q *planQuery, wire []byte, msg *dnswire.Message) (Reply, error) {
 	var rep Reply
 	var err error
 	switch c := d.Client.(type) {
 	case ReplyExchanger:
-		rep, err = c.ExchangeReply(server, q)
+		if q.err != nil {
+			return Reply{}, q.err
+		}
+		rep, err = c.ExchangeReply(server, wire)
 	case RTTExchanger:
 		var resps []*dnswire.Message
 		var rtt time.Duration
-		resps, rtt, err = c.ExchangeRTT(server, q)
+		resps, rtt, err = c.ExchangeRTT(server, msg)
 		rep = ReplyOf(resps, rtt)
 	default:
 		var resps []*dnswire.Message
-		resps, err = d.Client.Exchange(server, q)
+		resps, err = d.Client.Exchange(server, msg)
 		rep = ReplyOf(resps, 0)
 	}
 	if err == nil && rep.Count == 0 {
@@ -264,60 +287,34 @@ func (d *Detector) reply(server netip.AddrPort, q *dnswire.Message) (Reply, erro
 	return rep, err
 }
 
-// probeSpec names one (operator, server) location-query target.
-type probeSpec struct {
-	id     publicdns.ID
-	server netip.AddrPort
-}
-
-// locationSpecs enumerates the step-1 targets: every address of every
-// operator under test, in deterministic order. The drift step re-issues
-// exactly this enumeration in its later rounds.
-func (d *Detector) locationSpecs() []probeSpec {
-	var specs []probeSpec
-	for _, id := range d.resolvers() {
-		cfg := publicdns.Lookup(id)
-		servers := make([]netip.Addr, 0, 4)
-		servers = append(servers, cfg.V4...)
-		if d.QueryV6 {
-			servers = append(servers, cfg.V6...)
-		}
-		for _, server := range servers {
-			specs = append(specs, probeSpec{id: id, server: netip.AddrPortFrom(server, 53)})
-		}
+// locate sends one location query and checks its answer against the
+// operator's standard format.
+func (d *Detector) locate(t *locationTarget) ProbeResult {
+	pr := d.exchangeOne(t.op.ID, t.server, t.query)
+	if pr.Outcome == OutcomeAnswer {
+		pr.Standard = t.op.ValidateLocationAnswer(pr.Answer)
 	}
-	return specs
+	return pr
 }
 
 // stepLocation issues location queries to every address of every
 // operator (§3.1) and classifies each answer against the operator's
 // standard format.
-func (d *Detector) stepLocation(r *Report) {
-	specs := d.locationSpecs()
-
-	results := make([]ProbeResult, len(specs))
-	probeOne := func(i int) {
-		spec := specs[i]
-		cfg := publicdns.Lookup(spec.id)
-		pr := d.exchangeOne(spec.id, spec.server, cfg.Location.Message(d.id()))
-		if pr.Outcome == OutcomeAnswer {
-			pr.Standard = cfg.ValidateLocationAnswer(pr.Answer)
-		}
-		results[i] = pr
-	}
+func (d *Detector) stepLocation(r *Report, p *queryPlan) {
+	results := make([]ProbeResult, len(p.location))
 	if d.Parallel {
 		var wg sync.WaitGroup
-		for i := range specs {
+		for i := range p.location {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				probeOne(i)
+				results[i] = d.locate(&p.location[i])
 			}(i)
 		}
 		wg.Wait()
 	} else {
-		for i := range specs {
-			probeOne(i)
+		for i := range p.location {
+			results[i] = d.locate(&p.location[i])
 		}
 	}
 
@@ -355,29 +352,17 @@ func (d *Detector) stepLocation(r *Report) {
 // string as version.bind queries sent towards the intercepted public
 // resolvers. The string's uniqueness is what makes the comparison sound
 // (Appendix A); error rcodes carry no identity, so they never match.
-func (d *Detector) stepCPE(r *Report) bool {
+func (d *Detector) stepCPE(r *Report, p *queryPlan) bool {
 	if !d.CPEPublicV4.IsValid() || len(r.InterceptedV4) == 0 {
 		return false
 	}
-	vb := func() *dnswire.Message { return dnswire.NewChaosTXTQuery(d.id(), "version.bind") }
-	r.CPEVersionBind = d.exchangeOne("", netip.AddrPortFrom(d.CPEPublicV4, 53), vb())
-	if r.CPEVersionBind.Outcome != OutcomeAnswer || r.CPEVersionBind.Answer == "" {
-		// No string from the CPE: can't implicate it. Still collect the
-		// resolver-side strings for the report.
-		for _, id := range r.InterceptedV4 {
-			cfg := publicdns.Lookup(id)
-			r.ResolverVersionBind = append(r.ResolverVersionBind,
-				d.exchangeOne(id, netip.AddrPortFrom(cfg.V4[0], 53), vb()))
-		}
-		prs := append([]ProbeResult{r.CPEVersionBind}, r.ResolverVersionBind...)
-		noteFaults(r, StepCPE, prs)
-		d.Metrics.noteStep(StepCPE, prs)
-		return false
-	}
-	all := true
+	r.CPEVersionBind = d.exchangeOne("", netip.AddrPortFrom(d.CPEPublicV4, 53), p.versionBind)
+	// Without a string from the CPE nothing can implicate it; the
+	// resolver-side strings are still collected for the report.
+	all := r.CPEVersionBind.Outcome == OutcomeAnswer && r.CPEVersionBind.Answer != ""
 	for _, id := range r.InterceptedV4 {
 		cfg := publicdns.Lookup(id)
-		pr := d.exchangeOne(id, netip.AddrPortFrom(cfg.V4[0], 53), vb())
+		pr := d.exchangeOne(id, netip.AddrPortFrom(cfg.V4[0], 53), p.versionBind)
 		r.ResolverVersionBind = append(r.ResolverVersionBind, pr)
 		if pr.Outcome != OutcomeAnswer || pr.Answer != r.CPEVersionBind.Answer {
 			all = false
@@ -397,31 +382,16 @@ func (d *Detector) stepCPE(r *Report) bool {
 // the AS, so any response proves an in-AS interceptor. Silence proves
 // nothing — the interceptor may be beyond the AS, or may ignore
 // bogon-addressed packets.
-func (d *Detector) stepISP(r *Report) bool {
-	name := d.CanaryName
-	if name == "" {
-		name = publicdns.CanaryDomain
-	}
+func (d *Detector) stepISP(r *Report, p *queryPlan) bool {
 	answered := false
-
-	b4 := d.BogonV4
-	if !b4.IsValid() {
-		b4 = bogon.ProbeV4
-	}
-	q := dnswire.NewQuery(d.id(), name, dnswire.TypeA, dnswire.ClassINET)
-	pr := d.exchangeOne("", netip.AddrPortFrom(b4, 53), q)
+	pr := d.exchangeOne("", p.bogonV4, p.bogonA)
 	r.BogonResults = append(r.BogonResults, pr)
 	if pr.Outcome == OutcomeAnswer || pr.Outcome == OutcomeError {
 		answered = true
 	}
 
 	if d.QueryV6 && len(r.InterceptedV6) > 0 {
-		b6 := d.BogonV6
-		if !b6.IsValid() {
-			b6 = bogon.ProbeV6
-		}
-		q6 := dnswire.NewQuery(d.id(), name, dnswire.TypeAAAA, dnswire.ClassINET)
-		pr6 := d.exchangeOne("", netip.AddrPortFrom(b6, 53), q6)
+		pr6 := d.exchangeOne("", p.bogonV6, p.bogonAAAA)
 		r.BogonResults = append(r.BogonResults, pr6)
 		if pr6.Outcome == OutcomeAnswer || pr6.Outcome == OutcomeError {
 			answered = true
@@ -435,12 +405,11 @@ func (d *Detector) stepISP(r *Report) bool {
 // resolver (§4.1.2): a clean answer whose address is outside the target
 // operator's egress confirms transparent interception; a DNS error
 // status means the alternate resolver blocks rather than resolves.
-func (d *Detector) stepTransparency(r *Report) {
+func (d *Detector) stepTransparency(r *Report, p *queryPlan) {
 	transparent, modified := 0, 0
 	for _, id := range r.InterceptedSet() {
 		cfg := publicdns.Lookup(id)
-		q := dnswire.NewQuery(d.id(), publicdns.WhoamiDomain, dnswire.TypeA, dnswire.ClassINET)
-		pr := d.exchangeOne(id, netip.AddrPortFrom(cfg.V4[0], 53), q)
+		pr := d.exchangeOne(id, netip.AddrPortFrom(cfg.V4[0], 53), p.whoami)
 		switch pr.Outcome {
 		case OutcomeAnswer:
 			transparent++
@@ -504,8 +473,8 @@ func (d *Detector) CPETestWithARecord(name dnswire.Name, intercepted []publicdns
 	if !d.CPEPublicV4.IsValid() || len(intercepted) == 0 {
 		return false
 	}
+	q := compileQuery(dnswire.Query{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, RD: true})
 	ask := func(server netip.Addr) (string, bool) {
-		q := dnswire.NewQuery(d.id(), name, dnswire.TypeA, dnswire.ClassINET)
 		pr := d.exchangeOne("", netip.AddrPortFrom(server, 53), q)
 		return pr.Answer, pr.Outcome == OutcomeAnswer
 	}

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -312,6 +313,58 @@ func TestEmptySuccessIsGarbage(t *testing.T) {
 	for _, p := range r.Location {
 		if p.Outcome != core.OutcomeGarbage {
 			t.Errorf("%s: outcome %s, want garbage", p.Server, p.Outcome)
+		}
+	}
+}
+
+// TestBadCanaryFailsAlikeOnEveryPath: a canary name that cannot be
+// packed fails the bogon query the same way whether the detector hands
+// the client wire bytes or a Message — every attempt errors, which is
+// non-evidence, never a verdict.
+func TestBadCanaryFailsAlikeOnEveryPath(t *testing.T) {
+	run := func(wrap bool) *core.Report {
+		lab := homelab.New(homelab.ISPMiddlebox)
+		d := lab.Detector()
+		d.CanaryName = "bad..canary"
+		d.Retries = 1
+		if wrap {
+			d.Client = rttOnly{lab.Client()}
+		}
+		return d.Run()
+	}
+	want := run(false)
+	if got := run(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExchangeRTT path:\n%s\nExchangeReply path:\n%s", got, want)
+	}
+	if len(want.BogonResults) == 0 || want.BogonResults[0].Outcome != core.OutcomeTimeout || want.BogonResults[0].Attempts != 2 {
+		t.Errorf("bogon results %+v, want a timeout after 2 attempts", want.BogonResults)
+	}
+	if want.Verdict == core.VerdictISP {
+		t.Errorf("verdict %s from an unsendable query", want.Verdict)
+	}
+}
+
+// TestConcurrentDetectorsShareDefaultPlan: detectors of the default
+// config running at once, each over its own lab, share one compiled
+// query plan and report exactly what they report alone.
+func TestConcurrentDetectorsShareDefaultPlan(t *testing.T) {
+	want := make([]*core.Report, len(homelab.AllScenarios))
+	for i, s := range homelab.AllScenarios {
+		want[i] = homelab.New(s).Detector().Run()
+	}
+	got := make([]*core.Report, len(homelab.AllScenarios))
+	var wg sync.WaitGroup
+	for i, s := range homelab.AllScenarios {
+		wg.Add(1)
+		go func(i int, s homelab.Scenario) {
+			defer wg.Done()
+			got[i] = homelab.New(s).Detector().Run()
+		}(i, s)
+	}
+	wg.Wait()
+	for i, s := range homelab.AllScenarios {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s concurrently:\n%s\nalone:\n%s", s, got[i], want[i])
 		}
 	}
 }

@@ -110,8 +110,14 @@ func (c *EncryptedClient) Exchange(server netip.AddrPort, query *dnswire.Message
 // exchange as the client experienced it: handshake round trip included
 // when one was needed, just the data round trip on a resumed session.
 func (c *EncryptedClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Message) ([]*dnswire.Message, time.Duration, error) {
+	wire, err := query.PackTo(c.Sim.Net.PayloadBuf())
+	if err != nil {
+		return nil, 0, err
+	}
 	col := collector{id: query.Header.ID, keep: true}
-	if err := c.exchange(server, query, &col); err != nil {
+	err = c.exchange(server, wire, &col)
+	c.Sim.Net.RecyclePayload(wire)
+	if err != nil {
 		return nil, 0, err
 	}
 	return col.msgs, col.reply.RTT, nil
@@ -119,17 +125,17 @@ func (c *EncryptedClient) ExchangeRTT(server netip.AddrPort, query *dnswire.Mess
 
 // ExchangeReply implements ReplyExchanger, with the RTT ExchangeRTT
 // reports.
-func (c *EncryptedClient) ExchangeReply(server netip.AddrPort, query *dnswire.Message) (Reply, error) {
-	col := collector{id: query.Header.ID}
-	if err := c.exchange(server, query, &col); err != nil {
-		return Reply{}, err
+func (c *EncryptedClient) ExchangeReply(server netip.AddrPort, query []byte) (Reply, error) {
+	col, err := newCollector(query)
+	if err == nil {
+		err = c.exchange(server, query, &col)
 	}
-	return col.reply, nil
+	return col.reply, err
 }
 
-// exchange runs one query over the transport the mode and target call
-// for, offering the responses to col.
-func (c *EncryptedClient) exchange(server netip.AddrPort, query *dnswire.Message, col *collector) error {
+// exchange runs one packed query over the transport the mode and
+// target call for, offering the responses to col.
+func (c *EncryptedClient) exchange(server netip.AddrPort, query []byte, col *collector) error {
 	if !c.Mode.Encrypted() || (c.Upgrade != nil && !c.Upgrade(server.Addr())) {
 		return c.Sim.exchange(server, query, col)
 	}
@@ -192,7 +198,7 @@ func (c *EncryptedClient) session(addr netip.Addr) *encSession {
 // failOrDowngrade resolves an encrypted-channel failure per profile:
 // opportunistic clients mark the target downgraded and retry the same
 // query over Do53; strict clients surface the failure.
-func (c *EncryptedClient) failOrDowngrade(sess *encSession, server netip.AddrPort, query *dnswire.Message, col *collector, err error) error {
+func (c *EncryptedClient) failOrDowngrade(sess *encSession, server netip.AddrPort, query []byte, col *collector, err error) error {
 	if c.Mode.Strict() {
 		return err
 	}
@@ -231,13 +237,8 @@ var errBadTicket = errors.New("core: stream endpoint rejected resumption ticket"
 // data sends one query inside the session and offers the responses to
 // col. An alert anywhere in the batch fails the exchange before any
 // response is offered.
-func (c *EncryptedClient) data(target netip.AddrPort, alpn uint8, sess *encSession, query *dnswire.Message, col *collector) error {
-	packed, err := query.PackTo(c.Sim.Net.PayloadBuf())
-	if err != nil {
-		return err
-	}
-	framed, err := dnswire.AppendTCPFrame(nil, packed)
-	c.Sim.Net.RecyclePayload(packed)
+func (c *EncryptedClient) data(target netip.AddrPort, alpn uint8, sess *encSession, query []byte, col *collector) error {
+	framed, err := dnswire.AppendTCPFrame(nil, query)
 	if err != nil {
 		return err
 	}

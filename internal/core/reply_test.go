@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
+	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
 // replySeeds are FuzzView's seed shapes (internal/dnswire) that a
@@ -50,11 +53,49 @@ func replySeeds() []*dnswire.Message {
 	}
 }
 
+// standardSeeds answers with every site's standard strings: the
+// genuine CHAOS identities and versions, the OpenDNS debug lines, and
+// the egress addresses as Google's TXT answer and as whoami A and AAAA
+// answers. Their reductions are interned.
+func standardSeeds() []*dnswire.Message {
+	var out []*dnswire.Message
+	for _, id := range publicdns.All {
+		target := publicdns.Lookup(id).V4[0]
+		for _, site := range publicdns.Sites(id) {
+			for _, name := range []dnswire.Name{"id.server", "version.bind"} {
+				if txt, _, _ := publicdns.GenuineChaos(target, name, site.Region); txt != "" {
+					out = append(out, dnswire.NewTXTResponse(dnswire.NewChaosTXTQuery(1, name), txt))
+				}
+			}
+			// The debug answer is two TXT records, as the site sends it.
+			debug := dnswire.NewTXTResponse(dnswire.NewQuery(2, "debug.opendns.com", dnswire.TypeTXT, dnswire.ClassINET),
+				fmt.Sprintf("server m%d.%s", 80+site.Index, site.City))
+			flags := debug.Answers[0]
+			flags.Data = dnswire.TXTRData{Strings: []string{"flags 20 0 2F"}}
+			debug.Answers = append(debug.Answers, flags)
+			out = append(out, debug)
+			q := dnswire.NewQuery(3, "o-o.myaddr.l.google.com", dnswire.TypeTXT, dnswire.ClassINET)
+			out = append(out, dnswire.NewTXTResponse(q, site.EgressV4.String()))
+			out = append(out,
+				dnswire.NewAddrResponse(dnswire.NewQuery(4, publicdns.WhoamiDomain, dnswire.TypeA, dnswire.ClassINET), 0, site.EgressV4),
+				dnswire.NewAddrResponse(dnswire.NewQuery(5, publicdns.WhoamiDomain, dnswire.TypeAAAA, dnswire.ClassINET), 0, site.EgressV6))
+		}
+	}
+	return out
+}
+
+// interned reports whether an answer is the stored copy when it is a
+// standard one (a non-standard answer is trivially itself).
+func interned(answer string) bool {
+	return unsafe.StringData(publicdns.InternString(answer)) == unsafe.StringData(answer)
+}
+
 // FuzzReply is differential: for every message ParseView accepts, the
 // in-place reduction the simulated clients use equals ReplyOf over the
-// materialized Message, the path of every other transport.
+// materialized Message, the path of every other transport, and both
+// return a standard answer as its interned string.
 func FuzzReply(f *testing.F) {
-	for _, m := range replySeeds() {
+	for _, m := range append(replySeeds(), standardSeeds()...) {
 		f.Add(dnswire.MustPack(m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -65,6 +106,9 @@ func FuzzReply(f *testing.F) {
 		got, want := replyOf(&v, 0), ReplyOf([]*dnswire.Message{v.Message()}, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("view reduction %+v, ReplyOf %+v", got, want)
+		}
+		if !interned(got.Answer) || !interned(want.Answer) {
+			t.Fatalf("standard answer %q not interned (view %t, ReplyOf %t)", got.Answer, interned(got.Answer), interned(want.Answer))
 		}
 	})
 }
@@ -101,5 +145,30 @@ func TestReplyOf(t *testing.T) {
 	}
 	if got := ReplyOf(nil, 7); got != (Reply{}) {
 		t.Errorf("ReplyOf(nil) = %+v, want zero", got)
+	}
+}
+
+// TestStandardRepliesInterned: every standard seed reduces, on both
+// paths, to the stored copy of its answer, and the in-place reduction
+// allocates nothing for it.
+func TestStandardRepliesInterned(t *testing.T) {
+	for _, m := range standardSeeds() {
+		v, err := dnswire.ParseView(dnswire.MustPack(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := replyOf(&v, 0), ReplyOf([]*dnswire.Message{m}, 0)
+		if got != want || !got.Answered {
+			t.Fatalf("%v: view %+v, ReplyOf %+v", m.Question(), got, want)
+		}
+		// Intern of a fresh copy returns the stored string only for a
+		// standard answer.
+		stored := unsafe.StringData(publicdns.Intern([]byte(got.Answer)))
+		if unsafe.StringData(got.Answer) != stored || unsafe.StringData(want.Answer) != stored {
+			t.Errorf("%q: not the interned copy", got.Answer)
+		}
+		if n := testing.AllocsPerRun(10, func() { replyOf(&v, 0) }); n != 0 {
+			t.Errorf("%q: replyOf allocates %.0f", got.Answer, n)
+		}
 	}
 }

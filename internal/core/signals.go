@@ -135,16 +135,10 @@ func (d *Detector) stepCertCheck(r *Report) {
 // times. Each round draws fresh query IDs, which is precisely what
 // per-query forgeries cannot survive: their answers drift while
 // genuine anycast sites (and faithful replayers) answer identically.
-func (d *Detector) stepDrift(r *Report) {
-	specs := d.locationSpecs()
+func (d *Detector) stepDrift(r *Report, p *queryPlan) {
 	for round := 0; round < d.DriftRounds; round++ {
-		for _, spec := range specs {
-			cfg := publicdns.Lookup(spec.id)
-			pr := d.exchangeOne(spec.id, spec.server, cfg.Location.Message(d.id()))
-			if pr.Outcome == OutcomeAnswer {
-				pr.Standard = cfg.ValidateLocationAnswer(pr.Answer)
-			}
-			r.DriftProbes = append(r.DriftProbes, pr)
+		for i := range p.location {
+			r.DriftProbes = append(r.DriftProbes, d.locate(&p.location[i]))
 		}
 	}
 	noteFaults(r, StepDrift, r.DriftProbes)

@@ -1,8 +1,6 @@
 package dnsserver
 
 import (
-	"sort"
-
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
@@ -100,7 +98,7 @@ func (s *AuthServer) handle(query *dnswire.Message, pkt netsim.Packet) *dnswire.
 		resp.Authority = append(resp.Authority, zone.SOARecord())
 	case LookupDelegation:
 		resp.Header.Authoritative = false
-		appendReferral(resp, deleg)
+		resp.Authority, resp.Additional = deleg.authority, deleg.additional
 	case LookupOutOfZone:
 		resp.Header.RCode = dnswire.RCodeRefused
 	}
@@ -124,35 +122,6 @@ func (s *AuthServer) chaseCNAME(resp *dnswire.Message, target dnswire.Name, q dn
 		resp.Answers = append(resp.Answers, rrs...)
 		if cname, ok := rrs[0].Data.(dnswire.CNAMERData); ok {
 			s.chaseCNAME(resp, cname.Target, q, pkt, depth+1)
-		}
-	}
-}
-
-// appendReferral fills the authority and additional sections for a
-// delegation.
-func appendReferral(resp *dnswire.Message, d *Delegation) {
-	for _, host := range d.NS {
-		resp.Authority = append(resp.Authority, dnswire.Record{
-			Name: d.Cut, Class: dnswire.ClassINET, TTL: 172800,
-			Data: dnswire.NSRData{Host: host},
-		})
-	}
-	hosts := make([]dnswire.Name, 0, len(d.Glue))
-	for host := range d.Glue {
-		hosts = append(hosts, host)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	for _, host := range hosts {
-		for _, a := range d.Glue[host] {
-			var data dnswire.RData
-			if a.Is4() {
-				data = dnswire.ARData{Addr: a}
-			} else {
-				data = dnswire.AAAARData{Addr: a}
-			}
-			resp.Additional = append(resp.Additional, dnswire.Record{
-				Name: host, Class: dnswire.ClassINET, TTL: 172800, Data: data,
-			})
 		}
 	}
 }

@@ -211,12 +211,7 @@ func (r *RecursiveResolver) queryNext(sc *netsim.ServiceCtx, j *job) {
 		j.port = r.allocPort()
 		r.pending[j.port] = j
 		sc.Router.Bind(j.port, r)
-		upq := dnswire.NewQuery(r.allocID(), j.q.Name, j.q.Type, j.q.Class)
-		upq.Header.RecursionDesired = false
-		if r.DNSSECAware {
-			upq.SetEDNS(4096, true)
-		}
-		payload, err := upq.Pack()
+		payload, err := r.upstreamQuery(r.allocID(), j.q)
 		if err != nil {
 			continue
 		}
@@ -231,6 +226,16 @@ func (r *RecursiveResolver) queryNext(sc *netsim.ServiceCtx, j *job) {
 	}
 	// Out of servers: fail the client query.
 	r.finish(sc, j, dnswire.RCodeServerFailure, nil)
+}
+
+// upstreamQuery packs the iterative query for q: no RD, and an EDNS
+// OPT with the DO bit when the resolver validates.
+func (r *RecursiveResolver) upstreamQuery(id uint16, q dnswire.Question) ([]byte, error) {
+	uq := dnswire.Query{ID: id, Name: q.Name, Type: q.Type, Class: q.Class}
+	if r.DNSSECAware {
+		uq.EDNS, uq.DO = 4096, true
+	}
+	return dnswire.AppendQuery(nil, uq)
 }
 
 // handleUpstream processes an authoritative answer for a pending job.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"sort"
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
@@ -200,5 +201,102 @@ func TestPersonaTXTTooLongServfails(t *testing.T) {
 	}
 	if m.Header.RCode != dnswire.RCodeServerFailure || m.Header.ID != 7 || len(m.Answers) != 0 {
 		t.Errorf("oversized persona answered %s", m)
+	}
+}
+
+// legacyReferral is the referral as the auth server built it before
+// Delegate precomputed it: NS records in Delegation.NS order, then glue
+// sorted by canonical host name, sorting and boxing on every referral.
+// It is the reference of TestReferralWireIdentity.
+func legacyReferral(resp *dnswire.Message, cut dnswire.Name, ns map[dnswire.Name][]netip.Addr) {
+	names := make([]dnswire.Name, 0, len(ns))
+	for host := range ns {
+		names = append(names, host)
+	}
+	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	glue := make(map[dnswire.Name][]netip.Addr)
+	for _, host := range names {
+		resp.Authority = append(resp.Authority, dnswire.Record{
+			Name: cut, Class: dnswire.ClassINET, TTL: 172800,
+			Data: dnswire.NSRData{Host: host},
+		})
+		glue[host.Canonical()] = ns[host]
+	}
+	hosts := make([]dnswire.Name, 0, len(glue))
+	for host := range glue {
+		hosts = append(hosts, host)
+	}
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	for _, host := range hosts {
+		for _, a := range glue[host] {
+			var data dnswire.RData
+			if a.Is4() {
+				data = dnswire.ARData{Addr: a}
+			} else {
+				data = dnswire.AAAARData{Addr: a}
+			}
+			resp.Additional = append(resp.Additional, dnswire.Record{
+				Name: host, Class: dnswire.ClassINET, TTL: 172800, Data: data,
+			})
+		}
+	}
+}
+
+// TestReferralWireIdentity: a referral answered from the delegation's
+// precomputed sections packs to the bytes the per-referral builder
+// produced, for mixed-case hosts, v4 and v6 glue and a glueless
+// nameserver, and stays so when asked again.
+func TestReferralWireIdentity(t *testing.T) {
+	delegations := map[dnswire.Name]map[dnswire.Name][]netip.Addr{
+		"com": {
+			"b.gtld-servers.net": {netip.MustParseAddr("192.33.14.30"), netip.MustParseAddr("2001:503:231d::2:30")},
+			"A.GTLD-servers.net": {netip.MustParseAddr("192.5.6.30")},
+			"c.gtld-servers.net": nil,
+		},
+		"Example.ORG": {"ns1.example.org": {netip.MustParseAddr("198.51.100.53")}},
+	}
+	root := NewZone("")
+	for cut, ns := range delegations {
+		root.Delegate(cut, ns)
+	}
+	s := NewAuthServer(root)
+	pkt := netsim.Packet{Src: netip.MustParseAddrPort("192.0.2.1:5353")}
+	for cut, ns := range delegations {
+		for i, name := range []dnswire.Name{"www." + cut, "deep.sub." + cut} {
+			query := dnswire.NewQuery(uint16(40+i), name, dnswire.TypeA, dnswire.ClassINET)
+			want := dnswire.NewResponse(query, dnswire.RCodeSuccess)
+			legacyReferral(want, cut, ns)
+			for round := 0; round < 2; round++ {
+				got := s.handle(query, pkt)
+				if !bytes.Equal(dnswire.MustPack(got), dnswire.MustPack(want)) {
+					t.Fatalf("%s round %d:\ngot  %v\nwant %v", name, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUpstreamQueryWireIdentity: the iterative query the resolver
+// writes with AppendQuery is the one NewQuery, a cleared RD bit,
+// SetEDNS and Pack built, with and without DNSSEC.
+func TestUpstreamQueryWireIdentity(t *testing.T) {
+	for _, dnssec := range []bool{false, true} {
+		r := NewRecursiveResolver(netip.MustParseAddr("192.0.2.53"))
+		r.DNSSECAware = dnssec
+		for i, q := range []dnswire.Question{
+			{Name: "o-o.myaddr.l.google.com", Type: dnswire.TypeTXT, Class: dnswire.ClassINET},
+			{Name: "Whoami.Akamai.com", Type: dnswire.TypeA, Class: dnswire.ClassINET},
+			{Name: "com", Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET},
+		} {
+			m := dnswire.NewQuery(uint16(i+1), q.Name, q.Type, q.Class)
+			m.Header.RecursionDesired = false
+			if dnssec {
+				m.SetEDNS(4096, true)
+			}
+			got, err := r.upstreamQuery(uint16(i+1), q)
+			if err != nil || !bytes.Equal(got, dnswire.MustPack(m)) {
+				t.Errorf("dnssec=%t %s: AppendQuery %x (%v), legacy %x", dnssec, q.Name, got, err, dnswire.MustPack(m))
+			}
+		}
 	}
 }

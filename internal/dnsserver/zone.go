@@ -3,6 +3,7 @@ package dnsserver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/dnswatch/dnsloc/internal/dnssec"
@@ -35,9 +36,13 @@ type Zone struct {
 
 // Delegation describes a zone cut.
 type Delegation struct {
-	Cut  dnswire.Name
-	NS   []dnswire.Name
-	Glue map[dnswire.Name][]netip.Addr
+	Cut dnswire.Name
+	NS  []dnswire.Name
+
+	// authority and additional are the referral's sections, built once
+	// by Delegate and shared read-only by every referral response; they
+	// are clipped, so appending to a response's section copies.
+	authority, additional []dnswire.Record
 }
 
 // NewZone creates an empty zone with a standard SOA.
@@ -136,18 +141,41 @@ func (z *Zone) SetDynamic(name dnswire.Name, fn DynamicFunc) {
 	z.dynamic[name.Canonical()] = fn
 }
 
-// Delegate records a zone cut with its nameservers and glue addresses.
+// Delegate records a zone cut with its nameservers and glue addresses,
+// and builds its referral: an NS record per nameserver in name order,
+// then the glue addresses of each canonical host name in that name's
+// order.
 func (z *Zone) Delegate(cut dnswire.Name, ns map[dnswire.Name][]netip.Addr) {
-	d := &Delegation{Cut: cut, Glue: make(map[dnswire.Name][]netip.Addr)}
-	names := make([]dnswire.Name, 0, len(ns))
+	d := &Delegation{Cut: cut}
 	for host := range ns {
-		names = append(names, host)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	for _, host := range names {
 		d.NS = append(d.NS, host)
-		d.Glue[host.Canonical()] = ns[host]
 	}
+	sort.Slice(d.NS, func(i, j int) bool { return d.NS[i] < d.NS[j] })
+	glue := make(map[dnswire.Name][]netip.Addr, len(ns))
+	for _, host := range d.NS {
+		glue[host.Canonical()] = ns[host]
+		d.authority = append(d.authority, dnswire.Record{
+			Name: cut, Class: dnswire.ClassINET, TTL: 172800,
+			Data: dnswire.NSRData{Host: host},
+		})
+	}
+	hosts := make([]dnswire.Name, 0, len(glue))
+	for host := range glue {
+		hosts = append(hosts, host)
+	}
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	for _, host := range hosts {
+		for _, a := range glue[host] {
+			var data dnswire.RData = dnswire.AAAARData{Addr: a}
+			if a.Is4() {
+				data = dnswire.ARData{Addr: a}
+			}
+			d.additional = append(d.additional, dnswire.Record{
+				Name: host, Class: dnswire.ClassINET, TTL: 172800, Data: data,
+			})
+		}
+	}
+	d.authority, d.additional = slices.Clip(d.authority), slices.Clip(d.additional)
 	z.delegations[cut.Canonical()] = d
 }
 

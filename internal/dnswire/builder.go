@@ -1,6 +1,8 @@
 package dnswire
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net/netip"
 )
 
@@ -22,6 +24,66 @@ func NewChaosTXTQuery(id uint16, name Name) *Message {
 	m := NewQuery(id, name, TypeTXT, ClassCHAOS)
 	m.Header.RecursionDesired = false
 	return m
+}
+
+// Query describes a one-question query for AppendQuery.
+type Query struct {
+	ID    uint16
+	Name  Name
+	Type  Type
+	Class Class
+	// RD is the recursion-desired bit: NewQuery sets it,
+	// NewChaosTXTQuery and iterating resolvers clear it.
+	RD bool
+	// EDNS, when non-zero, adds the OPT record SetEDNS(EDNS, DO) adds.
+	EDNS uint16
+	DO   bool
+}
+
+// Message builds q as a Message: NewQuery with q's RD bit, and SetEDNS
+// when q.EDNS is set.
+func (q Query) Message() *Message {
+	m := NewQuery(q.ID, q.Name, q.Type, q.Class)
+	m.Header.RecursionDesired = q.RD
+	if q.EDNS != 0 {
+		m.SetEDNS(q.EDNS, q.DO)
+	}
+	return m
+}
+
+// AppendQuery appends q's wire encoding to dst without building a
+// Message: the bytes NewQuery (with q.RD), then SetEDNS when q.EDNS is
+// set, then PackTo produce. dst grows at most once. On an invalid name
+// it returns dst unchanged and the error PackTo would.
+func AppendQuery(dst []byte, q Query) ([]byte, error) {
+	if err := validateName(q.Name); err != nil {
+		return dst, fmt.Errorf("packing question %q: %w", q.Name, err)
+	}
+	h := Header{ID: q.ID, Opcode: OpcodeQuery, RecursionDesired: q.RD, QDCount: 1}
+	n := headerLen + len(q.Name) + 2 + 4
+	if q.EDNS != 0 {
+		h.ARCount = 1
+		n += 11
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = h.pack(dst)
+	dst, _ = packName(dst, q.Name, nil) // a lone name has nothing to point at
+	dst = binary.BigEndian.AppendUint16(dst, uint16(q.Type))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(q.Class))
+	if q.EDNS != 0 {
+		var ttl uint32
+		if q.DO {
+			ttl = ednsDOBit
+		}
+		dst = append(dst, 0) // root owner name
+		dst = binary.BigEndian.AppendUint16(dst, uint16(TypeOPT))
+		dst = binary.BigEndian.AppendUint16(dst, q.EDNS)
+		dst = binary.BigEndian.AppendUint32(dst, ttl)
+		dst = append(dst, 0, 0) // no options
+	}
+	return dst, nil
 }
 
 // NewResponse builds a response skeleton echoing the query's ID, first

@@ -55,8 +55,9 @@ func TestGenuineChaos(t *testing.T) {
 	}
 }
 
-// iataRe and quad9Re are the package's own answer-shape validators —
-// forgeries exist to defeat exactly those, so they are the right bar.
+// iataRe and quad9Re (validate_test.go) are the answer formats the
+// validator checks — forgeries exist to defeat exactly those, so they
+// are the right bar. q9verRe is the version string's group.
 var q9verRe = regexp.MustCompile(`^Q9-P-7\.\d$`)
 
 // TestForgeChaos: forgeries must be format-valid for the operator they

@@ -10,7 +10,7 @@ package publicdns
 import (
 	"fmt"
 	"net/netip"
-	"regexp"
+	"slices"
 	"strings"
 
 	"github.com/dnswatch/dnsloc/internal/dnswire"
@@ -46,12 +46,20 @@ type LocationQuery struct {
 	Name dnswire.Name
 }
 
+// Query describes the wire query, with ID zero. CHAOS queries go
+// without RD, as dnswire.NewChaosTXTQuery sends them.
+func (lq LocationQuery) Query() dnswire.Query {
+	if lq.Kind == KindChaosTXT {
+		return dnswire.Query{Name: lq.Name, Type: dnswire.TypeTXT, Class: dnswire.ClassCHAOS}
+	}
+	return dnswire.Query{Name: lq.Name, Type: dnswire.TypeTXT, Class: dnswire.ClassINET, RD: true}
+}
+
 // Message builds the wire query with the given ID.
 func (lq LocationQuery) Message(id uint16) *dnswire.Message {
-	if lq.Kind == KindChaosTXT {
-		return dnswire.NewChaosTXTQuery(id, lq.Name)
-	}
-	return dnswire.NewQuery(id, lq.Name, dnswire.TypeTXT, dnswire.ClassINET)
+	q := lq.Query()
+	q.ID = id
+	return q.Message()
 }
 
 // Config is the static description of one operator.
@@ -154,11 +162,8 @@ func Lookup(id ID) *Config {
 // ByAddr finds the operator that owns a service address, if any.
 func ByAddr(a netip.Addr) (*Config, bool) {
 	for _, id := range All {
-		c := configs[id]
-		for _, s := range append(append([]netip.Addr{}, c.V4...), c.V6...) {
-			if s == a {
-				return c, true
-			}
+		if c := configs[id]; slices.Contains(c.V4, a) || slices.Contains(c.V6, a) {
+			return c, true
 		}
 	}
 	return nil, false
@@ -169,32 +174,54 @@ func (c *Config) InEgress(addr netip.Addr) bool {
 	return c.EgressPrefixV4.Contains(addr.Unmap()) || c.EgressPrefixV6.Contains(addr)
 }
 
-var (
-	iataRe    = regexp.MustCompile(`^[A-Z]{3}$`)
-	quad9Re   = regexp.MustCompile(`^res\d+\.[a-z]{3}\.rrdns\.pch\.net$`)
-	openDNSRe = regexp.MustCompile(`^server m\d+\.[a-z]{3}$`)
-)
-
 // ValidateLocationAnswer decides whether a location-query answer is the
 // operator's standard response (§3.1): each operator has a distinctive,
 // globally consistent format, verified with the operators themselves.
 // A response that fails validation means the query was answered by
-// someone else — interception.
+// someone else — interception. The formats are checked byte by byte:
+//
+//	Cloudflare  ^[A-Z]{3}$                            (IATA airport code)
+//	Google      an address inside the operator's egress space
+//	Quad9       ^res\d+\.[a-z]{3}\.rrdns\.pch\.net$
+//	OpenDNS     ^server m\d+\.[a-z]{3}$
 func (c *Config) ValidateLocationAnswer(answer string) bool {
 	answer = strings.TrimSpace(answer)
 	switch c.ID {
 	case Cloudflare:
-		return iataRe.MatchString(answer)
+		return len(answer) == 3 && allIn(answer, 'A', 'Z')
 	case Google:
 		a, err := netip.ParseAddr(answer)
 		return err == nil && c.InEgress(a)
 	case Quad9:
-		return quad9Re.MatchString(answer)
+		rest, ok := strings.CutPrefix(answer, "res")
+		return ok && siteSuffix(rest, ".rrdns.pch.net")
 	case OpenDNS:
-		return openDNSRe.MatchString(answer)
+		rest, ok := strings.CutPrefix(answer, "server m")
+		return ok && siteSuffix(rest, "")
 	default:
 		return false
 	}
+}
+
+// siteSuffix reports whether s is one or more digits, a dot, three
+// lowercase letters and then exactly tail.
+func siteSuffix(s, tail string) bool {
+	digits := 0
+	for digits < len(s) && '0' <= s[digits] && s[digits] <= '9' {
+		digits++
+	}
+	s = s[digits:]
+	return digits > 0 && len(s) == 4+len(tail) && s[0] == '.' && allIn(s[1:4], 'a', 'z') && s[4:] == tail
+}
+
+// allIn reports whether every byte of s lies in [lo, hi].
+func allIn(s string, lo, hi byte) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < lo || s[i] > hi {
+			return false
+		}
+	}
+	return true
 }
 
 // addrs parses a list of addresses.

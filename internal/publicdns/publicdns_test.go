@@ -102,6 +102,12 @@ func TestByAddr(t *testing.T) {
 	if _, ok := ByAddr(netip.MustParseAddr("192.0.2.1")); ok {
 		t.Error("ByAddr matched a non-operator address")
 	}
+	// The adversary calls it once per CHAOS query; a miss scans every
+	// address in place.
+	miss := netip.MustParseAddr("192.0.2.1")
+	if n := testing.AllocsPerRun(10, func() { ByAddr(miss) }); n != 0 {
+		t.Errorf("ByAddr allocates %.0f", n)
+	}
 }
 
 func TestSitesCoverRegionsWithDistinctEgress(t *testing.T) {

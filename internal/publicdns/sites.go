@@ -155,7 +155,7 @@ func (s Site) hook() func(dnswire.View, netip.AddrPort) []string {
 			return egress
 		}
 	case OpenDNS:
-		debug := []string{fmt.Sprintf("server m%d.%s", 80+s.Index, s.City), "flags 20 0 2F"}
+		debug := []string{s.debugLine(), "flags 20 0 2F"}
 		return func(q dnswire.View, src netip.AddrPort) []string {
 			if typ, _, _ := q.Question(); typ != dnswire.TypeTXT || !q.QuestionNameEqual("debug.opendns.com") {
 				return nil
@@ -165,6 +165,54 @@ func (s Site) hook() func(dnswire.View, netip.AddrPort) []string {
 	default:
 		return nil
 	}
+}
+
+// debugLine is the first line of the site's OpenDNS debug answer, the
+// one Table 1 shows.
+func (s Site) debugLine() string { return fmt.Sprintf("server m%d.%s", 80+s.Index, s.City) }
+
+// standardAnswers holds every site's standard answers, each keyed by
+// itself: its CHAOS persona, its OpenDNS debug line and its egress
+// addresses as text (Google's location answer and every operator's
+// whoami answer). It is built once and only ever read.
+var standardAnswers = func() map[string]string {
+	m := map[string]string{}
+	add := func(s string) {
+		if s != "" {
+			m[s] = s
+		}
+	}
+	for _, id := range All {
+		for _, s := range Sites(id) {
+			p := s.persona()
+			add(p.Identity)
+			add(p.Version)
+			if id == OpenDNS {
+				add(s.debugLine())
+			}
+			add(s.EgressV4.String())
+			add(s.EgressV6.String())
+		}
+	}
+	return m
+}()
+
+// Intern returns b as a string. A standard answer comes back as the
+// stored copy without allocating; only a non-standard one is copied.
+func Intern(b []byte) string {
+	if s, ok := standardAnswers[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// InternString is Intern for an answer already held as a string: a
+// standard answer is swapped for the stored copy.
+func InternString(s string) string {
+	if t, ok := standardAnswers[s]; ok {
+		return t
+	}
+	return s
 }
 
 // Build creates the site's router and resolver service, wired but not
