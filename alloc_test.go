@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	dnsloc "github.com/dnswatch/dnsloc"
+	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/homelab"
@@ -336,5 +337,32 @@ func TestDetectorRunAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { d.Run() })
 	if allocs > detectorRunAllocBudget {
 		t.Errorf("Detector.Run of a clean v4+v6 probe allocates %.1f/op, budget %d", allocs, detectorRunAllocBudget)
+	}
+}
+
+// platformMeasureAllocBudget bounds binding the platform's detector and
+// client to a probe and running it, on the same warm clean lab as
+// TestDetectorRunAllocBudget. The platform rebinds one detector and one
+// client per probe instead of allocating them (2 more allocations per
+// probe before), so measuring through it costs what Detector.Run alone
+// does: measured 2.
+const platformMeasureAllocBudget = detectorRunAllocBudget
+
+func TestPlatformMeasureAllocBudget(t *testing.T) {
+	lab := homelab.New(homelab.Clean)
+	platform := atlas.NewPlatform(lab.Net)
+	probe := &atlas.Probe{ID: 1, WANv4: lab.Home.WANv4, HasIPv6: true, Host: lab.Probe}
+	for i := 0; i < 50; i++ {
+		if r := platform.Detector(probe).Run(); r.Intercepted() || len(r.Location) != 16 {
+			t.Fatalf("clean probe report:\n%s", r)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() { platform.Detector(probe).Run() })
+	if allocs > platformMeasureAllocBudget {
+		t.Errorf("binding and running the platform's detector allocates %.1f/op, budget %d", allocs, platformMeasureAllocBudget)
+	}
+	probe.EncTransport = core.TransportDoTOpportunistic
+	if allocs := testing.AllocsPerRun(100, func() { platform.Detector(probe) }); allocs != 0 {
+		t.Errorf("binding the encrypted client allocates %.1f/op, want 0", allocs)
 	}
 }

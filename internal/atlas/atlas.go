@@ -9,7 +9,6 @@ package atlas
 import (
 	"math/rand"
 	"net/netip"
-	"sort"
 
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/netsim"
@@ -18,7 +17,7 @@ import (
 
 // Availability classifies a probe's platform reachability for the whole
 // measurement campaign.
-type Availability int
+type Availability uint8
 
 // Availability classes.
 const (
@@ -79,11 +78,55 @@ type Probe struct {
 	EncTransport core.TransportMode
 }
 
-// Platform is the probe fleet plus the availability model.
+// PartialRespondP is the per-experiment response probability of
+// Partial probes.
+const PartialRespondP = 0.75
+
+// Responds samples whether a probe of this availability answers one
+// experiment's measurement request. Only Partial probes draw from rng,
+// so a campaign's draws are deterministic given the seed and the order
+// the probes are sampled in.
+func (a Availability) Responds(rng *rand.Rand) bool {
+	switch a {
+	case Full:
+		return true
+	case Partial:
+		return rng.Float64() < PartialRespondP
+	default:
+		return false
+	}
+}
+
+// Member is one probe's entry in a sealed fleet: what a world reads
+// about the probe before it measures it. It holds no pointers, so a
+// fleet of any size is one block the garbage collector never scans.
+type Member struct {
+	// Segment is the probe's access segment, an index into its
+	// organization's segment layout, and Home is the probe's home
+	// number on that segment, from 1. Together they fix the home's
+	// addresses.
+	Segment uint16
+	Home    uint8
+
+	Availability Availability
+	HasIPv6      bool
+	// Encrypted marks a probe whose stub resolver upgraded its
+	// transport.
+	Encrypted bool
+	// Online is the probe's availability draw for the whole campaign:
+	// one bit per experiment it responded to, in the bit layout of the
+	// study that drew it.
+	Online uint8
+}
+
+// Platform is the probe fleet plus the detectors measurements run
+// from. It keeps one detector and one client of each transport and
+// rebinds them for every probe, so measuring a probe allocates neither.
 type Platform struct {
-	// PartialRespondP is the per-experiment response probability of
-	// Partial probes.
-	PartialRespondP float64
+	// Fleet is the sealed roster, one member per probe in ID order,
+	// shared read-only by every platform measuring it; nil for a
+	// platform whose probes are built by hand.
+	Fleet []Member
 
 	// Retry, when non-nil, is installed on every detector the platform
 	// builds — the study engine sets it when running against a faulted
@@ -108,105 +151,42 @@ type Platform struct {
 	// real stubs do. Nil upgrades every target.
 	EncryptedUpgrade func(netip.Addr) bool
 
-	probes []*Probe
-	rng    *rand.Rand
-	net    *netsim.Network
+	net *netsim.Network
+	det core.Detector
+	sim core.SimClient
+	enc core.EncryptedClient
 }
 
-// NewPlatform creates an empty platform over a network with a seeded
-// availability RNG.
-func NewPlatform(net *netsim.Network, seed int64) *Platform {
-	return &Platform{
-		PartialRespondP: 0.75,
-		rng:             rand.New(rand.NewSource(seed)),
-		net:             net,
-	}
-}
-
-// Add registers a probe.
-func (p *Platform) Add(probe *Probe) { p.probes = append(p.probes, probe) }
-
-// Probes returns the fleet sorted by ID.
-func (p *Platform) Probes() []*Probe {
-	out := append([]*Probe(nil), p.probes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// NewPlatform creates a platform over a network.
+func NewPlatform(net *netsim.Network) *Platform {
+	return &Platform{net: net}
 }
 
 // Len returns the fleet size.
-func (p *Platform) Len() int { return len(p.probes) }
+func (p *Platform) Len() int { return len(p.Fleet) }
 
-// Responds samples whether a probe answers one experiment's measurement
-// request. Deterministic given the platform seed and call order.
-func (p *Platform) Responds(probe *Probe) bool {
-	switch probe.Availability {
-	case Full:
-		return true
-	case Partial:
-		return p.rng.Float64() < p.PartialRespondP
-	default:
-		return false
-	}
-}
-
-// AvailabilityTable is a pre-drawn availability stream: for each probe
-// ID, the outcomes of its Responds calls in draw order.
-type AvailabilityTable map[int][]bool
-
-// PredrawResponses replays the campaign's whole availability stream
-// serially, in probe-ID order, before any measurement runs. draws tells
-// it how many Responds samples each probe consumes (zero to skip the
-// probe entirely, exactly as a serial campaign would).
-//
-// Because Responds is the platform RNG's only consumer, a table drawn
-// here is byte-identical to the stream an interleaved serial run would
-// have sampled — which is what lets a sharded engine run probes
-// concurrently yet reproduce the serial run's per-experiment totals:
-// every shard replays the same full stream over the same fleet roster
-// and reads off only its own probes' rows.
-func (p *Platform) PredrawResponses(draws func(*Probe) int) AvailabilityTable {
-	table := make(AvailabilityTable, len(p.probes))
-	for _, probe := range p.Probes() {
-		n := draws(probe)
-		if n == 0 {
-			continue
-		}
-		row := make([]bool, n)
-		for i := range row {
-			row[i] = p.Responds(probe)
-		}
-		table[probe.ID] = row
-	}
-	return table
-}
-
-// Client builds the detector transport for a probe: a plain SimClient
-// for Do53 probes, an EncryptedClient for transport-upgraded ones.
-func (p *Platform) Client(probe *Probe) core.Client {
-	sim := &core.SimClient{Net: p.net, Host: probe.Host}
-	if !probe.EncTransport.Encrypted() {
-		return sim
-	}
-	return &core.EncryptedClient{
-		Sim:     sim,
-		Mode:    probe.EncTransport,
-		Upgrade: p.EncryptedUpgrade,
-	}
-}
-
-// Detector builds a ready detector for a probe, configured with the
-// platform's metadata about it.
+// Detector binds the platform's detector to a probe, configured with
+// the platform's metadata about it, over the platform's SimClient for
+// a Do53 probe or its EncryptedClient for a transport-upgraded one.
+// Every field restarts, query IDs, the run's tally and the encrypted
+// sessions and counters included, so it measures as a new detector
+// would. The returned detector is valid until the next Detector call.
 func (p *Platform) Detector(probe *Probe) *core.Detector {
-	d := &core.Detector{
-		Client:      p.Client(probe),
+	p.sim = core.SimClient{Net: p.net, Host: probe.Host}
+	p.det = core.Detector{
+		Client:      &p.sim,
 		CPEPublicV4: probe.WANv4,
 		QueryV6:     probe.HasIPv6,
 		Retry:       p.Retry,
 		Metrics:     p.Metrics,
 		DriftRounds: p.DriftRounds,
 	}
-	if p.CertOracle != nil {
-		d.CertOracle = p.CertOracle(probe)
+	if probe.EncTransport.Encrypted() {
+		p.enc = core.EncryptedClient{Sim: &p.sim, Mode: probe.EncTransport, Upgrade: p.EncryptedUpgrade}
+		p.det.Client = &p.enc
 	}
-	return d
+	if p.CertOracle != nil {
+		p.det.CertOracle = p.CertOracle(probe)
+	}
+	return &p.det
 }

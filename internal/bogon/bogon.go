@@ -64,18 +64,47 @@ func Is(addr netip.Addr) bool {
 	return Match(addr) != nil
 }
 
-// Match returns the entry whose prefix contains addr, or nil.
+// Match returns the first entry of the table whose prefix contains
+// addr, or nil. It tests only the entries of addr's family whose
+// prefix can hold addr's first octet: at most three.
 func Match(addr netip.Addr) *Entry {
 	if addr.Is4In6() {
 		addr = addr.Unmap()
 	}
-	for i := range table {
-		if table[i].Prefix.Contains(addr) {
-			return &table[i]
+	if !addr.IsValid() {
+		return nil
+	}
+	family := 0
+	if addr.Is6() {
+		family = 1
+	}
+	for _, e := range byOctet[family][addr.AsSlice()[0]] {
+		if e.Prefix.Contains(addr) {
+			return e
 		}
 	}
 	return nil
 }
+
+// byOctet indexes the table by family (IPv4, IPv6) and first address
+// octet: each bucket lists, in table order, the entries whose prefix
+// can hold an address starting with that octet.
+var byOctet = func() (idx [2][256][]*Entry) {
+	for i := range table {
+		p := table[i].Prefix
+		family := 0
+		if p.Addr().Is6() {
+			family = 1
+		}
+		// A prefix shorter than 8 bits spans every octet that agrees
+		// with it in its first bits.
+		first := int(p.Addr().AsSlice()[0])
+		for o := first; o < first+1<<max(8-p.Bits(), 0); o++ {
+			idx[family][o] = append(idx[family][o], &table[i])
+		}
+	}
+	return idx
+}()
 
 // Table returns a copy of the full bogon list.
 func Table() []Entry {

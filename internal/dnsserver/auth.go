@@ -23,9 +23,6 @@ func NewAuthServer(zones ...*Zone) *AuthServer {
 	return s
 }
 
-// AddZone attaches another zone.
-func (s *AuthServer) AddZone(z *Zone) { s.zones = append(s.zones, z) }
-
 // bestZone picks the zone with the longest origin matching name.
 func (s *AuthServer) bestZone(name dnswire.Name) *Zone {
 	var best *Zone

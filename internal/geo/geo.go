@@ -196,23 +196,3 @@ func CountryByCode(code string) (Country, bool) {
 	}
 	return Country{}, false
 }
-
-// OrgByASN looks up an org.
-func OrgByASN(asn int) (Org, bool) {
-	for _, o := range orgs {
-		if o.ASN == asn {
-			return o, true
-		}
-	}
-	return Org{}, false
-}
-
-// TotalWeight sums all country weights; the population generator uses it
-// to normalize.
-func TotalWeight() int {
-	t := 0
-	for _, c := range countries {
-		t += c.Weight
-	}
-	return t
-}

@@ -100,7 +100,6 @@ type Network struct {
 	RefusingAddr6 netip.Addr
 
 	segments []*Segment
-	nextHome int
 }
 
 // Segment is one access aggregation segment. CPE default-route to it;
@@ -183,9 +182,17 @@ func (n *Network) ResolverAddrPort() netip.AddrPort {
 	return netip.AddrPortFrom(n.ResolverAddr, 53)
 }
 
-// AddSegment creates an access segment, optionally with a middlebox.
+// AddSegment creates the next access segment, optionally with a
+// middlebox, and keeps it in Segments.
 func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
-	idx := len(n.segments) + 1 // slice 0 is resolver infrastructure
+	seg := n.BindSegment(new(Segment), len(n.segments)+1, mb)
+	n.segments = append(n.segments, seg)
+	return seg
+}
+
+// segmentPrefixes is access segment idx's slice of the ISP's space.
+// Index 0 is resolver infrastructure; segments count from 1.
+func (n *Network) segmentPrefixes(idx int) (v4, v6 netip.Prefix) {
 	v4base, v6base, off := n.Config.PrefixV4, n.Config.PrefixV6, idx
 	if idx > 255 {
 		if n.Config.Overflow == nil {
@@ -195,13 +202,43 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 		v4base, v6base = n.Config.Overflow(idx / 256)
 		off = idx % 256 // overflow blocks have no infrastructure slice, so 0 is usable
 	}
-	seg := &Segment{
-		Index:     idx,
-		Router:    netsim.NewRouter(fmt.Sprintf("as%d-seg%d", n.Config.ASN, idx)),
-		Middlebox: mb,
-		PrefixV4:  slice24(v4base, off),
-		PrefixV6:  slice56(v6base, off),
+	return slice24(v4base, off), slice56(v6base, off)
+}
+
+// HomeAt returns the addressing of home number home (from 1) on access
+// segment idx: the home the segment's home-th AllocHome hands out. It
+// needs no built segment and records nothing. withV6 gives the home a
+// routed /64.
+func (n *Network) HomeAt(idx, home int, withV6 bool) HomeAddrs {
+	v4, v6 := n.segmentPrefixes(idx)
+	h := HomeAddrs{WANv4: hostInPrefix4(v4, 0, home), LANPrefix4: homeLAN4}
+	if withV6 && v6.IsValid() {
+		h.LANPrefix6 = slice64(v6, home)
+		// The CPE's notional WAN v6 is the /64's base address; hosts and
+		// the CPE LAN address are offsets above it.
+		h.WANv6 = h.LANPrefix6.Addr()
 	}
+	return h
+}
+
+// BindSegment makes seg access segment idx — the segment the idx-th
+// AddSegment makes, with the same prefixes and device names — and
+// routes its prefixes to it at the border. seg is a slot: a new
+// Segment, or one released with ReleaseSegment (by this network or
+// another), whose router and NAT storage are reused the way
+// cpe.Device.Rebind reuses a home's. The segment is not kept in
+// Segments.
+func (n *Network) BindSegment(seg *Segment, idx int, mb *MiddleboxSpec) *Segment {
+	v4, v6 := n.segmentPrefixes(idx)
+	r := seg.Router
+	var nat *netsim.NAT
+	if r == nil {
+		r = new(netsim.Router)
+	} else {
+		nat = r.NAT
+	}
+	r.Reset(fmt.Sprintf("as%d-seg%d", n.Config.ASN, idx))
+	*seg = Segment{Index: idx, Router: r, Middlebox: mb, PrefixV4: v4, PrefixV6: v6}
 	seg.Router.Delay = time.Millisecond
 	seg.Router.RouterID = hostInPrefix4(seg.PrefixV4, 0, 254)
 	seg.Router.AddDefaultRoute(n.Border)
@@ -210,7 +247,11 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 		n.Border.AddRoute(seg.PrefixV6, seg.Router)
 	}
 	if mb != nil {
-		seg.Router.NAT = netsim.NewNAT()
+		if nat == nil {
+			nat = new(netsim.NAT)
+		}
+		nat.Reset()
+		seg.Router.NAT = nat
 		for i, rule := range mb.Rules {
 			seg.Router.NAT.AddDNAT(n.dnatRule(seg, i, rule))
 		}
@@ -242,8 +283,16 @@ func (n *Network) AddSegment(mb *MiddleboxSpec) *Segment {
 			})
 		}
 	}
-	n.segments = append(n.segments, seg)
 	return seg
+}
+
+// ReleaseSegment undoes BindSegment: the border stops routing the
+// segment's prefixes, so nothing in the ISP refers to it any more.
+func (n *Network) ReleaseSegment(seg *Segment) {
+	n.Border.RemoveRoute(seg.PrefixV4)
+	if seg.PrefixV6.IsValid() {
+		n.Border.RemoveRoute(seg.PrefixV6)
+	}
 }
 
 // encryptedDNS matches DoT/DoH stream traffic.
@@ -297,6 +346,9 @@ func (n *Network) dnatRule(seg *Segment, idx int, rule MiddleboxRule) netsim.DNA
 	}
 }
 
+// homeLAN4 is every home's IPv4 LAN.
+var homeLAN4 = netip.MustParsePrefix("192.168.1.0/24")
+
 // HomeAddrs are the addresses allocated to one subscriber home.
 type HomeAddrs struct {
 	WANv4      netip.Addr
@@ -310,18 +362,7 @@ type HomeAddrs struct {
 // withV6 gives the home a routed /64.
 func (n *Network) AllocHome(seg *Segment, withV6 bool) HomeAddrs {
 	seg.homes++
-	n.nextHome++
-	h := HomeAddrs{
-		WANv4:      hostInPrefix4(seg.PrefixV4, 0, seg.homes),
-		LANPrefix4: netip.MustParsePrefix("192.168.1.0/24"),
-	}
-	if withV6 && seg.PrefixV6.IsValid() {
-		h.LANPrefix6 = slice64(seg.PrefixV6, seg.homes)
-		// The CPE's notional WAN v6 is the /64's base address; hosts and
-		// the CPE LAN address are offsets above it.
-		h.WANv6 = h.LANPrefix6.Addr()
-	}
-	return h
+	return n.HomeAt(seg.Index, seg.homes, withV6)
 }
 
 // AttachCPE wires a built CPE to a segment.

@@ -86,6 +86,70 @@ func TestAllocHomeDistinctAddresses(t *testing.T) {
 	}
 }
 
+// TestHomeAtMatchesAllocHome: a home's addresses are a pure function
+// of its segment and its number there, so HomeAt gives the addresses
+// the k-th AllocHome hands out, v4-only or not, with no segment built:
+// in the primary prefix and in an overflow block.
+func TestHomeAtMatchesAllocHome(t *testing.T) {
+	cfg := testConfig()
+	cfg.Overflow = func(block int) (netip.Prefix, netip.Prefix) {
+		return netip.MustParsePrefix("34.0.0.0/16"), netip.MustParsePrefix("2a0b:0:1::/48")
+	}
+	n := Build(cfg, netsim.NewRouter("uplink"))
+	for _, idx := range []int{1, 300} {
+		seg := n.BindSegment(new(Segment), idx, nil)
+		for k := 1; k <= 200; k++ {
+			withV6 := k%3 != 0
+			if got, want := n.HomeAt(idx, k, withV6), n.AllocHome(seg, withV6); got != want {
+				t.Fatalf("segment %d home %d: HomeAt = %+v, AllocHome = %+v", idx, k, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.HomeAt(300, 7, true) }); allocs != 0 {
+		t.Errorf("HomeAt: %v allocs, want 0", allocs)
+	}
+}
+
+// TestSegmentSlotRebinds: a segment slot released and bound again, in
+// this network or another, reuses its router (and its NAT between
+// middlebox segments) and is the segment AddSegment makes there: the
+// same name, prefixes and DNAT rules.
+func TestSegmentSlotRebinds(t *testing.T) {
+	a := Build(testConfig(), netsim.NewRouter("uplink"))
+	other := testConfig()
+	other.ASN, other.PrefixV4, other.PrefixV6 = 64501, netip.MustParsePrefix("35.0.0.0/16"), netip.Prefix{}
+	b := Build(other, netsim.NewRouter("uplink"))
+	mb := &MiddleboxSpec{Rules: []MiddleboxRule{{All: true}}, InterceptBogons: true}
+
+	var slot Segment
+	a.BindSegment(&slot, 2, mb)
+	router, nat := slot.Router, slot.Router.NAT
+	a.ReleaseSegment(&slot)
+	a.BindSegment(&slot, 3, mb)
+	if slot.Router.NAT != nat {
+		t.Error("rebinding a middlebox segment made a new NAT")
+	}
+	a.ReleaseSegment(&slot)
+	b.BindSegment(&slot, 1, nil)
+	if slot.Router.NAT != nil {
+		t.Error("a clean segment kept the previous segment's NAT")
+	}
+	b.ReleaseSegment(&slot)
+	a.BindSegment(&slot, 2, mb)
+	if slot.Router != router {
+		t.Error("rebinding the slot made a new router")
+	}
+	fresh := Build(testConfig(), netsim.NewRouter("uplink"))
+	fresh.AddSegment(nil)
+	want := fresh.AddSegment(mb)
+	if slot.Router.Name != want.Router.Name || slot.PrefixV4 != want.PrefixV4 || slot.PrefixV6 != want.PrefixV6 ||
+		len(slot.Router.NAT.DNATRules) != len(want.Router.NAT.DNATRules) {
+		t.Errorf("rebound slot %s %s %s with %d DNAT rules, AddSegment makes %s %s %s with %d",
+			slot.Router.Name, slot.PrefixV4, slot.PrefixV6, len(slot.Router.NAT.DNATRules),
+			want.Router.Name, want.PrefixV4, want.PrefixV6, len(want.Router.NAT.DNATRules))
+	}
+}
+
 func TestMiddleboxRuleCompilation(t *testing.T) {
 	n := Build(testConfig(), netsim.NewRouter("uplink"))
 	g := publicdns.Lookup(publicdns.Google)

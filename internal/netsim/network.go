@@ -95,12 +95,6 @@ func (c *Ctx) Emit(next Device, pkt *Packet) {
 	c.net.enqueue(next, pkt, c.net.now+c.net.delayFrom(c.dev))
 }
 
-// Loopback re-enqueues a packet at this same device, used after a DNAT
-// rewrite makes the device itself the destination.
-func (c *Ctx) Loopback(pkt *Packet) {
-	c.net.enqueue(c.dev, pkt, c.net.now)
-}
-
 // Drop discards the packet, recording why.
 func (c *Ctx) Drop(pkt *Packet, why string) {
 	c.net.trace(c.dev, TraceDrop, pkt, why)
@@ -306,7 +300,7 @@ var ErrEventBudget = errors.New("netsim: event budget exhausted (forwarding loop
 // Events are drained in batches sharing one timestamp: the clock
 // advances once per batch and the per-event work reduces to the
 // dispatch itself. Receives may enqueue new events at the same
-// timestamp (Loopback); those carry higher seqs than the whole batch,
+// timestamp (zero-delay hops); those carry higher seqs than the whole batch,
 // so processing them in the next batch preserves the (at, seq) total
 // order.
 func (n *Network) Run() (int, error) {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/bits"
 	"net/netip"
 	"slices"
 	"time"
@@ -148,44 +149,54 @@ type Router struct {
 	coreRoutes    []Route
 }
 
-// lookupCacheSlots is the per-family memo size: big enough for the
-// endpoints of one in-flight exchange (client, resolver, next hop,
-// ICMP source), small enough to scan in a few compares.
-const lookupCacheSlots = 4
+// lookupCacheSlots is the per-family memo size. A CPE forwards to more
+// distinct destinations per probe than one exchange's endpoints (four
+// operators' anycast addresses, the bogon target, the LAN host, the
+// ISP resolver, the probe's WAN), so the memo holds a probe's whole
+// working set with room for hash collisions.
+const lookupCacheSlots = 32
 
-// lookupCache is a tiny round-robin memo of lookupRoute results, keyed
-// by the destination's full-length routeKey (one cache per family, so
-// keys never collide across families). A hit may carry a nil route —
-// "no route" is as cacheable as a match.
+// lookupCache is a direct-mapped memo of lookupRoute results, keyed by
+// the destination's full-length routeKey (one cache per family, so keys
+// never collide across families). Each destination has one slot, picked
+// by a hash of its key, so a lookup compares at most one key. A hit may
+// carry a nil route — "no route" is as cacheable as a match.
 type lookupCache struct {
-	dst  [lookupCacheSlots]routeKey
-	rt   [lookupCacheSlots]*Route
-	ok   [lookupCacheSlots]bool
-	next int
+	dst   [lookupCacheSlots]routeKey
+	rt    [lookupCacheSlots]*Route
+	valid uint32 // bit i: slot i holds a memoized lookup
+}
+
+// lookupSlot is d's slot: the top five bits (lookupCacheSlots is 32)
+// of a multiplicative hash of the key's two halves. IPv4 keys differ
+// only in the low half.
+func lookupSlot(d routeKey) int {
+	return int(((d.hi ^ d.lo) * 0x9e3779b97f4a7c15) >> (64 - 5))
 }
 
 func (c *lookupCache) get(d routeKey) (*Route, bool) {
-	for i := range c.dst {
-		if c.ok[i] && c.dst[i] == d {
-			return c.rt[i], true
-		}
+	i := lookupSlot(d)
+	if c.valid&(1<<i) != 0 && c.dst[i] == d {
+		return c.rt[i], true
 	}
 	return nil, false
 }
 
 func (c *lookupCache) put(d routeKey, rt *Route) {
-	i := c.next
-	c.dst[i], c.rt[i], c.ok[i] = d, rt, true
-	c.next = (i + 1) % lookupCacheSlots
+	i := lookupSlot(d)
+	c.dst[i], c.rt[i] = d, rt
+	c.valid |= 1 << i
 }
 
 // invalidate forgets every memoized destination inside the prefix with
-// masked key k and length bits (in the key's 128-bit space): only
+// masked key k and length plen (in the key's 128-bit space): only
 // those lookups can resolve differently once its route comes or goes.
-func (c *lookupCache) invalidate(k routeKey, bits int) {
-	for i := range c.dst {
-		if c.ok[i] && c.dst[i].mask(bits) == k {
-			c.ok[i], c.rt[i] = false, nil
+func (c *lookupCache) invalidate(k routeKey, plen int) {
+	for v := c.valid; v != 0; v &= v - 1 {
+		i := bits.TrailingZeros32(v)
+		if c.dst[i].mask(plen) == k {
+			c.valid &^= 1 << i
+			c.rt[i] = nil
 		}
 	}
 }

@@ -37,9 +37,6 @@ var regionCity = map[Region]string{
 	RegionAF: "jnb",
 }
 
-// CityOf returns the airport code of a region's site.
-func CityOf(r Region) string { return regionCity[r] }
-
 // RegionForCountry maps a country code to its region. Unknown countries
 // land in Europe, the platform's center of mass.
 func RegionForCountry(cc string) Region {

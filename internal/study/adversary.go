@@ -71,12 +71,17 @@ func (o certOracle) Identity(id publicdns.ID, _ netip.Addr) (string, bool) {
 	return publicdns.IdentityOverTLS(id, o.region)
 }
 
-// installSignals wires the spec's detection-signal options into the
-// platform the detectors are built from.
-func (w *World) installSignals() {
-	w.Platform.DriftRounds = w.Spec.DriftRounds
+// newPlatform is the world's measurement platform over fleet: the
+// spec's retry policy, the world's metric handles and the spec's
+// detection-signal options, installed on every detector it binds.
+func (w *World) newPlatform(fleet []atlas.Member) *atlas.Platform {
+	p := atlas.NewPlatform(w.Net)
+	p.Fleet = fleet
+	p.Retry = w.Spec.Retry
+	p.Metrics = core.NewMetricSet(w.Metrics)
+	p.DriftRounds = w.Spec.DriftRounds
 	if w.Spec.CertCheck {
-		w.Platform.CertOracle = func(pr *atlas.Probe) core.CertOracle {
+		p.CertOracle = func(pr *atlas.Probe) core.CertOracle {
 			return certOracle{region: pr.Region}
 		}
 	}
@@ -84,9 +89,10 @@ func (w *World) installSignals() {
 		// Upgraded stubs encrypt only toward the public operators' known
 		// anycast addresses; the CPE version.bind step and the bogon
 		// probes stay Do53, like a real stub with a DoT upstream.
-		w.Platform.EncryptedUpgrade = func(a netip.Addr) bool {
+		p.EncryptedUpgrade = func(a netip.Addr) bool {
 			_, ok := publicdns.ByAddr(a)
 			return ok
 		}
 	}
+	return p
 }

@@ -37,7 +37,7 @@ type ExampleRow struct {
 func ExampleScenario() []ExampleRow {
 	net := netsim.NewNetwork()
 	bb := backbone.Build(net)
-	platform := atlas.NewPlatform(net, 1)
+	platform := atlas.NewPlatform(net)
 
 	// Probe 11992's ISP: middlebox interception to a resolver that
 	// answers location queries with NOTIMP-shaped identities. 11992's
@@ -65,13 +65,11 @@ func ExampleScenario() []ExampleRow {
 		home := n.AllocHome(seg, false)
 		d := cpe.Build(s.CPE("cpe", n, home, dnsserver.EncPass, nil))
 		n.AttachCPE(seg, d, home)
-		p := &atlas.Probe{
+		return &atlas.Probe{
 			ID: id, WANv4: home.WANv4,
 			Host:         d.AttachHost("probe", 0),
 			Availability: atlas.Full,
 		}
-		platform.Add(p)
-		return p
 	}
 
 	p1053 := build(isp2, seg2, 1053, nil)

@@ -2,9 +2,11 @@ package study
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
+	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/netsim"
@@ -12,12 +14,13 @@ import (
 
 // A probe's home — its CPE router with NAT, DNAT and forwarder, and
 // the LAN host the detector runs on — lives exactly as long as the
-// probe's measurement. Population only registers a metadata stub and,
-// for an owned probe, a pendingHome; the sweep binds the home right
-// before measuring the probe and releases it once the record is
-// yielded. A world therefore holds one live home, not one per owned
-// probe, and it keeps a single cpe.Device, its home slot, that every
-// probe's home is rebound into.
+// probe's measurement. Population builds no probe: the template's
+// fleet and plan say where every probe's home is, the sweep
+// materializes an owned probe's *atlas.Probe when it yields the
+// probe's record, binds the home right before measuring the probe and
+// releases it once the record is yielded. A world therefore holds one
+// live home, not one per owned probe, and it keeps a single
+// cpe.Device, its home slot, that every probe's home is rebound into.
 //
 // Rebinding is safe because a home carries no state between
 // measurements that the output depends on: Host.Exchange drains the
@@ -29,48 +32,91 @@ import (
 // RNG. Device names stay per probe (cpe-<id>, probe-<id>) because the
 // fault plane keys its per-device profiles and flow seeds by name.
 
-// pendingHome is what an owned probe's home is bound from: its plan
-// entry, the segment it attaches to, and the addresses population
-// allocated for it.
-type pendingHome struct {
+// homeRef locates an owned probe's home: its plan and index in it, its
+// fleet member and its addresses.
+type homeRef struct {
 	plan  *orgPlan
-	idx   int // index into plan.probes; the probe ID is plan.startID+idx
-	seg   *isp.Segment
+	idx   int // the probe's position in its org: its ID is plan.startID+idx
+	m     atlas.Member
 	addrs isp.HomeAddrs
 }
 
-// pendingFor returns an owned probe's pending home. Owned probes are
-// registered in ID order, which is shard-rank order, so the entry's
-// index is the probe's shard rank.
-func (w *World) pendingFor(id int) *pendingHome {
-	i := w.Spec.shardRank(id)
-	if i < 0 || i >= len(w.homes) || w.homes[i].plan.startID+w.homes[i].idx != id {
-		panic(fmt.Sprintf("study: probe %d has no pending home in this world", id))
+// homeOf locates an owned probe's home. The addresses are those the
+// serial build's AllocHome handed out, computed from the member's home
+// number: the fault plane hashes client addresses into its drop
+// decisions, so an address that moved with the shard layout would
+// break byte-identical faulted runs.
+func (w *World) homeOf(id int) homeRef {
+	if !w.Spec.owns(id) || id < firstProbeID || id >= firstProbeID+w.Platform.Len() {
+		panic(fmt.Sprintf("study: probe %d has no home in this world", id))
 	}
-	return &w.homes[i]
+	i := sort.Search(len(w.plans), func(i int) bool { return w.plans[i].startID > id }) - 1
+	h := homeRef{plan: &w.plans[i], idx: id - w.plans[i].startID, m: w.Platform.Fleet[id-firstProbeID]}
+	// The plan counts segments from 0, the ISP from 1.
+	h.addrs = w.ISPs[h.plan.org.ASN].HomeAt(int(h.m.Segment)+1, int(h.m.Home), h.m.HasIPv6)
+	return h
+}
+
+// segmentFor binds the plan's segment si into the world's segment
+// slot, releasing the segment bound there before. A segment's probes
+// are contiguous in ID order, so a sweep binds each segment it measures
+// once, before any packet has crossed it, as the serial build left it.
+func (w *World) segmentFor(plan *orgPlan, si int) *isp.Segment {
+	if w.segPlan == plan && w.segIndex == si {
+		return &w.seg
+	}
+	if w.segPlan != nil {
+		w.ISPs[w.segPlan.org.ASN].ReleaseSegment(&w.seg)
+	}
+	w.ISPs[plan.org.ASN].BindSegment(&w.seg, si+1, plan.segSpecs[si].Middlebox(w.Spec.encPolicy()))
+	w.segPlan, w.segIndex = plan, si
+	return &w.seg
+}
+
+// probe materializes an owned probe's platform record from its plan
+// and fleet member. Its Host is nil until buildHome binds its home.
+func (w *World) probe(id int) *atlas.Probe {
+	h := w.homeOf(id)
+	org := h.plan.org
+	enc := core.TransportDo53
+	if h.m.Encrypted {
+		enc = w.Spec.Encryption.Transport
+	}
+	return &atlas.Probe{
+		ID:           id,
+		Country:      org.Country,
+		ASN:          org.ASN,
+		Org:          org.Name,
+		Region:       h.plan.region,
+		HasIPv6:      h.m.HasIPv6,
+		WANv4:        h.addrs.WANv4,
+		Availability: h.m.Availability,
+		Truth:        truthFor(h.plan.seat(h.idx), w.ISPs[org.ASN]),
+		EncTransport: enc,
+	}
 }
 
 // buildHome binds an owned probe's home into the world's home slot,
 // attaches it and points probe.Host at its LAN host. The home is a pure
-// function of the pending entry and world-shared objects (forwarder
-// metrics, the regional adversaries), so a home bound again after the
-// sweep is the same home the probe was measured from. The slot holds
-// one home: binding a second before the first is released panics.
+// function of the template's plan and fleet and of world-shared objects
+// (forwarder metrics, the regional adversaries), so a home bound again
+// after the sweep is the same home the probe was measured from. The
+// slot holds one home: binding a second before the first is released
+// panics.
 func (w *World) buildHome(probe *atlas.Probe) {
 	if w.homesLive != 0 {
 		panic(fmt.Sprintf("study: home of probe %d bound while another home is live", probe.ID))
 	}
-	ph := w.pendingFor(probe.ID)
-	plan := ph.plan
-	network := w.ISPs[plan.org.ASN]
-	cfg := plan.probes[ph.idx].seat.CPE(deviceName("cpe-", probe.ID), network, ph.addrs,
-		w.Spec.encPolicy(), w.adversaryFor(plan.region))
+	h := w.homeOf(probe.ID)
+	network := w.ISPs[h.plan.org.ASN]
+	cfg := h.plan.seat(h.idx).CPE(deviceName("cpe-", probe.ID), network, h.addrs,
+		w.Spec.encPolicy(), w.adversaryFor(h.plan.region))
 	cfg.Metrics = w.fwdMetrics
 	if w.home == nil {
 		w.home = new(cpe.Device)
 	}
 	w.home.Rebind(cfg)
-	network.AttachCPE(ph.seg, w.home, ph.addrs)
+	network.AttachCPE(w.segmentFor(h.plan, int(h.m.Segment)), w.home, h.addrs)
 	probe.Host = w.home.AttachHost(deviceName("probe-", probe.ID), 0)
 	w.homesLive++
 	w.studyMetrics.noteHomeBuilt(w.homesLive)
@@ -83,11 +129,11 @@ func deviceName(prefix string, id int) string {
 	return string(strconv.AppendInt(append(b[:0], prefix...), int64(id), 10))
 }
 
-// releaseHome detaches a live home from its segment, leaving the probe
-// a stub again and the home slot free for the next probe.
+// releaseHome detaches a live home from its segment, leaving the
+// home slot free for the next probe.
 func (w *World) releaseHome(probe *atlas.Probe) {
-	ph := w.pendingFor(probe.ID)
-	w.ISPs[ph.plan.org.ASN].DetachCPE(ph.seg, ph.addrs)
+	h := w.homeOf(probe.ID)
+	w.ISPs[h.plan.org.ASN].DetachCPE(&w.seg, h.addrs)
 	probe.Host = nil
 	w.homesLive--
 }

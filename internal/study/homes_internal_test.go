@@ -70,12 +70,8 @@ func TestRecycledHomeMatchesFresh(t *testing.T) {
 			}
 
 			fresh := BuildWorld(c.spec)
-			byID := map[int]*atlas.Probe{}
-			for _, p := range fresh.Platform.Probes() {
-				byID[p.ID] = p
-			}
 			for _, rec := range records {
-				probe := byID[rec.Probe.ID]
+				probe := fresh.probe(rec.Probe.ID)
 				fresh.home = nil // cpe.Build's path: a new Device
 				fresh.buildHome(probe)
 				report, errMsg := measure(fresh, probe)
@@ -92,12 +88,92 @@ func TestRecycledHomeMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRecycledDetectorMatchesFresh is the platform's differential:
+// every probe a sweep measures through the world's one rebound detector
+// and client is measured again, in a second world built from the same
+// spec, through a platform made new for that probe. Query IDs, the
+// run's tally, the encrypted client's sessions and every config field
+// must restart per probe; one that leaks from the previous probe shows
+// up as a differing record (under faults, a different query ID even
+// changes which packets drop). The spec's ClientWrapper still sees each
+// probe's own client.
+func TestRecycledDetectorMatchesFresh(t *testing.T) {
+	faulted := PaperSpec().Scale(0.02)
+	fp := netsim.PresetFault(0.5, faulted.Seed+9000)
+	faulted.Fault = &fp
+	faulted.Retry = &core.RetryPolicy{MaxAttempts: 3}
+
+	hardened := PaperSpec().Scale(0.02)
+	hardened.Adversary = 2
+	hardened.CertCheck = true
+	hardened.DriftRounds = 1
+	hardened.Encryption = &Encryption{
+		Adoption:  0.5,
+		Transport: core.TransportDoTOpportunistic,
+		Policy:    dnsserver.EncTerminate,
+	}
+
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{{"faulted", faulted}, {"adversary-L2-terminate", hardened}} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := c.spec
+			sims := map[*core.SimClient]bool{}
+			wrapped := 0
+			spec.ClientWrapper = func(cl core.Client, probe *atlas.Probe) core.Client {
+				wrapped++
+				sim, ok := cl.(*core.SimClient)
+				if enc, isEnc := cl.(*core.EncryptedClient); isEnc {
+					sim, ok = enc.Sim, true
+				}
+				if !ok || sim.Host != probe.Host || probe.Host == nil {
+					t.Fatalf("probe %d: wrapper got %#v, not a client on the probe's host", probe.ID, cl)
+				}
+				sims[sim] = true
+				return cl
+			}
+			slotted := BuildWorld(spec)
+			var records []*ProbeRecord
+			streamRecords(slotted, 0, func(rec *ProbeRecord) bool {
+				if rec.Report != nil || rec.Err != "" {
+					records = append(records, rec)
+				}
+				return true
+			})
+			if len(records) == 0 || wrapped != len(records) {
+				t.Fatalf("%d probes measured, the wrapper saw %d", len(records), wrapped)
+			}
+			if len(sims) != 1 {
+				t.Fatalf("the sweep measured through %d SimClients, want the platform's one", len(sims))
+			}
+
+			spec.ClientWrapper = nil
+			fresh := BuildWorld(spec)
+			for _, rec := range records {
+				probe := fresh.probe(rec.Probe.ID)
+				fresh.Platform = fresh.newPlatform(fresh.Platform.Fleet)
+				fresh.buildHome(probe)
+				report, errMsg := measure(fresh, probe)
+				fresh.releaseHome(probe)
+				if errMsg != rec.Err {
+					t.Fatalf("probe %d: fresh platform err %q, rebound err %q", probe.ID, errMsg, rec.Err)
+				}
+				if !reflect.DeepEqual(report, rec.Report) {
+					t.Fatalf("probe %d: the rebound detector's record differs from a fresh one's\nrebound: %s\nfresh:   %s",
+						probe.ID, rec.Report, report)
+				}
+			}
+		})
+	}
+}
+
 // TestRecycledHomeForgetsForwarderCache shows a rebind empties the CPE
 // forwarder's answer cache: an answer probe N's forwarder cached is not
 // served when probe N+1 asks the same question from the same slot.
 func TestRecycledHomeForgetsForwarderCache(t *testing.T) {
 	w := BuildWorld(PaperSpec().Scale(0.01))
-	probes := w.Platform.Probes()
+	probes := ownedProbes(w)
 	query := func(probe *atlas.Probe, id uint16) {
 		t.Helper()
 		client := &core.SimClient{Net: w.Net, Host: probe.Host}
@@ -141,7 +217,7 @@ const homeRebindAllocBudget = 4
 // probe of a scale-0.1 world.
 func TestHomeRebindAllocBudget(t *testing.T) {
 	w := BuildWorld(PaperSpec().Scale(0.1))
-	probes := w.Platform.Probes()
+	probes := ownedProbes(w)
 	// AllocsPerRun's warm-up call binds every home once first.
 	allocs := testing.AllocsPerRun(1, func() {
 		for _, p := range probes {
@@ -153,4 +229,14 @@ func TestHomeRebindAllocBudget(t *testing.T) {
 	if allocs > homeRebindAllocBudget {
 		t.Errorf("rebind+release allocates %.2f/probe, budget %d", allocs, homeRebindAllocBudget)
 	}
+}
+
+// ownedProbes materializes every probe the world owns, in ID order.
+func ownedProbes(w *World) []*atlas.Probe {
+	first, step, n := w.Spec.ownedIDs(w.Platform.Len())
+	probes := make([]*atlas.Probe, n)
+	for i := range probes {
+		probes[i] = w.probe(first + i*step)
+	}
+	return probes
 }

@@ -27,13 +27,13 @@ func (r *Results) MetricsSnapshot(includeDiagnostic bool) *Snapshot {
 // they measure the host machine, and as max-gauges they record the
 // slowest shard).
 type studyMetrics struct {
-	probes       *metrics.Counter // records produced (stubs excluded)
+	probes       *metrics.Counter // records produced
 	measured     *metrics.Counter // probes whose detector ran
 	unresponsive *metrics.Counter // dead or offline for every experiment
 	quarantined  *metrics.Counter // measurements that panicked, contained
 
 	phaseBuildMs   *metrics.Gauge // world construction, slowest shard
-	phasePredrawMs *metrics.Gauge // availability pre-draw, slowest shard
+	phasePredrawMs *metrics.Gauge // the template's availability draw
 	phaseMeasureMs *metrics.Gauge // detection sweep, slowest shard
 	throughput     *metrics.Gauge // probes/second, fastest shard
 

@@ -112,25 +112,10 @@ func Run(w *World) *Results {
 	return &Results{World: w, Records: runRecords(w), Metrics: w.Metrics}
 }
 
-// availabilityDraws is how many Responds samples one probe consumes in
-// the campaign: one per v4 experiment, plus one per v6 experiment when
-// the probe has routed IPv6. Dead probes are skipped before sampling.
-func availabilityDraws(probe *atlas.Probe) int {
-	if probe.Availability == atlas.Dead {
-		return 0
-	}
-	n := len(publicdns.All)
-	if probe.HasIPv6 {
-		n *= 2
-	}
-	return n
-}
-
-// runRecords pre-draws the availability stream for the whole fleet, then
-// runs the detector from every responding probe the world owns.
-// In a shard-filtered world the stream still covers every probe (stubs
-// included), so the Responded outcomes match the unsharded build; only
-// the shard's own probes produce records.
+// runRecords runs the detector from every responding probe the world
+// owns and keeps every record. The availability outcomes come from the
+// template's fleet, drawn once over every probe, so the Responded sets
+// match the unsharded build whichever probes the world owns.
 func runRecords(w *World) []*ProbeRecord {
 	var records []*ProbeRecord
 	streamRecords(w, 0, func(rec *ProbeRecord) bool {
@@ -158,49 +143,19 @@ func runRecords(w *World) []*ProbeRecord {
 // content, and resolver cache warmth only moves Diagnostic RTTs.
 func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	sm := w.studyMetrics
-	predrawStart := time.Now()
-	table := w.Platform.PredrawResponses(availabilityDraws)
-	sm.observePredraw(time.Since(predrawStart))
 	measureStart := time.Now()
-	produced := 0
-	for _, probe := range w.Platform.Probes() {
-		if !w.Spec.owns(probe.ID) {
-			continue // foreign stub: its own shard records it
-		}
-		if produced < skip {
-			produced++
-			continue // checkpointed prefix: already folded and counted
-		}
-		produced++
+	first, step, owned := w.Spec.ownedIDs(w.Platform.Len())
+	// The checkpointed prefix is the first skip owned probes: already
+	// folded and counted, so the walk starts after it.
+	for rank := skip; rank < owned; rank++ {
+		id := first + rank*step
+		probe := w.probe(id)
 		rec := &ProbeRecord{Probe: probe, Net: w.Net, world: w}
 		sm.noteRecord()
-		if probe.Availability == atlas.Dead {
-			sm.noteUnresponsive()
-			if !yield(rec) {
-				return
-			}
-			continue
-		}
-		// Per-experiment availability, replayed in the serial draw order:
-		// v4 then (if routed) v6, per operator.
-		draws := table[probe.ID]
-		online := false
-		j := 0
-		for i := range publicdns.All {
-			if draws[j] {
-				rec.Responded |= expBit(i, core.V4)
-				online = true
-			}
-			j++
-			if probe.HasIPv6 {
-				if draws[j] {
-					rec.Responded |= expBit(i, core.V6)
-					online = true
-				}
-				j++
-			}
-		}
-		if !online {
+		// The experiments the probe was online for, drawn with the
+		// template: none for a dead probe.
+		rec.Responded = ExpSet(w.Platform.Fleet[id-firstProbeID].Online)
+		if rec.Responded == 0 {
 			sm.noteUnresponsive()
 			if !yield(rec) {
 				return
@@ -219,7 +174,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 			return
 		}
 	}
-	sm.observeMeasure(time.Since(measureStart), produced-skip)
+	sm.observeMeasure(time.Since(measureStart), max(owned-skip, 0))
 }
 
 // measure runs the detector for one probe, containing any panic: a

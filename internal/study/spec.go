@@ -50,10 +50,9 @@ type Spec struct {
 
 	// ShardIndex/ShardCount select a shard-filtered build: the world is
 	// dealt exactly as the unsharded build (same quotas, same seat
-	// dealing, same RNG streams), but only the homes of probes owned by
-	// shard ShardIndex are instantiated; every other probe becomes a
-	// metadata-only stub that keeps the RNG streams aligned. ShardCount
-	// <= 1 means unsharded. Set via Shard.
+	// dealing, same RNG streams, one shared fleet), but it measures only
+	// the probes owned by shard ShardIndex and touches no other probe.
+	// ShardCount <= 1 means unsharded. Set via Shard.
 	ShardIndex, ShardCount int
 
 	// Availability model (see atlas.Availability).
@@ -327,26 +326,14 @@ func (s Spec) shardResidue() int {
 	return ((s.ShardIndex-firstProbeID)%K + K) % K
 }
 
-// shardRank is an owned probe ID's zero-based position in the shard's
-// owned sequence. With one shard it is simply the ID's offset from
-// firstProbeID.
-func (s Spec) shardRank(probeID int) int {
+// ownedIDs lays out the shard's probes among a fleet of n: IDs first,
+// first+step, …, count of them, in shard-rank order.
+func (s Spec) ownedIDs(n int) (first, step, count int) {
 	if s.ShardCount <= 1 {
-		return probeID - firstProbeID
+		return firstProbeID, 1, n
 	}
-	return (probeID - firstProbeID - s.shardResidue()) / s.ShardCount
-}
-
-// shardOwnedCount is how many of TotalProbes this shard owns.
-func (s Spec) shardOwnedCount() int {
-	if s.ShardCount <= 1 {
-		return s.TotalProbes
-	}
-	n := s.TotalProbes - s.shardResidue()
-	if n <= 0 {
-		return 0
-	}
-	return (n + s.ShardCount - 1) / s.ShardCount
+	r := s.shardResidue()
+	return firstProbeID + r, s.ShardCount, max(n-r+s.ShardCount-1, 0) / s.ShardCount
 }
 
 // TotalSeats sums the quota table.

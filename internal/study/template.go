@@ -5,7 +5,6 @@ import (
 
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/backbone"
-	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/geo"
 	"github.com/dnswatch/dnsloc/internal/isp"
@@ -16,29 +15,32 @@ import (
 
 // WorldTemplate holds everything about a study world that does not
 // depend on which shard is being built: the signed backbone zones, the
-// organization roster, the probe quota table, and the dealt seats. All
-// of it is immutable once NewWorldTemplate returns — zones are
-// read-only after Sign, and seats are only written during dealing — so
-// one template can back every shard world of a sharded run, built
-// concurrently from separate goroutines.
+// organization roster, the population plan over the dealt seats, and
+// the probe fleet. All of it is immutable once NewWorldTemplate
+// returns — zones are read-only after Sign, and seats are only written
+// during dealing — so one template can back every shard world of a
+// sharded run, built concurrently from separate goroutines.
 //
 // The expensive parts this amortizes are the three DNSSEC key
 // generations and zone signings (the dominant cost of a backbone
-// build) and the seat dealing; each shard still builds its own routers
-// and resolvers, and each measurement its own home, because those carry
-// per-world mutable state.
+// build), the seat dealing and the availability draw; each shard still
+// builds its own routers and resolvers, and each measurement its own
+// home, because those carry per-world mutable state.
 type WorldTemplate struct {
-	spec         Spec
-	zones        *backbone.ZoneData
-	orgs         []geo.Org
-	probesPerOrg map[int]int
-	seats        map[int][]*isp.Seat
+	spec  Spec
+	zones *backbone.ZoneData
+	orgs  []geo.Org
 
-	// plans is the frozen population plan: per org, the segment layout,
-	// seat placement, and every Seed+1 RNG draw the serial build would
-	// make, in order. Worlds replay it instead of drawing, and bind
-	// homes from it when their probes are measured.
+	// plans is the frozen population plan: per org, the segment layout
+	// and the seat probes. fleet, indexed by ID − firstProbeID, holds
+	// every probe's own decisions — its segment and home number, the
+	// Seed+1 draws (v6, availability class), its transport adoption and
+	// its Seed-stream availability draw — one pointer-free member per
+	// probe. Worlds read both and draw nothing.
 	plans []orgPlan
+	fleet []atlas.Member
+	// drawTime is how long the availability draw took.
+	drawTime time.Duration
 
 	// cores shares the backbone core and regional transit routers'
 	// forwarding tables across every world built from this template: the
@@ -55,14 +57,21 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 	orgs := geo.Orgs() // descending weight, deterministic
 	probesPerOrg := probeQuota(spec.TotalProbes, orgs)
 	seats := dealSeats(spec, orgs, probesPerOrg)
+	plans, members := planOrgs(spec, orgs, probesPerOrg, seats)
+	// Transport adoption is a pure (seed, ID) hash.
+	for i := range members {
+		members[i].Encrypted = spec.adopts(firstProbeID + i)
+	}
+	drawStart := time.Now()
+	drawOnline(spec.Seed, members)
 	return &WorldTemplate{
-		spec:         spec,
-		zones:        backbone.BuildZones(),
-		orgs:         orgs,
-		probesPerOrg: probesPerOrg,
-		seats:        seats,
-		plans:        planOrgs(spec, orgs, probesPerOrg, seats),
-		cores:        netsim.NewCoreSet(),
+		spec:     spec,
+		zones:    backbone.BuildZones(),
+		orgs:     orgs,
+		plans:    plans,
+		fleet:    members,
+		drawTime: time.Since(drawStart),
+		cores:    netsim.NewCoreSet(),
 	}
 }
 
@@ -95,10 +104,8 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 		w.fwdMetrics = dnsserver.NewForwarderMetrics(w.Metrics)
 		w.studyMetrics = newStudyMetrics(w.Metrics)
 	}
-	w.Platform = atlas.NewPlatform(w.Net, spec.Seed)
-	w.Platform.Retry = spec.Retry
-	w.Platform.Metrics = core.NewMetricSet(w.Metrics)
-	w.installSignals()
+	w.Platform = w.newPlatform(t.fleet)
+	w.studyMetrics.observePredraw(t.drawTime)
 	w.buildAdversaries()
 
 	w.buildISPs(t.orgs, t.plans)

@@ -44,14 +44,20 @@ type World struct {
 	// map is mutable measurement state.
 	advByRegion map[publicdns.Region]*dnsserver.Adversary
 
-	// homes holds one pending home per owned probe, in probe-ID order:
-	// what buildHome needs to bind the probe's CPE, NAT and LAN host
-	// right before it is measured. home is the slot every probe's home
-	// is rebound into, and homesLive counts the homes currently
-	// attached, 0 or 1 (see homes.go).
-	homes     []pendingHome
+	// plans is the template's population plan, read-only. With the
+	// platform's fleet it locates any owned probe's home (see homes.go).
+	// home is the slot every probe's home is rebound into, and
+	// homesLive counts the homes currently attached, 0 or 1.
+	plans     []orgPlan
 	home      *cpe.Device
 	homesLive int
+
+	// seg is the world's segment slot: the one access segment bound
+	// into the world, segment segIndex of segPlan, or none while
+	// segPlan is nil (see segmentFor).
+	seg      isp.Segment
+	segPlan  *orgPlan
+	segIndex int
 }
 
 // ispResolverPersonas rotate across ISPs for variety in intercepted
@@ -338,21 +344,10 @@ func dealSeats(spec Spec, orgs []geo.Org, probesPerOrg map[int]int) map[int][]*i
 	return out
 }
 
-// plannedProbe is one probe's shard-invariant build decisions: its
-// seat, which of the org's segments it lives on, and the RNG draws
-// (v6, availability) that the serial build made from the Seed+1
-// stream. Capturing the draws at plan time means no RNG call happens
-// during population at all, so every shard world replays the same
-// draws, whatever part of the fleet it owns.
-type plannedProbe struct {
-	seat     *isp.Seat
-	segIndex int // index into the org plan's segSpecs
-	hasV6    bool
-	avail    atlas.Availability
-}
-
-// orgPlan is one organization's complete population plan, computed
-// once per template and replayed read-only by every shard world.
+// orgPlan is one organization's population plan, computed once per
+// template and replayed read-only by every shard world. Its probes'
+// per-probe decisions live in the template's fleet, as members
+// startID, startID+1, ….
 type orgPlan struct {
 	org     geo.Org
 	region  publicdns.Region
@@ -361,54 +356,76 @@ type orgPlan struct {
 	// order; each entry is the seat whose interception config the
 	// segment's middlebox compiles from, nil for a clean segment.
 	segSpecs []*isp.Seat
-	probes   []plannedProbe
+	// seats holds the seat of each seat probe in plan order. Seat
+	// probes come first, so probe startID+i has seat seats[i] when i is
+	// in range and is a clean probe otherwise.
+	seats []*isp.Seat
+}
+
+// seat is the planned seat of the org's idx-th probe, nil for a clean
+// probe.
+func (p *orgPlan) seat(idx int) *isp.Seat {
+	if idx < len(p.seats) {
+		return p.seats[idx]
+	}
+	return nil
 }
 
 // planOrgs consumes the Seed+1 RNG stream in the exact order the
 // serial build did — per probe: the v6 draw always, the availability
 // draw only for clean probes — and freezes the result into per-org
-// plans. Probe IDs are assigned by prefix sum: org boundaries fall at
-// the same IDs as the serial build's single running counter.
-func planOrgs(spec Spec, orgs []geo.Org, probesPerOrg map[int]int, seats map[int][]*isp.Seat) []orgPlan {
+// plans and the fleet's members, in probe-ID order. Probe IDs are
+// assigned by prefix sum: org boundaries fall at the same IDs as the
+// serial build's single running counter.
+func planOrgs(spec Spec, orgs []geo.Org, probesPerOrg map[int]int, seats map[int][]*isp.Seat) ([]orgPlan, []atlas.Member) {
 	rng := rand.New(rand.NewSource(spec.Seed + 1))
 	plans := make([]orgPlan, 0, len(orgs))
-	nextID := firstProbeID
+	members := make([]atlas.Member, 0, spec.TotalProbes)
 	for _, org := range orgs {
 		n := probesPerOrg[org.ASN]
 		if n == 0 {
 			continue
 		}
-		p := planOrg(spec, org, n, seats[org.ASN], rng)
-		p.startID = nextID
-		nextID += n
+		var p orgPlan
+		p, members = planOrg(spec, org, n, seats[org.ASN], rng, members)
+		p.startID = firstProbeID + len(members) - n
 		plans = append(plans, p)
 	}
-	return plans
+	return plans, members
 }
 
 // planOrg lays out one org: seat probes first, then clean homes,
-// spread over access segments. Middlebox seats are grouped by
-// identical interception config; each group gets its own run of
-// segments, rolled over like clean segments so a scaled-up group
-// never outgrows its /24.
-func planOrg(spec Spec, org geo.Org, probes int, seats []*isp.Seat, rng *rand.Rand) orgPlan {
+// spread over access segments, appending one member per probe to
+// members. Middlebox seats are grouped by identical interception
+// config; each group gets its own run of segments, rolled over like
+// clean segments so a scaled-up group never outgrows its /24.
+func planOrg(spec Spec, org geo.Org, probes int, seats []*isp.Seat, rng *rand.Rand, members []atlas.Member) (orgPlan, []atlas.Member) {
 	p := orgPlan{org: org, region: publicdns.RegionForCountry(org.Country)}
+	// A segment's probes are contiguous, so a probe's home number is
+	// one more than the previous probe's on the same segment.
+	home, lastSeg := 0, -1
 	draw := func(s *isp.Seat) {
-		pp := plannedProbe{seat: s, segIndex: len(p.segSpecs) - 1, avail: atlas.Full}
-		pp.hasV6 = rng.Float64() < spec.V6Share
-		if s != nil && len(s.PatternV6) > 0 {
-			pp.hasV6 = true
+		if seg := len(p.segSpecs) - 1; seg != lastSeg {
+			home, lastSeg = 0, seg
 		}
-		if s == nil {
+		home++
+		m := atlas.Member{Segment: uint16(lastSeg), Home: uint8(home), Availability: atlas.Full}
+		m.HasIPv6 = rng.Float64() < spec.V6Share
+		if s != nil {
+			p.seats = append(p.seats, s)
+			if len(s.PatternV6) > 0 {
+				m.HasIPv6 = true
+			}
+		} else {
 			switch r := rng.Float64(); {
 			case r < spec.FullShare:
 			case r < spec.FullShare+spec.PartialShare:
-				pp.avail = atlas.Partial
+				m.Availability = atlas.Partial
 			default:
-				pp.avail = atlas.Dead
+				m.Availability = atlas.Dead
 			}
 		}
-		p.probes = append(p.probes, pp)
+		members = append(members, m)
 	}
 
 	mbGroups := make(map[string][]*isp.Seat)
@@ -463,92 +480,52 @@ func planOrg(spec Spec, org geo.Org, probes int, seats []*isp.Seat, rng *rand.Ra
 		inSeg++
 		created++
 	}
-	return p
+	return p, members
 }
 
-// populatePlans registers every org's probes with the platform, org
-// by org in plan order, so probe IDs and addresses come out exactly as
-// the serial build laid them out.
-func (w *World) populatePlans(plans []orgPlan) {
-	w.homes = make([]pendingHome, 0, w.Spec.shardOwnedCount())
-	for i := range plans {
-		w.populateOrgPlan(&plans[i])
-	}
-}
-
-// populateOrgPlan replays one org's plan: segments are created in
-// index order, probes in plan order, exactly as the serial build
-// interleaved them.
-func (w *World) populateOrgPlan(plan *orgPlan) {
-	network := w.ISPs[plan.org.ASN]
-	nextSeg := 0
-	var seg *isp.Segment
-	addSeg := func() {
-		seg = network.AddSegment(plan.segSpecs[nextSeg].Middlebox(w.Spec.encPolicy()))
-		nextSeg++
-	}
-	for i := range plan.probes {
-		for nextSeg <= plan.probes[i].segIndex {
-			addSeg()
+// drawOnline replays the campaign's availability stream over the whole
+// fleet, serially in probe-ID order, and stores each probe's outcome
+// as its member's Online experiment set. Per probe it samples v4 then
+// (if routed) v6 for each operator; a dead probe is skipped before
+// sampling. This is the order and the count of the serial campaign's
+// draws from the Seed stream, so every shard reads the outcomes the
+// serial run would have sampled.
+func drawOnline(seed int64, members []atlas.Member) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range members {
+		m := &members[i]
+		if m.Availability == atlas.Dead {
+			continue
 		}
-		w.buildProbe(network, seg, plan, i)
-	}
-	// Trailing segments no probe landed on (an all-seat org's empty
-	// clean segment) still exist in the serial layout.
-	for nextSeg < len(plan.segSpecs) {
-		addSeg()
+		var on ExpSet
+		for op := range publicdns.All {
+			if m.Availability.Responds(rng) {
+				on |= expBit(op, core.V4)
+			}
+			if m.HasIPv6 && m.Availability.Responds(rng) {
+				on |= expBit(op, core.V6)
+			}
+		}
+		m.Online = uint8(on)
 	}
 }
 
-// buildProbe registers plan.probes[idx] with the platform as a
-// metadata stub: the roster entry the availability stream, the
-// detectors and the exports read. Its home (CPE, NAT and LAN host) is
-// not built here; an owned probe gets a pending entry that buildHome
-// binds into the world's home slot when the probe is measured. A nil planned seat is
-// a clean probe.
-func (w *World) buildProbe(network *isp.Network, seg *isp.Segment, plan *orgPlan, idx int) {
-	org, region, pp := plan.org, plan.region, &plan.probes[idx]
-	id := plan.startID + idx
-
-	// Transport adoption is a pure (seed, ID) hash, so every world that
-	// registers the probe agrees on it across shards.
-	enc := core.TransportDo53
-	if w.Spec.adopts(id) {
-		enc = w.Spec.Encryption.Transport
+// populatePlans registers the plan with the world. No segment and no
+// probe is built here: the sweep binds each access segment when it
+// reaches the segment's first probe, and a probe's addresses are a
+// function of its fleet member and its segment's index. Only the
+// owned transit-seat probes are looked at, because the regional
+// interceptor diverts their homes by WAN address.
+func (w *World) populatePlans(plans []orgPlan) {
+	w.plans = plans
+	for i := range plans {
+		plan := &plans[i]
+		for idx, s := range plan.seats {
+			if id := plan.startID + idx; s.Loc == isp.LocTransit && w.Spec.owns(id) {
+				w.transit[plan.region].Divert(w.homeOf(id).addrs.WANv4, s.PatternV4)
+			}
+		}
 	}
-
-	// Every probe consumes a home allocation, owned or not: AllocHome is
-	// pure address arithmetic, and burning it unconditionally keeps WAN
-	// addresses identical to the unsharded build. The fault plane hashes
-	// client addresses into its drop decisions, so an address that moved
-	// with the shard layout would break byte-identical faulted runs.
-	home := network.AllocHome(seg, pp.hasV6)
-	probe := &atlas.Probe{
-		ID:           id,
-		Country:      org.Country,
-		ASN:          org.ASN,
-		Org:          org.Name,
-		Region:       region,
-		HasIPv6:      pp.hasV6,
-		WANv4:        home.WANv4,
-		Availability: pp.avail,
-		EncTransport: enc,
-	}
-	w.Platform.Add(probe)
-
-	// A foreign probe (another shard's) stays a bare stub: the
-	// platform roster, the RNG streams, and the address allocators stay
-	// aligned with the unsharded build, and the owning world produces
-	// its record.
-	if !w.Spec.owns(id) {
-		return
-	}
-	s := pp.seat
-	probe.Truth = truthFor(s, network)
-	if s != nil && s.Loc == isp.LocTransit {
-		w.transit[region].Divert(home.WANv4, s.PatternV4)
-	}
-	w.homes = append(w.homes, pendingHome{plan: plan, idx: idx, seg: seg, addrs: home})
 }
 
 // truthFor is a probe's ground truth from its planned seat.
