@@ -395,30 +395,69 @@ func (a *Accumulator) MarshalState() ([]byte, error) {
 // LoadState replaces the accumulator's state with a checkpointed one.
 // Implements study.Accumulator.
 func (a *Accumulator) LoadState(data []byte) error {
-	fresh := NewAccumulator()
-	if err := json.Unmarshal(data, fresh); err != nil {
+	var state Accumulator
+	if err := json.Unmarshal(data, &state); err != nil {
 		return fmt.Errorf("analysis: loading accumulator state: %w", err)
 	}
-	// A checkpoint written before any fold may have nil maps; keep the
-	// invariant that every map is non-nil.
-	if fresh.CPEGroups == nil {
-		fresh.CPEGroups = make(map[string]int)
-	}
-	if fresh.Orgs == nil {
-		fresh.Orgs = make(map[int]*Figure3Row)
-	}
-	if fresh.Countries == nil {
-		fresh.Countries = make(map[string]*Figure4Row)
-	}
-	if fresh.OrgLocs == nil {
-		fresh.OrgLocs = make(map[string]*Figure4Row)
-	}
-	if len(fresh.Resolvers) != len(publicdns.All) {
+	if len(state.Resolvers) != len(publicdns.All) {
 		return fmt.Errorf("analysis: checkpoint has %d resolver tallies, want %d",
-			len(fresh.Resolvers), len(publicdns.All))
+			len(state.Resolvers), len(publicdns.All))
 	}
-	*a = *fresh
+	if !state.drawable() {
+		return fmt.Errorf("analysis: checkpoint has a missing row, a negative count or a tally above its total")
+	}
+	// Merged into an empty accumulator, the state keeps every map
+	// non-nil, even one a checkpoint wrote before any fold as null.
+	*a = *NewAccumulator()
+	a.mergeFrom(&state)
 	return nil
+}
+
+// drawable reports whether the renderers can draw the state: no row is
+// nil, no count is negative, no row's parts sum past its total, and no
+// rendered tally exceeds the records folded, so no renderer's sum can
+// overflow.
+func (a *Accumulator) drawable() bool {
+	ok := a.Timeouts >= 0 && a.Garbage >= 0
+	// row checks that total counts at most the records folded and that
+	// parts are counts summing to at most total.
+	row := func(total int, parts ...int) {
+		ok = ok && total >= 0 && total <= a.Folded
+		for _, n := range parts {
+			ok = ok && n >= 0 && n <= total
+			total -= n
+		}
+	}
+	row(a.Distinct, a.LocCPE, a.LocISP, a.LocOther)
+	var groups []int
+	for _, n := range a.CPEGroups {
+		groups = append(groups, n)
+	}
+	row(a.CPETotal, groups...)
+	for _, n := range []int{a.Quarantined, a.Inconclusive, a.CertFlagged, a.Drifted} {
+		row(n)
+	}
+	for _, r := range append([]ResolverTally{ResolverTally(a.All4)}, a.Resolvers...) {
+		row(r.TotalV4, r.InterceptedV4)
+		row(r.TotalV6, r.InterceptedV6)
+	}
+	for _, s := range []Accuracy{a.Score, a.FusedScore, a.AdoptedScore} {
+		row(a.Folded, s.TruePositives, s.FalsePositives, s.TrueNegatives, s.FalseNegatives)
+		row(s.TruePositives, s.CorrectCPE, s.CorrectISP, s.CorrectUnknown, s.HiddenAsUnknown, s.Mislocated)
+	}
+	for _, r := range a.Orgs {
+		if ok = ok && r != nil; ok {
+			row(r.Total, r.Transparent, r.Modified, r.Both)
+		}
+	}
+	for _, m := range []map[string]*Figure4Row{a.Countries, a.OrgLocs} {
+		for _, r := range m {
+			if ok = ok && r != nil; ok {
+				row(r.Total, r.CPE, r.ISP, r.Unknown)
+			}
+		}
+	}
+	return ok
 }
 
 // Table4 renders the accumulated Table 4.

@@ -145,15 +145,44 @@ func TestAccumulatorStateRoundtrip(t *testing.T) {
 	}
 }
 
-// TestAccumulatorLoadStateRejectsGarbage: corrupt or mismatched state
-// must error rather than fold into silently wrong tables.
+// TestAccumulatorLoadStateRejectsGarbage: corrupt or mismatched state,
+// or a state the renderers cannot draw, must error rather than fold
+// into silently wrong tables, and the accumulator keeps its old state.
 func TestAccumulatorLoadStateRejectsGarbage(t *testing.T) {
-	a := NewAccumulator()
-	if err := a.LoadState([]byte("{not json")); err == nil {
-		t.Error("LoadState accepted malformed JSON")
+	const four = `"resolvers":[{},{},{},{}]`
+	for name, state := range map[string]string{
+		"malformed JSON":         "{not json",
+		"wrong resolver count":   `{"resolvers":[{"int_v4":1}]}`,
+		"null Figure 3 row":      `{` + four + `,"orgs":{"1":null}}`,
+		"null Figure 4 row":      `{` + four + `,"folded":1,"countries":{"DE":null}}`,
+		"parts overflow the int": `{` + four + `,"orgs":{"1":{"Transparent":9223372036854775807,"Modified":1}}}`,
+		"parts past total":       `{` + four + `,"folded":5,"org_locs":{"x":{"CPE":2,"ISP":2,"Total":3}}}`,
+		"negative count":         `{` + four + `,"folded":5,"loc_cpe":-1}`,
+		"negative sweep count":   `{` + four + `,"timeouts":-1}`,
+		"negative folded":        `{` + four + `,"folded":-1}`,
+		"tally above folded":     `{"resolvers":[{"tot_v4":3},{},{},{}],"folded":2}`,
+		"CPE groups past total":  `{` + four + `,"folded":5,"cpe_total":1,"cpe_groups":{"a":1,"b":1}}`,
+		"localized past TP":      `{` + four + `,"folded":5,"score":{"TruePositives":1,"CorrectCPE":2}}`,
+	} {
+		a := NewAccumulator()
+		a.Folded = 7
+		if err := a.LoadState([]byte(state)); err == nil {
+			t.Errorf("%s: LoadState accepted %s", name, state)
+		} else if a.Folded != 7 {
+			t.Errorf("%s: a rejected state replaced the accumulator's", name)
+		}
 	}
-	if err := a.LoadState([]byte(`{"resolvers":[{"int_v4":1}]}`)); err == nil {
-		t.Error("LoadState accepted a state with the wrong resolver count")
+}
+
+// TestAccumulatorLoadStateNullMaps: a state whose maps were written as
+// null loads with every map non-nil, ready to fold into.
+func TestAccumulatorLoadStateNullMaps(t *testing.T) {
+	a := NewAccumulator()
+	if err := a.LoadState([]byte(`{"resolvers":[{},{},{},{}],"cpe_groups":null,"orgs":null,"countries":null,"org_locs":null}`)); err != nil {
+		t.Fatal(err)
+	}
+	if a.CPEGroups == nil || a.Orgs == nil || a.Countries == nil || a.OrgLocs == nil {
+		t.Errorf("a loaded state has a nil map: %+v", a)
 	}
 }
 

@@ -14,11 +14,9 @@ import (
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
-// stateSeeds is the checkpointed state of accumulators folded over a
-// faulted, an adversary, a cert + drift and an encrypted study, each
-// also as it survives the post-crash corruptions the torture harness
-// applies to checkpoint files.
-func stateSeeds(tb testing.TB) [][]byte {
+// foldedStates is the checkpointed state of accumulators folded over a
+// clean, a faulted, an adversary, a cert + drift and an encrypted study.
+func foldedStates(tb testing.TB) [][]byte {
 	tb.Helper()
 	base := study.PaperSpec().Scale(0.01)
 	faulted := base
@@ -33,9 +31,8 @@ func stateSeeds(tb testing.TB) [][]byte {
 	encrypted := base
 	encrypted.Encryption = &study.Encryption{Adoption: 0.5, Transport: core.TransportDoTOpportunistic, Policy: dnsserver.EncTerminate}
 
-	dir := tb.TempDir()
-	var seeds [][]byte
-	for i, spec := range []study.Spec{faulted, adversary, signals, encrypted} {
+	var states [][]byte
+	for _, spec := range []study.Spec{base, faulted, adversary, signals, encrypted} {
 		acc := NewAccumulator()
 		for _, rec := range study.RunSharded(spec, study.EngineOptions{Workers: 1}).Records {
 			acc.Fold(rec)
@@ -44,6 +41,26 @@ func stateSeeds(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		states = append(states, state)
+	}
+	return states
+}
+
+// stateSeeds is every folded state, also as it survives each of the
+// post-crash corruptions the torture harness applies to checkpoint
+// files, plus states the renderers could once not draw: a null Figure 3
+// row, a row whose parts overflow the int range, and the largest
+// counts a drawable state can hold.
+func stateSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	seeds := [][]byte{
+		[]byte(`{"resolvers":[{},{},{},{}],"orgs":{"1":null}}`),
+		[]byte(`{"resolvers":[{},{},{},{}],"orgs":{"1":{"Transparent":9223372036854775807,"Modified":1}}}`),
+		[]byte(`{"resolvers":[{},{},{},{}],"folded":9223372036854775807,` +
+			`"orgs":{"1":{"Transparent":9223372036854775807,"Total":9223372036854775807},"2":{"Both":1,"Total":1}}}`),
+	}
+	dir := tb.TempDir()
+	for i, state := range foldedStates(tb) {
 		seeds = append(seeds, state)
 		for j, corrupt := range []func(path string) error{
 			func(p string) error { return faultfs.FlipBit(p, 3) },
@@ -69,10 +86,23 @@ func stateSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
+// TestFoldedStatesLoad: a state marshaled from an accumulator folded
+// over any kind of run loads back and draws. A loader bound that
+// refused one would make a resumed shard restart from cursor 0.
+func TestFoldedStatesLoad(t *testing.T) {
+	for i, state := range foldedStates(t) {
+		a := NewAccumulator()
+		if err := a.LoadState(state); err != nil {
+			t.Fatalf("state %d: %v", i, err)
+		}
+		renderAll(a)
+	}
+}
+
 // FuzzAccumulatorLoadState drives the analysis accumulator's checkpoint
-// loader with arbitrary bytes. No input may panic it, and a state it
-// accepts must survive a round trip: marshaled again, the bytes load
-// to the same state.
+// loader with arbitrary bytes. No input may panic it, a state it accepts
+// must render every table, figure and sweep row, and it must survive a
+// round trip: marshaled again, the bytes load to the same state.
 func FuzzAccumulatorLoadState(f *testing.F) {
 	for _, seed := range stateSeeds(f) {
 		f.Add(seed)
@@ -82,6 +112,7 @@ func FuzzAccumulatorLoadState(f *testing.F) {
 		if err := a.LoadState(data); err != nil {
 			return
 		}
+		renderAll(a)
 		again, err := a.MarshalState()
 		if err != nil {
 			t.Fatalf("an accepted state does not marshal: %v", err)

@@ -119,15 +119,6 @@ func Build(net *netsim.Network) *Backbone {
 // across concurrently running networks rely on zones being immutable
 // after Sign.
 func BuildWith(net *netsim.Network, zones *ZoneData) *Backbone {
-	return BuildWithCores(net, zones, nil, netsim.CorePlain)
-}
-
-// BuildWithCores is BuildWith for worlds stamped out of a shared
-// template: the core and regional transit routers — whose forwarding
-// tables are identical in every shard world — attach to the
-// CoreSet so only the first build pays for the table maps (see
-// netsim.RoutingCore). cores may be nil (no sharing).
-func BuildWithCores(net *netsim.Network, zones *ZoneData, cores *netsim.CoreSet, role netsim.CoreRole) *Backbone {
 	b := &Backbone{
 		Net:       net,
 		Core:      netsim.NewRouter("core"),
@@ -135,21 +126,14 @@ func BuildWithCores(net *netsim.Network, zones *ZoneData, cores *netsim.CoreSet,
 		Sites:     make(map[publicdns.ID]map[publicdns.Region]publicdns.Site),
 		Resolvers: make(map[publicdns.ID]map[publicdns.Region]*dnsserver.RecursiveResolver),
 	}
-	share := func(r *netsim.Router) {
-		if cores != nil && role != netsim.CorePlain {
-			r.ShareCore(cores.For(r.Name), role == netsim.CoreRecorder)
-		}
-	}
 	// Link delays grade by tier so virtual round-trip times behave like
 	// real ones: backbone links are slow, regional links faster.
 	b.Core.Delay = 10 * time.Millisecond
 	b.Core.RouterID = netip.MustParseAddr("100.65.255.1") // CGN-space router ID
-	share(b.Core)
 	for i, region := range publicdns.Regions {
 		rt := netsim.NewRouter("transit-" + string(region))
 		rt.Delay = 5 * time.Millisecond
 		rt.RouterID = netip.AddrFrom4([4]byte{100, 65, byte(i + 1), 1})
-		share(rt)
 		rt.AddDefaultRoute(b.Core)
 		b.Regional[region] = rt
 	}

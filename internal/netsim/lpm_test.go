@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -136,61 +135,6 @@ func TestPropertyLPMMatchesLinearReference(t *testing.T) {
 			}
 		}
 		return lpmAgrees(router, kept, probes)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyLPMBoundRouterMatchesLinearReference covers routers bound
-// to a sealed routing core: the recorder's table is recorded into the
-// core; a bound world binds some of its entries, shadows some with a
-// world-local insert of the same prefix to another next hop, and adds
-// local-only prefixes. The reference is the union, local winning.
-func TestPropertyLPMBoundRouterMatchesLinearReference(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	f := func() bool {
-		cs := NewCoreSet()
-		cs.Begin()
-		rec := NewRouter("core")
-		rec.ShareCore(cs.For("core"), true)
-		var recorded []Route
-		for i, n := 0, 1+r.Intn(30); i < n; i++ {
-			p := randPrefix(r)
-			dev := namedDev(fmt.Sprintf("hop%d", r.Intn(4)))
-			rec.AddRoute(p, dev)
-			recorded = upsert(recorded, p, dev)
-		}
-		cs.Seal()
-		if !lpmAgrees(rec, recorded, lpmProbes(r, recorded)) {
-			return false
-		}
-
-		bound := NewRouter("core")
-		bound.ShareCore(cs.For("core"), false)
-		var core, local []Route
-		for _, rt := range recorded {
-			if r.Intn(4) > 0 {
-				bound.AddRoute(rt.Prefix, rt.Next)
-				core = upsert(core, rt.Prefix, rt.Next)
-			}
-			if r.Intn(4) == 0 {
-				dev := namedDev("local-" + rt.Prefix.String())
-				bound.AddRoute(rt.Prefix, dev)
-				local = upsert(local, rt.Prefix, dev)
-			}
-		}
-		for i, n := 0, r.Intn(10); i < n; i++ {
-			p := randPrefix(r)
-			dev := namedDev("local-" + p.String())
-			bound.AddRoute(p, dev)
-			local = upsert(local, p, dev)
-		}
-		routes := core
-		for _, rt := range local {
-			routes = upsert(routes, rt.Prefix, rt.Next)
-		}
-		return lpmAgrees(bound, routes, lpmProbes(r, routes))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

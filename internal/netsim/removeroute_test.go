@@ -71,41 +71,6 @@ func (r *Router) memo(dst netip.Addr) *lookupCache {
 	return &r.cache4
 }
 
-// TestRemoveRouteOnBoundRouterKeepsCore: a router bound to a shared
-// routing core only loses its world-local entries; the core's routes,
-// which every other world reads too, stay in place.
-func TestRemoveRouteOnBoundRouterKeepsCore(t *testing.T) {
-	cs := NewCoreSet()
-	if role := cs.Begin(); role != CoreRecorder {
-		t.Fatalf("first role = %v, want recorder", role)
-	}
-	corePfx := netip.MustParsePrefix("33.0.0.0/16")
-	rec := NewRouter("regional")
-	rec.ShareCore(cs.For("regional"), true)
-	rec.AddRoute(corePfx, namedDev("border"))
-	cs.Seal()
-
-	bound := NewRouter("regional")
-	bound.ShareCore(cs.For("regional"), false)
-	border := namedDev("border")
-	bound.AddRoute(corePfx, border) // binds the core slot
-	local := netip.MustParsePrefix("33.0.1.0/24")
-	bound.AddRoute(local, namedDev("local")) // unknown to the core: local
-
-	dst := netip.MustParseAddr("33.0.1.1")
-	if got := bound.lookupRoute(dst); got == nil || got.Next != namedDev("local") {
-		t.Fatalf("before removal: %+v, want the local /24", got)
-	}
-	bound.RemoveRoute(local)
-	bound.RemoveRoute(corePfx) // core entry: must survive
-	if got := bound.lookupRoute(dst); got == nil || got.Next != border {
-		t.Fatalf("after removal: %+v, want the core /16", got)
-	}
-	if got := rec.lookupRoute(dst); got == nil || got.Next != border {
-		t.Fatalf("recorder lost its route: %+v", got)
-	}
-}
-
 // TestRemoveRouteReaddAllocatesNothing pins the per-home route churn:
 // a subscriber's /32 and /64 added and removed again, as each measured
 // probe's home does, reuses the removed entries and the existing
@@ -166,20 +131,4 @@ func TestRouterResetForgetsRoutesAndMemos(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { bind("cpe-3") }); allocs != 0 {
 		t.Errorf("rebinding a reset router: %v allocs/op, want 0", allocs)
 	}
-}
-
-// TestRouterResetRefusesSharedCore: a router bound to a RoutingCore
-// reads routes every world of its template shares, so it cannot be
-// reset.
-func TestRouterResetRefusesSharedCore(t *testing.T) {
-	cs := NewCoreSet()
-	cs.Begin()
-	r := NewRouter("regional")
-	r.ShareCore(cs.For("regional"), true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on a core-sharing router did not panic")
-		}
-	}()
-	r.Reset("regional")
 }

@@ -116,10 +116,9 @@ type Router struct {
 	// (routetable.go) so lookup is O(distinct prefix lengths) probes,
 	// not a linear scan — access routers in the study carry one route
 	// per live subscriber. Entries are keyed by the pointer-free masked
-	// address, so a probe hashes 16 bytes, or compares them when the
-	// length holds a single route.
-	routes4 lenTables[*Route]
-	routes6 lenTables[*Route]
+	// address, so a probe hashes 16 bytes.
+	routes4 lenTables
+	routes6 lenTables
 	// spareRoutes recycles removed entries, so a subscriber route that
 	// comes and goes with each home costs no allocation.
 	spareRoutes []*Route
@@ -138,15 +137,6 @@ type Router struct {
 	// A middlebox that blocks encrypted DNS to force a downgrade (the
 	// XDRI "block" behavior) installs one matching TCP 853/443.
 	inputFilters []func(Packet) (drop bool, why string)
-
-	// core, when set, shares this router's forwarding table across
-	// worlds (see routingcore.go). The recorder keeps local tables and
-	// mirrors inserts into the core; bound routers resolve against the
-	// sealed core plus any world-local additions, with coreRoutes
-	// materializing each core ordinal as a cacheable *Route.
-	core          *RoutingCore
-	coreRecording bool
-	coreRoutes    []Route
 }
 
 // lookupCacheSlots is the per-family memo size. A CPE forwards to more
@@ -210,18 +200,13 @@ func NewRouter(name string, addrs ...netip.Addr) *Router {
 
 // Reset returns the router to the state NewRouter(name, addrs...)
 // gives it, keeping its storage: the service and forwarding maps are
-// emptied in place, every local route moves to spareRoutes for the
+// emptied in place, every route moves to spareRoutes for the
 // next AddRoute, and the lookup memos are zeroed. A CPE slot rebinds
 // one router per probe this way. The prefix lengths a table has held
 // stay, empty, which no lookup can tell apart from a missing length.
-// A router sharing a RoutingCore cannot be reset: its forwarding state
-// is not its own.
 func (r *Router) Reset(name string, addrs ...netip.Addr) {
-	if r.core != nil {
-		panic("netsim: Reset on router " + r.Name + ", which shares a RoutingCore")
-	}
 	spare := r.spareRoutes
-	for _, table := range [...]lenTables[*Route]{r.routes4, r.routes6} {
+	for _, table := range [...]lenTables{r.routes4, r.routes6} {
 		for i := range table {
 			for _, rt := range table[i].m {
 				*rt = Route{}
@@ -342,10 +327,8 @@ func (r *Router) newRoute(rt Route) *Route {
 	return p
 }
 
-// RemoveRoute deletes the local forwarding entry for prefix, if there
-// is one. Entries a bound router reads from its shared core are never
-// removed: the core belongs to every world of the template. Lookups
-// the route answered fall back to the next-longest match.
+// RemoveRoute deletes the forwarding entry for prefix, if there is one.
+// Lookups the route answered fall back to the next-longest match.
 func (r *Router) RemoveRoute(prefix netip.Prefix) {
 	p := prefix.Masked()
 	table, cache := r.routes4, &r.cache4
@@ -357,31 +340,14 @@ func (r *Router) RemoveRoute(prefix netip.Prefix) {
 	if t == nil {
 		return
 	}
-	rt, ok := t.get(k)
+	rt, ok := t.m[k]
 	if !ok {
 		return
 	}
-	t.remove(k)
+	delete(t.m, k)
 	cache.invalidate(k, bits)
 	*rt = Route{}
 	r.spareRoutes = append(r.spareRoutes, rt)
-}
-
-// ShareCore attaches shared routing state (routingcore.go). In
-// recording mode the router keeps its local tables — the recorder world
-// stays the reference — and mirrors eligible inserts into the core. In
-// bound mode the sealed core supplies the table; coreRoutes is sized
-// once so materialized routes have stable addresses for the lookup
-// cache.
-func (r *Router) ShareCore(core *RoutingCore, recording bool) {
-	if core == nil {
-		return
-	}
-	r.core = core
-	r.coreRecording = recording
-	if !recording {
-		r.coreRoutes = make([]Route, core.numRoutes)
-	}
 }
 
 // insertRoute stores a route in the per-family, per-length map. A later
@@ -389,19 +355,6 @@ func (r *Router) ShareCore(core *RoutingCore, recording bool) {
 func (r *Router) insertRoute(rt *Route) {
 	p := rt.Prefix.Masked()
 	rt.Prefix = p
-	if r.core != nil && rt.Filter == nil && rt.Next != nil {
-		if r.coreRecording {
-			r.core.record(p, rt.Next.DeviceName())
-			// fall through: the recorder also populates local tables
-		} else if e, ok := r.core.entry(p); ok && r.core.hopNames[e.hop] == rt.Next.DeviceName() {
-			// Bound world re-issuing a recorded insert: just bind the
-			// device into the ordinal's slot, no map work. Inserts the
-			// core doesn't know (or that disagree on the hop) fall
-			// through to a local insert, which shadows the core entry.
-			r.coreRoutes[e.ord] = Route{Prefix: p, Next: rt.Next}
-			return
-		}
-	}
 	table, cache := &r.routes4, &r.cache4
 	if p.Addr().Is6() {
 		table, cache = &r.routes6, &r.cache6
@@ -414,7 +367,7 @@ func (r *Router) insertRoute(rt *Route) {
 		// route-memo counts depend on exactly when entries are dropped.
 		r.cache4, r.cache6 = lookupCache{}, lookupCache{}
 	}
-	table.at(bits).set(k, rt)
+	table.at(bits).m[k] = rt
 	cache.invalidate(k, bits)
 }
 
@@ -445,17 +398,9 @@ func (r *Router) lookupRouteM(dst netip.Addr, nm *netMetrics) *Route {
 	// A v4-mapped destination keys as its IPv4 address and routes by
 	// the IPv4 table.
 	k := addrKey(dst)
-	bound := r.core != nil && !r.coreRecording
 	table, cache := r.routes4, &r.cache4
-	var core lenTables[coreEntry]
-	if bound {
-		core = r.core.v4
-	}
 	if isIPv6(dst) {
 		table, cache = r.routes6, &r.cache6
-		if bound {
-			core = r.core.v6
-		}
 	}
 	if nm != nil {
 		nm.routeLookups.Inc()
@@ -466,35 +411,9 @@ func (r *Router) lookupRouteM(dst netip.Addr, nm *netMetrics) *Route {
 		}
 		return rt
 	}
-	hit := r.lpmMatch(k, table, core)
+	hit := table.match(k)
 	cache.put(k, hit)
 	return hit
-}
-
-// lpmMatch scans the local table and (on bound routers) the shared core
-// in a merged longest-prefix walk over the destination's key k. Local
-// entries win ties — a world-local insert shadows the core's entry for
-// the same prefix length.
-func (r *Router) lpmMatch(k routeKey, table lenTables[*Route], core lenTables[coreEntry]) *Route {
-	li, ci := 0, 0
-	for li < len(table) || ci < len(core) {
-		if ci == len(core) || (li < len(table) && table[li].bits >= core[ci].bits) {
-			t := &table[li]
-			li++
-			if rt, ok := t.get(k.mask(t.bits)); ok {
-				return rt
-			}
-		} else {
-			t := &core[ci]
-			ci++
-			if e, ok := t.get(k.mask(t.bits)); ok {
-				if rt := &r.coreRoutes[e.ord]; rt.Next != nil {
-					return rt
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Receive implements Device: the netfilter-ordered pipeline. Every

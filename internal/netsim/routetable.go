@@ -37,34 +37,20 @@ func prefixKey(p netip.Prefix) (routeKey, int) {
 	return addrKey(p.Addr()).mask(bits), bits
 }
 
-// lenTable holds one prefix length's entries, keyed by masked address;
+// lenTable holds one prefix length's routes, keyed by masked address;
 // bits is the length in the key space.
-type lenTable[V any] struct {
+type lenTable struct {
 	bits int
-	m    map[routeKey]V
+	m    map[routeKey]*Route
 }
-
-func (t *lenTable[V]) get(k routeKey) (V, bool) {
-	v, ok := t.m[k]
-	return v, ok
-}
-
-func (t *lenTable[V]) set(k routeKey, v V) {
-	if t.m == nil {
-		t.m = make(map[routeKey]V)
-	}
-	t.m[k] = v
-}
-
-func (t *lenTable[V]) remove(k routeKey) { delete(t.m, k) }
 
 // lenTables is one family's forwarding table: a lenTable per prefix
 // length present, longest first, so a longest-prefix match walks it in
 // order and stops at the first hit. A length outlives its last entry.
-type lenTables[V any] []lenTable[V]
+type lenTables []lenTable
 
 // find returns the table of one length, nil when the length is absent.
-func (ts lenTables[V]) find(bits int) *lenTable[V] {
+func (ts lenTables) find(bits int) *lenTable {
 	for i := range ts {
 		if ts[i].bits == bits {
 			return &ts[i]
@@ -75,7 +61,7 @@ func (ts lenTables[V]) find(bits int) *lenTable[V] {
 
 // at returns the table of one length, adding the length in order when
 // it is new.
-func (ts *lenTables[V]) at(bits int) *lenTable[V] {
+func (ts *lenTables) at(bits int) *lenTable {
 	if t := ts.find(bits); t != nil {
 		return t
 	}
@@ -83,6 +69,17 @@ func (ts *lenTables[V]) at(bits int) *lenTable[V] {
 	for i < len(*ts) && (*ts)[i].bits > bits {
 		i++
 	}
-	*ts = slices.Insert(*ts, i, lenTable[V]{bits: bits})
+	*ts = slices.Insert(*ts, i, lenTable{bits: bits, m: make(map[routeKey]*Route)})
 	return &(*ts)[i]
+}
+
+// match is the longest-prefix match for the destination key k: the
+// route of the longest length holding k's prefix, nil when none does.
+func (ts lenTables) match(k routeKey) *Route {
+	for i := range ts {
+		if rt, ok := ts[i].m[k.mask(ts[i].bits)]; ok {
+			return rt
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ package render
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -59,18 +60,13 @@ func Bars(title string, entries []BarEntry, width int) string {
 	if width <= 0 {
 		width = 40
 	}
-	max := 0
+	longest := 1
 	for _, e := range entries {
 		total := 0
 		for _, s := range e.Segments {
 			total += s.Value
 		}
-		if total > max {
-			max = total
-		}
-	}
-	if max == 0 {
-		max = 1
+		longest = max(longest, total)
 	}
 	labelW := 0
 	for _, e := range entries {
@@ -88,18 +84,18 @@ func Bars(title string, entries []BarEntry, width int) string {
 		var bar strings.Builder
 		for _, s := range e.Segments {
 			total += s.Value
-			n := s.Value * width / max
-			if s.Value > 0 && n == 0 {
-				n = 1
+			n := 0
+			if s.Value > 0 {
+				// Value*width/longest in 128 bits, so counts near the int
+				// range cannot overflow; clamped, no bar outgrows width.
+				hi, lo := bits.Mul64(uint64(min(s.Value, longest)), uint64(width))
+				q, _ := bits.Div64(hi, lo, uint64(longest))
+				n = max(int(q), 1)
 			}
 			bar.WriteString(strings.Repeat(string(s.Rune), n))
 			legend[s.Label] = s.Rune
 		}
 		fmt.Fprintf(&sb, "%-*s |%-*s %d\n", labelW, e.Label, width, bar.String(), total)
-	}
-	var keys []string
-	for k := range legend {
-		keys = append(keys, k)
 	}
 	// Stable legend order: by first appearance in the entries.
 	var ordered []string
@@ -112,7 +108,6 @@ func Bars(title string, entries []BarEntry, width int) string {
 			}
 		}
 	}
-	_ = keys
 	if len(ordered) > 0 {
 		sb.WriteString("legend:")
 		for _, k := range ordered {

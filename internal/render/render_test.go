@@ -105,3 +105,19 @@ func TestKVAlignment(t *testing.T) {
 		t.Errorf("KV(nil) = %q, want empty", KV(nil))
 	}
 }
+
+// TestBarsNearIntRange: counts near the int range scale without
+// overflowing Value*width, so each bar keeps to the width.
+func TestBarsNearIntRange(t *testing.T) {
+	const big = int(^uint(0) >> 1)
+	out := Bars("", []BarEntry{
+		{Label: "full", Segments: []BarSegment{{Label: "a", Value: big - 1, Rune: '#'}, {Label: "b", Value: 1, Rune: 'x'}}},
+		{Label: "half", Segments: []BarSegment{{Label: "a", Value: big / 2, Rune: '#'}}},
+	}, 40)
+	for _, line := range strings.Split(out, "\n") {
+		n := strings.Count(line, "#") + strings.Count(line, "x")
+		if strings.HasPrefix(line, "full") && n != 40 || strings.HasPrefix(line, "half") && n != 19 {
+			t.Errorf("bar drawn with %d runes:\n%s", n, out)
+		}
+	}
+}

@@ -33,9 +33,8 @@ func TestWorldHeapIndependentOfFleet(t *testing.T) {
 	}
 	small, large := PaperSpec(), PaperSpec().Scale(10)
 	smallTpl, largeTpl := NewWorldTemplate(small), NewWorldTemplate(large)
-	// The first worlds of a template record its shared routing cores,
-	// and the first worlds of a process come out a little smaller than
-	// later ones; measure only after both have settled.
+	// The first worlds of a process come out a little smaller than
+	// later ones; measure only after they have settled.
 	for i := 0; i < 2; i++ {
 		smallTpl.Build(small.Shard(0, 1))
 		largeTpl.Build(large.Shard(0, 10))

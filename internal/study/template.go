@@ -24,8 +24,9 @@ import (
 // The expensive parts this amortizes are the three DNSSEC key
 // generations and zone signings (the dominant cost of a backbone
 // build), the seat dealing and the availability draw; each shard still
-// builds its own routers and resolvers, and each measurement its own
-// home, because those carry per-world mutable state.
+// builds its own routers, each with its own forwarding tables, and its
+// own resolvers, and each measurement its own home, because those carry
+// per-world mutable state.
 type WorldTemplate struct {
 	spec  Spec
 	zones *backbone.ZoneData
@@ -41,12 +42,6 @@ type WorldTemplate struct {
 	fleet []atlas.Member
 	// drawTime is how long the availability draw took.
 	drawTime time.Duration
-
-	// cores shares the backbone core and regional transit routers'
-	// forwarding tables across every world built from this template: the
-	// first Build records and seals them, later Builds bind devices by
-	// name instead of rebuilding the prefix maps (netsim.RoutingCore).
-	cores *netsim.CoreSet
 }
 
 // NewWorldTemplate precomputes the shard-invariant parts of a world.
@@ -71,7 +66,6 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 		plans:    plans,
 		fleet:    members,
 		drawTime: time.Since(drawStart),
-		cores:    netsim.NewCoreSet(),
 	}
 }
 
@@ -81,20 +75,13 @@ func NewWorldTemplate(spec Spec) *WorldTemplate {
 // is only ever read, so concurrent Builds are safe.
 func (t *WorldTemplate) Build(spec Spec) *World {
 	buildStart := time.Now()
-	// The first Build is the routing-core recorder; concurrent Builds
-	// wait inside Begin until it seals (just after the shared routers'
-	// topology is complete, below) and then bind against the sealed
-	// cores. The deferred Abandon only acts if a recorder panics before
-	// sealing — it releases the waiters to build unshared.
-	role := t.cores.Begin()
-	defer t.cores.Abandon()
 	w := &World{
 		Spec:    spec,
 		Net:     netsim.NewNetwork(),
 		ISPs:    make(map[int]*isp.Network),
 		transit: make(map[publicdns.Region]*backbone.Transit),
 	}
-	w.Backbone = backbone.BuildWithCores(w.Net, t.zones, t.cores, role)
+	w.Backbone = backbone.BuildWith(w.Net, t.zones)
 	if spec.Fault != nil && spec.Fault.Active() {
 		w.Net.SetDefaultFault(*spec.Fault)
 	}
@@ -110,11 +97,6 @@ func (t *WorldTemplate) Build(spec Spec) *World {
 
 	w.buildISPs(t.orgs, t.plans)
 	w.buildTransitInterceptors()
-	// Every route the shared routers will ever carry is installed by
-	// now — population below only touches segment routers, and homes
-	// built during the sweep only segment and CPE routers — so the
-	// recorder can seal and release any waiting builds.
-	t.cores.Seal()
 	w.populatePlans(t.plans)
 	w.studyMetrics.observeBuild(time.Since(buildStart))
 	return w

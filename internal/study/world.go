@@ -89,9 +89,9 @@ func overflowPrefixes(block, idx int) (v4, v6 netip.Prefix) {
 
 // buildISPs attaches one AS per organization. Overflow banks for orgs
 // whose scaled quota outgrows one /16 are routed here, up front, from
-// the planned segment counts: bank routing mutates the shared backbone
-// routers, which the routing core seals before population, so the
-// Overflow callback itself is pure address arithmetic.
+// the planned segment counts, so every backbone route is in place
+// before population and the Overflow callback itself is pure address
+// arithmetic.
 func (w *World) buildISPs(orgs []geo.Org, plans []orgPlan) {
 	plannedSegs := make(map[int]int, len(plans))
 	for i := range plans {
