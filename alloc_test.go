@@ -16,8 +16,10 @@ import (
 	dnsloc "github.com/dnswatch/dnsloc"
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/homelab"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
@@ -364,5 +366,128 @@ func TestPlatformMeasureAllocBudget(t *testing.T) {
 	probe.EncTransport = core.TransportDoTOpportunistic
 	if allocs := testing.AllocsPerRun(100, func() { platform.Detector(probe) }); allocs != 0 {
 		t.Errorf("binding the encrypted client allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// treeWorld is a three-level DNS tree on one backbone router — root
+// (198.41.0.4), com (192.5.6.30) and example.com (192.0.2.2) — with a
+// recursive resolver at 10.53.0.53 and a client host.
+type treeWorld struct {
+	net      *netsim.Network
+	client   *netsim.Host
+	resolver *dnsserver.RecursiveResolver
+}
+
+func newTreeWorld() *treeWorld {
+	w := &treeWorld{net: netsim.NewNetwork()}
+	backbone := netsim.NewRouter("backbone")
+	attach := func(name, a, prefix string, s netsim.Service) *netsim.Router {
+		r := netsim.NewRouter(name, netip.MustParseAddr(a))
+		if s != nil {
+			r.Bind(53, s)
+		}
+		r.AddDefaultRoute(backbone)
+		backbone.AddRoute(netip.MustParsePrefix(prefix), r)
+		return r
+	}
+	root := dnsserver.NewZone("")
+	root.Delegate("com", map[dnswire.Name][]netip.Addr{"a.gtld-servers.net": {netip.MustParseAddr("192.5.6.30")}})
+	com := dnsserver.NewZone("com")
+	com.Delegate("example.com", map[dnswire.Name][]netip.Addr{"ns1.example.com": {netip.MustParseAddr("192.0.2.2")}})
+	ex := dnsserver.NewZone("example.com")
+	ex.AddAddr("www.example.com", 300, netip.MustParseAddr("192.0.2.80"))
+	ex.SetDynamic("whoami.example.com", func(q dnswire.Question, src netip.AddrPort) []dnswire.Record {
+		return []dnswire.Record{{Name: q.Name, Class: dnswire.ClassINET, Data: dnswire.ARData{Addr: src.Addr()}}}
+	})
+	attach("root", "198.41.0.4", "198.41.0.0/24", dnsserver.NewAuthServer(root))
+	attach("com", "192.5.6.30", "192.5.6.0/24", dnsserver.NewAuthServer(com))
+	attach("example", "192.0.2.2", "192.0.2.0/24", dnsserver.NewAuthServer(ex))
+	w.resolver = dnsserver.NewRecursiveResolver(netip.MustParseAddr("10.53.0.53"), netip.MustParseAddr("198.41.0.4"))
+	attach("resolver", "10.53.0.53", "10.53.0.0/24", w.resolver)
+	gw := attach("client-gw", "203.0.113.1", "203.0.113.0/24", nil)
+	w.client = netsim.NewHost("client", netip.MustParseAddr("203.0.113.2"), netip.Addr{}, gw)
+	gw.AddRoute(netip.MustParsePrefix("203.0.113.2/32"), w.client)
+	return w
+}
+
+// ask exchanges packed query bytes with server and recycles the
+// response, checking its rcode.
+func (w *treeWorld) ask(t testing.TB, server string, query []byte, want dnswire.RCode) {
+	pkts, err := w.client.Exchange(w.net, netip.MustParseAddrPort(server), query, netsim.ExchangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := dnswire.ParseView(pkts[0].Payload); err != nil || v.Header.RCode != want {
+		t.Fatalf("answer %x (%v), want rcode %s", pkts[0].Payload, err, want)
+	}
+	w.client.Recycle(pkts)
+}
+
+// resolverUpstreamAllocBudget bounds what the recursive resolver
+// allocates per upstream answer it reads: a resolution of a name the
+// cache does not hold walks the root's referral, the com referral and
+// the final answer, three upstream answers. Answers and referrals are
+// read in place from the answer's view, the client's response is
+// written from its query's view, and jobs, query and answer buffers are
+// recycled. Measured per resolution: 4 for a TTL-0 answer (the answer
+// record the resolver keeps, its slice and boxed body, and the same two
+// made by the dynamic zone) and 0 for NXDOMAIN, so 1.33 per upstream
+// answer at most; 15.67 while the resolver unpacked every answer and
+// decoded every query. The budget is the measured value rounded up.
+const resolverUpstreamAllocBudget = 2.0
+
+func TestResolverUpstreamAllocBudget(t *testing.T) {
+	w := newTreeWorld()
+	for _, c := range []struct {
+		name  dnswire.Name
+		rc    dnswire.RCode
+		flush bool // empty the cache first: the negative answer is cached
+	}{
+		{"whoami.example.com", dnswire.RCodeSuccess, false}, // TTL 0: never cached
+		{"nx.example.com", dnswire.RCodeNameError, true},
+	} {
+		query := dnswire.MustPack(dnswire.NewQuery(7, c.name, dnswire.TypeA, dnswire.ClassINET))
+		run := func() {
+			if c.flush {
+				w.resolver.FlushCache()
+			}
+			w.ask(t, "10.53.0.53:53", query, c.rc)
+		}
+		for i := 0; i < 300; i++ {
+			run()
+		}
+		const upstreamAnswers = 3 // root referral, com referral, answer
+		if perAnswer := testing.AllocsPerRun(200, run) / upstreamAnswers; perAnswer > resolverUpstreamAllocBudget {
+			t.Errorf("%s: the resolver allocates %.2f per upstream answer, budget %.2f", c.name, perAnswer, resolverUpstreamAllocBudget)
+		}
+	}
+}
+
+// authAnswerAllocBudget bounds one authoritative answer from zone data,
+// written from the query's view into a recycled buffer. Measured 0 for
+// an answer and a referral and 1 for NXDOMAIN, the zone's SOA record
+// boxed for the authority section (6, 4 and 7 while the server decoded
+// the query and packed a response Message).
+const authAnswerAllocBudget = 1
+
+func TestAuthServerAnswerAllocBudget(t *testing.T) {
+	w := newTreeWorld()
+	for _, c := range []struct {
+		server string
+		name   dnswire.Name
+		rc     dnswire.RCode
+	}{
+		{"192.0.2.2:53", "www.example.com", dnswire.RCodeSuccess}, // answer
+		{"192.0.2.2:53", "nx.example.com", dnswire.RCodeNameError},
+		{"198.41.0.4:53", "www.example.com", dnswire.RCodeSuccess}, // referral
+	} {
+		query := dnswire.MustPack(dnswire.NewQuery(9, c.name, dnswire.TypeA, dnswire.ClassINET))
+		run := func() { w.ask(t, c.server, query, c.rc) }
+		for i := 0; i < 300; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(200, run); allocs > authAnswerAllocBudget {
+			t.Errorf("%s at %s: the authoritative answer allocates %.1f, budget %d", c.name, c.server, allocs, authAnswerAllocBudget)
+		}
 	}
 }

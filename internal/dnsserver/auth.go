@@ -1,6 +1,9 @@
 package dnsserver
 
 import (
+	"net/netip"
+	"strings"
+
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 )
@@ -14,6 +17,9 @@ type AuthServer struct {
 	Persona ChaosPersona
 
 	zones []*Zone
+	// lastName is the question name last asked, reused while the next
+	// question spells it the same.
+	lastName dnswire.Name
 }
 
 // NewAuthServer creates a server over the given zones.
@@ -29,12 +35,21 @@ func (s *AuthServer) bestZone(name dnswire.Name) *Zone {
 	bestLabels := -1
 	for _, z := range s.zones {
 		if name.IsSubdomainOf(z.Origin) {
-			if n := len(z.Origin.Labels()); n > bestLabels {
+			if n := labelCount(z.Origin); n > bestLabels {
 				best, bestLabels = z, n
 			}
 		}
 	}
 	return best
+}
+
+// labelCount is len(n.Labels()), counted without splitting.
+func labelCount(n dnswire.Name) int {
+	s := strings.TrimSuffix(string(n), ".")
+	if s == "" {
+		return 0
+	}
+	return strings.Count(s, ".") + 1
 }
 
 // ServeUDP implements netsim.Service.
@@ -47,63 +62,63 @@ func (s *AuthServer) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 		r.send(sc, pkt, &v)
 		return
 	}
-	query := v.Message()
-	resp := s.handle(query, pkt)
-	if resp == nil {
-		return
-	}
-	payload, err := resp.Pack()
-	if err != nil {
-		payload = dnswire.MustPack(dnswire.NewErrorResponse(query, dnswire.RCodeServerFailure))
-	}
-	sc.Reply(pkt, payload)
+	sc.Reply(pkt, s.handle(sc.PayloadBuf(), &v, pkt.Src))
 }
 
-// handle computes the response message to a query the persona does not
-// answer.
-func (s *AuthServer) handle(query *dnswire.Message, pkt netsim.Packet) *dnswire.Message {
-	q := query.Question()
-	if q.Class != dnswire.ClassINET {
-		return dnswire.NewErrorResponse(query, dnswire.RCodeNotImplemented)
+// handle appends the response to a query the persona does not answer,
+// written from the query's view, to dst.
+func (s *AuthServer) handle(dst []byte, query *dnswire.View, src netip.AddrPort) []byte {
+	typ, class, _ := query.Question()
+	if class != dnswire.ClassINET {
+		return query.AppendErrorResponse(dst, dnswire.RCodeNotImplemented)
 	}
+	s.lastName = query.QuestionName(s.lastName)
+	q := dnswire.Question{Name: s.lastName, Type: typ, Class: class}
 	zone := s.bestZone(q.Name)
 	if zone == nil {
-		return dnswire.NewErrorResponse(query, dnswire.RCodeRefused)
+		return query.AppendErrorResponse(dst, dnswire.RCodeRefused)
 	}
-	result, rrs, deleg := zone.Lookup(q, pkt.Src)
-	resp := dnswire.NewResponse(query, dnswire.RCodeSuccess)
-	resp.Header.Authoritative = true
-	wantDNSSEC := query.DO() && zone.Signed()
+	result, rrs, deleg := zone.Lookup(q, src)
+	h := dnswire.Header{Authoritative: true}
+	switch result {
+	case LookupNXDomain:
+		h.RCode = dnswire.RCodeNameError
+	case LookupDelegation:
+		h.Authoritative = false
+	case LookupOutOfZone:
+		h.RCode = dnswire.RCodeRefused
+	}
+	var w dnswire.Responder
+	w.Start(query, dst, h)
 	switch result {
 	case LookupAnswer, LookupCNAME:
-		resp.Answers = append(resp.Answers, rrs...)
-		if wantDNSSEC && len(rrs) > 0 {
+		w.Answer(rrs...)
+		if query.DO() && zone.Signed() && len(rrs) > 0 {
 			if sig, ok := zone.SignatureFor(rrs[0].Name, rrs[0].Type()); ok {
-				resp.Answers = append(resp.Answers, sig)
+				w.Answer(sig)
 			}
 		}
 		if result == LookupCNAME {
 			// Chase the alias within our own authority, as real auths do.
 			if cname, ok := rrs[0].Data.(dnswire.CNAMERData); ok {
-				s.chaseCNAME(resp, cname.Target, q, pkt, 0)
+				s.chaseCNAME(&w, cname.Target, q, src, 0)
 			}
 		}
-	case LookupNoData:
-		resp.Authority = append(resp.Authority, zone.SOARecord())
-	case LookupNXDomain:
-		resp.Header.RCode = dnswire.RCodeNameError
-		resp.Authority = append(resp.Authority, zone.SOARecord())
+	case LookupNoData, LookupNXDomain:
+		w.Authority(zone.SOARecord())
 	case LookupDelegation:
-		resp.Header.Authoritative = false
-		resp.Authority, resp.Additional = deleg.authority, deleg.additional
-	case LookupOutOfZone:
-		resp.Header.RCode = dnswire.RCodeRefused
+		w.Authority(deleg.authority...)
+		w.Additional(deleg.additional...)
 	}
-	return resp
+	out, err := w.Finish()
+	if err != nil {
+		return query.AppendErrorResponse(out, dnswire.RCodeServerFailure)
+	}
+	return out
 }
 
 // chaseCNAME follows in-bailiwick aliases up to a small depth.
-func (s *AuthServer) chaseCNAME(resp *dnswire.Message, target dnswire.Name, q dnswire.Question, pkt netsim.Packet, depth int) {
+func (s *AuthServer) chaseCNAME(w *dnswire.Responder, target dnswire.Name, q dnswire.Question, src netip.AddrPort, depth int) {
 	if depth > 4 {
 		return
 	}
@@ -111,14 +126,14 @@ func (s *AuthServer) chaseCNAME(resp *dnswire.Message, target dnswire.Name, q dn
 	if zone == nil {
 		return
 	}
-	result, rrs, _ := zone.Lookup(dnswire.Question{Name: target, Type: q.Type, Class: q.Class}, pkt.Src)
+	result, rrs, _ := zone.Lookup(dnswire.Question{Name: target, Type: q.Type, Class: q.Class}, src)
 	switch result {
 	case LookupAnswer:
-		resp.Answers = append(resp.Answers, rrs...)
+		w.Answer(rrs...)
 	case LookupCNAME:
-		resp.Answers = append(resp.Answers, rrs...)
+		w.Answer(rrs...)
 		if cname, ok := rrs[0].Data.(dnswire.CNAMERData); ok {
-			s.chaseCNAME(resp, cname.Target, q, pkt, depth+1)
+			s.chaseCNAME(w, cname.Target, q, src, depth+1)
 		}
 	}
 }

@@ -69,10 +69,23 @@ type RecursiveResolver struct {
 	// interceptor can no longer build a chain of trust.
 	DNSSECAware bool
 
+	// cache and pending are made on first use: many resolvers of a
+	// world, every refusing one among them, never resolve anything.
 	cache    map[cacheKey]cacheEntry
 	pending  map[uint16]*job
 	nextPort uint16
 	nextID   uint16
+
+	// free holds finished jobs for reuse, with their slices' storage.
+	// dropIdle is r.dropPending, made once: the network calls it when a
+	// drain in which r opened a job ends (see dropPending), and idleArmed
+	// records that it is registered for the drain under way.
+	free      []*job
+	dropIdle  func()
+	idleArmed bool
+	// lastName is the question name last asked at the front door,
+	// reused while the next question spells it the same.
+	lastName dnswire.Name
 }
 
 type cacheKey struct {
@@ -89,19 +102,25 @@ type cacheEntry struct {
 	expires time.Duration
 }
 
-// job is one in-flight client resolution.
+// job is one in-flight client resolution. The client query is kept as
+// its view over the received bytes: the query's sender (the exchange's
+// initiator) recycles them only after the drain ends, and a job never
+// outlives its drain.
 type job struct {
-	clientPkt   netsim.Packet
-	clientQuery *dnswire.Message
-	q           dnswire.Question
-	servers     []netip.Addr
-	serverIdx   int
-	referrals   int
-	cnameChain  []dnswire.Record
-	cnameDepth  int
-	port        uint16
-	wantDNSSEC  bool
-	sigs        []dnswire.Record
+	clientPkt  netsim.Packet
+	query      dnswire.View
+	q          dnswire.Question
+	router     *netsim.Router // where port is bound
+	servers    []netip.Addr
+	serverIdx  int
+	referrals  int
+	cnameChain []dnswire.Record
+	cnameDepth int
+	port       uint16
+	sent       []byte // the upstream query in flight, recycled on its answer
+	wantDNSSEC bool
+	sigs       []dnswire.Record
+	glue       []netip.Addr // the last referral's glue, servers' storage
 }
 
 // NewRecursiveResolver builds a resolver with the given egress address
@@ -111,15 +130,13 @@ func NewRecursiveResolver(egress netip.Addr, rootHints ...netip.Addr) *Recursive
 		Egress:       egress,
 		RootHints:    rootHints,
 		MaxReferrals: 16,
-		cache:        make(map[cacheKey]cacheEntry),
-		pending:      make(map[uint16]*job),
 		nextPort:     10000,
 		nextID:       1,
 	}
 }
 
 // FlushCache empties the resolver cache.
-func (r *RecursiveResolver) FlushCache() { r.cache = make(map[cacheKey]cacheEntry) }
+func (r *RecursiveResolver) FlushCache() { clear(r.cache) }
 
 // ServeUDP implements netsim.Service: port 53 receives client queries;
 // ephemeral ports receive upstream responses.
@@ -136,7 +153,7 @@ func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	if err != nil || v.Header.Response || v.Header.QDCount == 0 {
 		return
 	}
-	_, class, _ := v.Question()
+	typ, class, _ := v.Question()
 	if class == dnswire.ClassCHAOS {
 		if rep, ok, drop := r.Adversary.chaosAnswer(&v, pkt, r.Egress); drop {
 			return
@@ -172,12 +189,69 @@ func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 			return
 		}
 	}
-	query := v.Message()
-	j := &job{
-		clientPkt: pkt, clientQuery: query, q: query.Question(),
-		wantDNSSEC: r.DNSSECAware && query.DO(),
-	}
+	j := r.newJob()
+	j.clientPkt, j.query = pkt, v
+	r.lastName = v.QuestionName(r.lastName)
+	j.q = dnswire.Question{Name: r.lastName, Type: typ, Class: class}
+	j.wantDNSSEC = r.DNSSECAware && v.DO()
 	r.advance(sc, j)
+}
+
+// newJob takes a job from the free list, or makes one.
+func (r *RecursiveResolver) newJob() *job {
+	if k := len(r.free); k > 0 {
+		j := r.free[k-1]
+		r.free = r.free[:k-1]
+		return j
+	}
+	return new(job)
+}
+
+// freeJob retires a job to the free list, keeping its slices' storage
+// but dropping every reference into packets and records.
+func (r *RecursiveResolver) freeJob(j *job) {
+	clear(j.cnameChain)
+	clear(j.sigs)
+	*j = job{cnameChain: j.cnameChain[:0], sigs: j.sigs[:0], glue: j.glue[:0]}
+	r.free = append(r.free, j)
+}
+
+// bindJob binds a fresh upstream port for the job on the router sc
+// delivers through, and arms dropPending for the drain under way. The
+// port the job moves off is unbound and forgotten: no answer to it can
+// reach the job any more.
+func (r *RecursiveResolver) bindJob(sc *netsim.ServiceCtx, j *job) {
+	if j.port != 0 {
+		j.router.Unbind(j.port)
+		delete(r.pending, j.port)
+	}
+	j.port = r.allocPort()
+	j.router = sc.Router
+	if r.pending == nil {
+		r.pending = make(map[uint16]*job)
+	}
+	r.pending[j.port] = j
+	j.router.Bind(j.port, r)
+	if !r.idleArmed {
+		if r.dropIdle == nil {
+			r.dropIdle = r.dropPending
+		}
+		sc.OnIdle(r.dropIdle)
+		r.idleArmed = true
+	}
+}
+
+// dropPending drops every job still waiting when the network goes idle:
+// its upstream query or the answer was lost, so nothing can complete
+// it. It unbinds the job's port and sends nothing, so the client sees
+// the timeout it would have seen anyway.
+func (r *RecursiveResolver) dropPending() {
+	r.idleArmed = false
+	for port, j := range r.pending {
+		j.router.Unbind(port)
+		r.freeJob(j)
+	}
+	clear(r.pending)
 }
 
 // advance moves a job forward: serve from cache, or (re)start iteration
@@ -205,16 +279,12 @@ func (r *RecursiveResolver) queryNext(sc *netsim.ServiceCtx, j *job) {
 		if !src.IsValid() {
 			continue
 		}
-		if j.port != 0 {
-			sc.Router.Unbind(j.port)
-		}
-		j.port = r.allocPort()
-		r.pending[j.port] = j
-		sc.Router.Bind(j.port, r)
-		payload, err := r.upstreamQuery(r.allocID(), j.q)
+		r.bindJob(sc, j)
+		payload, err := r.upstreamQuery(sc.PayloadBuf(), r.allocID(), j.q)
 		if err != nil {
 			continue
 		}
+		j.sent = payload
 		sc.Send(netsim.Packet{
 			Src:     netip.AddrPortFrom(src, j.port),
 			Dst:     netip.AddrPortFrom(server, 53),
@@ -228,23 +298,29 @@ func (r *RecursiveResolver) queryNext(sc *netsim.ServiceCtx, j *job) {
 	r.finish(sc, j, dnswire.RCodeServerFailure, nil)
 }
 
-// upstreamQuery packs the iterative query for q: no RD, and an EDNS
-// OPT with the DO bit when the resolver validates.
-func (r *RecursiveResolver) upstreamQuery(id uint16, q dnswire.Question) ([]byte, error) {
+// upstreamQuery appends the iterative query for q to dst: no RD, and
+// an EDNS OPT with the DO bit when the resolver validates.
+func (r *RecursiveResolver) upstreamQuery(dst []byte, id uint16, q dnswire.Question) ([]byte, error) {
 	uq := dnswire.Query{ID: id, Name: q.Name, Type: q.Type, Class: q.Class}
 	if r.DNSSECAware {
 		uq.EDNS, uq.DO = 4096, true
 	}
-	return dnswire.AppendQuery(nil, uq)
+	return dnswire.AppendQuery(dst, uq)
 }
 
-// handleUpstream processes an authoritative answer for a pending job.
+// handleUpstream processes an authoritative answer for a pending job,
+// reading it in place. The resolver initiated the exchange, so it
+// recycles both its query's bytes and, once done, the answer's: nothing
+// it keeps aliases them.
 func (r *RecursiveResolver) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	j, ok := r.pending[pkt.Dst.Port()]
 	if !ok {
 		return
 	}
-	resp, err := dnswire.Unpack(pkt.Payload)
+	sc.Recycle(j.sent)
+	j.sent = nil
+	defer sc.Recycle(pkt.Payload)
+	resp, err := dnswire.ParseView(pkt.Payload)
 	if err != nil || !resp.Header.Response {
 		r.queryNext(sc, j)
 		return
@@ -257,10 +333,10 @@ func (r *RecursiveResolver) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Pac
 		r.finish(sc, j, dnswire.RCodeNameError, nil)
 	case resp.Header.RCode != dnswire.RCodeSuccess:
 		r.queryNext(sc, j) // lame or refusing server: try the next one
-	case len(resp.Answers) > 0:
-		r.handleAnswer(sc, j, resp)
-	case len(resp.Authority) > 0:
-		r.followReferral(sc, j, resp)
+	case resp.Header.ANCount > 0:
+		r.handleAnswer(sc, j, &resp)
+	case resp.Header.NSCount > 0:
+		r.followReferral(sc, j, &resp)
 	default:
 		// NODATA: genuine empty answer.
 		r.store(sc, j.q, cacheEntry{rcode: dnswire.RCodeSuccess}, 60)
@@ -269,21 +345,26 @@ func (r *RecursiveResolver) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Pac
 }
 
 // handleAnswer consumes an authoritative answer section: either the
-// final records, or a CNAME to chase.
-func (r *RecursiveResolver) handleAnswer(sc *netsim.ServiceCtx, j *job, resp *dnswire.Message) {
+// final records, or a CNAME to chase. Only the records it keeps are
+// copied out of the answer.
+func (r *RecursiveResolver) handleAnswer(sc *netsim.ServiceCtx, j *job, resp *dnswire.View) {
 	var matched, sigs []dnswire.Record
-	var cname *dnswire.CNAMERData
-	for _, rr := range resp.Answers {
-		if rr.Type() == j.q.Type && rr.Name.Equal(j.q.Name) {
-			matched = append(matched, rr)
+	var cname dnswire.Name
+	chased := false
+	for rr := resp.Answers(); rr.Next(); {
+		if !rr.NameEqual(j.q.Name) {
+			continue
 		}
-		if sig, ok := rr.Data.(dnswire.RRSIGRData); ok &&
-			sig.TypeCovered == j.q.Type && rr.Name.Equal(j.q.Name) {
-			sigs = append(sigs, rr)
+		if rr.Type == j.q.Type {
+			matched = append(matched, rr.Record(j.q.Name))
 		}
-		if c, ok := rr.Data.(dnswire.CNAMERData); ok && rr.Name.Equal(j.q.Name) {
-			cname = &c
-			j.cnameChain = append(j.cnameChain, rr)
+		if rr.Type == dnswire.TypeRRSIG && rr.TypeCovered() == j.q.Type {
+			sigs = append(sigs, rr.Record(j.q.Name))
+		}
+		if rr.Type == dnswire.TypeCNAME {
+			c := rr.Record(j.q.Name)
+			cname, chased = c.Data.(dnswire.CNAMERData).Target, true
+			j.cnameChain = append(j.cnameChain, c)
 		}
 	}
 	if len(matched) > 0 {
@@ -298,21 +379,22 @@ func (r *RecursiveResolver) handleAnswer(sc *netsim.ServiceCtx, j *job, resp *dn
 		r.finish(sc, j, dnswire.RCodeSuccess, matched)
 		return
 	}
-	if cname != nil && j.q.Type != dnswire.TypeCNAME {
+	if chased && j.q.Type != dnswire.TypeCNAME {
 		j.cnameDepth++
 		if j.cnameDepth > 8 {
 			r.finish(sc, j, dnswire.RCodeServerFailure, nil)
 			return
 		}
-		j.q = dnswire.Question{Name: cname.Target, Type: j.q.Type, Class: j.q.Class}
+		j.q = dnswire.Question{Name: cname, Type: j.q.Type, Class: j.q.Class}
 		r.advance(sc, j)
 		return
 	}
 	r.finish(sc, j, dnswire.RCodeSuccess, nil)
 }
 
-// followReferral walks one delegation step down the tree, using glue.
-func (r *RecursiveResolver) followReferral(sc *netsim.ServiceCtx, j *job, resp *dnswire.Message) {
+// followReferral walks one delegation step down the tree, using the
+// glue addresses of the referral's additional section.
+func (r *RecursiveResolver) followReferral(sc *netsim.ServiceCtx, j *job, resp *dnswire.View) {
 	j.referrals++
 	max := r.MaxReferrals
 	if max == 0 {
@@ -322,15 +404,15 @@ func (r *RecursiveResolver) followReferral(sc *netsim.ServiceCtx, j *job, resp *
 		r.finish(sc, j, dnswire.RCodeServerFailure, nil)
 		return
 	}
-	var next []netip.Addr
-	for _, rr := range resp.Additional {
-		switch d := rr.Data.(type) {
-		case dnswire.ARData:
-			next = append(next, d.Addr)
-		case dnswire.AAAARData:
-			next = append(next, d.Addr)
+	// The glue overwrites the previous referral's, which j.servers may
+	// hold: those servers are done with.
+	next := j.glue[:0]
+	for rr := resp.Additional(); rr.Next(); {
+		if a, ok := rr.Addr(); ok {
+			next = append(next, a)
 		}
 	}
+	j.glue = next
 	if len(next) == 0 {
 		// Glueless delegation: a full implementation would resolve the NS
 		// names; the simulated tree always provides glue, so treat the
@@ -343,10 +425,11 @@ func (r *RecursiveResolver) followReferral(sc *netsim.ServiceCtx, j *job, resp *
 	r.queryNext(sc, j)
 }
 
-// finish answers the client and retires the job.
+// finish answers the client from the query's view, writing the
+// response into a recycled payload buffer, and retires the job.
 func (r *RecursiveResolver) finish(sc *netsim.ServiceCtx, j *job, rcode dnswire.RCode, answers []dnswire.Record) {
 	if j.port != 0 {
-		sc.Router.Unbind(j.port)
+		j.router.Unbind(j.port)
 		delete(r.pending, j.port)
 	}
 	// NXDOMAIN wildcarding: rewrite the error into an ad-server answer.
@@ -358,14 +441,19 @@ func (r *RecursiveResolver) finish(sc *netsim.ServiceCtx, j *job, rcode dnswire.
 			Data: dnswire.ARData{Addr: r.NXDomainWildcard},
 		}}
 	}
-	resp := dnswire.NewResponse(j.clientQuery, rcode)
-	resp.Header.RecursionAvailable = true
-	resp.Answers = append(resp.Answers, j.cnameChain...)
-	resp.Answers = append(resp.Answers, answers...)
+	var w dnswire.Responder
+	w.Start(&j.query, sc.PayloadBuf(), dnswire.Header{RCode: rcode, RecursionAvailable: true})
+	w.Answer(j.cnameChain...)
+	w.Answer(answers...)
 	if j.wantDNSSEC {
-		resp.Answers = append(resp.Answers, j.sigs...)
+		w.Answer(j.sigs...)
 	}
-	r.reply(sc, j.clientPkt, resp)
+	payload, err := w.Finish()
+	if err != nil {
+		payload = j.query.AppendErrorResponse(payload, dnswire.RCodeServerFailure)
+	}
+	sc.Reply(j.clientPkt, payload)
+	r.freeJob(j)
 }
 
 // store caches an entry for ttl seconds of virtual time. TTL-zero
@@ -375,17 +463,10 @@ func (r *RecursiveResolver) store(sc *netsim.ServiceCtx, q dnswire.Question, e c
 		return
 	}
 	e.expires = sc.Now() + time.Duration(ttl)*time.Second
-	r.cache[r.key(q)] = e
-}
-
-// reply packs and sends a response to the packet's source, reusing a
-// recycled payload buffer for the bytes.
-func (r *RecursiveResolver) reply(sc *netsim.ServiceCtx, to netsim.Packet, m *dnswire.Message) {
-	payload, err := m.PackTo(sc.PayloadBuf())
-	if err != nil {
-		payload = dnswire.MustPack(dnswire.NewErrorResponse(m, dnswire.RCodeServerFailure))
+	if r.cache == nil {
+		r.cache = make(map[cacheKey]cacheEntry)
 	}
-	sc.Reply(to, payload)
+	r.cache[r.key(q)] = e
 }
 
 // egressFor picks the egress address matching the server's family.

@@ -342,3 +342,32 @@ func TestAuthServerAddZone(t *testing.T) {
 		t.Error("bestZone matched a foreign origin")
 	}
 }
+
+// TestResolverDropsUnanswerableJobAtIdle: a job whose upstream query is
+// lost is dropped once the network goes idle: no pending job, no bound
+// upstream port, and nothing sent. The client sees the timeout it
+// would see anyway, and a later query resolves normally.
+func TestResolverDropsUnanswerableJobAtIdle(t *testing.T) {
+	w := buildDNSWorld(t)
+	hints := w.resolver.RootHints
+	w.resolver.RootHints = []netip.Addr{addr("203.0.113.254")} // routed nowhere
+	query := dnswire.NewQuery(13, "www.example.com", dnswire.TypeA, dnswire.ClassINET)
+	if _, err := w.client.Exchange(w.net, ap("10.53.0.53:53"), dnswire.MustPack(query), netsim.ExchangeOptions{}); !errors.Is(err, netsim.ErrTimeout) {
+		t.Fatalf("err = %v, want timeout", err)
+	}
+	if n := len(w.resolver.pending); n != 0 {
+		t.Errorf("resolver holds %d jobs after the drain", n)
+	}
+	for port := uint16(10000); port < 20000; port++ {
+		if _, ok := w.resRtr.BoundService(addr("10.53.0.53"), port); ok {
+			t.Errorf("upstream port %d still bound", port)
+		}
+	}
+	if n, err := w.net.Run(); n != 0 || err != nil {
+		t.Errorf("dropping the job sent %d events (%v)", n, err)
+	}
+	w.resolver.RootHints = hints
+	if m := w.resolve(t, "www.example.com", dnswire.TypeA); m.Header.RCode != dnswire.RCodeSuccess || len(m.Answers) != 1 {
+		t.Errorf("resolution after the drop:\n%s", m)
+	}
+}

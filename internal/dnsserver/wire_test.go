@@ -260,16 +260,16 @@ func TestReferralWireIdentity(t *testing.T) {
 		root.Delegate(cut, ns)
 	}
 	s := NewAuthServer(root)
-	pkt := netsim.Packet{Src: netip.MustParseAddrPort("192.0.2.1:5353")}
+	src := netip.MustParseAddrPort("192.0.2.1:5353")
 	for cut, ns := range delegations {
 		for i, name := range []dnswire.Name{"www." + cut, "deep.sub." + cut} {
 			query := dnswire.NewQuery(uint16(40+i), name, dnswire.TypeA, dnswire.ClassINET)
 			want := dnswire.NewResponse(query, dnswire.RCodeSuccess)
 			legacyReferral(want, cut, ns)
 			for round := 0; round < 2; round++ {
-				got := s.handle(query, pkt)
-				if !bytes.Equal(dnswire.MustPack(got), dnswire.MustPack(want)) {
-					t.Fatalf("%s round %d:\ngot  %v\nwant %v", name, round, got, want)
+				got := s.handle(nil, viewOf(t, query), src)
+				if !bytes.Equal(got, dnswire.MustPack(want)) {
+					t.Fatalf("%s round %d:\ngot  %x\nwant %v", name, round, got, want)
 				}
 			}
 		}
@@ -293,7 +293,7 @@ func TestUpstreamQueryWireIdentity(t *testing.T) {
 			if dnssec {
 				m.SetEDNS(4096, true)
 			}
-			got, err := r.upstreamQuery(uint16(i+1), q)
+			got, err := r.upstreamQuery(nil, uint16(i+1), q)
 			if err != nil || !bytes.Equal(got, dnswire.MustPack(m)) {
 				t.Errorf("dnssec=%t %s: AppendQuery %x (%v), legacy %x", dnssec, q.Name, got, err, dnswire.MustPack(m))
 			}

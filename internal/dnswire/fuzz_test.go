@@ -167,6 +167,27 @@ func FuzzView(f *testing.F) {
 			if v.QuestionNameEqual(q.Name + "x") {
 				t.Fatalf("question name %q equals %q", q.Name, q.Name+"x")
 			}
+			if got := v.QuestionName(""); got != q.Name {
+				t.Fatalf("QuestionName = %q, want %q", got, q.Name)
+			}
+			if got := v.QuestionName(flipCase(q.Name)); got != q.Name {
+				t.Fatalf("QuestionName(%q) = %q, want %q", flipCase(q.Name), got, q.Name)
+			}
+		}
+		if v.DO() != m.DO() {
+			t.Fatalf("DO = %t, want %t", v.DO(), m.DO())
+		}
+		add := v.Additional()
+		for i, rr := range m.Additional {
+			if !add.Next() || add.Type != rr.Type() || add.TTL != rr.TTL {
+				t.Fatalf("additional %d: %s %d, want %s %d", i, add.Type, add.TTL, rr.Type(), rr.TTL)
+			}
+			if got := add.Record(""); !reflect.DeepEqual(got, rr) {
+				t.Fatalf("additional %d: Record = %v, want %v", i, got, rr)
+			}
+		}
+		if add.Next() {
+			t.Fatalf("cursor yields more than %d additional records", len(m.Additional))
 		}
 		ans := v.Answers()
 		for i, rr := range m.Answers {
@@ -185,6 +206,18 @@ func FuzzView(f *testing.F) {
 				want = d.Addr
 			case AAAARData:
 				want = d.Addr
+			}
+			for _, owner := range []Name{"", rr.Name, flipCase(rr.Name)} {
+				if got := ans.Record(owner); !reflect.DeepEqual(got, rr) {
+					t.Fatalf("answer %d: Record(%q) = %v, want %v", i, owner, got, rr)
+				}
+			}
+			wantCovered := TypeNone
+			if sig, ok := rr.Data.(RRSIGRData); ok {
+				wantCovered = sig.TypeCovered
+			}
+			if got := ans.TypeCovered(); got != wantCovered {
+				t.Fatalf("answer %d: TypeCovered = %s, want %s", i, got, wantCovered)
 			}
 			if addr, ok := ans.Addr(); addr != want || ok != want.IsValid() {
 				t.Fatalf("answer %d: Addr = %v, %t, want %v", i, addr, ok, want)
@@ -318,8 +351,9 @@ func legacyPackName(buf []byte, n Name, cmp map[string]int, base int) ([]byte, e
 }
 
 // FuzzAppendResponse is differential against the Message builders: for
-// every query ParseView accepts, the View's response appenders write the
-// bytes that packing the builders' Message writes, ClientSubnet reads
+// every query ParseView accepts, the View's response appenders and its
+// Responder, fed the input's own records, write the bytes that packing
+// the builders' Message writes, ClientSubnet reads
 // what Message.ClientSubnet reads, and AppendCanonicalQuestion writes the
 // question with its Canonical name, uncompressed.
 func FuzzAppendResponse(f *testing.F) {
@@ -360,6 +394,29 @@ func FuzzAppendResponse(f *testing.F) {
 			if gotErr != nil && string(got) != string(pre) {
 				t.Fatalf("failed append left %x, want the prefix alone", got)
 			}
+		}
+
+		// Respond with the input's own records and the header's flags
+		// writes what packing NewResponse with them does.
+		h := Header{RCode: erc, Authoritative: rc&0x10 != 0, RecursionAvailable: rc&0x20 != 0, AuthenticData: rc&0x40 != 0}
+		ref := NewResponse(q, erc)
+		ref.Header.Authoritative, ref.Header.RecursionAvailable, ref.Header.AuthenticData = h.Authoritative, h.RecursionAvailable, h.AuthenticData
+		ref.Answers, ref.Authority, ref.Additional = q.Answers, q.Authority, q.Additional
+		var w Responder
+		w.Start(&v, append([]byte(nil), pre...), h)
+		w.Answer(q.Answers...)
+		w.Authority(q.Authority...)
+		w.Additional(q.Additional...)
+		got, gotErr := w.Finish()
+		want, wantErr := ref.PackTo(append([]byte(nil), pre...))
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("Respond err = %v, builder err = %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("Respond\n%x\nbuilder\n%x", got, want)
+		}
+		if gotErr != nil && string(got) != string(pre) {
+			t.Fatalf("failed Respond left %x, want the prefix alone", got)
 		}
 
 		ecs, ok := v.ClientSubnet()

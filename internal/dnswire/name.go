@@ -113,12 +113,16 @@ func validateName(n Name) error {
 
 // compressor remembers the name suffixes already emitted into one
 // message so later occurrences can be replaced by 14-bit pointers
-// (RFC 1035 §4.1.4). Suffixes are the packed names' own substrings,
-// matched under Name.Equal. The first 16 live in an inline array, so
-// a compressor on PackTo's stack packs a message of ordinary shape
-// without allocating; further suffixes spill into a heap slice. (An
-// entries slice aimed at the inline array would send the whole table to
-// the heap: escape analysis cannot see that the pointer stays local.)
+// (RFC 1035 §4.1.4). An entry is the message offset of a label the
+// message spells out and the text length of the name from there; a
+// suffix matches when it has that length and reads, in the message's
+// own bytes, the same under Name.Equal. So names a response copies from
+// a query's wire can seed the table as well as names packed from text.
+// The first 16 entries live in an inline array, so a compressor on
+// PackTo's stack packs a message of ordinary shape without allocating;
+// further entries spill into a heap slice. (An entries slice aimed at
+// the inline array would send the whole table to the heap: escape
+// analysis cannot see that the pointer stays local.)
 type compressor struct {
 	base   int // buffer offset of the message header; offsets are relative to it
 	n      int // entries used in inline
@@ -126,36 +130,52 @@ type compressor struct {
 	spill  []cmpEntry
 }
 
-// cmpEntry is one emitted suffix and its message-relative offset.
+// cmpEntry is one emitted suffix: its message-relative offset and its
+// length as presentation text.
 type cmpEntry struct {
-	suffix string
-	off    uint16
+	off, n uint16
 }
 
-// find returns the offset of an emitted suffix equal to s.
-func (c *compressor) find(s string) (int, bool) {
-	for i := range c.inline[:c.n] {
-		if Name(c.inline[i].suffix).Equal(Name(s)) {
-			return int(c.inline[i].off), true
+// find returns the offset of an emitted suffix equal to s in buf, the
+// buffer the message is being packed into.
+func (c *compressor) find(buf []byte, s string) (int, bool) {
+	msg := buf[c.base:]
+	for _, e := range c.inline[:c.n] {
+		if int(e.n) == len(s) && nameEqual(msg, int(e.off), Name(s)) {
+			return int(e.off), true
 		}
 	}
-	for i := range c.spill {
-		if Name(c.spill[i].suffix).Equal(Name(s)) {
-			return int(c.spill[i].off), true
+	for _, e := range c.spill {
+		if int(e.n) == len(s) && nameEqual(msg, int(e.off), Name(s)) {
+			return int(e.off), true
 		}
 	}
 	return 0, false
 }
 
-// add records suffix s as emitted at message offset off (< 0x4000).
-func (c *compressor) add(s string, off int) {
-	e := cmpEntry{suffix: s, off: uint16(off)}
+// add records a suffix of n text octets as emitted at message offset
+// off (< 0x4000).
+func (c *compressor) add(n, off int) {
+	e := cmpEntry{off: uint16(off), n: uint16(n)}
 	if c.n < len(c.inline) {
 		c.inline[c.n] = e
 		c.n++
 		return
 	}
 	c.spill = append(c.spill, e)
+}
+
+// addWire records every label of the uncompressed name at message
+// offset off, as packing the name's text with c would have.
+func (c *compressor) addWire(msg []byte, off int) {
+	n := -1 // text length from off: the labels and the dots between them
+	for p := off; msg[p] != 0; p += 1 + int(msg[p]) {
+		n += 1 + int(msg[p])
+	}
+	for ; msg[off] != 0 && off < 0x4000; off += 1 + int(msg[off]) {
+		c.add(n, off)
+		n -= 1 + int(msg[off])
+	}
 }
 
 // equalFoldASCII reports whether two equal-length strings match under
@@ -191,11 +211,11 @@ func packName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	}
 	for pos := 0; ; {
 		if cmp != nil {
-			if off, ok := cmp.find(s[pos:]); ok {
+			if off, ok := cmp.find(buf, s[pos:]); ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
 			if off := len(buf) - cmp.base; off < 0x4000 {
-				cmp.add(s[pos:], off)
+				cmp.add(len(s)-pos, off)
 			}
 		}
 		end := strings.IndexByte(s[pos:], '.')

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 )
@@ -25,6 +26,7 @@ type View struct {
 	msg   []byte
 	qType int // offset of the first question's type field
 	an    int // offset of the answer section
+	ar    int // offset of the additional section
 }
 
 // ParseView validates msg and returns a view of it. Its errors are
@@ -57,7 +59,10 @@ func ParseView(msg []byte) (View, error) {
 		{int(v.Header.NSCount), "authority"},
 		{int(v.Header.ARCount), "additional"},
 	}
-	for _, sec := range sections {
+	for k, sec := range sections {
+		if k == 2 {
+			v.ar = off
+		}
 		for i := 0; i < sec.count; i++ {
 			if off, err = skipRecord(msg, off); err != nil {
 				return View{}, fmt.Errorf("%s record %d: %w", sec.name, i, err)
@@ -105,15 +110,48 @@ func (v *View) QuestionNameEqual(n Name) bool {
 	return v.Header.QDCount > 0 && nameEqual(v.msg, headerLen, n)
 }
 
-// Answers returns a cursor over the answer section.
-func (v *View) Answers() Answers {
-	return Answers{msg: v.msg, next: v.an, left: int(v.Header.ANCount)}
+// QuestionName returns the first question's name, or the root name if
+// the question section is empty. A name that reads byte for byte as
+// known is known itself; any other is a copy, one allocation. A server
+// that passes the name it was last asked spares the copy for repeated
+// questions.
+func (v *View) QuestionName(known Name) Name {
+	if v.Header.QDCount == 0 {
+		return ""
+	}
+	if nameIs(v.msg, headerLen, known) {
+		return known
+	}
+	var text [maxNameWire]byte
+	b, _ := appendName(text[:0], v.msg, headerLen)
+	return Name(b)
 }
 
-// Answers is a cursor over a View's answer section. Next advances to the
-// next record and reports whether there was one; the exported fields and
-// the methods then describe that record.
-type Answers struct {
+// Answers returns a cursor over the answer section.
+func (v *View) Answers() Section {
+	return Section{msg: v.msg, next: v.an, left: int(v.Header.ANCount)}
+}
+
+// Additional returns a cursor over the additional section.
+func (v *View) Additional() Section {
+	return Section{msg: v.msg, next: v.ar, left: int(v.Header.ARCount)}
+}
+
+// DO reports whether the message requests DNSSEC records, as
+// Message.DO does: some OPT record carries the DO bit.
+func (v *View) DO() bool {
+	for rr := v.Additional(); rr.Next(); {
+		if rr.Type == TypeOPT && rr.TTL&ednsDOBit != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Section is a cursor over one section of a View. Next advances to the
+// next record and reports whether there was one; the exported fields
+// and the methods then describe that record.
+type Section struct {
 	Type  Type
 	Class Class
 	TTL   uint32
@@ -125,8 +163,8 @@ type Answers struct {
 	rdlen      int
 }
 
-// Next advances to the next answer record.
-func (a *Answers) Next() bool {
+// Next advances to the next record.
+func (a *Section) Next() bool {
 	if a.left == 0 {
 		return false
 	}
@@ -145,11 +183,11 @@ func (a *Answers) Next() bool {
 
 // NameEqual reports whether the record's owner name equals n under
 // Name.Equal, reading the wire labels in place.
-func (a *Answers) NameEqual(n Name) bool { return nameEqual(a.msg, a.name, n) }
+func (a *Section) NameEqual(n Name) bool { return nameEqual(a.msg, a.name, n) }
 
 // Addr returns the address of an A or AAAA record, and false for any
 // other type.
-func (a *Answers) Addr() (netip.Addr, bool) {
+func (a *Section) Addr() (netip.Addr, bool) {
 	body := a.msg[a.rdata : a.rdata+a.rdlen]
 	switch a.Type {
 	case TypeA:
@@ -163,7 +201,7 @@ func (a *Answers) Addr() (netip.Addr, bool) {
 // AppendTXT appends a TXT record's character-strings, concatenated as
 // TXTRData.Joined renders them, to dst; for any other type it returns dst
 // and false.
-func (a *Answers) AppendTXT(dst []byte) ([]byte, bool) {
+func (a *Section) AppendTXT(dst []byte) ([]byte, bool) {
 	if a.Type != TypeTXT {
 		return dst, false
 	}
@@ -174,6 +212,37 @@ func (a *Answers) AppendTXT(dst []byte) ([]byte, bool) {
 		i += 1 + l
 	}
 	return dst, true
+}
+
+// TypeCovered returns the type an RRSIG record covers, and TypeNone for
+// any other type.
+func (a *Section) TypeCovered() Type {
+	if a.Type != TypeRRSIG {
+		return TypeNone
+	}
+	return Type(binary.BigEndian.Uint16(a.msg[a.rdata:]))
+}
+
+// Record materializes the record as Message does, copying it out of the
+// viewed bytes. An owner name that reads byte for byte as owner is
+// owner itself rather than a copy, which spares a record named as the
+// question it answers an allocation.
+func (a *Section) Record(owner Name) Record {
+	d := decoder{msg: a.msg}
+	rr := Record{Name: owner, Class: a.Class, TTL: a.TTL}
+	if !nameIs(a.msg, a.name, owner) {
+		rr.Name, _ = d.name(a.name)
+	}
+	rr.Data = d.rdata(a.rdata, a.rdlen, a.Type)
+	return rr
+}
+
+// nameIs reports whether the validated name at off spells n exactly,
+// letter case included.
+func nameIs(msg []byte, off int, n Name) bool {
+	var text [maxNameWire]byte
+	b, _ := appendName(text[:0], msg, off)
+	return string(b) == string(n)
 }
 
 // nameEnd returns the offset after the encoding at off of a name that
@@ -348,4 +417,94 @@ func (v *View) appendResponse(dst []byte, h Header, txts []string) ([]byte, erro
 		return dst[:start], fmt.Errorf("dnswire: message is %d bytes, exceeds %d-byte UDP payload", len(dst)-start, maxUDPPayload)
 	}
 	return dst, nil
+}
+
+// Responder appends a response to a viewed query: the header, the
+// query's first question, then records section by section. It writes
+// byte for byte what packing the equivalent Message writes: one made by
+// NewResponse from the viewed query, with the flags and rcode of the
+// header given to Start and the same records appended to its
+// sections. Owner names are compressed as Pack compresses them, the
+// copied question included.
+type Responder struct {
+	buf    []byte
+	start  int
+	h      Header
+	counts [3]uint16 // records in the answer, authority and additional sections
+	sec    int       // the section being written
+	cmp    compressor
+	err    error
+}
+
+// Start begins, after dst, a response to the viewed query v with the
+// flags and rcode of h; the ID, opcode and RD bit echo the query's. It
+// discards whatever w held. (Starting in place, rather than returning
+// a Responder, spares copying and zeroing its compression table.)
+func (w *Responder) Start(v *View, dst []byte, h Header) {
+	h.ID = v.Header.ID
+	h.Opcode = v.Header.Opcode
+	h.Response = true
+	h.RecursionDesired = v.Header.RecursionDesired
+	// Field by field: the inline compression entries past cmp.n need no
+	// zeroing.
+	w.start, w.h, w.counts, w.sec, w.err = len(dst), h, [3]uint16{}, 0, nil
+	w.cmp.base, w.cmp.n, w.cmp.spill = len(dst), 0, w.cmp.spill[:0]
+	var hdr [headerLen]byte // written by Finish, once the counts are known
+	w.buf = append(dst, hdr[:]...)
+	if v.Header.QDCount > 0 {
+		w.h.QDCount = 1
+		w.buf = appendWireName(w.buf, v.msg, headerLen)
+		w.cmp.addWire(w.buf[w.start:], headerLen)
+		w.buf = append(w.buf, v.msg[v.qType:v.qType+4]...)
+	}
+}
+
+// Answer appends records to the answer section.
+func (w *Responder) Answer(rrs ...Record) { w.write(0, rrs) }
+
+// Authority appends records to the authority section. Answers can no
+// longer be appended after it.
+func (w *Responder) Authority(rrs ...Record) { w.write(1, rrs) }
+
+// Additional appends records to the additional section. Answer and
+// authority records can no longer be appended after it.
+func (w *Responder) Additional(rrs ...Record) { w.write(2, rrs) }
+
+// errSectionOrder reports a Responder asked to go back to a section it
+// has left.
+var errSectionOrder = errors.New("dnswire: response sections appended out of order")
+
+func (w *Responder) write(sec int, rrs []Record) {
+	if w.err != nil {
+		return
+	}
+	if sec < w.sec {
+		w.err = errSectionOrder
+		return
+	}
+	w.sec = sec
+	for _, rr := range rrs {
+		var err error
+		if w.buf, err = packRecord(w.buf, rr, &w.cmp); err != nil {
+			w.err = fmt.Errorf("packing record %q: %w", rr.Name, err)
+			return
+		}
+		w.counts[sec]++
+	}
+}
+
+// Finish writes the header and returns the extended buffer. Like
+// PackTo it fails on a record that cannot be packed and on a response
+// longer than 512 octets; it then returns the buffer as it was before
+// Start, so the caller can append another answer in its place.
+func (w *Responder) Finish() ([]byte, error) {
+	if w.err == nil && len(w.buf)-w.start > maxUDPPayload {
+		w.err = fmt.Errorf("dnswire: message is %d bytes, exceeds %d-byte UDP payload", len(w.buf)-w.start, maxUDPPayload)
+	}
+	if w.err != nil {
+		return w.buf[:w.start], w.err
+	}
+	w.h.ANCount, w.h.NSCount, w.h.ARCount = w.counts[0], w.counts[1], w.counts[2]
+	w.h.pack(w.buf[w.start:w.start]) // overwrites the reserved header octets
+	return w.buf, nil
 }

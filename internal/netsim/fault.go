@@ -167,6 +167,19 @@ func (n *Network) SetDeviceFault(name string, p FaultProfile) {
 	n.faults.byDev[name] = &p
 }
 
+// ForgetFaultFlows drops the fault plane's per-flow state: every
+// Gilbert–Elliott chain and token bucket. A flow that passes again
+// starts afresh, as if it had never passed. The study calls it at each
+// probe boundary, once the probe's flows have all ended: a probe's
+// chains and buckets are keyed by its own devices and addresses, so
+// no later probe would read them. Nothing is sent.
+func (n *Network) ForgetFaultFlows() {
+	if n.faults != nil {
+		clear(n.faults.chains)
+		clear(n.faults.rates)
+	}
+}
+
 // profileFor resolves the profile governing a device.
 func (f *faultPlane) profileFor(dev Device) *FaultProfile {
 	if p, ok := f.byDev[dev.DeviceName()]; ok {

@@ -170,6 +170,10 @@ type Network struct {
 	// pool is bypassed while taps are installed: TraceEvents retain whole
 	// Packets (payload included), and a tap may hold them indefinitely.
 	payloadFree [][]byte
+
+	// idle holds the functions to call when the drain under way ends
+	// with the queue empty (see OnIdle).
+	idle []func()
 }
 
 // payloadFreeMax bounds the freelist; a handful of buffers covers the
@@ -209,6 +213,14 @@ func (n *Network) RecyclePayload(buf []byte) {
 	}
 	n.payloadFree = append(n.payloadFree, buf[:0])
 }
+
+// OnIdle has fn called once, when the drain under way empties the event
+// queue. Run drains to empty, so an idle network delivers nothing more:
+// state that waits for a packet which is not in flight then can never
+// be completed, and fn can drop it. fn must send nothing. A drain that
+// ends on the event budget leaves events queued, and fn waits for the
+// drain that delivers them.
+func (n *Network) OnIdle(fn func()) { n.idle = append(n.idle, fn) }
 
 // NewNetwork returns an empty network with a generous event budget.
 func NewNetwork() *Network {
@@ -333,5 +345,10 @@ func (n *Network) Run() (int, error) {
 			n.release(ev.slot)
 		}
 	}
+	for i, fn := range n.idle {
+		n.idle[i] = nil
+		fn()
+	}
+	n.idle = n.idle[:0]
 	return processed, nil
 }

@@ -41,6 +41,19 @@ func (sc *ServiceCtx) Now() time.Duration { return sc.ctx.Now() }
 // packet it sends.
 func (sc *ServiceCtx) PayloadBuf() []byte { return sc.ctx.net.PayloadBuf() }
 
+// Recycle hands a payload the service received back to the network's
+// freelist (see Network.RecyclePayload). Only the initiator of an
+// exchange may recycle its responses: a service that queried upstream
+// may recycle an answer once it is done with it, provided no other
+// packet shares the answer's payload. Only fault duplicates share a
+// received payload, and the fault plane acts on client flows only, so
+// the answers to a resolver's own upstream queries are never shared.
+func (sc *ServiceCtx) Recycle(buf []byte) { sc.ctx.net.RecyclePayload(buf) }
+
+// OnIdle has fn called when the drain delivering this packet has
+// emptied the event queue (see Network.OnIdle). fn must send nothing.
+func (sc *ServiceCtx) OnIdle(fn func()) { sc.ctx.net.OnIdle(fn) }
+
 // Send emits a locally-originated packet. The router's reverse-DNAT
 // table is consulted so that responses to intercepted flows leave with
 // the spoofed (original-destination) source address, then the packet is

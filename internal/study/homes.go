@@ -130,10 +130,12 @@ func deviceName(prefix string, id int) string {
 }
 
 // releaseHome detaches a live home from its segment, leaving the
-// home slot free for the next probe.
+// home slot free for the next probe, and has the network forget the
+// probe's fault-plane flows.
 func (w *World) releaseHome(probe *atlas.Probe) {
 	h := w.homeOf(probe.ID)
 	w.ISPs[h.plan.org.ASN].DetachCPE(&w.seg, h.addrs)
+	w.Net.ForgetFaultFlows()
 	probe.Host = nil
 	w.homesLive--
 }

@@ -139,8 +139,12 @@ func runRecords(w *World) []*ProbeRecord {
 // counters (the checkpoint's restored registry already carries their
 // contribution). Skipping is deterministic because a probe's
 // measurement outcome never depends on the measurements before it: the
-// availability stream is pre-drawn, fault decisions hash packet
-// content, and resolver cache warmth only moves Diagnostic RTTs.
+// availability draw is the template's, sealed before any probe is
+// measured; fault decisions either hash packet content or advance a
+// per-(device, client) chain or token bucket, which are keyed by the
+// probe's own devices and addresses and which releaseHome has the
+// network forget at the probe boundary; and resolver cache warmth only
+// moves Diagnostic RTTs. TestStreamCheckpointResumeFaulted pins this.
 func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	sm := w.studyMetrics
 	measureStart := time.Now()

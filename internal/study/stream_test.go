@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
+	"github.com/dnswatch/dnsloc/internal/core"
+	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
@@ -182,7 +184,32 @@ func TestStreamSinkMatchesExport(t *testing.T) {
 // finishes with byte-identical tables, Stable metrics, and sink files
 // to an uninterrupted streamed run.
 func TestStreamCheckpointResume(t *testing.T) {
+	checkpointResume(t, streamSpec())
+}
+
+// TestStreamCheckpointResumeFaulted: the same kill and resume under the
+// fault plane with retries. A resumed shard skips its checkpointed
+// prefix without measuring it, so this pins that a probe's faults
+// depend only on the probe: the fault plane forgets every flow at the
+// probe boundary, and nothing else a skipped probe would have left
+// behind moves a later probe's record.
+func TestStreamCheckpointResumeFaulted(t *testing.T) {
 	spec := streamSpec()
+	fault := netsim.PresetFault(0.5, spec.Seed+9000)
+	spec.Fault = &fault
+	spec.Retry = &core.RetryPolicy{MaxAttempts: 3}
+	snap := checkpointResume(t, spec)
+	if counterValue(t, snap, "netsim.fault_burst_loss_drops") == 0 {
+		t.Error("the faulted spec dropped no packet")
+	}
+}
+
+// checkpointResume runs spec uninterrupted, then killed between
+// checkpoints and resumed, and requires the resumed run's tables,
+// Stable metrics and JSONL sink files to equal the uninterrupted run's.
+// It returns the uninterrupted run's full metric snapshot.
+func checkpointResume(t *testing.T, spec study.Spec) *study.Snapshot {
+	t.Helper()
 	const workers = 2
 
 	// Uninterrupted reference run, with sinks.
@@ -237,6 +264,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 		t.Errorf("resumed sink files diverge from uninterrupted run's (%d vs %d bytes)",
 			len(got), len(wantSinks))
 	}
+	return refRes.MetricsSnapshot(true)
 }
 
 // killSink wraps a JSONL sink but models a kill -9 at shutdown: Close
