@@ -100,13 +100,35 @@ func BenchmarkTable3ExampleVersionBind(b *testing.B) {
 
 // --- Table 4: intercepted probes per resolver ------------------------
 
+// intercepted counts the records whose probes the technique flagged as
+// intercepted in any family (the paper's 220).
+func intercepted(res *study.Results) int {
+	n := 0
+	for _, rec := range res.Records {
+		if rec.Report != nil && rec.Report.Intercepted() {
+			n++
+		}
+	}
+	return n
+}
+
+// fold folds every record of an in-memory run into one accumulator, the
+// way the streamed engine folds them as they complete.
+func fold(res *study.Results) *analysis.Accumulator {
+	acc := analysis.NewAccumulator()
+	for _, rec := range res.Records {
+		acc.Fold(rec)
+	}
+	return acc
+}
+
 // BenchmarkTable4PerResolver aggregates the study into Table 4.
 func BenchmarkTable4PerResolver(b *testing.B) {
 	res := sharedStudy(b)
 	var t4 analysis.Table4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t4 = analysis.BuildTable4(res)
+		t4 = fold(res).Table4()
 	}
 	b.StopTimer()
 	if t4.AllInterceptedV6 != 0 {
@@ -124,7 +146,7 @@ func BenchmarkTable5VersionStrings(b *testing.B) {
 	var t5 analysis.Table5
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t5 = analysis.BuildTable5(res)
+		t5 = fold(res).Table5()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(t5.CPETotal), "cpe_probes")
@@ -139,7 +161,7 @@ func BenchmarkFigure3Transparency(b *testing.B) {
 	var f3 analysis.Figure3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f3 = analysis.BuildFigure3(res, 15)
+		f3 = fold(res).Figure3(15)
 	}
 	b.StopTimer()
 	if len(f3.Rows) > 0 && f3.Rows[0].ASN != 7922 {
@@ -156,7 +178,7 @@ func BenchmarkFigure4Location(b *testing.B) {
 	var f4 analysis.Figure4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f4 = analysis.BuildFigure4(res, 15)
+		f4 = fold(res).Figure4(15)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(f4.CPE), "cpe")
@@ -174,7 +196,7 @@ func BenchmarkPilotStudyBuildAndRun(b *testing.B) {
 	spec := study.PaperSpec().Scale(0.05)
 	for i := 0; i < b.N; i++ {
 		res := study.Run(study.BuildWorld(spec))
-		if len(res.Intercepted()) == 0 {
+		if intercepted(res) == 0 {
 			b.Fatal("no interception found")
 		}
 	}
@@ -198,7 +220,7 @@ func BenchmarkPilotParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := study.RunSharded(spec, study.EngineOptions{Workers: workers})
-				if len(res.Intercepted()) == 0 {
+				if intercepted(res) == 0 {
 					b.Fatal("no interception found")
 				}
 			}
@@ -321,7 +343,7 @@ func BenchmarkPilotMetricsOff(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := study.RunSharded(spec, study.EngineOptions{Workers: workers})
-				if len(res.Intercepted()) == 0 {
+				if intercepted(res) == 0 {
 					b.Fatal("no interception found")
 				}
 			}

@@ -14,25 +14,34 @@
 //	pilotstudy -metrics-json f  # write the deterministic snapshot ("-" = stdout)
 //	pilotstudy -pprof p         # capture p.cpu / p.heap profiles of the sweep
 //	pilotstudy -trace f         # capture a runtime/trace of the sweep to f
-//	pilotstudy -stream          # bounded-memory pipeline: fold records, retain none
-//	pilotstudy -stream -records p      # also stream per-probe JSONL to p.shardK-of-N.jsonl
-//	pilotstudy -stream -checkpoint-dir d       # persist shard checkpoints under d
-//	pilotstudy -stream -checkpoint-dir d -resume  # resume a killed run, byte-identical output
+//	pilotstudy -json f          # the per-probe dataset as one JSON document
+//	pilotstudy -ext ttl         # §6 TTL ladders (also: -ext patterns, -ext population)
+//	pilotstudy -records p       # per-probe JSONL to p.shardK-of-N.jsonl
+//	pilotstudy -checkpoint-dir d        # persist shard checkpoints under d
+//	pilotstudy -checkpoint-dir d -resume  # resume a killed run, byte-identical output
 //	pilotstudy -torture-seed 20260808 -scale 0.0128  # crash-torture campaign: kill/corrupt/resume cycles
+//
+// Every run streams: each shard folds a probe's record into the tables
+// the moment it is measured and keeps none. Outputs that need every
+// probe (-json, -ext) read the run's JSONL shard files back in probe-ID
+// order once it ends; the files go to the -records prefix, else beside
+// the checkpoints, else to a temporary directory.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"strings"
 	"time"
 
 	"github.com/dnswatch/dnsloc/internal/analysis"
-	"github.com/dnswatch/dnsloc/internal/render"
+	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
@@ -56,12 +65,11 @@ func main() {
 		pprofPrefix = flag.String("pprof", "", "capture CPU and heap profiles of the sweep to <prefix>.cpu and <prefix>.heap")
 		tracePath   = flag.String("trace", "", "capture a runtime/trace of the sweep to this file (go tool trace <file>)")
 
-		stream     = flag.Bool("stream", false, "streaming bounded-memory pipeline: fold each record into the aggregates on completion instead of retaining it; output is byte-identical to the in-memory pipeline")
-		recordsOut = flag.String("records", "", "(with -stream) stream per-probe records as JSONL to <prefix>.shardK-of-N.jsonl, one file per shard")
-		ckptDir    = flag.String("checkpoint-dir", "", "(with -stream) persist per-shard checkpoints under this directory")
-		ckptEvery  = flag.Int("checkpoint-every", 1000, "(with -stream -checkpoint-dir) records per checkpoint")
-		resume     = flag.Bool("resume", false, "(with -stream -checkpoint-dir) resume from the directory's checkpoints; the finished run is byte-identical to an uninterrupted one")
-		stopAfter  = flag.Int("stop-after", 0, "(with -stream) halt each shard after this many records without a final checkpoint — simulates a mid-flight kill for checkpoint testing")
+		recordsOut = flag.String("records", "", "stream per-probe records as JSONL to <prefix>.shardK-of-N.jsonl, one file per shard")
+		ckptDir    = flag.String("checkpoint-dir", "", "persist per-shard checkpoints (and, without -records, the record files) under this directory")
+		ckptEvery  = flag.Int("checkpoint-every", 1000, "(with -checkpoint-dir) records per checkpoint")
+		resume     = flag.Bool("resume", false, "(with -checkpoint-dir) resume from the directory's checkpoints; the finished run is byte-identical to an uninterrupted one")
+		stopAfter  = flag.Int("stop-after", 0, "halt each shard after this many records without a final checkpoint — simulates a mid-flight kill for checkpoint testing")
 
 		tortureSeed   = flag.Int64("torture-seed", 0, "run the crash-torture campaign with this fault-schedule seed: repeated kill/corrupt/resume cycles whose final output must be byte-identical to an undisturbed run (reproduces the CI crash-torture job locally)")
 		tortureCycles = flag.Int("torture-cycles", 0, "(with -torture-seed) kill/corrupt/resume cycles to run (0 = 30)")
@@ -72,25 +80,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pilotstudy: -adversary runs its own sweep; it does not combine with -faults or -encryption")
 		os.Exit(2)
 	}
-	if *stream {
-		if *jsonOut != "" || *ext != "" {
-			fmt.Fprintln(os.Stderr, "pilotstudy: -stream retains no records; -json and -ext need the in-memory pipeline (use -records for streamed per-probe output)")
-			os.Exit(2)
-		}
-		if (*faults || *advSweep || *encSweep) && (*recordsOut != "" || *ckptDir != "" || *stopAfter > 0) {
-			fmt.Fprintln(os.Stderr, "pilotstudy: sweeps fold each cell into its own tables; -records, -checkpoint-dir, and -stop-after apply to single runs")
-			os.Exit(2)
-		}
-	} else {
-		for flagName, set := range map[string]bool{
-			"-records": *recordsOut != "", "-checkpoint-dir": *ckptDir != "",
-			"-resume": *resume, "-stop-after": *stopAfter > 0,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "pilotstudy: %s requires -stream\n", flagName)
-				os.Exit(2)
-			}
-		}
+	if (*faults || *advSweep || *encSweep) && (*recordsOut != "" || *ckptDir != "" || *stopAfter > 0) {
+		fmt.Fprintln(os.Stderr, "pilotstudy: sweeps fold each cell into its own tables; -records, -checkpoint-dir, and -stop-after apply to single runs")
+		os.Exit(2)
 	}
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "pilotstudy: -resume requires -checkpoint-dir")
@@ -168,85 +160,78 @@ func main() {
 		return
 	}
 
+	if spec.TotalProbes > 0 {
+		nWorkers = min(nWorkers, spec.TotalProbes) // as RunStreamed caps it
+	}
+	// The record files: kept at the -records prefix, beside the
+	// checkpoints (so a resumed run finds the rows the killed one wrote),
+	// or, for -json and -ext alone, in a directory removed at exit.
+	recordPrefix := *recordsOut
+	tmpDir := "" // removed at exit; RemoveAll("") does nothing
+	fatal := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "pilotstudy: "+format+"\n", args...)
+		os.RemoveAll(tmpDir)
+		os.Exit(1)
+	}
+	switch {
+	case recordPrefix != "":
+	case *ckptDir != "":
+		recordPrefix = filepath.Join(*ckptDir, "records")
+	case *jsonOut != "" || *ext != "":
+		dir, err := os.MkdirTemp("", "pilotstudy-records-")
+		if err != nil {
+			fatal("%v", err)
+		}
+		tmpDir, recordPrefix = dir, filepath.Join(dir, "records")
+	}
+	defer os.RemoveAll(tmpDir)
+
 	fmt.Fprintf(os.Stderr, "building world: %d probes, %d interception seats, %d worker(s)...\n",
 		spec.TotalProbes, spec.TotalSeats(), nWorkers)
 	if *pprofPrefix != "" {
 		f, err := os.Create(*pprofPrefix + ".cpu")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: creating cpu profile: %v\n", err)
-			os.Exit(1)
+			fatal("creating cpu profile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: starting cpu profile: %v\n", err)
-			os.Exit(1)
+			fatal("starting cpu profile: %v", err)
 		}
 		defer f.Close()
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: creating trace file: %v\n", err)
-			os.Exit(1)
+			fatal("creating trace file: %v", err)
 		}
 		if err := trace.Start(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: starting trace: %v\n", err)
-			os.Exit(1)
+			fatal("starting trace: %v", err)
 		}
 		defer f.Close()
 	}
 	start := time.Now()
-	progress := func(shard, workers, probes int, elapsed time.Duration) {
-		fmt.Fprintf(os.Stderr, "shard %d/%d: %d probes measured in %v\n",
-			shard+1, workers, probes, elapsed.Round(time.Millisecond))
+	opts := study.StreamOptions{
+		Workers: nWorkers,
+		Progress: func(shard, workers, probes int, elapsed time.Duration) {
+			fmt.Fprintf(os.Stderr, "shard %d/%d: %d probes measured in %v\n",
+				shard+1, workers, probes, elapsed.Round(time.Millisecond))
+		},
+		NewAccumulator:  func(int) study.Accumulator { return analysis.NewAccumulator() },
+		CheckpointDir:   *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		Resume:          *resume,
+		StopAfterProbes: *stopAfter,
 	}
-	var (
-		results  *study.Results        // in-memory pipeline only; nil with -stream
-		acc      *analysis.Accumulator // both pipelines render tables from this
-		snap     func(bool) *study.Snapshot
-		measured int
-		halted   bool
-	)
-	if *stream {
-		opts := study.StreamOptions{
-			Workers:         nWorkers,
-			Progress:        progress,
-			NewAccumulator:  func(int) study.Accumulator { return analysis.NewAccumulator() },
-			CheckpointDir:   *ckptDir,
-			CheckpointEvery: *ckptEvery,
-			Resume:          *resume,
-			StopAfterProbes: *stopAfter,
-		}
-		if *recordsOut != "" {
-			opts.NewSink = jsonlSink(*recordsOut)
-		}
-		res, err := study.RunStreamed(spec, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: %v\n", err)
-			os.Exit(1)
-		}
-		for _, e := range res.Errors {
-			fmt.Fprintf(os.Stderr, "pilotstudy: %s\n", e)
-		}
-		if len(res.Errors) > 0 {
-			os.Exit(1)
-		}
-		acc = res.Acc.(*analysis.Accumulator)
-		snap = res.MetricsSnapshot
-		measured = res.Folded + res.Skipped
-		halted = res.Stopped
-		fmt.Fprint(os.Stderr, render.KV([][2]string{
-			{"probes folded", fmt.Sprintf("%d", res.Folded)},
-			{"probes resumed from checkpoint", fmt.Sprintf("%d", res.Skipped)},
-		}))
-	} else {
-		results = study.RunSharded(spec, study.EngineOptions{Workers: nWorkers, Progress: progress})
-		acc = analysis.NewAccumulator()
-		for _, rec := range results.Records {
-			acc.Fold(rec)
-		}
-		snap = results.MetricsSnapshot
-		measured = len(results.Records)
+	if recordPrefix != "" {
+		opts.NewSink = study.JSONLFiles(recordPrefix)
 	}
+	res, err := study.RunStreamed(spec, opts)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if len(res.Errors) > 0 {
+		fatal("%s", strings.Join(res.Errors, "\npilotstudy: "))
+	}
+	acc := res.Acc.(*analysis.Accumulator)
 	if *tracePath != "" {
 		trace.Stop()
 		fmt.Fprintf(os.Stderr, "wrote %s (view with: go tool trace %s)\n", *tracePath, *tracePath)
@@ -262,43 +247,33 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pilotstudy: creating heap profile: %v\n", err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "study complete: %d probes in %v\n",
-		measured, time.Since(start).Round(time.Millisecond))
-	if halted {
+	fmt.Fprintf(os.Stderr, "study complete: %d probes (%d resumed from checkpoint) in %v\n",
+		res.Folded+res.Skipped, res.Skipped, time.Since(start).Round(time.Millisecond))
+	if res.Stopped {
 		// A simulated kill: the tables would be partial, so don't render
 		// them — the run exists only to leave checkpoints behind.
-		fmt.Fprintf(os.Stderr, "halted by -stop-after; resume with -stream -checkpoint-dir %s -resume\n", *ckptDir)
+		fmt.Fprintf(os.Stderr, "halted by -stop-after; resume with -checkpoint-dir %s -resume\n", *ckptDir)
 		return
 	}
 
 	if *metricsJSON != "" {
-		blob := snap(false).JSON()
+		blob := res.MetricsSnapshot(false).JSON()
 		if *metricsJSON == "-" {
 			os.Stdout.Write(blob) //nolint:errcheck
 		} else if err := os.WriteFile(*metricsJSON, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: writing %s: %v\n", *metricsJSON, err)
-			os.Exit(1)
+			fatal("writing %s: %v", *metricsJSON, err)
 		} else {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsJSON)
 		}
 	}
 
-	if *jsonOut != "" {
-		blob, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: encoding json: %v\n", err)
-			os.Exit(1)
+	var extOut string
+	if *jsonOut != "" || *ext != "" {
+		if extOut, err = readRecords(spec, recordPrefix, nWorkers, *jsonOut, *ext); err != nil {
+			fatal("%v", err)
 		}
-		if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pilotstudy: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 
-	// Both pipelines render from the accumulator: the slice-based Build*
-	// functions are wrappers over the same fold, so the bytes match the
-	// pre-streaming output exactly.
 	t4 := acc.Table4()
 	switch {
 	case *csv:
@@ -328,19 +303,64 @@ func main() {
 	}
 	if *showMetrics {
 		fmt.Println("== Run metrics ==")
-		fmt.Print(snap(true).Text())
+		fmt.Print(res.MetricsSnapshot(true).Text())
 	}
-	switch *ext {
+	if extOut != "" {
+		fmt.Println(extOut)
+	}
+}
+
+// readRecords walks the run's record files under prefix once, in
+// probe-ID order: it writes the -json document to jsonPath and folds
+// what the -ext experiments read, returning ext's rendered output. The
+// TTL ladders run after the walk, from the probes it picked.
+func readRecords(spec study.Spec, prefix string, workers int, jsonPath, ext string) (string, error) {
+	paths := make([]string, workers)
+	for k := range paths {
+		paths[k] = study.ShardFile(prefix, k, workers)
+	}
+	var doc *study.JSONDoc
+	var jsonFile *os.File
+	if jsonPath != "" {
+		f, err := os.Create(jsonPath)
+		if err != nil {
+			return "", err
+		}
+		defer f.Close() // for the error paths; the success path checks Close
+		doc, jsonFile = study.NewJSONDoc(f, spec), f
+	}
+	v4, v6 := analysis.NewPatternBreakdown(core.V4), analysis.NewPatternBreakdown(core.V6)
+	pop := analysis.Population{}
+	ttl := study.TTLTargets{CleanSample: 50}
+	err := study.WalkRecords(paths, func(row []byte, e *study.ProbeExport) error {
+		ttl.Add(e)
+		v4.Add(e)
+		v6.Add(e)
+		pop.Add(e)
+		if doc != nil {
+			return doc.Add(row)
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+	if doc != nil {
+		if err := errors.Join(doc.Close(), jsonFile.Close()); err != nil {
+			return "", err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
+	}
+	switch ext {
 	case "ttl":
-		fmt.Fprintf(os.Stderr, "running TTL ladders from intercepted probes...\n")
-		stats := study.RunTTLExtension(results, 50, 10)
-		fmt.Println(analysis.FormatTTLExtension(stats))
+		fmt.Fprintf(os.Stderr, "running TTL ladders from %d probes...\n", len(ttl.Targets))
+		return analysis.FormatTTLExtension(study.RunTTLExtension(spec, ttl.Targets, 10)), nil
 	case "patterns":
-		fmt.Println(analysis.FormatPatternBreakdown(analysis.BuildPatternBreakdown(results, "IPv4")))
-		fmt.Println(analysis.FormatPatternBreakdown(analysis.BuildPatternBreakdown(results, "IPv6")))
+		return analysis.FormatPatternBreakdown(*v4) + "\n" + analysis.FormatPatternBreakdown(*v6), nil
 	case "population":
-		fmt.Println(analysis.FormatPopulation(analysis.BuildPopulation(results)))
+		return analysis.FormatPopulation(pop.Rows()), nil
 	}
+	return "", nil
 }
 
 // runTorture drives the randomized crash-torture campaign: an
@@ -388,24 +408,5 @@ func runTorture(spec study.Spec, workers int, seed int64, cycles int) {
 	if !rep.Passed() {
 		fmt.Fprintf(os.Stderr, "pilotstudy: tortured run DIVERGED from undisturbed run:\n%s\n", rep.Diff)
 		os.Exit(1)
-	}
-}
-
-// jsonlSink opens per-shard JSONL record sinks under the given path
-// prefix. On resume the shard's file is truncated back to its
-// checkpoint cursor (dropping records written after the last checkpoint
-// and any partial line the kill left) and reopened in append mode, so
-// the finished file is byte-identical to an uninterrupted run's.
-func jsonlSink(prefix string) func(k, workers, resumedAt int) (study.RecordSink, error) {
-	return func(k, workers, resumedAt int) (study.RecordSink, error) {
-		path := fmt.Sprintf("%s.shard%d-of-%d.jsonl", prefix, k, workers)
-		if err := study.TruncateSinkFile(path, resumedAt); err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return study.NewJSONLSink(f), nil
 	}
 }

@@ -64,11 +64,12 @@ func TestCLIPilotstudySmallScale(t *testing.T) {
 	}
 }
 
-// TestCLIPilotstudySweepFlags: the sweeps stream, so -stream accepts
-// them; -adversary runs its own sweep, so pairing it with -faults is a
-// usage error (exit 2, which `go run` reports) rather than a silently
-// different sweep. So is an explicit -checkpoint-every with nowhere to
-// write the checkpoints, and a flag the CLI does not define.
+// TestCLIPilotstudySweepFlags: -adversary runs its own sweep, so
+// pairing it with -faults is a usage error (exit 2, which `go run`
+// reports) rather than a silently different sweep. So is an explicit
+// -checkpoint-every with nowhere to write the checkpoints, and a flag
+// the CLI does not define: -lanes went with the lane axis, -stream with
+// the in-memory pipeline.
 func TestCLIPilotstudySweepFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -76,17 +77,72 @@ func TestCLIPilotstudySweepFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		ok   bool
-		want string
+		want []string
 	}{
-		{[]string{"-stream", "-faults", "-scale", "0.02"}, true, "Resilience sweep"},
-		{[]string{"-adversary", "-faults", "-scale", "0.02"}, false, "exit status 2"},
-		{[]string{"-stream", "-checkpoint-every", "50", "-scale", "0.02"}, false, "-checkpoint-every requires -checkpoint-dir"},
-		{[]string{"-lanes", "2", "-scale", "0.02"}, false, "flag provided but not defined: -lanes"},
+		{[]string{"-faults", "-scale", "0.02"}, true, []string{"Resilience sweep"}},
+		{[]string{"-adversary", "-faults", "-scale", "0.02"}, false, []string{"exit status 2"}},
+		{[]string{"-checkpoint-every", "50", "-scale", "0.02"}, false, []string{"-checkpoint-every requires -checkpoint-dir"}},
+		{[]string{"-lanes", "2", "-scale", "0.02"}, false, []string{"flag provided but not defined: -lanes"}},
+		{[]string{"-stream", "-scale", "0.02"}, false, []string{"flag provided but not defined: -stream", "exit status 2"}},
 	} {
 		out, err := runCmd(t, append([]string{"./cmd/pilotstudy"}, c.args...)...)
-		if (err == nil) != c.ok || !strings.Contains(out, c.want) {
-			t.Errorf("pilotstudy %v: err=%v, want success=%t and %q in:\n%s", c.args, err, c.ok, c.want, out)
+		if (err == nil) != c.ok {
+			t.Errorf("pilotstudy %v: err=%v, want success=%t:\n%s", c.args, err, c.ok, out)
 		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("pilotstudy %v: want %q in:\n%s", c.args, want, out)
+			}
+		}
+	}
+}
+
+// TestCLIPilotstudyResumeRecordOutputs: -json and -ext read the run's
+// record files, which a checkpointed run keeps beside its checkpoints,
+// so a run stopped by -stop-after and resumed writes the same JSON
+// document and population table as an uninterrupted run.
+func TestCLIPilotstudyResumeRecordOutputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "pilotstudy")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/pilotstudy").CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	var stderr strings.Builder
+	run := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-scale", "0.1", "-workers", "2", "-table", "4", "-ext", "population"}, args...)...)
+		stderr.Reset()
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("pilotstudy %v: %v\n%s", args, err, stderr.String())
+		}
+		return string(out)
+	}
+	want := run("-json", filepath.Join(dir, "full.json"))
+	ckpt, resumed := filepath.Join(dir, "ckpt"), filepath.Join(dir, "resumed.json")
+	if out := run("-checkpoint-dir", ckpt, "-checkpoint-every", "50", "-json", resumed, "-stop-after", "220"); out != "" {
+		t.Fatalf("a halted run rendered output:\n%s", out)
+	}
+	if _, err := os.Stat(resumed); !os.IsNotExist(err) {
+		t.Fatalf("a halted run wrote %s", resumed)
+	}
+	if got := run("-checkpoint-dir", ckpt, "-checkpoint-every", "50", "-resume", "-json", resumed); got != want {
+		t.Errorf("resumed run renders\n%s\nuninterrupted run renders\n%s", got, want)
+	}
+	if !strings.Contains(stderr.String(), "(400 resumed from checkpoint)") {
+		t.Errorf("the resumed run did not resume 2 shards at their 200-record checkpoints:\n%s", stderr.String())
+	}
+	a, errA := os.ReadFile(filepath.Join(dir, "full.json"))
+	b, errB := os.ReadFile(resumed)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !strings.Contains(want, "Probe population by country") || len(a) == 0 || string(a) != string(b) {
+		t.Errorf("resumed JSON (%d bytes) differs from the uninterrupted run's (%d bytes)", len(b), len(a))
 	}
 }
 

@@ -186,32 +186,6 @@ func TestAccumulatorLoadStateNullMaps(t *testing.T) {
 	}
 }
 
-// TestBuildersMatchAccumulator: the slice-based Build* entry points are
-// wrappers over the accumulator; pin that they agree with an explicit
-// fold so a future divergence in either path is caught.
-func TestBuildersMatchAccumulator(t *testing.T) {
-	r := results(t)
-	a := NewAccumulator()
-	for _, rec := range r.Records {
-		a.Fold(rec)
-	}
-	if got, want := FormatTable4(BuildTable4(r)), FormatTable4(a.Table4()); got != want {
-		t.Errorf("BuildTable4 != accumulator Table4:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := FormatTable5(BuildTable5(r)), FormatTable5(a.Table5()); got != want {
-		t.Errorf("BuildTable5 != accumulator Table5:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := FormatFigure3(BuildFigure3(r, 10)), FormatFigure3(a.Figure3(10)); got != want {
-		t.Errorf("BuildFigure3 != accumulator Figure3:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := FormatFigure4(BuildFigure4(r, 10)), FormatFigure4(a.Figure4(10)); got != want {
-		t.Errorf("BuildFigure4 != accumulator Figure4:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := BuildAccuracy(r), a.Accuracy(); got != want {
-		t.Errorf("BuildAccuracy = %+v, accumulator = %+v", got, want)
-	}
-}
-
 // TestAccumulatorMergeRejectsForeignType guards the type assertion in
 // Merge.
 func TestAccumulatorMergeRejectsForeignType(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"github.com/dnswatch/dnsloc/internal/publicdns"
-	"github.com/dnswatch/dnsloc/internal/study"
 )
 
 // Table4Row is one operator's line in Table 4.
@@ -36,22 +35,6 @@ type Table4 struct {
 	AllTotalV6       int
 	// DistinctIntercepted is the paper's "220 probes".
 	DistinctIntercepted int
-}
-
-// foldAll feeds every record of a completed run through a throwaway
-// accumulator — the slice-based builders below are thin wrappers over
-// the streaming fold, so both paths share one aggregation definition.
-func foldAll(r *study.Results) *Accumulator {
-	a := NewAccumulator()
-	for _, rec := range r.Records {
-		a.Fold(rec)
-	}
-	return a
-}
-
-// BuildTable4 computes Table 4 from study results.
-func BuildTable4(r *study.Results) Table4 {
-	return foldAll(r).Table4()
 }
 
 // Table5Row is one version.bind string group.
@@ -90,11 +73,6 @@ func GroupVersionString(s string) string {
 	}
 }
 
-// BuildTable5 computes Table 5.
-func BuildTable5(r *study.Results) Table5 {
-	return foldAll(r).Table5()
-}
-
 // sortTable5 orders groups by descending probe count, then name.
 func sortTable5(rows []Table5Row) {
 	sort.Slice(rows, func(i, j int) bool {
@@ -118,11 +96,6 @@ type Figure3Row struct {
 // Figure3 reproduces "Intercepted probes per top 15 organizations".
 type Figure3 struct {
 	Rows []Figure3Row
-}
-
-// BuildFigure3 computes Figure 3 (top n organizations).
-func BuildFigure3(r *study.Results, n int) Figure3 {
-	return foldAll(r).Figure3(n)
 }
 
 // sortFigure3 orders organizations by descending total, then name.
@@ -151,11 +124,6 @@ type Figure4 struct {
 	Orgs      []Figure4Row
 	// Totals across all intercepted probes.
 	CPE, ISP, Unknown int
-}
-
-// BuildFigure4 computes Figure 4 (top n of each).
-func BuildFigure4(r *study.Results, n int) Figure4 {
-	return foldAll(r).Figure4(n)
 }
 
 // topRows sorts and truncates a row map.
@@ -189,9 +157,4 @@ type Accuracy struct {
 	// HiddenAsUnknown counts in-AS interceptors the technique correctly
 	// could not place (they drop bogons) — unknown is the *right* answer.
 	HiddenAsUnknown int
-}
-
-// BuildAccuracy computes the confusion matrix over responding probes.
-func BuildAccuracy(r *study.Results) Accuracy {
-	return foldAll(r).Accuracy()
 }

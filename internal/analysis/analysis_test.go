@@ -42,6 +42,16 @@ func results(t *testing.T) *study.Results {
 	return sharedResults
 }
 
+// fold folds every record of an in-memory run into one accumulator, the
+// way the streamed engine folds them as they complete.
+func fold(res *study.Results) *Accumulator {
+	acc := NewAccumulator()
+	for _, rec := range res.Records {
+		acc.Fold(rec)
+	}
+	return acc
+}
+
 func TestFormatTable1ContainsPaperRows(t *testing.T) {
 	out := FormatTable1()
 	for _, want := range []string{
@@ -73,7 +83,7 @@ func TestFormatTables2And3(t *testing.T) {
 }
 
 func TestFormatTable4Shape(t *testing.T) {
-	t4 := BuildTable4(results(t))
+	t4 := fold(results(t)).Table4()
 	out := FormatTable4(t4)
 	for _, want := range []string{"Cloudflare DNS", "All Intercepted", "Intercepted v4", "Total v6"} {
 		if !strings.Contains(out, want) {
@@ -86,7 +96,7 @@ func TestFormatTable4Shape(t *testing.T) {
 }
 
 func TestFormatTable5Shape(t *testing.T) {
-	t5 := BuildTable5(results(t))
+	t5 := fold(results(t)).Table5()
 	out := FormatTable5(t5)
 	if !strings.Contains(out, "version.bind Response") || !strings.Contains(out, "dnsmasq-*") {
 		t.Errorf("Table 5:\n%s", out)
@@ -100,11 +110,11 @@ func TestFormatTable5Shape(t *testing.T) {
 }
 
 func TestFormatFiguresShape(t *testing.T) {
-	f3 := FormatFigure3(BuildFigure3(results(t), 15))
+	f3 := FormatFigure3(fold(results(t)).Figure3(15))
 	if !strings.Contains(f3, "legend:") || !strings.Contains(f3, "Transparent") {
 		t.Errorf("Figure 3:\n%s", f3)
 	}
-	f4 := FormatFigure4(BuildFigure4(results(t), 15))
+	f4 := FormatFigure4(fold(results(t)).Figure4(15))
 	for _, want := range []string{"Top 15 countries", "Top 15 organizations", "CPE"} {
 		if !strings.Contains(f4, want) {
 			t.Errorf("Figure 4 missing %q", want)
@@ -113,7 +123,7 @@ func TestFormatFiguresShape(t *testing.T) {
 }
 
 func TestCSVTable4(t *testing.T) {
-	out := CSVTable4(BuildTable4(results(t)))
+	out := CSVTable4(fold(results(t)).Table4())
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 6 { // header + 4 resolvers + all
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
@@ -127,7 +137,7 @@ func TestCSVTable4(t *testing.T) {
 }
 
 func TestFormatAccuracy(t *testing.T) {
-	out := FormatAccuracy(BuildAccuracy(results(t)))
+	out := FormatAccuracy(fold(results(t)).Accuracy())
 	for _, want := range []string{"True positives", "Mislocated", "bogon-droppers"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("accuracy missing %q:\n%s", want, out)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dnswatch/dnsloc/internal/core"
@@ -31,47 +32,41 @@ type PatternBreakdown struct {
 	Total int
 }
 
-// BuildPatternBreakdown computes the family's pattern histogram.
-func BuildPatternBreakdown(r *study.Results, family core.Family) PatternBreakdown {
-	b := PatternBreakdown{
+// NewPatternBreakdown starts the family's empty pattern histogram.
+func NewPatternBreakdown(family core.Family) *PatternBreakdown {
+	return &PatternBreakdown{
 		Family:         family,
 		OnlyOne:        make(map[publicdns.ID]int),
 		OnlyOneAllowed: make(map[publicdns.ID]int),
 	}
-	for _, rec := range r.Records {
-		if rec.Report == nil {
-			continue
-		}
-		set := rec.Report.InterceptedV4
-		if family == core.V6 {
-			set = rec.Report.InterceptedV6
-		}
-		if len(set) == 0 {
-			continue
-		}
-		b.Total++
-		switch len(set) {
-		case len(publicdns.All):
-			b.AllFour++
-		case 1:
-			b.OnlyOne[set[0]]++
-		case len(publicdns.All) - 1:
-			b.OnlyOneAllowed[missingOf(set)]++
-		case 2:
-			b.Pairs++
-		}
+}
+
+// Add folds one probe's export into the histogram.
+func (b *PatternBreakdown) Add(e *study.ProbeExport) {
+	set := e.InterceptedV4
+	if b.Family == core.V6 {
+		set = e.InterceptedV6
 	}
-	return b
+	if len(set) == 0 {
+		return
+	}
+	b.Total++
+	switch len(set) {
+	case len(publicdns.All):
+		b.AllFour++
+	case 1:
+		b.OnlyOne[publicdns.ID(set[0])]++
+	case len(publicdns.All) - 1:
+		b.OnlyOneAllowed[missingOf(set)]++
+	case 2:
+		b.Pairs++
+	}
 }
 
 // missingOf finds the operator absent from a three-element set.
-func missingOf(set []publicdns.ID) publicdns.ID {
-	present := map[publicdns.ID]bool{}
-	for _, id := range set {
-		present[id] = true
-	}
+func missingOf(set []string) publicdns.ID {
 	for _, id := range publicdns.All {
-		if !present[id] {
+		if !slices.Contains(set, string(id)) {
 			return id
 		}
 	}

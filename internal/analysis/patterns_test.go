@@ -10,8 +10,7 @@ import (
 )
 
 func TestPatternBreakdownSums(t *testing.T) {
-	res := results(t)
-	b := BuildPatternBreakdown(res, core.V4)
+	b := patternsOf(results(t).Records, core.V4)
 	if b.Total == 0 {
 		t.Fatal("no intercepted probes")
 	}
@@ -37,21 +36,21 @@ func TestPatternBreakdownSums(t *testing.T) {
 }
 
 func TestPatternBreakdownV6HasNoAllFour(t *testing.T) {
-	b := BuildPatternBreakdown(results(t), core.V6)
+	b := patternsOf(results(t).Records, core.V6)
 	if b.AllFour != 0 {
 		t.Errorf("v6 all-four = %d", b.AllFour)
 	}
 }
 
 func TestMissingOf(t *testing.T) {
-	got := missingOf([]publicdns.ID{publicdns.Cloudflare, publicdns.Google, publicdns.Quad9})
+	got := missingOf([]string{string(publicdns.Cloudflare), string(publicdns.Google), string(publicdns.Quad9)})
 	if got != publicdns.OpenDNS {
 		t.Errorf("missingOf = %s", got)
 	}
 }
 
 func TestFormatPatternBreakdown(t *testing.T) {
-	out := FormatPatternBreakdown(BuildPatternBreakdown(results(t), core.V4))
+	out := FormatPatternBreakdown(*patternsOf(results(t).Records, core.V4))
 	for _, want := range []string{"all four intercepted", "total intercepted", "IPv4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
@@ -61,7 +60,13 @@ func TestFormatPatternBreakdown(t *testing.T) {
 
 func TestFormatTTLExtension(t *testing.T) {
 	res := results(t)
-	stats := study.RunTTLExtension(res, 5, 10)
+	targets := study.TTLTargets{CleanSample: 5}
+	for _, rec := range res.Records {
+		var e study.ProbeExport
+		study.ExportRecordInto(rec, &e)
+		targets.Add(&e)
+	}
+	stats := study.RunTTLExtension(res.World.Spec, targets.Targets, 10)
 	out := FormatTTLExtension(stats)
 	for _, want := range []string{"TTL-ladder", "intercepted by CPE", "min/median/max"} {
 		if !strings.Contains(out, want) {

@@ -20,25 +20,29 @@ type PopulationRow struct {
 	Intercepted int
 }
 
-// BuildPopulation aggregates the fleet per country, descending by size.
-func BuildPopulation(r *study.Results) []PopulationRow {
-	byCountry := map[string]*PopulationRow{}
-	for _, rec := range r.Records {
-		row := byCountry[rec.Probe.Country]
-		if row == nil {
-			row = &PopulationRow{Country: rec.Probe.Country}
-			byCountry[rec.Probe.Country] = row
-		}
-		row.Probes++
-		if rec.Report != nil {
-			row.Responding++
-			if rec.Report.Intercepted() {
-				row.Intercepted++
-			}
+// Population folds probes into per-country rows.
+type Population map[string]*PopulationRow
+
+// Add folds one probe's export.
+func (p Population) Add(e *study.ProbeExport) {
+	row := p[e.Country]
+	if row == nil {
+		row = &PopulationRow{Country: e.Country}
+		p[e.Country] = row
+	}
+	row.Probes++
+	if e.Responded {
+		row.Responding++
+		if len(e.InterceptedV4) > 0 || len(e.InterceptedV6) > 0 {
+			row.Intercepted++
 		}
 	}
-	rows := make([]PopulationRow, 0, len(byCountry))
-	for _, row := range byCountry {
+}
+
+// Rows returns the fleet per country, descending by size.
+func (p Population) Rows() []PopulationRow {
+	rows := make([]PopulationRow, 0, len(p))
+	for _, row := range p {
 		rows = append(rows, *row)
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestPopulationBiasShape(t *testing.T) {
-	rows := BuildPopulation(results(t))
+	rows := populationOf(results(t).Records).Rows()
 	if len(rows) < 10 {
 		t.Fatalf("countries = %d", len(rows))
 	}
@@ -35,7 +35,7 @@ func TestPopulationBiasShape(t *testing.T) {
 }
 
 func TestFormatPopulation(t *testing.T) {
-	out := FormatPopulation(BuildPopulation(results(t)))
+	out := FormatPopulation(populationOf(results(t).Records).Rows())
 	for _, want := range []string{"Country", "total", "US"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)

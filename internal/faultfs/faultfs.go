@@ -7,7 +7,8 @@
 // in CI instead of waiting for real hardware to misbehave.
 //
 // Determinism contract: whether an operation faults depends only on the
-// schedule seed, the file's path, the fault class, and how many
+// schedule seed, the file's path (relative to the schedule's Root),
+// the fault class, and how many
 // fault-eligible operations that path has seen — never on goroutine
 // interleaving or wall-clock time. Shards touch disjoint files, so a
 // 4-shard run under a Fault FS injects the same faults at the same
@@ -24,6 +25,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
@@ -121,6 +123,9 @@ var writeClasses = []Class{TornWrite, WriteEIO, WriteENOSPC}
 type Schedule struct {
 	Seed  int64
 	Rates map[Class]float64
+	// Root, when set, is the directory paths are hashed relative to, so
+	// the verdicts do not depend on where that directory lives.
+	Root string
 }
 
 // Fault wraps an inner FS (nil means OS) and injects faults per a
@@ -205,6 +210,9 @@ func (f *Fault) fires(path string, c Class, op uint64) (bool, float64) {
 	rate := f.sched.Rates[c]
 	if rate <= 0 {
 		return false, 0
+	}
+	if rel, err := filepath.Rel(f.sched.Root, path); f.sched.Root != "" && err == nil {
+		path = rel
 	}
 	r := roll(f.sched.Seed, path, c, op)
 	if r >= rate {

@@ -8,25 +8,27 @@ import (
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/netsim"
+	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
-// netAccumulator folds like the analysis accumulator, remembers the
-// networks its records were measured on and counts the chains their
-// fault planes hold while a record is folded, before its probe is
-// released.
+// netAccumulator folds like the analysis accumulator and counts the
+// chains the fault plane of each record's network holds while the
+// record is folded, before its probe is released. netOf maps a
+// measured probe to the network it was measured on.
 type netAccumulator struct {
 	*analysis.Accumulator
 	mu     *sync.Mutex
-	nets   map[*netsim.Network]bool
+	netOf  map[int]*netsim.Network
 	chains *int
 }
 
 func (a netAccumulator) Fold(rec *study.ProbeRecord) {
-	chains, _ := netsim.FaultFlows(rec.Net)
 	a.mu.Lock()
-	a.nets[rec.Net] = true
-	*a.chains += chains
+	if n := a.netOf[rec.Probe.ID]; n != nil {
+		chains, _ := netsim.FaultFlows(n)
+		*a.chains += chains
+	}
 	a.mu.Unlock()
 	a.Accumulator.Fold(rec)
 }
@@ -46,9 +48,11 @@ func TestFaultFlowsEndWithTheProbe(t *testing.T) {
 	spec.Retry = &core.RetryPolicy{MaxAttempts: 3}
 	var mu sync.Mutex
 	measured, leftovers := 0, 0
+	netOf := map[int]*netsim.Network{}
 	spec.ClientWrapper = func(c core.Client, p *atlas.Probe) core.Client {
 		chains, buckets := netsim.FaultFlows(c.(*core.SimClient).Net)
 		mu.Lock()
+		netOf[p.ID] = c.(*core.SimClient).Net
 		measured++
 		if chains+buckets > 0 {
 			leftovers++
@@ -59,12 +63,11 @@ func TestFaultFlowsEndWithTheProbe(t *testing.T) {
 		mu.Unlock()
 		return c
 	}
-	nets := map[*netsim.Network]bool{}
 	folded := 0 // chains seen at fold time, summed over the records
 	res, err := study.RunStreamed(spec, study.StreamOptions{
 		Workers: 2,
 		NewAccumulator: func(int) study.Accumulator {
-			return netAccumulator{analysis.NewAccumulator(), &mu, nets, &folded}
+			return netAccumulator{analysis.NewAccumulator(), &mu, netOf, &folded}
 		},
 	})
 	if err != nil || len(res.Errors) > 0 {
@@ -76,6 +79,10 @@ func TestFaultFlowsEndWithTheProbe(t *testing.T) {
 	if leftovers > 0 {
 		t.Errorf("%d of %d probes started with another probe's fault state", leftovers, measured)
 	}
+	nets := map[*netsim.Network]bool{}
+	for _, n := range netOf {
+		nets[n] = true
+	}
 	if len(nets) != 2 {
 		t.Fatalf("records came from %d networks, want 2", len(nets))
 	}
@@ -83,5 +90,51 @@ func TestFaultFlowsEndWithTheProbe(t *testing.T) {
 		if chains, buckets := netsim.FaultFlows(n); chains+buckets > 0 {
 			t.Errorf("a shard's fault plane holds %d chains and %d buckets after the run", chains, buckets)
 		}
+	}
+}
+
+// TestDNATFlowsEndWithTheProbe: under the fault plane, a DNAT'd query
+// whose reply is lost leaves its conntrack entry behind. The transit
+// interceptors' NATs and the segment middlebox's NAT hold none of them
+// when a probe's measurement starts, nor after the run.
+func TestDNATFlowsEndWithTheProbe(t *testing.T) {
+	spec := study.PaperSpec().Scale(0.2)
+	fault := netsim.PresetFault(0.5, spec.Seed+9000)
+	spec.Fault = &fault
+	spec.Retry = &core.RetryPolicy{MaxAttempts: 3}
+	upstream := publicdns.Lookup(publicdns.Google).V4[0]
+	var w *study.World
+	held := func() int {
+		n := 0
+		for _, r := range w.Backbone.Regional {
+			n += netsim.DNATFlows(r.NAT)
+		}
+		return n
+	}
+	measured, leftovers := 0, 0
+	spec.ClientWrapper = func(c core.Client, p *atlas.Probe) core.Client {
+		measured++
+		n := held()
+		if seg, ok := netsim.NextHop(p.Host.Gateway.(*netsim.Router), upstream).(*netsim.Router); ok {
+			n += netsim.DNATFlows(seg.NAT)
+		}
+		if n > 0 {
+			leftovers++
+			if leftovers == 1 {
+				t.Errorf("probe %d starts with %d DNAT entries held", p.ID, n)
+			}
+		}
+		return c
+	}
+	w = study.BuildWorld(spec)
+	study.Run(w)
+	if measured == 0 {
+		t.Fatal("no probe measured")
+	}
+	if leftovers > 0 {
+		t.Errorf("%d of %d probes started with another probe's DNAT entries", leftovers, measured)
+	}
+	if n := held(); n > 0 {
+		t.Errorf("the transit NATs hold %d DNAT entries after the run", n)
 	}
 }

@@ -144,6 +144,16 @@ func (n *NAT) reverseDNAT(pkt *Packet) bool {
 	return true
 }
 
+// ForgetDNATFlows empties the DNAT conntrack table. reverseDNAT
+// retires an entry when its reply passes, so the entries left are flows
+// whose reply was lost; at a probe boundary no later probe can match
+// them, since the key holds the client's address. Nil-safe.
+func (n *NAT) ForgetDNATFlows() {
+	if n != nil && len(n.dnatCT) > 0 {
+		clear(n.dnatCT)
+	}
+}
+
 // applySNAT runs the POSTROUTING masquerade step in place for
 // LAN-originated packets leaving upstream. It allocates (or reuses) an
 // external port per flow.

@@ -70,7 +70,7 @@ func TestAdversaryDeterminism(t *testing.T) {
 			if len(serial.Errors) != 0 {
 				t.Fatalf("shard errors: %v", serial.Errors)
 			}
-			if n := len(serial.Quarantined()); n != 0 {
+			if n := len(quarantined(serial)); n != 0 {
 				t.Fatalf("%d probes quarantined, want 0", n)
 			}
 			wantExport := exportJSON(t, serial)

@@ -17,20 +17,21 @@ import (
 // power loss before the page cache drains, a cosmic-ray bit flip six
 // months into a longitudinal run. The scheme:
 //
-//   - Each shard owns two generation slots, shard-K-of-N.a.json and
-//     .b.json, written alternately. Every write carries a strictly
-//     increasing generation number, so the reader can order the slots
-//     without trusting mtimes.
+//   - Each shard owns two generation slots, a.json and b.json in its
+//     own directory shard-K-of-N, written alternately. Every write
+//     carries a strictly increasing generation number, so the reader
+//     can order the slots without trusting mtimes.
 //   - The on-disk frame is a CRC envelope: {"crc": c, "payload": p}
 //     with c = CRC-32C(p). A torn write or a flipped bit fails the
 //     checksum and the reader falls back to the other slot's older
 //     generation — losing at most one checkpoint interval of progress,
 //     never the run.
 //   - Writes go tmp → fsync(file) → rename → fsync(dir), through a
-//     faultfs.FS so tests can tear any step. The temp name embeds the
-//     pid and a per-store sequence number (opened O_EXCL), so two runs
-//     sharing a checkpoint directory cannot clobber each other's
-//     half-written temp files.
+//     faultfs.FS so tests can tear any step. The temp file is named by
+//     its slot and generation and opened O_EXCL; one a crashed run left
+//     under the same name is stale by construction and reclaimed. The
+//     names depend only on the run, so a seeded fault schedule, which
+//     hashes paths, injects the same faults in every process.
 //   - No read outcome is fatal: corrupt slots fall back, and when every
 //     slot is corrupt — or was written by a different run shape — the
 //     shard restarts from cursor 0 with a logged warning and a
@@ -86,11 +87,11 @@ func checkpointFingerprint(spec Spec, k, workers int) string {
 }
 
 // CheckpointSlotPaths returns shard k's two alternating generation
-// slots under dir. Exported so harnesses (and curious operators) can
-// find the files a run leaves behind.
+// slots, in the shard's own directory under dir. Exported so harnesses
+// (and curious operators) can find the files a run leaves behind.
 func CheckpointSlotPaths(dir string, k, workers int) [2]string {
 	base := filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d", k, workers))
-	return [2]string{base + ".a.json", base + ".b.json"}
+	return [2]string{filepath.Join(base, "a.json"), filepath.Join(base, "b.json")}
 }
 
 // ckRecovery classifies what loading a shard's checkpoints required.
@@ -195,19 +196,18 @@ type ckStore struct {
 
 	gen  int64 // newest generation loaded or stored
 	next int   // slot index the next store targets
-	seq  int64 // per-store temp-name uniquifier
 }
 
+// newCkStore opens shard k's store under dir, making the shard's
+// directory; a failure to make it surfaces at the first store.
 func newCkStore(fsys faultfs.FS, dir string, k, workers int, fingerprint string) *ckStore {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	return &ckStore{
-		fs:          fsys,
-		dir:         dir,
-		slots:       CheckpointSlotPaths(dir, k, workers),
-		fingerprint: fingerprint,
-	}
+	slots := CheckpointSlotPaths(dir, k, workers)
+	shardDir := filepath.Dir(slots[0])
+	fsys.MkdirAll(shardDir, 0o755) //nolint:errcheck
+	return &ckStore{fs: fsys, dir: shardDir, slots: slots, fingerprint: fingerprint}
 }
 
 // load reads both generation slots and returns the newest intact
@@ -320,12 +320,11 @@ func (s *ckStore) store(cursor int, acc Accumulator, reg *metrics.Registry) erro
 	}
 
 	target := s.slots[s.next]
-	s.seq++
-	tmp := fmt.Sprintf("%s.%d-%d.tmp", target, os.Getpid(), s.seq)
+	tmp := fmt.Sprintf("%s.%d.tmp", target, s.gen+1)
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if os.IsExist(err) {
-		// A dead run with our pid (recycled) left this exact name; it is
-		// stale by construction, so reclaim it.
+		// A crashed run, or a failed store of this generation, left this
+		// exact name; it is stale by construction, so reclaim it.
 		s.fs.Remove(tmp) //nolint:errcheck
 		f, err = s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	}

@@ -58,7 +58,7 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 		t.Errorf("loaded state %q (%v), want twenty", acc.State, err)
 	}
 	// No temp files survive a clean store.
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(CheckpointSlotPaths(dir, 0, 2)[0]), "*.tmp")); len(tmps) != 0 {
 		t.Errorf("temp files left behind: %v", tmps)
 	}
 }
@@ -181,12 +181,12 @@ func TestCheckpointTornEnvelopeDetected(t *testing.T) {
 // cleaned on load and never mistaken for checkpoints.
 func TestCheckpointSweepTemps(t *testing.T) {
 	dir := t.TempDir()
-	slots := CheckpointSlotPaths(dir, 0, 2)
-	stale := slots[0] + ".12345-1.tmp"
+	st := testStore(t, nil, dir)
+	stale := st.slots[0] + ".7.tmp"
 	if err := os.WriteFile(stale, []byte("half a checkpoi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, class, _ := testStore(t, nil, dir).load()
+	ck, class, _ := st.load()
 	if ck != nil || class != ckFresh {
 		t.Fatalf("load with only a stale temp = (%+v, %v), want fresh", ck, class)
 	}

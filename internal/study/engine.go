@@ -19,61 +19,40 @@ type EngineOptions struct {
 	Progress func(shard, workers, probes int, elapsed time.Duration)
 }
 
-// RunSharded executes the pilot study across Workers independent shards,
-// each owning a round-robin slice of the probe fleet, and keeps every
-// record. It is RunStreamed with a record-keeping accumulator: shards
-// fan out, are supervised, and merge their registries exactly as a
-// streamed run's do, and the kept records are reassembled in probe-ID
-// order afterwards.
+// RunSharded runs the study as RunStreamed does, over Workers shards,
+// and keeps every record, in probe-ID order: RunStreamed with a
+// record-keeping accumulator. It is the retaining form for tests and
+// the benchmark's in-memory workload; pilotstudy streams.
 //
-// Determinism contract: every shard builds its own world replica from
-// Spec.Shard(k, K) — the same quotas, seat dealing, and RNG streams as
-// the unsharded build, with only its own probes' homes instantiated —
-// and replays the full platform availability stream before measuring, so
-// no RNG call ever crosses a goroutine. Every table and figure rendered
-// from the merged results is therefore byte-identical at any worker
-// count, and identical to the serial Run. (Per-response virtual-clock
-// RTTs are the one field that may differ between worker counts:
-// resolver cache warmth depends on which probes share a world. No
-// aggregate consumes RTTs — the metrics plane quarantines them as
-// Diagnostic, outside the deterministic snapshot.)
+// Every table and figure rendered from the records is byte-identical at
+// any worker count, and identical to the serial Run. Per-response
+// virtual-clock RTTs are the one field that may differ between worker
+// counts: resolver cache warmth depends on which probes share a world,
+// and no aggregate reads them.
 func RunSharded(spec Spec, opts EngineOptions) *Results {
 	res, err := RunStreamed(spec, StreamOptions{
 		Workers:        opts.Workers,
 		Progress:       opts.Progress,
 		NewAccumulator: func(int) Accumulator { return &recordKeeper{} },
 	})
-	// The merged view carries the unsharded spec for exports; per-record
-	// simulation state lives on each record's Net.
-	out := &Results{World: &World{Spec: spec}}
+	out := &Results{World: &World{Spec: spec}} // the merged view's world is just the spec
 	if err != nil {
 		out.Errors = []string{err.Error()}
 		return out
 	}
-	out.Errors, out.Metrics = res.Errors, res.Metrics
-
-	shards := res.Acc.(*recordKeeper).shards
-	total, largest := 0, 0
-	for _, recs := range shards {
-		total += len(recs)
-		largest = max(largest, len(recs))
-	}
-	out.Records = make([]*ProbeRecord, 0, total)
-	for _, recs := range shards {
-		out.Records = append(out.Records, recs...)
-	}
+	keeper := res.Acc.(*recordKeeper)
+	out.Errors, out.Metrics, out.Records = res.Errors, res.Metrics, keeper.recs
 	sort.Slice(out.Records, func(i, j int) bool { return out.Records[i].Probe.ID < out.Records[j].Probe.ID })
-	out.Metrics.Gauge("study.records_retained", metrics.Diagnostic).Observe(int64(largest))
+	out.Metrics.Gauge("study.records_retained", metrics.Diagnostic).Observe(int64(keeper.largest))
 	return out
 }
 
 // recordKeeper is RunSharded's Accumulator, and the one exception to
-// the Fold contract: it retains every record. A shard's keeper folds
-// into recs; the merge target collects the shard slices in shard order,
-// leaving the concatenation to RunSharded, which sizes it once.
+// the Fold contract: it retains every record. The merge target appends
+// each shard's records and notes the largest shard's count.
 type recordKeeper struct {
-	recs   []*ProbeRecord
-	shards [][]*ProbeRecord
+	recs    []*ProbeRecord
+	largest int
 }
 
 func (a *recordKeeper) Fold(rec *ProbeRecord) { a.recs = append(a.recs, rec) }
@@ -83,7 +62,8 @@ func (a *recordKeeper) Merge(other Accumulator) error {
 	if !ok {
 		return fmt.Errorf("study: cannot merge %T into a record keeper", other)
 	}
-	a.shards = append(a.shards, o.recs)
+	a.recs = append(a.recs, o.recs...)
+	a.largest = max(a.largest, len(o.recs))
 	return nil
 }
 

@@ -2,8 +2,11 @@ package study
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -37,18 +40,10 @@ type ProbeExport struct {
 	TruthPersona  string `json:"truth_persona,omitempty"`
 }
 
-// ExportRecord flattens one record — the unit both the bulk Export and
-// the streaming sinks serialize.
-func ExportRecord(rec *ProbeRecord) ProbeExport {
-	var e ProbeExport
-	ExportRecordInto(rec, &e)
-	return e
-}
-
-// ExportRecordInto flattens one record into an existing export,
-// reusing its slice capacity — the streaming pipeline's per-record
-// path, which serializes one probe at a time and would otherwise pay
-// two slice allocations per intercepted probe. Every field is
+// ExportRecordInto flattens one record into an existing export — the
+// unit the record sinks serialize — reusing its slice capacity: the
+// streaming pipeline serializes one probe at a time and would otherwise
+// pay two slice allocations per intercepted probe. Every field is
 // overwritten; the slices alias the export's previous backing arrays,
 // so the caller must serialize the export before the next call.
 func ExportRecordInto(rec *ProbeRecord, e *ProbeExport) {
@@ -74,28 +69,95 @@ func ExportRecordInto(rec *ProbeRecord, e *ProbeExport) {
 	e.Error = rec.Err
 }
 
-// Export flattens the results for JSON serialization.
-func (r *Results) Export() []ProbeExport {
-	out := make([]ProbeExport, 0, len(r.Records))
-	for _, rec := range r.Records {
-		out = append(out, ExportRecord(rec))
-	}
-	return out
+// JSONDoc writes a run's per-probe dataset as one indented JSON
+// document: the spec echo, then every probe's export in ID order. The
+// bytes are json.MarshalIndent's (prefix "", indent "  ") of the object
+// {seed, total_probes, interception_seats, probes}, written one probe
+// at a time from the probe's JSONL row, so no more than one probe is
+// held.
+type JSONDoc struct {
+	w      *bufio.Writer
+	probes int
+	buf    bytes.Buffer
 }
 
-// MarshalJSON renders the whole run: spec echo plus per-probe records.
-func (r *Results) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Seed        int64         `json:"seed"`
-		TotalProbes int           `json:"total_probes"`
-		Seats       int           `json:"interception_seats"`
-		Probes      []ProbeExport `json:"probes"`
-	}{
-		Seed:        r.World.Spec.Seed,
-		TotalProbes: r.World.Spec.TotalProbes,
-		Seats:       r.World.Spec.TotalSeats(),
-		Probes:      r.Export(),
-	})
+// NewJSONDoc starts the document for spec on w.
+func NewJSONDoc(w io.Writer, spec Spec) *JSONDoc {
+	d := &JSONDoc{w: bufio.NewWriterSize(w, sinkBufSize)}
+	fmt.Fprintf(d.w, "{\n  \"seed\": %d,\n  \"total_probes\": %d,\n  \"interception_seats\": %d,\n  \"probes\": [",
+		spec.Seed, spec.TotalProbes, spec.TotalSeats())
+	return d
+}
+
+// Add appends the next probe, given as its JSONL row.
+func (d *JSONDoc) Add(row []byte) error {
+	if d.probes > 0 {
+		d.w.WriteByte(',') //nolint:errcheck // Close reports the writer's error
+	}
+	d.probes++
+	d.w.WriteString("\n    ") //nolint:errcheck
+	d.buf.Reset()
+	if err := json.Indent(&d.buf, row, "    ", "  "); err != nil {
+		return err
+	}
+	_, err := d.w.Write(d.buf.Bytes())
+	return err
+}
+
+// Close ends the document and flushes it; it does not close w.
+func (d *JSONDoc) Close() error {
+	if d.probes > 0 {
+		d.w.WriteString("\n  ") //nolint:errcheck
+	}
+	d.w.WriteString("]\n}") //nolint:errcheck
+	return d.w.Flush()
+}
+
+// WalkRecords reads a run's JSONL shard files back in probe-ID order,
+// calling fn with each row (without its newline) and its decoded
+// export; both are reused once fn returns. paths[k] is shard k's file
+// of a len(paths)-shard run. Shard k holds the IDs congruent to k
+// modulo the shard count, ascending, so the walk takes probe i's row
+// from shard i mod K and ends at the first ID whose shard has no row
+// left. A row out of place, or one left over in another shard, is an
+// error.
+func WalkRecords(paths []string, fn func(row []byte, e *ProbeExport) error) error {
+	shards := make([]*bufio.Scanner, len(paths))
+	for k, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		shards[k] = bufio.NewScanner(f)
+	}
+	var e ProbeExport
+	for id := firstProbeID; len(shards) > 0; id++ {
+		k := id % len(shards)
+		if !shards[k].Scan() {
+			break
+		}
+		row := shards[k].Bytes()
+		e = ProbeExport{}
+		if err := json.Unmarshal(row, &e); err != nil {
+			return fmt.Errorf("study: %s: probe %d: %w", paths[k], id, err)
+		}
+		if e.ProbeID != id {
+			return fmt.Errorf("study: %s: probe %d where probe %d belongs", paths[k], e.ProbeID, id)
+		}
+		if err := fn(row, &e); err != nil {
+			return err
+		}
+	}
+	for k, sc := range shards {
+		if sc.Scan() {
+			return fmt.Errorf("study: %s: rows past the end of the run", paths[k])
+		}
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("study: %s: %w", paths[k], err)
+		}
+	}
+	return nil
 }
 
 // RecordSink receives each record's export the moment its measurement
@@ -164,6 +226,31 @@ func (s *JSONLSink) Close() error {
 		}
 	}
 	return err
+}
+
+// ShardFile is shard k's record file of a workers-shard run under a
+// path prefix: <prefix>.shardK-of-N.jsonl.
+func ShardFile(prefix string, k, workers int) string {
+	return fmt.Sprintf("%s.shard%d-of-%d.jsonl", prefix, k, workers)
+}
+
+// JSONLFiles opens each shard's JSONL sink in its ShardFile under
+// prefix. On resume a shard's file is trimmed back to its checkpoint
+// cursor (dropping rows written after the last checkpoint and any
+// partial line a kill left) and appended to, so the finished file is
+// byte-identical to an uninterrupted run's.
+func JSONLFiles(prefix string) func(k, workers, resumedAt int) (RecordSink, error) {
+	return func(k, workers, resumedAt int) (RecordSink, error) {
+		path := ShardFile(prefix, k, workers)
+		if err := TruncateSinkFile(path, resumedAt); err != nil {
+			return nil, err
+		}
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return NewJSONLSink(f), nil
+	}
 }
 
 // appendIDStrings appends operator IDs to dst, returning nil for an

@@ -1,16 +1,34 @@
 package study_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
 	"github.com/dnswatch/dnsloc/internal/study"
 )
 
+// TestExportRoundTripsThroughJSON: a run's JSON document, written
+// from its JSONL rows, decodes back to every probe's export.
 func TestExportRoundTripsThroughJSON(t *testing.T) {
 	res := study.Run(study.BuildWorld(study.PaperSpec().Scale(0.02)))
-	blob, err := json.Marshal(res)
-	if err != nil {
+	var rows, blob bytes.Buffer
+	sink := study.NewJSONLSink(&rows)
+	for _, rec := range res.Records {
+		if err := sink.Append(study.ExportRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	doc := study.NewJSONDoc(&blob, res.World.Spec)
+	for _, row := range bytes.Split(bytes.TrimSuffix(rows.Bytes(), []byte("\n")), []byte("\n")) {
+		if err := doc.Add(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := doc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
@@ -19,7 +37,7 @@ func TestExportRoundTripsThroughJSON(t *testing.T) {
 		Seats       int                 `json:"interception_seats"`
 		Probes      []study.ProbeExport `json:"probes"`
 	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
+	if err := json.Unmarshal(blob.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if decoded.TotalProbes != res.World.Spec.TotalProbes || len(decoded.Probes) != decoded.TotalProbes {

@@ -32,10 +32,10 @@ func TestPilotGolden(t *testing.T) {
 		t.Fatalf("shard errors: %v", res.Errors)
 	}
 
-	t4 := analysis.BuildTable4(res)
+	t4 := fold(res).Table4()
 	outputs := map[string][]byte{
 		"table4.txt":   []byte(analysis.FormatTable4(t4)),
-		"table5.txt":   []byte(analysis.FormatTable5(analysis.BuildTable5(res))),
+		"table5.txt":   []byte(analysis.FormatTable5(fold(res).Table5())),
 		"table4.csv":   []byte(analysis.CSVTable4(t4)),
 		"metrics.json": res.MetricsSnapshot(false).JSON(),
 	}
@@ -92,9 +92,9 @@ func TestAdversaryGolden(t *testing.T) {
 		if len(res.Errors) != 0 {
 			t.Fatalf("L%d shard errors: %v", lvl, res.Errors)
 		}
-		t4 := analysis.BuildTable4(res)
+		t4 := fold(res).Table4()
 		outputs[fmt.Sprintf("adv-l%d.table4.txt", lvl)] = []byte(analysis.FormatTable4(t4))
-		outputs[fmt.Sprintf("adv-l%d.table5.txt", lvl)] = []byte(analysis.FormatTable5(analysis.BuildTable5(res)))
+		outputs[fmt.Sprintf("adv-l%d.table5.txt", lvl)] = []byte(analysis.FormatTable5(fold(res).Table5()))
 		outputs[fmt.Sprintf("adv-l%d.metrics.json", lvl)] = res.MetricsSnapshot(false).JSON()
 		acc := analysis.NewAccumulator()
 		for _, rec := range res.Records {

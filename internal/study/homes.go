@@ -9,7 +9,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/cpe"
 	"github.com/dnswatch/dnsloc/internal/isp"
-	"github.com/dnswatch/dnsloc/internal/netsim"
 )
 
 // A probe's home — its CPE router with NAT, DNAT and forwarder, and
@@ -131,30 +130,16 @@ func deviceName(prefix string, id int) string {
 
 // releaseHome detaches a live home from its segment, leaving the
 // home slot free for the next probe, and has the network forget the
-// probe's fault-plane flows.
+// probe's fault-plane flows and the DNAT flows whose replies were lost
+// at the transit interceptors and the segment middlebox.
 func (w *World) releaseHome(probe *atlas.Probe) {
 	h := w.homeOf(probe.ID)
 	w.ISPs[h.plan.org.ASN].DetachCPE(&w.seg, h.addrs)
 	w.Net.ForgetFaultFlows()
+	for _, nat := range w.transitNATs {
+		nat.ForgetDNATFlows()
+	}
+	w.seg.Router.NAT.ForgetDNATFlows()
 	probe.Host = nil
 	w.homesLive--
-}
-
-// WithHome runs fn from the record's probe after the sweep: the probe's
-// home is bound into the record's world's home slot, fn gets its LAN
-// host (on the event loop rec.Net), and the home is released again
-// when fn returns. Follow-up measurements such as the TTL extension go
-// through it, because a record never pins its home. Calls on records
-// of one world must not run concurrently, nor during that world's
-// sweep. It reports false for a record that no sweep produced, which
-// has no world to bind the home in.
-func (rec *ProbeRecord) WithHome(fn func(host *netsim.Host)) bool {
-	w := rec.world
-	if w == nil {
-		return false
-	}
-	w.buildHome(rec.Probe)
-	defer w.releaseHome(rec.Probe)
-	fn(rec.Probe.Host)
-	return true
 }

@@ -22,7 +22,7 @@ func TestPaperScaleReproduction(t *testing.T) {
 	w := study.BuildWorld(study.PaperSpec())
 	res := study.Run(w)
 
-	t4 := analysis.BuildTable4(res)
+	t4 := fold(res).Table4()
 	wantV4 := map[publicdns.ID]int{
 		publicdns.Cloudflare: 165,
 		publicdns.Google:     160,
@@ -62,7 +62,7 @@ func TestPaperScaleReproduction(t *testing.T) {
 	}
 
 	// Table 5: 49 CPE interceptors with the paper's string groups.
-	t5 := analysis.BuildTable5(res)
+	t5 := fold(res).Table5()
 	if t5.CPETotal != 49 {
 		t.Errorf("CPE interceptors = %d, want 49 (paper)", t5.CPETotal)
 	}
@@ -95,7 +95,7 @@ func TestPaperScaleReproduction(t *testing.T) {
 	}
 
 	// Figure 3: Comcast has the most intercepted probes.
-	f3 := analysis.BuildFigure3(res, 15)
+	f3 := fold(res).Figure3(15)
 	if len(f3.Rows) != 15 {
 		t.Fatalf("figure3 rows = %d", len(f3.Rows))
 	}
@@ -113,7 +113,7 @@ func TestPaperScaleReproduction(t *testing.T) {
 	}
 
 	// Figure 4: CPE share 49/220; in-ISP is the most common location.
-	f4 := analysis.BuildFigure4(res, 15)
+	f4 := fold(res).Figure4(15)
 	if f4.CPE != 49 {
 		t.Errorf("figure4 CPE = %d, want 49 (paper)", f4.CPE)
 	}
@@ -124,7 +124,7 @@ func TestPaperScaleReproduction(t *testing.T) {
 	// Ground-truth scoring: the technique makes no detection errors in
 	// this world, and every mislocalization is a deliberate limitation
 	// (interceptors that drop bogons are unlocatable by design).
-	acc := analysis.BuildAccuracy(res)
+	acc := fold(res).Accuracy()
 	if acc.FalsePositives != 0 || acc.FalseNegatives != 0 {
 		t.Errorf("detection errors: fp=%d fn=%d", acc.FalsePositives, acc.FalseNegatives)
 	}
@@ -137,7 +137,14 @@ func TestPaperScaleReproduction(t *testing.T) {
 
 	// §4.1.1 pattern families: the all-four pattern dominates; among
 	// single-resolver patterns Cloudflare and Google lead.
-	pat := analysis.BuildPatternBreakdown(res, core.V4)
+	pat, pat6 := analysis.NewPatternBreakdown(core.V4), analysis.NewPatternBreakdown(core.V6)
+	targets := study.TTLTargets{CleanSample: 25}
+	for _, rec := range res.Records {
+		e := study.ExportRecord(rec)
+		pat.Add(&e)
+		pat6.Add(&e)
+		targets.Add(&e)
+	}
 	if pat.AllFour != 108 {
 		t.Errorf("all-four pattern = %d, want 108", pat.AllFour)
 	}
@@ -145,13 +152,12 @@ func TestPaperScaleReproduction(t *testing.T) {
 		pat.OnlyOne[publicdns.Google] <= pat.OnlyOne[publicdns.OpenDNS] {
 		t.Errorf("single-resolver pattern skew missing: %+v", pat.OnlyOne)
 	}
-	pat6 := analysis.BuildPatternBreakdown(res, core.V6)
 	if pat6.AllFour != 0 {
 		t.Errorf("v6 all-four = %d, want 0", pat6.AllFour)
 	}
 
 	// §6 TTL extension: hop distances order the interceptor classes.
-	ttl := study.RunTTLExtension(res, 25, 10)
+	ttl := study.RunTTLExtension(w.Spec, targets.Targets, 10)
 	cpeMed := ttl.Median(core.VerdictCPE)
 	ispMed := ttl.Median(core.VerdictISP)
 	cleanMed := ttl.Median(core.VerdictNotIntercepted)

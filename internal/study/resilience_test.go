@@ -24,12 +24,24 @@ func faultedSpec() study.Spec {
 	return spec
 }
 
+// quarantined returns the records whose measurements panicked and were
+// contained.
+func quarantined(res *study.Results) []*study.ProbeRecord {
+	var out []*study.ProbeRecord
+	for _, rec := range res.Records {
+		if rec.Err != "" {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // exportJSON marshals the per-probe export records one per line.
 func exportJSON(t *testing.T, res *study.Results) []string {
 	t.Helper()
 	var out []string
-	for _, e := range res.Export() {
-		blob, err := json.Marshal(e)
+	for _, rec := range res.Records {
+		blob, err := json.Marshal(study.ExportRecord(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +59,7 @@ func TestFaultedShardedDeterministic(t *testing.T) {
 	serial := study.RunSharded(spec, study.EngineOptions{Workers: 1})
 	want := exportJSON(t, serial)
 
-	if n := len(serial.Quarantined()); n != 0 {
+	if n := len(quarantined(serial)); n != 0 {
 		t.Fatalf("%d probes quarantined under faults, want 0", n)
 	}
 	if len(serial.Errors) != 0 {
@@ -65,7 +77,7 @@ func TestFaultedShardedDeterministic(t *testing.T) {
 	}
 
 	// Faults must only ever degrade detection, never fabricate it.
-	if a := analysis.BuildAccuracy(serial); a.FalsePositives != 0 {
+	if a := fold(serial).Accuracy(); a.FalsePositives != 0 {
 		t.Errorf("false positives under faults = %d, want 0", a.FalsePositives)
 	}
 
@@ -122,7 +134,7 @@ func TestQuarantineIsolatesPanickingProbe(t *testing.T) {
 		t.Fatalf("records = %d, want %d", len(res.Records), len(baseline.Records))
 	}
 
-	q := res.Quarantined()
+	q := quarantined(res)
 	if len(q) != 1 || q[0].Probe.ID != panicID {
 		t.Fatalf("quarantined = %v, want exactly probe %d", q, panicID)
 	}

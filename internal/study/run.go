@@ -7,7 +7,6 @@ import (
 	"github.com/dnswatch/dnsloc/internal/atlas"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/metrics"
-	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
 
@@ -46,14 +45,6 @@ type ProbeRecord struct {
 	// for; experiments it missed do not count it in that experiment's
 	// totals.
 	Responded ExpSet
-	// Net is the event loop of the world that measured the probe. In a
-	// sharded run each record points at its own shard's network;
-	// follow-up measurements (the TTL extension) must use it rather than
-	// a global one, from the host WithHome binds.
-	Net *netsim.Network
-	// world measured the record and binds its probe's home for
-	// WithHome; nil for records no sweep produced.
-	world *World
 	// Err records a quarantined measurement: the probe's detector
 	// panicked, the panic was contained, and the rest of the run
 	// proceeded. Report is nil when Err is set.
@@ -105,31 +96,24 @@ type Results struct {
 	Metrics *metrics.Registry
 }
 
-// Run executes the pilot study: the full detection technique from every
-// responding probe, with platform availability deciding which probes
-// appear in which experiment's totals.
+// Run executes the pilot study in one world and keeps every record:
+// the full detection technique from every responding probe the world
+// owns, with the template's availability draw, made once over every
+// probe, deciding which probes appear in which experiment's totals.
 func Run(w *World) *Results {
-	return &Results{World: w, Records: runRecords(w), Metrics: w.Metrics}
-}
-
-// runRecords runs the detector from every responding probe the world
-// owns and keeps every record. The availability outcomes come from the
-// template's fleet, drawn once over every probe, so the Responded sets
-// match the unsharded build whichever probes the world owns.
-func runRecords(w *World) []*ProbeRecord {
-	var records []*ProbeRecord
+	res := &Results{World: w, Metrics: w.Metrics}
 	streamRecords(w, 0, func(rec *ProbeRecord) bool {
-		records = append(records, rec)
+		res.Records = append(res.Records, rec)
 		return true
 	})
-	w.studyMetrics.observeRetained(len(records))
-	return records
+	w.studyMetrics.observeRetained(len(res.Records))
+	return res
 }
 
-// streamRecords is the measurement sweep underneath both pipelines:
-// it yields each record the moment its measurement completes, retaining
-// nothing itself. The in-memory path's yield collects the records; the
-// streaming path folds each into an accumulator and lets it go. A false
+// streamRecords is the measurement sweep: it yields each record the
+// moment its measurement completes, retaining nothing itself. Run's
+// yield collects the records; RunStreamed's folds each into an
+// accumulator and lets it go. A false
 // return from yield stops the sweep (used to simulate crashes in
 // checkpoint tests).
 //
@@ -154,7 +138,7 @@ func streamRecords(w *World, skip int, yield func(*ProbeRecord) bool) {
 	for rank := skip; rank < owned; rank++ {
 		id := first + rank*step
 		probe := w.probe(id)
-		rec := &ProbeRecord{Probe: probe, Net: w.Net, world: w}
+		rec := &ProbeRecord{Probe: probe}
 		sm.noteRecord()
 		// The experiments the probe was online for, drawn with the
 		// template: none for a dead probe.
@@ -204,28 +188,4 @@ func measure(w *World, probe *atlas.Probe) (report *core.Report, errMsg string) 
 		det.Client = w.Spec.ClientWrapper(det.Client, probe)
 	}
 	return det.Run(), ""
-}
-
-// Intercepted returns the records whose probes the technique flagged as
-// intercepted in any family (the paper's 220).
-func (r *Results) Intercepted() []*ProbeRecord {
-	var out []*ProbeRecord
-	for _, rec := range r.Records {
-		if rec.Report != nil && rec.Report.Intercepted() {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// Quarantined returns the records whose measurements panicked and were
-// contained.
-func (r *Results) Quarantined() []*ProbeRecord {
-	var out []*ProbeRecord
-	for _, rec := range r.Records {
-		if rec.Err != "" {
-			out = append(out, rec)
-		}
-	}
-	return out
 }

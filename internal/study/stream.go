@@ -22,8 +22,7 @@ import (
 // The engine's determinism contract extends to implementations: Fold
 // must be commutative in record order and Merge in shard order (pure
 // counting keyed on record-intrinsic fields satisfies both), or the
-// streamed pipeline loses the byte-identical-at-any-worker-count
-// guarantee the in-memory pipeline has.
+// output stops being byte-identical at any worker count.
 type Accumulator interface {
 	// Fold adds one record's contribution. The record is released after
 	// the call returns; implementations must not retain it. (The one
@@ -111,8 +110,7 @@ type StreamResults struct {
 	// Acc is the shard accumulators merged in shard order.
 	Acc Accumulator
 	// Errors records contained shard-level failures — after the
-	// supervisor exhausted its restarts — exactly as Results.Errors
-	// does for the in-memory engine.
+	// supervisor exhausted its restarts.
 	Errors []string
 	// Warnings are the self-healing events the run recovered from
 	// (corrupt checkpoints, failed checkpoint writes, shard restarts).
@@ -138,11 +136,10 @@ func (r *StreamResults) MetricsSnapshot(includeDiagnostic bool) *Snapshot {
 // RunStreamed executes the pilot study as a streaming, bounded-memory
 // pipeline: each shard folds every completed record into its
 // accumulator (and optional sink) and releases it, retaining no
-// O(probes) record slice. The determinism contract of RunSharded holds
-// unchanged — accumulator folding is commutative and the shard merge
+// O(probes) record slice. Folding is commutative and the shard merge
 // runs in shard order, so the tables, figures, CSV, and Stable metric
-// snapshot rendered from the merged accumulator are byte-identical to
-// the in-memory pipeline's at any worker count, and a run killed and
+// snapshot rendered from the merged accumulator are byte-identical at
+// any worker count and to the serial Run's, and a run killed and
 // resumed from its checkpoints finishes with byte-identical output.
 //
 // Shards run under a supervisor: a worker that panics or fails on I/O

@@ -2,7 +2,6 @@ package study_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -50,12 +49,13 @@ func renderInMemory(t *testing.T, res *study.Results) string {
 	if len(res.Errors) != 0 {
 		t.Fatalf("shard errors: %v", res.Errors)
 	}
-	t4 := analysis.BuildTable4(res)
+	acc := fold(res)
+	t4 := acc.Table4()
 	return analysis.FormatTable4(t4) + analysis.CSVTable4(t4) +
-		analysis.FormatTable5(analysis.BuildTable5(res)) +
-		analysis.FormatFigure3(analysis.BuildFigure3(res, 10)) +
-		analysis.FormatFigure4(analysis.BuildFigure4(res, 10)) +
-		analysis.FormatAccuracy(analysis.BuildAccuracy(res)) +
+		analysis.FormatTable5(acc.Table5()) +
+		analysis.FormatFigure3(acc.Figure3(10)) +
+		analysis.FormatFigure4(acc.Figure4(10)) +
+		analysis.FormatAccuracy(acc.Accuracy()) +
 		string(res.MetricsSnapshot(false).JSON())
 }
 
@@ -112,7 +112,7 @@ func gaugeValue(t *testing.T, snap *study.Snapshot, name string) int64 {
 
 // sinkPath returns shard k's JSONL file under dir.
 func sinkPath(dir string, k, workers int) string {
-	return filepath.Join(dir, fmt.Sprintf("records-%d-of-%d.jsonl", k, workers))
+	return study.ShardFile(filepath.Join(dir, "records"), k, workers)
 }
 
 // fileSinks wires per-shard JSONL file sinks into StreamOptions,
@@ -120,17 +120,7 @@ func sinkPath(dir string, k, workers int) string {
 // caller-side half of the sink resume contract.
 func fileSinks(t *testing.T, dir string) func(k, workers, resumedAt int) (study.RecordSink, error) {
 	t.Helper()
-	return func(k, workers, resumedAt int) (study.RecordSink, error) {
-		path := sinkPath(dir, k, workers)
-		if err := study.TruncateSinkFile(path, resumedAt); err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return study.NewJSONLSink(f), nil
-	}
+	return study.JSONLFiles(filepath.Join(dir, "records"))
 }
 
 // readSinks concatenates the shard sink files in shard order.
@@ -165,8 +155,8 @@ func TestStreamSinkMatchesExport(t *testing.T) {
 	mem := study.Run(study.BuildWorld(spec))
 	var want bytes.Buffer
 	sink := study.NewJSONLSink(&want)
-	for _, e := range mem.Export() {
-		if err := sink.Append(e); err != nil {
+	for _, rec := range mem.Records {
+		if err := sink.Append(study.ExportRecord(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +164,7 @@ func TestStreamSinkMatchesExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := readSinks(t, dir, 1); got != want.String() {
-		t.Errorf("sink output diverges from Export():\n--- want %d bytes, got %d bytes ---", want.Len(), len(got))
+		t.Errorf("sink output diverges from the records' exports:\n--- want %d bytes, got %d bytes ---", want.Len(), len(got))
 	}
 }
 

@@ -1,6 +1,7 @@
 package study_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,19 +26,19 @@ func TestHeavyInterceptionSpec(t *testing.T) {
 	spec.Seed = 777
 
 	res := study.Run(study.BuildWorld(spec))
-	acc := analysis.BuildAccuracy(res)
+	acc := fold(res).Accuracy()
 	if acc.FalsePositives != 0 || acc.FalseNegatives != 0 {
 		t.Errorf("detection errors under heavy interception: fp=%d fn=%d",
 			acc.FalsePositives, acc.FalseNegatives)
 	}
-	t4 := analysis.BuildTable4(res)
+	t4 := fold(res).Table4()
 	if t4.DistinctIntercepted != acc.TruePositives {
 		t.Errorf("identity broken: distinct=%d tp=%d", t4.DistinctIntercepted, acc.TruePositives)
 	}
 	if t4.DistinctIntercepted < 60 {
 		t.Errorf("only %d intercepted; heavy spec did not take", t4.DistinctIntercepted)
 	}
-	f4 := analysis.BuildFigure4(res, 15)
+	f4 := fold(res).Figure4(15)
 	if f4.CPE+f4.ISP+f4.Unknown != t4.DistinctIntercepted {
 		t.Errorf("figure4 does not partition: %d+%d+%d != %d",
 			f4.CPE, f4.ISP, f4.Unknown, t4.DistinctIntercepted)
@@ -105,6 +106,39 @@ func TestCrashTortureStreamedPipeline(t *testing.T) {
 	}
 	if len(rep.FaultCounts) == 0 {
 		t.Error("the fault schedules injected nothing")
+	}
+}
+
+// TestTortureFaultsDependOnlyOnTheSeed: two campaigns with one seed,
+// in two directories, inject the same faults. A fault is a hash of the
+// seed and of the file's path relative to its directory, and no
+// checkpoint or sink path names the process, so the schedule replays
+// from the seed alone.
+func TestTortureFaultsDependOnlyOnTheSeed(t *testing.T) {
+	var summaries [2]string
+	for i := range summaries {
+		rep, err := study.RunTorture(study.TortureOptions{
+			Spec:           study.PaperSpec().Scale(0.0128),
+			Workers:        2,
+			Cycles:         4,
+			Seed:           20260808,
+			Dir:            t.TempDir(),
+			NewAccumulator: func(int) study.Accumulator { return analysis.NewAccumulator() },
+			Render:         renderTorture,
+		})
+		if err != nil {
+			t.Fatalf("torture campaign aborted: %v", err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("tortured run diverged from undisturbed run: %s", rep.Diff)
+		}
+		if len(rep.FaultCounts) == 0 {
+			t.Fatal("the fault schedules injected nothing")
+		}
+		summaries[i] = fmt.Sprint(rep.FaultCounts, rep.Corruptions, rep.Restarts, rep.Warnings)
+	}
+	if summaries[0] != summaries[1] {
+		t.Errorf("one seed, two campaigns:\n%s\n%s", summaries[0], summaries[1])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/dnswatch/dnsloc/internal/analysis"
 	"github.com/dnswatch/dnsloc/internal/core"
 	"github.com/dnswatch/dnsloc/internal/isp"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
@@ -136,7 +135,7 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 		t.Fatalf("built %d probes, want %d", got, spec.TotalProbes)
 	}
 
-	acc := analysis.BuildAccuracy(res)
+	acc := fold(res).Accuracy()
 	if acc.FalsePositives != 0 {
 		t.Errorf("false positives = %d, want 0 (clean probes flagged)", acc.FalsePositives)
 	}
@@ -150,7 +149,7 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 		t.Fatal("no interception detected at all")
 	}
 
-	t4 := analysis.BuildTable4(res)
+	t4 := fold(res).Table4()
 	if t4.DistinctIntercepted != acc.TruePositives {
 		t.Errorf("distinct intercepted %d != true positives %d", t4.DistinctIntercepted, acc.TruePositives)
 	}
@@ -158,7 +157,7 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 		t.Errorf("all-four v6 = %d, want 0", t4.AllInterceptedV6)
 	}
 
-	t5 := analysis.BuildTable5(res)
+	t5 := fold(res).Table5()
 	cpeTruth := 0
 	for _, rec := range res.Records {
 		if rec.Probe.Truth.Location == "cpe" {
@@ -169,7 +168,7 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 		t.Errorf("CPE-attributed = %d, ground truth CPE = %d", t5.CPETotal, cpeTruth)
 	}
 
-	f4 := analysis.BuildFigure4(res, 15)
+	f4 := fold(res).Figure4(15)
 	if f4.CPE != t5.CPETotal {
 		t.Errorf("figure4 CPE %d != table5 total %d", f4.CPE, t5.CPETotal)
 	}
@@ -177,7 +176,7 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 		t.Errorf("figure4 totals %d+%d+%d != %d", f4.CPE, f4.ISP, f4.Unknown, t4.DistinctIntercepted)
 	}
 
-	f3 := analysis.BuildFigure3(res, 15)
+	f3 := fold(res).Figure3(15)
 	sum := 0
 	for _, row := range f3.Rows {
 		sum += row.Total
@@ -192,8 +191,8 @@ func TestSmallStudyEndToEnd(t *testing.T) {
 
 func TestStudyDeterminism(t *testing.T) {
 	spec := study.PaperSpec().Scale(0.02)
-	a := analysis.BuildTable4(study.Run(study.BuildWorld(spec)))
-	b := analysis.BuildTable4(study.Run(study.BuildWorld(spec)))
+	a := fold(study.Run(study.BuildWorld(spec))).Table4()
+	b := fold(study.Run(study.BuildWorld(spec))).Table4()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("two runs differ:\n%+v\n%+v", a, b)
 	}

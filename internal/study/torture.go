@@ -113,33 +113,12 @@ func (r *TortureReport) Summary() string {
 		r.CheckpointRecoveries, r.CheckpointWriteFailures, r.SinkRetries, verdict)
 }
 
-// tortureSinkPath is shard k's JSONL sink under dir.
-func tortureSinkPath(dir string, k, workers int) string {
-	return filepath.Join(dir, fmt.Sprintf("records-%d-of-%d.jsonl", k, workers))
-}
-
-// plainSinks opens per-shard JSONL sinks on the real filesystem — the
-// undisturbed reference configuration.
-func plainSinks(dir string) func(k, workers, resumedAt int) (RecordSink, error) {
-	return func(k, workers, resumedAt int) (RecordSink, error) {
-		path := tortureSinkPath(dir, k, workers)
-		if err := TruncateSinkFile(path, resumedAt); err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return NewJSONLSink(f), nil
-	}
-}
-
 // retrySinks opens per-shard JSONL sinks through a fault-injecting
 // filesystem, wrapped in the self-healing RetrySink — the tortured
 // configuration.
 func retrySinks(dir string, fsys faultfs.FS) func(k, workers, resumedAt int) (RecordSink, error) {
 	return func(k, workers, resumedAt int) (RecordSink, error) {
-		path := tortureSinkPath(dir, k, workers)
+		path := ShardFile(filepath.Join(dir, "records"), k, workers)
 		if err := TruncateSinkFile(path, resumedAt); err != nil {
 			return nil, err
 		}
@@ -158,7 +137,7 @@ func retrySinks(dir string, fsys faultfs.FS) func(k, workers, resumedAt int) (Re
 func readSinkFiles(dir string, workers int) (string, error) {
 	out := make([]byte, 0, 1<<16)
 	for k := 0; k < workers; k++ {
-		blob, err := os.ReadFile(tortureSinkPath(dir, k, workers))
+		blob, err := os.ReadFile(ShardFile(filepath.Join(dir, "records"), k, workers))
 		if err != nil {
 			return "", err
 		}
@@ -229,7 +208,7 @@ func RunTorture(o TortureOptions) (*TortureReport, error) {
 	refRes, err := RunStreamed(o.Spec, StreamOptions{
 		Workers:        workers,
 		NewAccumulator: o.NewAccumulator,
-		NewSink:        plainSinks(refDir),
+		NewSink:        JSONLFiles(filepath.Join(refDir, "records")),
 	})
 	if err != nil {
 		return nil, err
@@ -256,7 +235,7 @@ func RunTorture(o TortureOptions) (*TortureReport, error) {
 		// Fresh fault planes each round (a reboot resets the kernel's
 		// mood too); distinct seeds so checkpoint and sink faults are
 		// independent streams.
-		ckFS := faultfs.New(faultfs.Schedule{Seed: o.Seed + int64(cycle)*2, Rates: map[faultfs.Class]float64{
+		ckFS := faultfs.New(faultfs.Schedule{Seed: o.Seed + int64(cycle)*2, Root: ckDir, Rates: map[faultfs.Class]float64{
 			faultfs.TornWrite:  0.04,
 			faultfs.SyncFail:   0.04,
 			faultfs.SyncSlow:   0.08,
@@ -265,7 +244,7 @@ func RunTorture(o TortureOptions) (*TortureReport, error) {
 		// No ENOSPC on sinks: degradation legitimately drops sink rows,
 		// which would break the byte-identity this harness asserts.
 		// (ENOSPC handling has its own unit tests.)
-		sinkFS := faultfs.New(faultfs.Schedule{Seed: o.Seed + int64(cycle)*2 + 1, Rates: map[faultfs.Class]float64{
+		sinkFS := faultfs.New(faultfs.Schedule{Seed: o.Seed + int64(cycle)*2 + 1, Root: sinkDir, Rates: map[faultfs.Class]float64{
 			faultfs.TornWrite: 0.03,
 			faultfs.WriteEIO:  0.04,
 		}})
@@ -351,7 +330,7 @@ func tortureCorrupt(o TortureOptions, rep *TortureReport, rng *rand.Rand, ckDir,
 	}
 
 	k := rng.Intn(workers)
-	path := tortureSinkPath(sinkDir, k, workers)
+	path := ShardFile(filepath.Join(sinkDir, "records"), k, workers)
 	switch rng.Intn(2) {
 	case 0:
 		// Tear the sink tail back to anywhere at or past the durable

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/dnswatch/dnsloc/internal/core"
-	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 	"github.com/dnswatch/dnsloc/internal/ttlprobe"
 )
@@ -20,36 +19,57 @@ type TTLStats struct {
 	FirstTTLs map[core.Verdict][]int
 }
 
+// TTLTarget is a probe the TTL extension ladders from, with the
+// verdict its first-answering TTL is filed under.
+type TTLTarget struct {
+	ID      int
+	Verdict core.Verdict
+}
+
+// TTLTargets picks the TTL extension's ladder targets from a run's
+// records, added in probe-ID order: every responding probe with an
+// interception verdict, and the first CleanSample clean ones for the
+// baseline.
+type TTLTargets struct {
+	CleanSample int
+	Targets     []TTLTarget
+	clean       int
+}
+
+// Add considers one probe.
+func (t *TTLTargets) Add(e *ProbeExport) {
+	if !e.Responded {
+		return
+	}
+	v := core.Verdict(e.Verdict)
+	if v == core.VerdictNotIntercepted {
+		if t.clean >= t.CleanSample {
+			return
+		}
+		t.clean++
+	}
+	t.Targets = append(t.Targets, TTLTarget{ID: e.ProbeID, Verdict: v})
+}
+
 // RunTTLExtension runs a TTL ladder towards Google's primary v4 address
-// from every intercepted probe, plus cleanSample clean probes for the
-// baseline. Each ladder runs from the probe's home, bound into its
-// record's world's home slot for the ladder and released after it.
-func RunTTLExtension(res *Results, cleanSample int, maxTTL int) TTLStats {
+// from every target's home. It is a second pass after the study: one
+// world built over the unsharded spec owns every probe, and each
+// target's home is bound into its home slot for the ladder and released
+// after it.
+func RunTTLExtension(spec Spec, targets []TTLTarget, maxTTL int) TTLStats {
 	stats := TTLStats{FirstTTLs: make(map[core.Verdict][]int)}
 	google := netip.AddrPortFrom(publicdns.Lookup(publicdns.Google).V4[0], 53)
-
-	cleanSeen := 0
-	for _, rec := range res.Records {
-		if rec.Report == nil {
+	w := BuildWorld(spec)
+	for _, t := range targets {
+		probe := w.probe(t.ID)
+		w.buildHome(probe)
+		ladder, err := ttlprobe.Ladder(&ttlprobe.SimTTLClient{Net: w.Net, Host: probe.Host},
+			google, publicdns.CanaryDomain, maxTTL)
+		w.releaseHome(probe)
+		if err != nil {
 			continue
 		}
-		verdict := rec.Report.Verdict
-		if verdict == core.VerdictNotIntercepted {
-			if cleanSeen >= cleanSample {
-				continue
-			}
-			cleanSeen++
-		}
-		var ladder ttlprobe.Result
-		var err error
-		built := rec.WithHome(func(host *netsim.Host) {
-			client := &ttlprobe.SimTTLClient{Net: rec.Net, Host: host}
-			ladder, err = ttlprobe.Ladder(client, google, publicdns.CanaryDomain, maxTTL)
-		})
-		if !built || err != nil {
-			continue
-		}
-		stats.FirstTTLs[verdict] = append(stats.FirstTTLs[verdict], ladder.FirstTTL)
+		stats.FirstTTLs[t.Verdict] = append(stats.FirstTTLs[t.Verdict], ladder.FirstTTL)
 	}
 	for _, ttls := range stats.FirstTTLs {
 		sort.Ints(ttls)

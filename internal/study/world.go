@@ -36,6 +36,7 @@ type World struct {
 	Metrics *metrics.Registry
 
 	transit      map[publicdns.Region]*backbone.Transit
+	transitNATs  []*netsim.NAT // the regional routers' DNAT, one per transit interceptor
 	fwdMetrics   *dnsserver.ForwarderMetrics
 	studyMetrics *studyMetrics
 
@@ -148,6 +149,7 @@ func (w *World) buildTransitInterceptors() {
 		t.Resolver.Persona = ispResolverPersonas[(i+1)%len(ispResolverPersonas)]
 		t.Resolver.Adversary = w.adversaryFor(region)
 		w.transit[region] = t
+		w.transitNATs = append(w.transitNATs, w.Backbone.Regional[region].NAT)
 	}
 }
 

@@ -44,20 +44,27 @@ func RunPilotStudy(opts PilotOptions) PilotOutput {
 	if opts.Seed != 0 {
 		spec.Seed = opts.Seed
 	}
-	results := study.RunSharded(spec, study.EngineOptions{Workers: opts.Workers})
+	res, err := study.RunStreamed(spec, study.StreamOptions{
+		Workers:        opts.Workers,
+		NewAccumulator: func(int) study.Accumulator { return analysis.NewAccumulator() },
+	})
+	if err != nil {
+		panic(err) // unreachable: no checkpoint directory, one accumulator type
+	}
+	acc := res.Acc.(*analysis.Accumulator)
 	exampleRows := study.ExampleScenario()
 
-	t4 := analysis.BuildTable4(results)
+	t4 := acc.Table4()
 	return PilotOutput{
-		Probes:      len(results.Records),
+		Probes:      res.Folded,
 		Intercepted: t4.DistinctIntercepted,
 		Table1:      analysis.FormatTable1(),
 		Table2:      analysis.FormatTable2(exampleRows),
 		Table3:      analysis.FormatTable3(exampleRows),
 		Table4:      analysis.FormatTable4(t4),
-		Table5:      analysis.FormatTable5(analysis.BuildTable5(results)),
-		Figure3:     analysis.FormatFigure3(analysis.BuildFigure3(results, 15)),
-		Figure4:     analysis.FormatFigure4(analysis.BuildFigure4(results, 15)),
-		Accuracy:    analysis.FormatAccuracy(analysis.BuildAccuracy(results)),
+		Table5:      analysis.FormatTable5(acc.Table5()),
+		Figure3:     analysis.FormatFigure3(acc.Figure3(15)),
+		Figure4:     analysis.FormatFigure4(acc.Figure4(15)),
+		Accuracy:    analysis.FormatAccuracy(acc.Accuracy()),
 	}
 }
