@@ -19,6 +19,7 @@ import (
 	"github.com/dnswatch/dnsloc/internal/dnsserver"
 	"github.com/dnswatch/dnsloc/internal/dnswire"
 	"github.com/dnswatch/dnsloc/internal/homelab"
+	"github.com/dnswatch/dnsloc/internal/metrics"
 	"github.com/dnswatch/dnsloc/internal/netsim"
 	"github.com/dnswatch/dnsloc/internal/publicdns"
 )
@@ -133,6 +134,46 @@ func TestForwarderCacheHitAllocBudget(t *testing.T) {
 	})
 	if allocs > forwarderCacheHitAllocBudget {
 		t.Errorf("forwarder cache hit allocates %.1f/op, budget %d", allocs, forwarderCacheHitAllocBudget)
+	}
+}
+
+// cpeRoundTripAllocBudget bounds one steady-state round trip through an
+// intercepting CPE, at the packet level: the probe's A query to a
+// public resolver is diverted by the CPE's DNAT rule to its forwarder,
+// answered from the forwarder's cache into a recycled buffer, and
+// spoofed back through conntrack. Services, DNAT matches and route
+// filters borrow the packet, so one that made a packet on the stack
+// move to the heap would show here; nothing on the path allocates.
+const cpeRoundTripAllocBudget = 0
+
+func TestCPERoundTripAllocBudget(t *testing.T) {
+	lab := homelab.New(homelab.XB6)
+	fwd := dnsserver.NewForwarderMetrics(metrics.New())
+	lab.CPE.Forwarder.Metrics = fwd
+	server := netip.AddrPortFrom(netip.MustParseAddr("8.8.8.8"), 53)
+	query := dnswire.MustPack(dnsloc.NewAQuery(71, string(publicdns.CanaryDomain)))
+	run := func() {
+		payload := append(lab.Net.PayloadBuf(), query...)
+		pkts, err := lab.Probe.Exchange(lab.Net, server, payload, netsim.ExchangeOptions{})
+		lab.Net.RecyclePayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkts) != 1 || pkts[0].Src != server {
+			t.Fatalf("got %d responses, want one spoofed from %v", len(pkts), server)
+		}
+		lab.Probe.Recycle(pkts)
+	}
+	// Warm the forwarder cache, the freelists and the scheduler's ring.
+	for i := 0; i < 400; i++ {
+		run()
+	}
+	hits := fwd.CacheHits.Value()
+	if allocs := testing.AllocsPerRun(200, run); allocs > cpeRoundTripAllocBudget {
+		t.Errorf("a CPE round trip allocates %.1f/op, budget %d", allocs, cpeRoundTripAllocBudget)
+	}
+	if got := fwd.CacheHits.Value() - hits; got < 200 {
+		t.Errorf("the forwarder answered %d of 201 round trips from its cache", got)
 	}
 }
 

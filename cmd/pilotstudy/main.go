@@ -80,8 +80,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pilotstudy: -adversary runs its own sweep; it does not combine with -faults or -encryption")
 		os.Exit(2)
 	}
-	if (*faults || *advSweep || *encSweep) && (*recordsOut != "" || *ckptDir != "" || *stopAfter > 0) {
-		fmt.Fprintln(os.Stderr, "pilotstudy: sweeps fold each cell into its own tables; -records, -checkpoint-dir, and -stop-after apply to single runs")
+	if (*faults || *advSweep || *encSweep) && (*recordsOut != "" || *ckptDir != "" || *stopAfter > 0 || *jsonOut != "" || *ext != "") {
+		fmt.Fprintln(os.Stderr, "pilotstudy: sweeps fold each cell into its own tables; -records, -checkpoint-dir, -stop-after, -json, and -ext apply to single runs")
+		os.Exit(2)
+	}
+	if *ext != "" && *ext != "ttl" && *ext != "patterns" && *ext != "population" {
+		fmt.Fprintf(os.Stderr, "pilotstudy: unknown -ext %q (want ttl, patterns, or population)\n", *ext)
 		os.Exit(2)
 	}
 	if *resume && *ckptDir == "" {

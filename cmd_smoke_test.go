@@ -67,13 +67,15 @@ func TestCLIPilotstudySmallScale(t *testing.T) {
 // TestCLIPilotstudySweepFlags: -adversary runs its own sweep, so
 // pairing it with -faults is a usage error (exit 2, which `go run`
 // reports) rather than a silently different sweep. So is an explicit
-// -checkpoint-every with nowhere to write the checkpoints, and a flag
-// the CLI does not define: -lanes went with the lane axis, -stream with
-// the in-memory pipeline.
+// -checkpoint-every with nowhere to write the checkpoints, -json or
+// -ext next to a sweep (they read a single run's records), an -ext
+// experiment that does not exist, and a flag the CLI does not define:
+// -lanes went with the lane axis, -stream with the in-memory pipeline.
 func TestCLIPilotstudySweepFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	jsonPath := filepath.Join(t.TempDir(), "sweep.json")
 	for _, c := range []struct {
 		args []string
 		ok   bool
@@ -84,6 +86,13 @@ func TestCLIPilotstudySweepFlags(t *testing.T) {
 		{[]string{"-checkpoint-every", "50", "-scale", "0.02"}, false, []string{"-checkpoint-every requires -checkpoint-dir"}},
 		{[]string{"-lanes", "2", "-scale", "0.02"}, false, []string{"flag provided but not defined: -lanes"}},
 		{[]string{"-stream", "-scale", "0.02"}, false, []string{"flag provided but not defined: -stream", "exit status 2"}},
+		{[]string{"-ext", "foo", "-scale", "0.02", "-table", "4"}, false, []string{`unknown -ext "foo"`, "exit status 2"}},
+		{[]string{"-faults", "-json", jsonPath, "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
+		{[]string{"-adversary", "-json", jsonPath, "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
+		{[]string{"-encryption", "-json", jsonPath, "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
+		{[]string{"-faults", "-ext", "population", "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
+		{[]string{"-adversary", "-ext", "patterns", "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
+		{[]string{"-encryption", "-ext", "ttl", "-scale", "0.02"}, false, []string{"-json, and -ext apply to single runs", "exit status 2"}},
 	} {
 		out, err := runCmd(t, append([]string{"./cmd/pilotstudy"}, c.args...)...)
 		if (err == nil) != c.ok {
@@ -94,6 +103,9 @@ func TestCLIPilotstudySweepFlags(t *testing.T) {
 				t.Errorf("pilotstudy %v: want %q in:\n%s", c.args, want, out)
 			}
 		}
+	}
+	if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
+		t.Errorf("a refused sweep wrote %s", jsonPath)
 	}
 }
 

@@ -51,13 +51,13 @@ func (b *Backbone) AddTransit(region publicdns.Region, enc dnsserver.EncryptedPo
 	regional.NAT = netsim.NewNAT()
 	regional.NAT.AddDNAT(netsim.DNATRule{
 		Name: fmt.Sprintf("transit-interceptor-%s", region),
-		Match: func(pkt netsim.Packet) bool {
+		Match: func(pkt *netsim.Packet) bool {
 			return pkt.Proto == netsim.UDP && pkt.Dst.Port() == 53 && t.diverts(pkt)
 		},
 		To: netip.AddrPortFrom(addr, 53),
 	})
 
-	matchEnc := func(pkt netsim.Packet) bool {
+	matchEnc := func(pkt *netsim.Packet) bool {
 		if pkt.Proto != netsim.TCP {
 			return false
 		}
@@ -68,7 +68,7 @@ func (b *Backbone) AddTransit(region publicdns.Region, enc dnsserver.EncryptedPo
 	}
 	switch enc {
 	case dnsserver.EncBlock:
-		regional.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+		regional.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 			if matchEnc(pkt) {
 				return true, "transit interceptor blocks encrypted DNS"
 			}
@@ -107,7 +107,7 @@ func (t *Transit) DivertAll(wan netip.Addr) {
 // diverts reports whether a v4 packet comes from a diverted home and is
 // bound for one of its pattern's operators, or for anywhere when the
 // home is diverted whole.
-func (t *Transit) diverts(pkt netsim.Packet) bool {
+func (t *Transit) diverts(pkt *netsim.Packet) bool {
 	if pkt.IsIPv6() {
 		return false
 	}

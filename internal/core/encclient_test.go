@@ -25,7 +25,7 @@ type encWorld struct {
 // txtService answers any DNS query with a TXT response carrying tag,
 // marking whether the query arrived inside an encrypted session.
 func txtService(tag string) netsim.Service {
-	return netsim.ServiceFunc(func(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+	return netsim.ServiceFunc(func(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 		query, err := dnswire.Unpack(pkt.Payload)
 		if err != nil {
 			return
@@ -160,7 +160,7 @@ func TestEncryptedClientStrictRejectsUntrustedCert(t *testing.T) {
 // while the strict profile surfaces the timeout.
 func TestEncryptedClientDowngradeIsSticky(t *testing.T) {
 	w := buildEncWorld(t, true)
-	w.rtr.AddInputFilter(func(pkt netsim.Packet) (bool, string) {
+	w.rtr.AddInputFilter(func(pkt *netsim.Packet) (bool, string) {
 		if pkt.Proto == netsim.TCP && pkt.Dst.Port() == netsim.PortDoT {
 			return true, "middlebox blocks DoT"
 		}

@@ -117,9 +117,9 @@ type Device struct {
 	// The device's DNAT matches and encrypted-DNS filter, made once per
 	// Device. They read d.Config when called, so a rebind retargets
 	// them without making new closures.
-	matchXDNS4, matchXDNS6 func(netsim.Packet) bool
-	matchEnc4, matchEnc6   func(netsim.Packet) bool
-	blockEnc               func(netsim.Packet) (bool, string)
+	matchXDNS4, matchXDNS6 func(*netsim.Packet) bool
+	matchEnc4, matchEnc6   func(*netsim.Packet) bool
+	blockEnc               func(*netsim.Packet) (bool, string)
 }
 
 // Build wires a CPE from its config.
@@ -135,11 +135,11 @@ func Build(cfg Config) *Device { return new(Device).Rebind(cfg) }
 func (d *Device) Rebind(cfg Config) *Device {
 	if d.Router == nil {
 		d.Router = new(netsim.Router)
-		d.matchXDNS4 = func(pkt netsim.Packet) bool { return d.divertsDNS(pkt, false) }
-		d.matchXDNS6 = func(pkt netsim.Packet) bool { return d.divertsDNS(pkt, true) }
-		d.matchEnc4 = func(pkt netsim.Packet) bool { return d.encryptedDNS(pkt) && !pkt.IsIPv6() }
-		d.matchEnc6 = func(pkt netsim.Packet) bool { return d.encryptedDNS(pkt) && pkt.IsIPv6() }
-		d.blockEnc = func(pkt netsim.Packet) (bool, string) {
+		d.matchXDNS4 = func(pkt *netsim.Packet) bool { return d.divertsDNS(pkt, false) }
+		d.matchXDNS6 = func(pkt *netsim.Packet) bool { return d.divertsDNS(pkt, true) }
+		d.matchEnc4 = func(pkt *netsim.Packet) bool { return d.encryptedDNS(pkt) && !pkt.IsIPv6() }
+		d.matchEnc6 = func(pkt *netsim.Packet) bool { return d.encryptedDNS(pkt) && pkt.IsIPv6() }
+		d.blockEnc = func(pkt *netsim.Packet) (bool, string) {
 			if d.encryptedDNS(pkt) {
 				return true, "cpe blocks encrypted DNS"
 			}
@@ -195,7 +195,7 @@ func (d *Device) Rebind(cfg Config) *Device {
 }
 
 // encryptedDNS matches LAN-originated encrypted-DNS stream traffic.
-func (d *Device) encryptedDNS(pkt netsim.Packet) bool {
+func (d *Device) encryptedDNS(pkt *netsim.Packet) bool {
 	cfg := &d.Config
 	if pkt.Proto != netsim.TCP {
 		return false
@@ -246,7 +246,7 @@ func (d *Device) installEncrypted() {
 
 // divertsDNS is the XDNS-style match: a UDP port-53 packet of the given
 // family, from the LAN, to a destination the intercept spec covers.
-func (d *Device) divertsDNS(pkt netsim.Packet, v6 bool) bool {
+func (d *Device) divertsDNS(pkt *netsim.Packet, v6 bool) bool {
 	cfg := &d.Config
 	if pkt.Proto != netsim.UDP || pkt.Dst.Port() != 53 || pkt.IsIPv6() != v6 {
 		return false

@@ -96,7 +96,7 @@ const (
 // at self. It returns the evasive reply with ok set, or drop=true when
 // the query must be silently consumed (L4 rate limiting). Neither means
 // the adversary does not apply — serve honestly.
-func (a *Adversary) chaosAnswer(v *dnswire.View, pkt netsim.Packet, self netip.Addr) (r chaosReply, ok, drop bool) {
+func (a *Adversary) chaosAnswer(v *dnswire.View, pkt *netsim.Packet, self netip.Addr) (r chaosReply, ok, drop bool) {
 	if a == nil || a.Level < 1 {
 		return r, false, false
 	}
@@ -131,7 +131,7 @@ func (a *Adversary) chaosAnswer(v *dnswire.View, pkt netsim.Packet, self netip.A
 // address: at L3+ only a deterministic half of clients get answers,
 // judged per (device, client) so retries and re-probe rounds see a
 // consistent fate. Non-bogon and non-diverted traffic always passes.
-func (a *Adversary) AllowBogon(pkt netsim.Packet, self netip.Addr) bool {
+func (a *Adversary) AllowBogon(pkt *netsim.Packet, self netip.Addr) bool {
 	if a == nil || a.Level < 3 || a.Bogon == nil {
 		return true
 	}

@@ -48,7 +48,7 @@ func replayAdversary(level int) *Adversary {
 func advAnswer(t *testing.T, adv *Adversary, q *dnswire.Message, pkt netsim.Packet) (*dnswire.Message, bool) {
 	t.Helper()
 	v := viewOf(t, q)
-	r, ok, drop := adv.chaosAnswer(v, pkt, advSelf)
+	r, ok, drop := adv.chaosAnswer(v, &pkt, advSelf)
 	if !ok {
 		return nil, drop
 	}
@@ -245,17 +245,18 @@ func TestAllowBogon(t *testing.T) {
 	}
 	divertedBogon := advPacket(advClient, advBogon)
 
-	if !mk(2, 1).AllowBogon(divertedBogon, advSelf) {
+	if !mk(2, 1).AllowBogon(&divertedBogon, advSelf) {
 		t.Error("L2 gated a bogon query; gating starts at L3")
 	}
-	if !mk(3, 1).AllowBogon(advPacket(advClient, advTarget), advSelf) {
+	nonBogon, nonDiverted := advPacket(advClient, advTarget), advPacket(advClient, advSelf)
+	if !mk(3, 1).AllowBogon(&nonBogon, advSelf) {
 		t.Error("non-bogon destination gated")
 	}
-	if !mk(3, 1).AllowBogon(advPacket(advClient, advSelf), advSelf) {
+	if !mk(3, 1).AllowBogon(&nonDiverted, advSelf) {
 		t.Error("non-diverted query gated")
 	}
 	var nilAdv *Adversary
-	if !nilAdv.AllowBogon(divertedBogon, advSelf) {
+	if !nilAdv.AllowBogon(&divertedBogon, advSelf) {
 		t.Error("nil adversary gated traffic")
 	}
 
@@ -265,9 +266,9 @@ func TestAllowBogon(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		client := netip.AddrFrom4([4]byte{203, 0, 113, byte(i)})
 		pkt := advPacket(client, advBogon)
-		first := mk(3, 7).AllowBogon(pkt, advSelf)
+		first := mk(3, 7).AllowBogon(&pkt, advSelf)
 		for try := 0; try < 3; try++ {
-			if got := mk(3, 7).AllowBogon(pkt, advSelf); got != first {
+			if got := mk(3, 7).AllowBogon(&pkt, advSelf); got != first {
 				t.Fatalf("client %v fate flipped across instances: %v then %v", client, first, got)
 			}
 		}

@@ -53,7 +53,7 @@ func labelCount(n dnswire.Name) int {
 }
 
 // ServeUDP implements netsim.Service.
-func (s *AuthServer) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (s *AuthServer) ServeUDP(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	v, err := dnswire.ParseView(pkt.Payload)
 	if err != nil || v.Header.Response || v.Header.QDCount == 0 {
 		return // garbage or not a query: drop silently

@@ -96,7 +96,7 @@ func (f *Forwarder) Reset(persona ChaosPersona, egress netip.Addr, upstream neti
 }
 
 // ServeUDP implements netsim.Service.
-func (f *Forwarder) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (f *Forwarder) ServeUDP(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	// Anything not addressed to port 53 is an upstream response — unless
 	// Enc marks it as a client query a stream endpoint unwrapped and
 	// handed over with its original encrypted-port destination (which
@@ -157,14 +157,14 @@ func (f *Forwarder) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 
 // forward relays the viewed query upstream on a fresh ephemeral port;
 // the answer is cached under key unless key is empty.
-func (f *Forwarder) forward(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, key []byte) {
+func (f *Forwarder) forward(sc *netsim.ServiceCtx, pkt *netsim.Packet, v *dnswire.View, key []byte) {
 	if !f.Upstream.IsValid() || !f.Egress.IsValid() {
 		sendError(sc, pkt, v, dnswire.RCodeServerFailure)
 		return
 	}
 	f.Metrics.forwarded()
 	port := f.allocPort()
-	f.pending[port] = fwdPending{clientPkt: pkt, key: string(key)}
+	f.pending[port] = fwdPending{clientPkt: *pkt, key: string(key)}
 	sc.Router.Bind(port, f)
 	// The upstream query shares the client's payload bytes: payloads are
 	// immutable in flight, and only the exchange initiator recycles them.
@@ -178,7 +178,7 @@ func (f *Forwarder) forward(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire
 }
 
 // handleUpstream relays an upstream response back to the waiting client.
-func (f *Forwarder) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (f *Forwarder) handleUpstream(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	p, ok := f.pending[pkt.Dst.Port()]
 	if !ok {
 		return
@@ -190,7 +190,7 @@ func (f *Forwarder) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 	}
 	// Relay the upstream bytes as-is; the client (the flow's initiator)
 	// owns the recycling of this payload.
-	sc.Reply(p.clientPkt, pkt.Payload)
+	sc.Reply(&p.clientPkt, pkt.Payload)
 }
 
 // maybeCache stores a successful upstream answer under key for its

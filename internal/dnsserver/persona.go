@@ -97,7 +97,7 @@ type chaosReply struct {
 func chaosError(rc dnswire.RCode) chaosReply { return chaosReply{rc: rc, isErr: true} }
 
 // send answers pkt, which carries the viewed query, with the reply.
-func (r chaosReply) send(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View) {
+func (r chaosReply) send(sc *netsim.ServiceCtx, pkt *netsim.Packet, v *dnswire.View) {
 	if r.isErr {
 		sendError(sc, pkt, v, r.rc)
 		return
@@ -109,7 +109,7 @@ func (r chaosReply) send(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.Vi
 // record per string of txts (see dnswire.View.AppendTXTResponse), written
 // into a recycled payload buffer. An answer that cannot be encoded, a
 // string over 255 octets, is a server fault: the client gets SERVFAIL.
-func sendTXT(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, txts ...string) {
+func sendTXT(sc *netsim.ServiceCtx, pkt *netsim.Packet, v *dnswire.View, txts ...string) {
 	buf := sc.PayloadBuf()
 	wire, err := v.AppendTXTResponse(buf, txts...)
 	if err != nil {
@@ -120,7 +120,7 @@ func sendTXT(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, txts ...
 
 // sendError answers pkt, which carries the viewed query, with an error
 // response written into a recycled payload buffer.
-func sendError(sc *netsim.ServiceCtx, pkt netsim.Packet, v *dnswire.View, rc dnswire.RCode) {
+func sendError(sc *netsim.ServiceCtx, pkt *netsim.Packet, v *dnswire.View, rc dnswire.RCode) {
 	sc.Reply(pkt, v.AppendErrorResponse(sc.PayloadBuf(), rc))
 }
 

@@ -140,7 +140,7 @@ func (r *RecursiveResolver) FlushCache() { clear(r.cache) }
 
 // ServeUDP implements netsim.Service: port 53 receives client queries;
 // ephemeral ports receive upstream responses.
-func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	// Enc-marked packets are client queries unwrapped by a stream
 	// endpoint, whatever their destination port; see Forwarder.ServeUDP.
 	if pkt.Dst.Port() != 53 && pkt.Enc == 0 {
@@ -190,7 +190,7 @@ func (r *RecursiveResolver) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 		}
 	}
 	j := r.newJob()
-	j.clientPkt, j.query = pkt, v
+	j.clientPkt, j.query = *pkt, v
 	r.lastName = v.QuestionName(r.lastName)
 	j.q = dnswire.Question{Name: r.lastName, Type: typ, Class: class}
 	j.wantDNSSEC = r.DNSSECAware && v.DO()
@@ -312,7 +312,7 @@ func (r *RecursiveResolver) upstreamQuery(dst []byte, id uint16, q dnswire.Quest
 // reading it in place. The resolver initiated the exchange, so it
 // recycles both its query's bytes and, once done, the answer's: nothing
 // it keeps aliases them.
-func (r *RecursiveResolver) handleUpstream(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (r *RecursiveResolver) handleUpstream(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	j, ok := r.pending[pkt.Dst.Port()]
 	if !ok {
 		return
@@ -452,7 +452,7 @@ func (r *RecursiveResolver) finish(sc *netsim.ServiceCtx, j *job, rcode dnswire.
 	if err != nil {
 		payload = j.query.AppendErrorResponse(payload, dnswire.RCodeServerFailure)
 	}
-	sc.Reply(j.clientPkt, payload)
+	sc.Reply(&j.clientPkt, payload)
 	r.freeJob(j)
 }
 

@@ -61,6 +61,11 @@ type StreamEndpoint struct {
 	Inner netsim.Service
 	// Salt keys this endpoint's resumption tickets.
 	Salt int64
+
+	// inner is the unwrapped query Inner borrows. A packet on the stack
+	// would move to the heap when passed through the Service interface;
+	// deliveries never overlap, so one per endpoint serves them all.
+	inner netsim.Packet
 }
 
 // ServeUDP implements netsim.Service for stream frames.
@@ -70,7 +75,7 @@ type StreamEndpoint struct {
 // response with that same source, which is exactly what the reverse-
 // DNAT table needs to spoof a terminated session's response back to the
 // address the client dialed.
-func (e *StreamEndpoint) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
+func (e *StreamEndpoint) ServeUDP(sc *netsim.ServiceCtx, pkt *netsim.Packet) {
 	if alpn, ok := netsim.ParseStreamHello(pkt.Payload); ok {
 		cert := e.Cert
 		if e.SelfSubject {
@@ -90,10 +95,10 @@ func (e *StreamEndpoint) ServeUDP(sc *netsim.ServiceCtx, pkt netsim.Packet) {
 			sc.Reply(pkt, netsim.PackStreamAlert(netsim.StreamAlertProtocol))
 			return
 		}
-		inner := pkt
-		inner.Payload = body
-		inner.Enc = alpn
-		e.Inner.ServeUDP(sc, inner)
+		e.inner = *pkt
+		e.inner.Payload = body
+		e.inner.Enc = alpn
+		e.Inner.ServeUDP(sc, &e.inner)
 		return
 	}
 	sc.Reply(pkt, netsim.PackStreamAlert(netsim.StreamAlertProtocol))

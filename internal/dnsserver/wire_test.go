@@ -143,7 +143,7 @@ func TestAdversaryWireIdentity(t *testing.T) {
 		q := dnswire.NewChaosTXTQuery(uint16(200+i), c.name)
 		q.Header.RecursionDesired = i == 0
 		v := viewOf(t, q)
-		r, ok, drop := adv.chaosAnswer(v, pkt, advSelf)
+		r, ok, drop := adv.chaosAnswer(v, &pkt, advSelf)
 		if !ok || drop {
 			t.Fatalf("%s: ok=%t drop=%t", c.name, ok, drop)
 		}

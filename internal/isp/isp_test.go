@@ -168,29 +168,29 @@ func TestMiddleboxRuleCompilation(t *testing.T) {
 	target := seg.Router.NAT.DNATRules[0]
 	pkt := netsim.Packet{Proto: netsim.UDP, Src: netip.MustParseAddrPort("96.120.1.1:4000")}
 	pkt.Dst = netip.AddrPortFrom(g.V4[0], 53)
-	if !target.Match(pkt) {
+	if !target.Match(&pkt) {
 		t.Error("target rule missed google")
 	}
 	pkt.Dst = netip.MustParseAddrPort("1.1.1.1:53")
-	if target.Match(pkt) {
+	if target.Match(&pkt) {
 		t.Error("target rule matched cloudflare")
 	}
 	// Queries already addressed to the ISP resolver must pass.
 	pkt.Dst = netip.AddrPortFrom(n.ResolverAddr, 53)
-	if target.Match(pkt) {
+	if target.Match(&pkt) {
 		t.Error("rule matched the ISP resolver itself")
 	}
 	// Bogons are excluded from regular rules, matched by the implicit one.
 	pkt.Dst = netip.MustParseAddrPort("192.0.2.53:53")
-	if target.Match(pkt) {
+	if target.Match(&pkt) {
 		t.Error("regular rule matched a bogon")
 	}
-	if !seg.Router.NAT.DNATRules[1].Match(pkt) {
+	if !seg.Router.NAT.DNATRules[1].Match(&pkt) {
 		t.Error("implicit bogon rule missed")
 	}
 	// Non-53 ports pass everything.
 	pkt.Dst = netip.MustParseAddrPort("192.0.2.53:443")
-	if seg.Router.NAT.DNATRules[1].Match(pkt) {
+	if seg.Router.NAT.DNATRules[1].Match(&pkt) {
 		t.Error("bogon rule matched port 443")
 	}
 }
@@ -206,7 +206,7 @@ func TestHiddenMiddleboxHasNoBogonRule(t *testing.T) {
 		Src:   netip.MustParseAddrPort("96.120.1.1:4000"),
 		Dst:   netip.MustParseAddrPort("192.0.2.53:53"),
 	}
-	if seg.Router.NAT.DNATRules[0].Match(pkt) {
+	if seg.Router.NAT.DNATRules[0].Match(&pkt) {
 		t.Error("hidden middlebox matched a bogon destination")
 	}
 }
@@ -244,11 +244,11 @@ func TestV6RuleTargetsV6Resolver(t *testing.T) {
 		Src:   netip.MustParseAddrPort("[2601:db00:0:100::2]:4000"),
 		Dst:   netip.AddrPortFrom(g.V6[0], 53),
 	}
-	if !rule.Match(pkt) {
+	if !rule.Match(&pkt) {
 		t.Error("v6 rule missed google v6")
 	}
 	pkt.Dst = netip.AddrPortFrom(g.V4[0], 53)
-	if rule.Match(pkt) {
+	if rule.Match(&pkt) {
 		t.Error("v6 rule matched a v4 destination")
 	}
 }

@@ -67,7 +67,7 @@ func TestRouterAddrSpecificBindings(t *testing.T) {
 func TestServiceCtxClockAndBuffers(t *testing.T) {
 	net, host, rtr := bindWorld(t)
 	var seen time.Duration
-	rtr.Bind(99, ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+	rtr.Bind(99, ServiceFunc(func(sc *ServiceCtx, pkt *Packet) {
 		seen = sc.Now()
 		buf := append(sc.PayloadBuf(), []byte("pooled")...)
 		sc.Reply(pkt, buf)

@@ -9,13 +9,15 @@ import (
 // TestEventHasNoPointers walks the event record's type: a field that
 // holds a pointer would bring GC write barriers back into every push
 // and popBatch, and make the calendar buckets pin delivered packets.
+// It walks the conntrack key's type too: a pointer there would make
+// every conntrack probe call the type's hash function again.
 func TestEventHasNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
 			reflect.Map, reflect.Chan, reflect.Func, reflect.String:
-			t.Errorf("%s is a %s: event must hold no pointers", path, typ.Kind())
+			t.Errorf("%s is a %s: it must hold no pointers", path, typ.Kind())
 		case reflect.Array:
 			walk(path+"[]", typ.Elem())
 		case reflect.Struct:
@@ -26,6 +28,7 @@ func TestEventHasNoPointers(t *testing.T) {
 		}
 	}
 	walk("event", reflect.TypeOf(event{}))
+	walk("flowKey", reflect.TypeOf(flowKey{}))
 }
 
 // sinkDev records a copy of every packet it receives.
@@ -101,7 +104,7 @@ func TestReplicatedCopyIsolatedFromSNAT(t *testing.T) {
 	cpe.NAT.AddDNAT(DNATRule{Name: "replicate", Match: MatchUDPPort53, To: ap("192.168.1.1:53"), Replicate: true})
 	cpe.AddDefaultRoute(upstream)
 	var served []Packet
-	cpe.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt Packet) { served = append(served, pkt) }))
+	cpe.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt *Packet) { served = append(served, *pkt) }))
 
 	src := ap("192.168.1.10:49152")
 	n.Inject(cpe, Packet{Src: src, Dst: ap("8.8.8.8:53"), Proto: UDP, TTL: DefaultTTL, Payload: []byte("q")})

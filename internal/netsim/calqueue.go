@@ -18,6 +18,11 @@ import "time"
 // the horizon (long fault delays, retry timers) goes to an unordered
 // overflow slice that drains into the ring as the horizon reaches it.
 //
+// Most of the time one packet is in flight — a query or answer walking
+// its path hop by hop — so the queue holds one event. That event waits
+// in a register beside the ring (sole), and moves into the ring only
+// when a second event arrives.
+//
 // Determinism: the total order is (at, seq), exactly the heap's. Pop
 // scans the head bucket for the minimum timestamp and returns every
 // event carrying it in ascending seq order, so event order — and
@@ -33,6 +38,11 @@ const (
 
 // calQueue is the calendar queue. The zero value is ready to use.
 type calQueue struct {
+	// sole is the queue's one event while hasSole is set; ring and
+	// overflow are then empty.
+	sole    event
+	hasSole bool
+
 	ring [calBuckets][]event
 	// headTick is the tick (at >> calBucketBits) the ring's head bucket
 	// holds; only meaningful while ringCount > 0.
@@ -71,6 +81,19 @@ func (q *calQueue) Len() int { return q.size }
 // current drain point (at >= now), so an event's tick is never behind
 // headTick while the ring is nonempty.
 func (q *calQueue) push(ev event) {
+	switch {
+	case q.size == 0:
+		q.sole, q.hasSole, q.size = ev, true, 1
+		return
+	case q.hasSole:
+		q.hasSole, q.size = false, 0
+		q.pushRing(q.sole)
+	}
+	q.pushRing(ev)
+}
+
+// pushRing files one event in the ring or the overflow.
+func (q *calQueue) pushRing(ev event) {
 	tick := int64(ev.at) >> calBucketBits
 	if q.ringCount == 0 {
 		// Empty ring: jump it straight to the earliest pending tick so
@@ -107,6 +130,10 @@ func (q *calQueue) push(ev event) {
 // returned slice until the next call; passing it back (re-sliced to
 // zero length) reuses its storage. Empty queue returns dst unchanged.
 func (q *calQueue) popBatch(dst []event) []event {
+	if q.hasSole {
+		q.hasSole, q.size = false, 0
+		return append(dst, q.sole)
+	}
 	if q.size == 0 {
 		return dst
 	}
@@ -184,6 +211,9 @@ func (q *calQueue) drainOverflow() {
 // anything; only valid while size > 0. Test helper — it scans the whole
 // structure rather than tracking state.
 func (q *calQueue) peekAt() time.Duration {
+	if q.hasSole {
+		return q.sole.at
+	}
 	min := time.Duration(1<<63 - 1)
 	for slot := range q.ring {
 		for _, ev := range q.ring[slot] {

@@ -19,6 +19,18 @@ func DNATFlows(nat *NAT) int {
 	return len(nat.dnatCT)
 }
 
+// SetDeviceFault installs a profile for one device (by name),
+// overriding the default: a test faults a single link with it.
+func (n *Network) SetDeviceFault(name string, p FaultProfile) {
+	if n.faults == nil {
+		n.faults = newFaultPlane()
+	}
+	if n.faults.byDev == nil {
+		n.faults.byDev = make(map[string]*FaultProfile)
+	}
+	n.faults.byDev[name] = &p
+}
+
 // NextHop is the device r routes dst to, nil for none.
 func NextHop(r *Router, dst netip.Addr) Device {
 	if rt := r.lookupRoute(dst); rt != nil {

@@ -130,6 +130,8 @@ type rateState struct {
 }
 
 // faultPlane holds the network's installed profiles and their state.
+// byDev, per-device overrides of def, is made and filled only by this
+// package's tests, which fault a single link.
 type faultPlane struct {
 	def    *FaultProfile
 	byDev  map[string]*FaultProfile
@@ -139,7 +141,6 @@ type faultPlane struct {
 
 func newFaultPlane() *faultPlane {
 	return &faultPlane{
-		byDev:  make(map[string]*FaultProfile),
 		chains: make(map[faultKey]geChain),
 		rates:  make(map[faultKey]rateState),
 	}
@@ -156,15 +157,6 @@ func (n *Network) SetDefaultFault(p FaultProfile) {
 	} else {
 		n.faults.def = nil
 	}
-}
-
-// SetDeviceFault installs a profile for one device (by name),
-// overriding the default. Tests use it to fault a single link.
-func (n *Network) SetDeviceFault(name string, p FaultProfile) {
-	if n.faults == nil {
-		n.faults = newFaultPlane()
-	}
-	n.faults.byDev[name] = &p
 }
 
 // ForgetFaultFlows drops the fault plane's per-flow state: every

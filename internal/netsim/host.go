@@ -29,13 +29,22 @@ type Host struct {
 	Delay time.Duration
 
 	nextPort uint16
-	inbox    map[uint16][]Packet
+	// inbox holds the packets that arrived, per destination port, until
+	// an Exchange collects its port's. It holds about one port at a
+	// time, so a scan beats a map.
+	inbox []inboxPort
 	// spare holds drained inbox slices returned via Recycle, reused for
 	// later flows so steady-state exchanges stop allocating per query.
 	spare [][]Packet
 	// net is the network of the host's last Exchange, so Recycle can
 	// return response payload buffers to its freelist.
 	net *Network
+}
+
+// inboxPort is one port's arrived packets.
+type inboxPort struct {
+	port uint16
+	pkts []Packet
 }
 
 // NewHost creates a host. Either address may be the zero Addr.
@@ -55,7 +64,7 @@ func (h *Host) Reset(name string, addr4, addr6 netip.Addr, gw Device) {
 		Addr6:    addr6,
 		Gateway:  gw,
 		nextPort: 49152,
-		inbox:    clearOrMake(h.inbox),
+		inbox:    h.inbox[:0],
 		spare:    h.spare,
 	}
 }
@@ -78,27 +87,48 @@ func (h *Host) Receive(ctx *Ctx, pkt *Packet) {
 	if pkt.Proto == ICMP {
 		// Time Exceeded: file it under the original flow's source port
 		// so the waiting Exchange sees it.
-		if srcPort, _, ok := ParseTimeExceeded(*pkt); ok {
+		if srcPort, _, ok := ParseTimeExceeded(pkt); ok {
 			ctx.Trace(TraceDeliver, pkt, "host inbox (icmp)")
-			h.deliver(srcPort, *pkt)
+			h.deliver(srcPort, pkt)
 			return
 		}
 		ctx.Drop(pkt, "unparseable icmp")
 		return
 	}
 	ctx.Trace(TraceDeliver, pkt, "host inbox")
-	h.deliver(pkt.Dst.Port(), *pkt)
+	h.deliver(pkt.Dst.Port(), pkt)
 }
 
-// deliver files a packet in the per-port inbox, reusing a recycled slice
-// for the port's first packet when one is available.
-func (h *Host) deliver(port uint16, pkt Packet) {
-	q, ok := h.inbox[port]
-	if !ok && len(h.spare) > 0 {
+// deliver files a copy of the borrowed packet in the per-port inbox,
+// reusing a recycled slice for the port's first packet when one is
+// available.
+func (h *Host) deliver(port uint16, pkt *Packet) {
+	for i := range h.inbox {
+		if h.inbox[i].port == port {
+			h.inbox[i].pkts = append(h.inbox[i].pkts, *pkt)
+			return
+		}
+	}
+	var q []Packet
+	if len(h.spare) > 0 {
 		q = h.spare[len(h.spare)-1]
 		h.spare = h.spare[:len(h.spare)-1]
 	}
-	h.inbox[port] = append(q, pkt)
+	h.inbox = append(h.inbox, inboxPort{port: port, pkts: append(q, *pkt)})
+}
+
+// collect removes and returns the packets that arrived on port.
+func (h *Host) collect(port uint16) []Packet {
+	for i := range h.inbox {
+		if h.inbox[i].port == port {
+			got, last := h.inbox[i].pkts, len(h.inbox)-1
+			h.inbox[i] = h.inbox[last]
+			h.inbox[last] = inboxPort{}
+			h.inbox = h.inbox[:last]
+			return got
+		}
+	}
+	return nil
 }
 
 // Recycle returns a response slice obtained from Exchange to the host's
@@ -198,12 +228,11 @@ func (h *Host) Exchange(n *Network, dst netip.AddrPort, payload []byte, opts Exc
 		Payload: payload,
 		SentAt:  n.Now(),
 	}
-	n.Inject(h.Gateway, pkt)
+	n.enqueue(h.Gateway, &pkt, n.now)
 	if _, err := n.Run(); err != nil {
 		return nil, err
 	}
-	got := h.inbox[port]
-	delete(h.inbox, port)
+	got := h.collect(port)
 	if len(got) == 0 {
 		return nil, ErrTimeout
 	}

@@ -24,7 +24,7 @@ func timeExceededPayload(orig *Packet) []byte {
 
 // ParseTimeExceeded decodes an ICMP Time Exceeded packet's embedded flow
 // identity. ok is false for malformed or non-ICMP packets.
-func ParseTimeExceeded(p Packet) (origSrcPort uint16, origDst netip.AddrPort, ok bool) {
+func ParseTimeExceeded(p *Packet) (origSrcPort uint16, origDst netip.AddrPort, ok bool) {
 	if p.Proto != ICMP || len(p.Payload) < 20 {
 		return 0, netip.AddrPort{}, false
 	}

@@ -4,10 +4,12 @@ import "github.com/dnswatch/dnsloc/internal/metrics"
 
 // netMetrics is the event loop's pre-resolved metric handles. Handles
 // are looked up once in SetMetrics; the per-packet cost is one nil
-// check plus one atomic add. Only client flows (isClientFlow) feed the
-// Stable counters: infrastructure recursion traffic depends on which
-// probes share a world (resolver cache warmth), so counting it would
-// break snapshot byte-identity across worker counts.
+// check plus one add. The per-hop counts are plain words that Run adds
+// to their counters when its drain ends (flush), so a hop pays no
+// atomic add. Only client flows (isClientFlow) feed the Stable
+// counters: infrastructure recursion traffic depends on which probes
+// share a world (resolver cache warmth), so counting it would break
+// snapshot byte-identity across worker counts.
 type netMetrics struct {
 	forwarded *metrics.Counter // client-flow hops handed to the next device
 	ttlDrops  *metrics.Counter // client-flow packets expired in Forward
@@ -25,6 +27,18 @@ type netMetrics struct {
 	// recursion whose volume depends on which probes share a world.
 	routeLookups   *metrics.Counter
 	routeCacheHits *metrics.Counter
+
+	// hops, lookups and hits are this drain's forwarded, routeLookups
+	// and routeCacheHits counts, not yet flushed.
+	hops, lookups, hits int64
+}
+
+// flush adds the drain's per-hop counts to their counters.
+func (m *netMetrics) flush() {
+	m.forwarded.Add(m.hops)
+	m.routeLookups.Add(m.lookups)
+	m.routeCacheHits.Add(m.hits)
+	m.hops, m.lookups, m.hits = 0, 0, 0
 }
 
 // SetMetrics wires the network's hot paths to a registry; nil detaches

@@ -14,23 +14,15 @@ import (
 type DNATRule struct {
 	// Name labels the rule in traces.
 	Name string
-	// Match decides whether the rule applies to a packet.
-	Match func(Packet) bool
+	// Match decides whether the rule applies to a packet. The packet is
+	// borrowed for the call and must not be kept or changed.
+	Match func(*Packet) bool
 	// To is the rewritten destination.
 	To netip.AddrPort
 	// Replicate, when set, also lets the original packet continue to its
 	// intended destination, modeling the query-replication behavior prior
 	// work observed (Liu et al.): the client receives two answers.
 	Replicate bool
-}
-
-// ctKey identifies one tracked flow: the client's address/port and the
-// NAT target the flow was rewritten to. Clients use a fresh ephemeral
-// source port per query, so the key is unique per outstanding flow —
-// the same property real conntrack relies on.
-type ctKey struct {
-	client netip.AddrPort
-	target netip.AddrPort
 }
 
 // NAT holds a device's NAT state: DNAT rules with their conntrack table,
@@ -42,7 +34,10 @@ type NAT struct {
 	// dnatCT maps (client, target) to the original destination so the
 	// reply's source can be restored — the "spoofing" the paper describes:
 	// responses arrive with the source address of the target resolver.
-	dnatCT map[ctKey]netip.AddrPort
+	// Clients use a fresh ephemeral source port per query, so the key is
+	// unique per outstanding flow — the property real conntrack relies
+	// on. Every conntrack map is keyed by the pointer-free flowKey.
+	dnatCT map[flowKey]netip.AddrPort
 
 	// MasqueradeV4/V6 are the external addresses for source NAT. Zero
 	// values disable SNAT for that family (e.g. v6 homes that route
@@ -53,8 +48,8 @@ type NAT struct {
 	// LANPrefixes limits SNAT to sources inside the LAN.
 	LANPrefixes []netip.Prefix
 
-	snatByFlow map[ctKey]uint16         // (origSrc, dst) -> external port
-	snatByExt  map[ctKey]netip.AddrPort // (extAddrPort, remote) -> original src
+	snatByFlow map[flowKey]uint16         // (origSrc, dst) -> external port
+	snatByExt  map[flowKey]netip.AddrPort // (extAddrPort, remote) -> original src
 	nextPort   uint16
 }
 
@@ -105,7 +100,7 @@ func (n *NAT) lanSource(addr netip.Addr) bool {
 func (n *NAT) matchDNAT(pkt *Packet) *DNATRule {
 	for i := range n.DNATRules {
 		r := &n.DNATRules[i]
-		if r.Match == nil || !r.Match(*pkt) {
+		if r.Match == nil || !r.Match(pkt) {
 			continue
 		}
 		if pkt.Dst == r.To {
@@ -119,7 +114,7 @@ func (n *NAT) matchDNAT(pkt *Packet) *DNATRule {
 // rewriteDNAT applies a matched rule in place: it records the flow in
 // conntrack and redirects the packet to the rule's target.
 func (n *NAT) rewriteDNAT(pkt *Packet, r *DNATRule) {
-	n.dnatCT[ctKey{client: pkt.Src, target: r.To}] = pkt.Dst
+	n.dnatCT[flowKeyOf(pkt.Src, r.To)] = pkt.Dst
 	if !pkt.OrigDst.IsValid() {
 		// First rewrite on the path wins: a chain of DNAT hops keeps
 		// the client's true original destination, as conntrack does.
@@ -132,9 +127,12 @@ func (n *NAT) rewriteDNAT(pkt *Packet, r *DNATRule) {
 // belonging to a tracked DNAT flow: a packet from the NAT target back to
 // a recorded client gets its source rewritten to the client's original
 // destination. This is the precise moment the response becomes
-// "spoofed".
+// "spoofed". An empty table is not probed.
 func (n *NAT) reverseDNAT(pkt *Packet) bool {
-	key := ctKey{client: pkt.Dst, target: pkt.Src}
+	if len(n.dnatCT) == 0 {
+		return false
+	}
+	key := flowKeyOf(pkt.Dst, pkt.Src)
 	orig, ok := n.dnatCT[key]
 	if !ok {
 		return false
@@ -165,21 +163,27 @@ func (n *NAT) applySNAT(pkt *Packet) bool {
 	if !ext.IsValid() || !n.lanSource(pkt.Src.Addr()) {
 		return false
 	}
-	flow := ctKey{client: pkt.Src, target: pkt.Dst}
+	flow := flowKeyOf(pkt.Src, pkt.Dst)
 	port, ok := n.snatByFlow[flow]
 	if !ok {
 		port = n.allocPort()
 		n.snatByFlow[flow] = port
-		n.snatByExt[ctKey{client: netip.AddrPortFrom(ext, port), target: pkt.Dst}] = pkt.Src
+		flow.client = endpointKey(netip.AddrPortFrom(ext, port))
+		n.snatByExt[flow] = pkt.Src
 	}
 	pkt.Src = netip.AddrPortFrom(ext, port)
 	return true
 }
 
 // reverseSNAT restores, in place, the LAN destination of a reply
-// arriving at the masquerade address.
+// arriving at the masquerade address. Only a packet addressed to a
+// masquerade address can hit the table, so no other is looked up; the
+// masquerade addresses do not change while the table holds entries.
 func (n *NAT) reverseSNAT(pkt *Packet) bool {
-	orig, ok := n.snatByExt[ctKey{client: pkt.Dst, target: pkt.Src}]
+	if a := pkt.Dst.Addr(); len(n.snatByExt) == 0 || (a != n.MasqueradeV4 && a != n.MasqueradeV6) {
+		return false
+	}
+	orig, ok := n.snatByExt[flowKeyOf(pkt.Dst, pkt.Src)]
 	if !ok {
 		return false
 	}
@@ -193,11 +197,11 @@ func (n *NAT) reverseSNAT(pkt *Packet) bool {
 // the flow. The conntrack entry is retired — the flow is dead. The
 // payload is replaced, never edited: other packets may share it.
 func (n *NAT) reverseDNATICMP(pkt *Packet) bool {
-	srcPort, embDst, ok := ParseTimeExceeded(*pkt)
+	srcPort, embDst, ok := ParseTimeExceeded(pkt)
 	if !ok {
 		return false
 	}
-	key := ctKey{client: netip.AddrPortFrom(pkt.Dst.Addr(), srcPort), target: embDst}
+	key := flowKeyOf(netip.AddrPortFrom(pkt.Dst.Addr(), srcPort), embDst)
 	orig, found := n.dnatCT[key]
 	if !found {
 		return false
@@ -217,11 +221,11 @@ func (n *NAT) reverseDNATICMP(pkt *Packet) bool {
 // that originated the expired packet, and the embedded source port is
 // restored — the ICMP half of real connection tracking.
 func (n *NAT) reverseSNATICMP(pkt *Packet) bool {
-	srcPort, origDst, ok := ParseTimeExceeded(*pkt)
+	srcPort, origDst, ok := ParseTimeExceeded(pkt)
 	if !ok || !n.MasqueradeV4.IsValid() {
 		return false
 	}
-	key := ctKey{client: netip.AddrPortFrom(n.MasqueradeV4, srcPort), target: origDst}
+	key := flowKeyOf(netip.AddrPortFrom(n.MasqueradeV4, srcPort), origDst)
 	origSrc, ok := n.snatByExt[key]
 	if !ok {
 		return false
@@ -243,10 +247,4 @@ func (n *NAT) allocPort() uint16 {
 		n.nextPort = 30000
 	}
 	return p
-}
-
-// MatchUDPPort53 is the classic interceptor match: any UDP packet to
-// destination port 53.
-func MatchUDPPort53(pkt Packet) bool {
-	return pkt.Proto == UDP && pkt.Dst.Port() == 53
 }

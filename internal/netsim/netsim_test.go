@@ -14,7 +14,7 @@ func pfx(s string) netip.Prefix  { return netip.MustParsePrefix(s) }
 // echoService answers every datagram with a recognizable payload that
 // embeds the service's tag, standing in for a DNS server in these tests.
 func echoService(tag string) Service {
-	return ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+	return ServiceFunc(func(sc *ServiceCtx, pkt *Packet) {
 		sc.Reply(pkt, []byte(tag+":"+string(pkt.Payload)))
 	})
 }
@@ -91,7 +91,7 @@ func TestEndToEndExchangeThroughNAT(t *testing.T) {
 func TestSNATHidesLANAddress(t *testing.T) {
 	w := buildTestWorld(t)
 	var seenSrc netip.AddrPort
-	w.resolver.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+	w.resolver.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt *Packet) {
 		seenSrc = pkt.Src
 		sc.Reply(pkt, []byte("ok"))
 	}))
@@ -211,7 +211,7 @@ func TestBogonEgressFilterDrops(t *testing.T) {
 	w := buildTestWorld(t)
 	filtered := 0
 	// Re-adding the default route replaces the unfiltered one.
-	w.border.AddDefaultRouteFiltered(w.transit, func(pkt Packet) (bool, string) {
+	w.border.AddDefaultRouteFiltered(w.transit, func(pkt *Packet) (bool, string) {
 		if pkt.Dst.Addr() == addr("192.0.2.53") {
 			filtered++
 			return true, "bogon egress"
@@ -330,7 +330,7 @@ func TestTraceCapturesNATEvents(t *testing.T) {
 func TestExchangeDistinctSourcePorts(t *testing.T) {
 	w := buildTestWorld(t)
 	var ports []uint16
-	w.resolver.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt Packet) {
+	w.resolver.Bind(53, ServiceFunc(func(sc *ServiceCtx, pkt *Packet) {
 		ports = append(ports, pkt.Src.Port())
 		sc.Reply(pkt, []byte("ok"))
 	}))
@@ -350,18 +350,18 @@ func TestExchangeDistinctSourcePorts(t *testing.T) {
 
 func TestNATMatchHelpers(t *testing.T) {
 	q := Packet{Proto: UDP, Dst: ap("8.8.8.8:53")}
-	if !MatchUDPPort53(q) {
+	if !MatchUDPPort53(&q) {
 		t.Error("MatchUDPPort53 missed")
 	}
-	if MatchUDPPort53(Packet{Proto: UDP, Dst: ap("8.8.8.8:443")}) {
+	if MatchUDPPort53(&Packet{Proto: UDP, Dst: ap("8.8.8.8:443")}) {
 		t.Error("MatchUDPPort53 matched port 443")
 	}
 	only := MatchUDP53To(addr("8.8.8.8"))
-	if !only(q) || only(Packet{Proto: UDP, Dst: ap("1.1.1.1:53")}) {
+	if !only(&q) || only(&Packet{Proto: UDP, Dst: ap("1.1.1.1:53")}) {
 		t.Error("MatchUDP53To misbehaves")
 	}
 	except := MatchUDP53Except(addr("9.9.9.9"))
-	if !except(q) || except(Packet{Proto: UDP, Dst: ap("9.9.9.9:53")}) {
+	if !except(&q) || except(&Packet{Proto: UDP, Dst: ap("9.9.9.9:53")}) {
 		t.Error("MatchUDP53Except misbehaves")
 	}
 }

@@ -74,7 +74,7 @@ func (c *Ctx) Forward(next Device, pkt *Packet) {
 		}
 	}
 	if c.net.metrics != nil && pkt.Proto == UDP && isClientFlow(pkt) {
-		c.net.metrics.forwarded.Inc()
+		c.net.metrics.hops++
 	}
 	if c.net.tracing() {
 		c.net.trace(c.dev, TraceForward, pkt, "to "+next.DeviceName())
@@ -138,6 +138,10 @@ type Network struct {
 	// only to the most packets in flight at once.
 	slots     []slot
 	freeSlots []int32
+	// recv is one more than the slot whose packet the device under
+	// Receive borrows, 0 when there is none. Forwarding that very
+	// packet moves it on in its slot instead of copying it (enqueue).
+	recv int32
 
 	// ctx and sctx are the drain's reusable handles: devices and
 	// services use them only synchronously, inside Receive and
@@ -233,12 +237,21 @@ func NewNetwork() *Network {
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// delayFrom resolves a device's egress link delay.
+// delayFrom resolves a device's egress link delay. Routers and hosts,
+// every device a hop leaves in a study, are read without an interface
+// assertion.
 func (n *Network) delayFrom(dev Device) time.Duration {
-	if d, ok := dev.(EgressDelayer); ok {
-		if delay := d.EgressDelay(); delay > 0 {
-			return delay
-		}
+	var delay time.Duration
+	switch d := dev.(type) {
+	case *Router:
+		delay = d.Delay
+	case *Host:
+		delay = d.Delay
+	case EgressDelayer:
+		delay = d.EgressDelay()
+	}
+	if delay > 0 {
+		return delay
 	}
 	return n.DefaultEgressDelay
 }
@@ -268,11 +281,15 @@ func (n *Network) trace(dev Device, kind TraceKind, pkt *Packet, note string) {
 	}
 }
 
-// enqueue schedules a delivery. It makes the packet's one copy per
-// hop, into a free slot.
+// enqueue schedules a delivery. The packet under delivery, forwarded
+// on, keeps its slot; any other packet is copied into a free one. A
+// packet handed on is not changed afterwards.
 func (n *Network) enqueue(dev Device, pkt *Packet, at time.Duration) {
 	var k int32
-	if f := len(n.freeSlots); f > 0 {
+	if r := n.recv - 1; r >= 0 && pkt == &n.slots[r].pkt {
+		k, n.recv = r, 0
+		n.slots[k].dev = dev
+	} else if f := len(n.freeSlots); f > 0 {
 		k = n.freeSlots[f-1]
 		n.freeSlots = n.freeSlots[:f-1]
 		s := &n.slots[k]
@@ -322,6 +339,9 @@ func (n *Network) Run() (int, error) {
 	// the Network, so handing it to Receive allocates nothing.
 	ctx := &n.ctx
 	ctx.net = n
+	if n.metrics != nil {
+		defer n.metrics.flush()
+	}
 	for n.queue.Len() > 0 {
 		n.batch = n.queue.popBatch(n.batch[:0])
 		if at := n.batch[0].at; at > n.now {
@@ -337,12 +357,18 @@ func (n *Network) Run() (int, error) {
 			processed++
 			// Receive borrows the packet in its slot. It may enqueue and
 			// so grow the table, which leaves s pointing at the old
-			// backing array: release re-indexes.
+			// backing array: release re-indexes, and the packet keeps
+			// its slot only while it is still the table's (enqueue).
+			// A packet forwarded on in its slot is not released.
 			s := &n.slots[ev.slot]
 			ctx.dev = s.dev
 			n.trace(s.dev, TraceRecv, &s.pkt, "")
+			n.recv = ev.slot + 1
 			s.dev.Receive(ctx, &s.pkt)
-			n.release(ev.slot)
+			if n.recv != 0 {
+				n.recv = 0
+				n.release(ev.slot)
+			}
 		}
 	}
 	for i, fn := range n.idle {

@@ -110,11 +110,11 @@ func TestRouterResetForgetsRoutesAndMemos(t *testing.T) {
 		r.Reset(name, netip.MustParseAddr("192.168.1.1"))
 		r.AddDefaultRoute(up)
 		r.AddRoute(hostPfx, lan)
-		r.Bind(53, ServiceFunc(func(*ServiceCtx, Packet) {}))
+		r.Bind(53, ServiceFunc(func(*ServiceCtx, *Packet) {}))
 		r.lookupRoute(hostPfx.Addr())
 	}
 	bind("cpe-1")
-	r.AddInputFilter(func(Packet) (bool, string) { return true, "stale" })
+	r.AddInputFilter(func(*Packet) (bool, string) { return true, "stale" })
 
 	r.Reset("cpe-2")
 	if r.Name != "cpe-2" || len(r.Addrs()) != 0 || len(r.inputFilters) != 0 {

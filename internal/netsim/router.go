@@ -12,15 +12,19 @@ import (
 // (responses, upstream queries) through the ServiceCtx. The ServiceCtx
 // is shared by every delivery of the network: it is valid only during
 // the ServeUDP call, and a service must not keep it for later sends.
+// The packet is borrowed the same way, as Device.Receive borrows it: it
+// is the network's own copy, valid only during the call, and must not
+// be changed. A service that answers later keeps a copy of the Packet
+// value; its payload stays valid until the drain ends.
 type Service interface {
-	ServeUDP(sc *ServiceCtx, pkt Packet)
+	ServeUDP(sc *ServiceCtx, pkt *Packet)
 }
 
 // ServiceFunc adapts a function to the Service interface.
-type ServiceFunc func(sc *ServiceCtx, pkt Packet)
+type ServiceFunc func(sc *ServiceCtx, pkt *Packet)
 
 // ServeUDP implements Service.
-func (f ServiceFunc) ServeUDP(sc *ServiceCtx, pkt Packet) { f(sc, pkt) }
+func (f ServiceFunc) ServeUDP(sc *ServiceCtx, pkt *Packet) { f(sc, pkt) }
 
 // ServiceCtx lets a service send packets that originate at its router.
 // It is borrowed for one ServeUDP call: the network reuses it for the
@@ -29,6 +33,11 @@ func (f ServiceFunc) ServeUDP(sc *ServiceCtx, pkt Packet) { f(sc, pkt) }
 type ServiceCtx struct {
 	Router *Router
 	ctx    *Ctx
+	// out holds the packet a Send or Reply routes. Route filters and
+	// DNAT matches take it by pointer, so a packet on the stack would
+	// move to the heap; a send runs to completion before the next one
+	// starts, so one per network serves every send.
+	out Packet
 }
 
 // Now returns the current virtual time — services use it for cache
@@ -58,28 +67,29 @@ func (sc *ServiceCtx) OnIdle(fn func()) { sc.ctx.net.OnIdle(fn) }
 // table is consulted so that responses to intercepted flows leave with
 // the spoofed (original-destination) source address, then the packet is
 // routed normally.
-func (sc *ServiceCtx) Send(pkt Packet) { sc.send(&pkt) }
-
-// Reply builds and sends the conventional response to an inbound
-// datagram: source and destination swapped, fresh TTL, given payload.
-// The request's SentAt carries over so the client can measure the
-// flow's round-trip time.
-func (sc *ServiceCtx) Reply(to Packet, payload []byte) {
-	pkt := Packet{
-		Src:     to.Dst,
-		Dst:     to.Src,
-		Proto:   to.Proto,
-		TTL:     DefaultTTL,
-		Payload: payload,
-		SentAt:  to.SentAt,
-		Enc:     to.Enc,
-	}
-	sc.send(&pkt)
+func (sc *ServiceCtx) Send(pkt Packet) {
+	sc.out = pkt
+	sc.send()
 }
 
-// send is Send on a packet it rewrites in place.
-func (sc *ServiceCtx) send(pkt *Packet) {
-	r := sc.Router
+// Reply builds and sends the conventional response to an inbound
+// datagram, which may be borrowed: source and destination swapped,
+// fresh TTL, given payload. The request's SentAt carries over so the
+// client can measure the flow's round-trip time.
+func (sc *ServiceCtx) Reply(to *Packet, payload []byte) {
+	// Field by field: a composite literal would be built aside and
+	// copied in whole.
+	pkt := &sc.out
+	pkt.Src, pkt.Dst, pkt.OrigDst = to.Dst, to.Src, netip.AddrPort{}
+	pkt.Proto, pkt.TTL, pkt.Payload = to.Proto, DefaultTTL, payload
+	pkt.SentAt, pkt.ArrivedAt = to.SentAt, 0
+	pkt.FaultSalt, pkt.Enc = 0, to.Enc
+	sc.send()
+}
+
+// send routes sc.out, rewriting it in place.
+func (sc *ServiceCtx) send() {
+	r, pkt := sc.Router, &sc.out
 	if pkt.SentAt == 0 {
 		pkt.SentAt = sc.ctx.Now()
 	}
@@ -95,8 +105,9 @@ type Route struct {
 	Next   Device
 	// Filter, if set, can veto forwarding via this route; the packet is
 	// dropped with the returned reason. Border routers use it to discard
-	// bogon-addressed packets at the AS edge.
-	Filter func(Packet) (drop bool, why string)
+	// bogon-addressed packets at the AS edge. The packet is borrowed for
+	// the call and must not be kept or changed.
+	Filter func(*Packet) (drop bool, why string)
 }
 
 // Router is the general middle-of-network device: CPE, ISP access and
@@ -122,8 +133,10 @@ type Router struct {
 
 	addrs    []netip.Addr // a handful per router: a scan beats a hash
 	services map[uint16]Service
-	byAddr   map[netip.AddrPort]Service
-	noServe  map[netip.AddrPort]bool
+	// byAddr and noServe are keyed by the pointer-free portKey; most
+	// routers hold neither, and a lookup skips an empty map.
+	byAddr  map[portKey]Service
+	noServe map[portKey]bool
 
 	// Routes are stored per family in per-prefix-length tables
 	// (routetable.go) so lookup is O(distinct prefix lengths) probes,
@@ -149,7 +162,7 @@ type Router struct {
 	// processing — the INPUT/FORWARD drop rules of an iptables firewall.
 	// A middlebox that blocks encrypted DNS to force a downgrade (the
 	// XDRI "block" behavior) installs one matching TCP 853/443.
-	inputFilters []func(Packet) (drop bool, why string)
+	inputFilters []func(*Packet) (drop bool, why string)
 }
 
 // lookupCacheSlots is the per-family memo size. A CPE forwards to more
@@ -282,14 +295,14 @@ func (r *Router) Bind(port uint16, s Service) { r.services[port] = s }
 // BindOn attaches a service to a port on one specific local address,
 // taking precedence over a wildcard Bind on the same port.
 func (r *Router) BindOn(addr netip.Addr, port uint16, s Service) {
-	r.byAddr[netip.AddrPortFrom(addr, port)] = s
+	r.byAddr[endpointKey(netip.AddrPortFrom(addr, port))] = s
 }
 
 // CloseOn marks (addr, port) closed even if a wildcard Bind covers the
 // port — how a CPE firewalls port 53 on its WAN address while serving
 // its LAN.
 func (r *Router) CloseOn(addr netip.Addr, port uint16) {
-	r.noServe[netip.AddrPortFrom(addr, port)] = true
+	r.noServe[endpointKey(netip.AddrPortFrom(addr, port))] = true
 }
 
 // Unbind detaches the wildcard service on a port. Services that open
@@ -299,12 +312,14 @@ func (r *Router) Unbind(port uint16) { delete(r.services, port) }
 // BoundService returns the service that would receive traffic to
 // (addr, port), if any.
 func (r *Router) BoundService(addr netip.Addr, port uint16) (Service, bool) {
-	key := netip.AddrPortFrom(addr, port)
-	if r.noServe[key] {
-		return nil, false
-	}
-	if s, ok := r.byAddr[key]; ok {
-		return s, true
+	if len(r.noServe) > 0 || len(r.byAddr) > 0 {
+		key := endpointKey(netip.AddrPortFrom(addr, port))
+		if r.noServe[key] {
+			return nil, false
+		}
+		if s, ok := r.byAddr[key]; ok {
+			return s, true
+		}
 	}
 	s, ok := r.services[port]
 	return s, ok
@@ -313,7 +328,8 @@ func (r *Router) BoundService(addr netip.Addr, port uint16) (Service, bool) {
 // AddInputFilter installs a drop rule evaluated on every packet this
 // router receives, before conntrack and DNAT. Dropped packets vanish;
 // the sender observes a timeout, as with a real silent firewall DROP.
-func (r *Router) AddInputFilter(f func(Packet) (drop bool, why string)) {
+// f borrows the packet for the call and must not keep or change it.
+func (r *Router) AddInputFilter(f func(*Packet) (drop bool, why string)) {
 	r.inputFilters = append(r.inputFilters, f)
 }
 
@@ -323,7 +339,7 @@ func (r *Router) AddRoute(prefix netip.Prefix, next Device) {
 }
 
 // AddRouteFiltered appends a forwarding entry with an egress filter.
-func (r *Router) AddRouteFiltered(prefix netip.Prefix, next Device, filter func(Packet) (bool, string)) {
+func (r *Router) AddRouteFiltered(prefix netip.Prefix, next Device, filter func(*Packet) (bool, string)) {
 	r.insertRoute(r.newRoute(Route{Prefix: prefix, Next: next, Filter: filter}))
 }
 
@@ -392,7 +408,7 @@ func (r *Router) AddDefaultRoute(next Device) {
 
 // AddDefaultRouteFiltered installs filtered default routes for both
 // families.
-func (r *Router) AddDefaultRouteFiltered(next Device, filter func(Packet) (bool, string)) {
+func (r *Router) AddDefaultRouteFiltered(next Device, filter func(*Packet) (bool, string)) {
 	r.AddRouteFiltered(netip.MustParsePrefix("0.0.0.0/0"), next, filter)
 	r.AddRouteFiltered(netip.MustParsePrefix("::/0"), next, filter)
 }
@@ -416,11 +432,11 @@ func (r *Router) lookupRouteM(dst netip.Addr, nm *netMetrics) *Route {
 		table, cache = r.routes6, &r.cache6
 	}
 	if nm != nil {
-		nm.routeLookups.Inc()
+		nm.lookups++
 	}
 	if rt, ok := cache.get(k); ok {
 		if nm != nil {
-			nm.routeCacheHits.Inc()
+			nm.hits++
 		}
 		return rt
 	}
@@ -435,7 +451,7 @@ func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 	// Firewall drop rules run first: a blocked packet never reaches
 	// conntrack or NAT.
 	for _, f := range r.inputFilters {
-		if drop, why := f(*pkt); drop {
+		if drop, why := f(pkt); drop {
 			ctx.Drop(pkt, why)
 			return
 		}
@@ -470,10 +486,13 @@ func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 		if rule := r.NAT.matchDNAT(pkt); rule != nil {
 			// Query replication: the original also continues. It is
 			// copied before the rewrite and routed first, after the
-			// rewrite is recorded and traced.
-			var orig Packet
+			// rewrite is recorded and traced. Route filters borrow
+			// the copy, so it lives on the heap; only replicating
+			// rules pay for it.
+			var orig *Packet
 			if rule.Replicate {
-				orig = *pkt
+				orig = new(Packet)
+				*orig = *pkt
 			}
 			from := pkt.Dst
 			r.NAT.rewriteDNAT(pkt, rule)
@@ -481,8 +500,8 @@ func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 			if ctx.net.tracing() {
 				ctx.Trace(TraceDNAT, pkt, "intercepted: "+from.String()+" -> "+pkt.Dst.String())
 			}
-			if rule.Replicate {
-				r.routePacket(ctx, &orig, false)
+			if orig != nil {
+				r.routePacket(ctx, orig, false)
 			}
 		}
 	}
@@ -496,8 +515,8 @@ func (r *Router) Receive(ctx *Ctx, pkt *Packet) {
 }
 
 // deliverLocal hands the packet to the bound service, if any. Services
-// take their packet by value and get the drain's one ServiceCtx: no
-// service keeps it past ServeUDP.
+// borrow the packet and get the drain's one ServiceCtx: no service
+// keeps either past ServeUDP.
 func (r *Router) deliverLocal(ctx *Ctx, pkt *Packet) {
 	s, ok := r.BoundService(pkt.Dst.Addr(), pkt.Dst.Port())
 	if !ok {
@@ -507,7 +526,7 @@ func (r *Router) deliverLocal(ctx *Ctx, pkt *Packet) {
 	ctx.Trace(TraceDeliver, pkt, "local service")
 	sc := &ctx.net.sctx
 	sc.Router, sc.ctx = r, ctx
-	s.ServeUDP(sc, *pkt)
+	s.ServeUDP(sc, pkt)
 }
 
 // routePacket forwards via the table, applying POSTROUTING SNAT in
@@ -522,7 +541,7 @@ func (r *Router) routePacket(ctx *Ctx, pkt *Packet, locallyOriginated bool) {
 		return
 	}
 	if rt.Filter != nil {
-		if drop, why := rt.Filter(*pkt); drop {
+		if drop, why := rt.Filter(pkt); drop {
 			ctx.Drop(pkt, why)
 			return
 		}
@@ -540,7 +559,7 @@ func (r *Router) routePacket(ctx *Ctx, pkt *Packet, locallyOriginated bool) {
 			// original destination in the ICMP (conntrack fixup). The
 			// packet dies here, so it is rewritten in place.
 			if r.NAT != nil {
-				key := ctKey{client: pkt.Src, target: pkt.Dst}
+				key := flowKeyOf(pkt.Src, pkt.Dst)
 				if orig, ok := r.NAT.dnatCT[key]; ok {
 					delete(r.NAT.dnatCT, key)
 					pkt.Dst = orig

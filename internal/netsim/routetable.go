@@ -13,10 +13,49 @@ import (
 // table probe hashes 16 bytes with no pointer in them.
 type routeKey struct{ hi, lo uint64 }
 
-// addrKey converts an address to its key.
+// addrKey converts an address to its key. An IPv4 address takes the
+// short path: its four bytes land under the v4-mapped prefix directly.
 func addrKey(a netip.Addr) routeKey {
+	if a.Is4() {
+		b := a.As4()
+		return routeKey{lo: 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:]))}
+	}
 	b := a.As16()
 	return routeKey{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:])}
+}
+
+// portKey is an address and port as pointer-free words, the key of a
+// service binding and each half of a flowKey: the address's routeKey,
+// then the port shifted past a family code (0 invalid, 1 IPv4, 2 IPv6).
+// The family keeps an IPv4 address apart from its v4-mapped IPv6 form,
+// which share a routeKey but differ as netip.Addrs. A zone is not kept:
+// no simulated address carries one.
+type portKey struct {
+	a  routeKey
+	pf uint64
+}
+
+// endpointKey converts an address and port to their key.
+func endpointKey(ap netip.AddrPort) portKey {
+	a := ap.Addr()
+	pf := uint64(ap.Port()) << 8
+	switch {
+	case a.Is4():
+		pf |= 1
+	case a.Is6():
+		pf |= 2
+	}
+	return portKey{a: addrKey(a), pf: pf}
+}
+
+// flowKey identifies one tracked flow by its two endpoints: 48 bytes
+// with no pointer and no padding, so a map hashes it as plain memory.
+// Two flowKeys are equal exactly when their endpoint pairs are.
+type flowKey struct{ client, target portKey }
+
+// flowKeyOf converts a flow's endpoints to its key.
+func flowKeyOf(client, target netip.AddrPort) flowKey {
+	return flowKey{client: endpointKey(client), target: endpointKey(target)}
 }
 
 // mask keeps the key's first bits bits, with bits in [0, 128].

@@ -101,7 +101,7 @@ func TestRouterInputFilterBlocksStreamPort(t *testing.T) {
 	rtr.Bind(PortDoT, echoService("dot"))
 
 	var dropped int
-	rtr.AddInputFilter(func(pkt Packet) (bool, string) {
+	rtr.AddInputFilter(func(pkt *Packet) (bool, string) {
 		if pkt.Proto == TCP && pkt.Dst.Port() == PortDoT {
 			dropped++
 			return true, "test blocks DoT"
