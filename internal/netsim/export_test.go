@@ -3,12 +3,13 @@ package netsim
 import "net/netip"
 
 // FaultFlows reports how many Gilbert–Elliott chains and token buckets
-// n's fault plane holds.
+// n's fault plane holds: the length of each slab, which every new flow
+// grows and ForgetFaultFlows truncates.
 func FaultFlows(n *Network) (chains, buckets int) {
 	if n.faults == nil {
 		return 0, 0
 	}
-	return len(n.faults.chains), len(n.faults.rates)
+	return len(n.faults.chains.slab), len(n.faults.rates.slab)
 }
 
 // DNATFlows reports how many DNAT conntrack entries nat holds.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 )
@@ -129,20 +130,47 @@ type rateState struct {
 	seen   int
 }
 
+// flowTable holds one state per faultKey: the map gives the key's
+// index into a slab, so a flow step is one map probe, and the state is
+// then changed in place. The slab lives for one probe (ForgetFaultFlows).
+type flowTable[T any] struct {
+	idx  map[faultKey]int32
+	slab []T
+}
+
+// at returns the key's state, and true when it was just made (zeroed).
+// The pointer is valid until the next call.
+func (t *flowTable[T]) at(key faultKey) (*T, bool) {
+	i, ok := t.idx[key]
+	if !ok {
+		i = int32(len(t.slab))
+		t.idx[key] = i
+		var zero T
+		t.slab = append(t.slab, zero)
+	}
+	return &t.slab[i], !ok
+}
+
+// reset forgets every state, keeping the storage for the next probe.
+func (t *flowTable[T]) reset() {
+	clear(t.idx)
+	t.slab = t.slab[:0]
+}
+
 // faultPlane holds the network's installed profiles and their state.
 // byDev, per-device overrides of def, is made and filled only by this
 // package's tests, which fault a single link.
 type faultPlane struct {
 	def    *FaultProfile
 	byDev  map[string]*FaultProfile
-	chains map[faultKey]geChain
-	rates  map[faultKey]rateState
+	chains flowTable[geChain]
+	rates  flowTable[rateState]
 }
 
 func newFaultPlane() *faultPlane {
 	return &faultPlane{
-		chains: make(map[faultKey]geChain),
-		rates:  make(map[faultKey]rateState),
+		chains: flowTable[geChain]{idx: make(map[faultKey]int32)},
+		rates:  flowTable[rateState]{idx: make(map[faultKey]int32)},
 	}
 }
 
@@ -167,15 +195,18 @@ func (n *Network) SetDefaultFault(p FaultProfile) {
 // no later probe would read them. Nothing is sent.
 func (n *Network) ForgetFaultFlows() {
 	if n.faults != nil {
-		clear(n.faults.chains)
-		clear(n.faults.rates)
+		n.faults.chains.reset()
+		n.faults.rates.reset()
 	}
 }
 
-// profileFor resolves the profile governing a device.
+// profileFor resolves the profile governing a device. Outside this
+// package's tests there is no override, and no name to look up.
 func (f *faultPlane) profileFor(dev Device) *FaultProfile {
-	if p, ok := f.byDev[dev.DeviceName()]; ok {
-		return p
+	if len(f.byDev) > 0 {
+		if p, ok := f.byDev[dev.DeviceName()]; ok {
+			return p
+		}
 	}
 	return f.def
 }
@@ -215,15 +246,16 @@ func isClientFlow(pkt *Packet) bool {
 // geDrop advances the flow's Gilbert–Elliott chain one packet and
 // samples loss. The chain's stream is math/rand's, seeded from
 // (profile seed, device, client), so it depends only on the flow's own
-// packet count through this device.
-func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt *Packet) bool {
+// packet count through this device. hop is the device's hash prefix
+// (hopPrefix).
+func (f *faultPlane) geDrop(dev string, hop uint64, fp *FaultProfile, pkt *Packet) bool {
 	if fp.PGoodBad <= 0 && fp.LossGood <= 0 {
 		return false
 	}
-	key := faultKey{dev: dev, client: clientOf(pkt)}
-	ch, ok := f.chains[key]
-	if !ok {
-		ch.rng = newLazyRand(flowSeed(fp.Seed, dev, key.client))
+	client := clientOf(pkt)
+	ch, fresh := f.chains.at(faultKey{dev: dev, client: client})
+	if fresh {
+		ch.rng = newLazyRand(flowSeed(hop, client))
 	}
 	if ch.bad {
 		if ch.rng.float64() < fp.PBadGood {
@@ -238,9 +270,7 @@ func (f *faultPlane) geDrop(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if ch.bad {
 		p = fp.LossBad
 	}
-	drop := p > 0 && ch.rng.float64() < p
-	f.chains[key] = ch
-	return drop
+	return p > 0 && ch.rng.float64() < p
 }
 
 // allowRate charges one token for a query arriving at a rate-limited
@@ -249,9 +279,8 @@ func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if fp.RateBurst <= 0 {
 		return true
 	}
-	key := faultKey{dev: dev, client: clientOf(pkt)}
-	rs, ok := f.rates[key]
-	if !ok {
+	rs, fresh := f.rates.at(faultKey{dev: dev, client: clientOf(pkt)})
+	if fresh {
 		rs.tokens = fp.RateBurst
 	}
 	rs.seen++
@@ -262,44 +291,66 @@ func (f *faultPlane) allowRate(dev string, fp *FaultProfile, pkt *Packet) bool {
 	if allow {
 		rs.tokens--
 	}
-	f.rates[key] = rs
 	return allow
 }
 
-// roll derives a deterministic uniform [0, 1) draw from the packet's
-// content, the device, and a per-mechanism tag. Retransmissions differ
-// (fresh ephemeral source port), duplicate copies differ (salt), and
-// the same packet at successive hops differs (TTL), so every decision
-// point gets an independent draw with no cross-flow state. The hash is
-// 64-bit FNV-1a over the seed, the device name, (tag, TTL, salt), both
-// endpoints, the payload length and the DNS query ID.
-func roll(seed int64, dev string, pkt *Packet, tag byte) float64 {
-	h := fnvUint64(fnvOffset64, uint64(seed))
-	h = fnvString(h, dev)
-	h = fnvByte(fnvByte(fnvByte(h, tag), byte(pkt.TTL)), pkt.FaultSalt)
-	h = fnvAddrPort(h, pkt.Src)
-	h = fnvAddrPort(h, pkt.Dst)
-	h = fnvUint64(h, uint64(len(pkt.Payload)))
-	if len(pkt.Payload) >= 2 {
-		h = fnvByte(fnvByte(h, pkt.Payload[0]), pkt.Payload[1]) // the DNS query ID
-	}
-	return float64(h>>11) / (1 << 53)
+// hopPrefix is the FNV-1a state after the profile seed and the device
+// name: the prefix of every roll and flow seed at that device, hashed
+// once per hop.
+func hopPrefix(seed int64, dev string) uint64 {
+	return fnvString(fnvUint64(fnvOffset64, uint64(seed)), dev)
 }
 
-// flowSeed derives a chain seed from (profile seed, device, client):
-// 64-bit FNV-1a over the seed, the device name and the client address.
-func flowSeed(seed int64, dev string, client netip.Addr) int64 {
-	h := fnvUint64(fnvOffset64, uint64(seed))
-	h = fnvString(h, dev)
-	return int64(fnvAddr(h, client))
+// rolls derives three deterministic uniform [0, 1) draws, one per tag,
+// from the packet's content at one device; hop is the device's
+// hopPrefix. Retransmissions differ (fresh ephemeral source port),
+// duplicate copies differ (salt), and the same packet at successive
+// hops differs (TTL), so every decision point gets an independent draw
+// with no cross-flow state. Each draw is 64-bit FNV-1a over the seed,
+// the device name, (tag, TTL, salt), both endpoints, the payload length
+// and the DNS query ID. The tags part the hashes at their first byte,
+// so the three run as independent multiply chains over the same bytes.
+func rolls(hop uint64, pkt *Packet, t0, t1, t2 byte) (float64, float64, float64) {
+	h := fnv3{fnvByte(hop, t0), fnvByte(hop, t1), fnvByte(hop, t2)}
+	h = h.byte(byte(pkt.TTL)).byte(pkt.FaultSalt)
+	h = h.addrPort(pkt.Src).addrPort(pkt.Dst)
+	if n := len(pkt.Payload); n < 1<<16 {
+		h = h.byte(byte(n)).byte(byte(n >> 8)).mul(fnvPrime64Pow6)
+	} else {
+		for i := 0; i < 64; i += 8 {
+			h = h.byte(byte(n >> i))
+		}
+	}
+	if len(pkt.Payload) >= 2 {
+		h = h.byte(pkt.Payload[0]).byte(pkt.Payload[1]) // the DNS query ID
+	}
+	return unitFloat(h.a), unitFloat(h.b), unitFloat(h.c)
+}
+
+// unitFloat maps a hash to [0, 1) by its top 53 bits.
+func unitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// flowSeed derives a chain seed from the device's hopPrefix and the
+// client: 64-bit FNV-1a over the seed, the device name and the client
+// address.
+func flowSeed(hop uint64, client netip.Addr) int64 {
+	for _, b := range client.As16() {
+		hop = fnvByte(hop, b)
+	}
+	return int64(hop)
 }
 
 // 64-bit FNV-1a, computed inline so that hashing a packet allocates
 // nothing. Multi-byte integers are hashed little-endian and addresses
-// in their 16-byte form.
+// in their 16-byte form. A zero byte's XOR is the identity, so a known
+// run of k zero bytes is one multiply by the prime's k-th power: the
+// ten leading zeros of an IPv4 (or v4-mapped) address's 16-byte form,
+// and the six high bytes of a length below 2¹⁶.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	fnvOffset64     = 14695981039346656037
+	fnvPrime64      = 1099511628211
+	fnvPrime64Pow6  = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
+	fnvPrime64Pow10 = fnvPrime64Pow6 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
 )
 
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
@@ -318,16 +369,27 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-func fnvAddr(h uint64, a netip.Addr) uint64 {
-	for _, b := range a.As16() {
-		h = fnvByte(h, b)
-	}
-	return h
+// fnv3 is three FNV-1a states fed the same bytes.
+type fnv3 struct{ a, b, c uint64 }
+
+func (h fnv3) byte(x byte) fnv3 {
+	v := uint64(x)
+	return fnv3{(h.a ^ v) * fnvPrime64, (h.b ^ v) * fnvPrime64, (h.c ^ v) * fnvPrime64}
 }
 
-func fnvAddrPort(h uint64, ap netip.AddrPort) uint64 {
+func (h fnv3) mul(p uint64) fnv3 { return fnv3{h.a * p, h.b * p, h.c * p} }
+
+func (h fnv3) addrPort(ap netip.AddrPort) fnv3 {
+	a := ap.Addr().As16()
+	i := 0
+	if binary.BigEndian.Uint64(a[:8]) == 0 && a[8]|a[9] == 0 {
+		h, i = h.mul(fnvPrime64Pow10), 10
+	}
+	for ; i < 16; i++ {
+		h = h.byte(a[i])
+	}
 	p := ap.Port()
-	return fnvByte(fnvByte(fnvAddr(h, ap.Addr()), byte(p)), byte(p>>8))
+	return h.byte(byte(p)).byte(byte(p >> 8))
 }
 
 // applyFaults runs the fault plane on one forwarded hop: link faults
@@ -342,15 +404,17 @@ func (n *Network) applyFaults(dev, next Device, pkt *Packet, at time.Duration) (
 	}
 	if fp := f.profileFor(dev); fp != nil && fp.linkActive() {
 		name := dev.DeviceName()
-		if f.geDrop(name, fp, pkt) {
+		hop := hopPrefix(fp.Seed, name)
+		if f.geDrop(name, hop, fp, pkt) {
 			if n.metrics != nil {
 				n.metrics.burstDrops.Inc()
 			}
 			n.trace(dev, TraceDrop, pkt, "fault: burst loss")
 			return at, false
 		}
+		rollTrunc, rollDup, rollReorder := rolls(hop, pkt, tagTrunc, tagDup, tagReorder)
 		if fp.TruncProb > 0 && fp.TruncBytes > 0 && pkt.Src.Port() == 53 &&
-			len(pkt.Payload) > fp.TruncBytes && roll(fp.Seed, name, pkt, tagTrunc) < fp.TruncProb {
+			len(pkt.Payload) > fp.TruncBytes && rollTrunc < fp.TruncProb {
 			// Clone before clipping: the payload may be shared with a
 			// duplicate copy already in flight.
 			pkt.Payload = append([]byte(nil), pkt.Payload[:fp.TruncBytes]...)
@@ -358,8 +422,10 @@ func (n *Network) applyFaults(dev, next Device, pkt *Packet, at time.Duration) (
 				n.metrics.truncated.Inc()
 			}
 			n.trace(dev, TraceFault, pkt, "fault: response truncated")
+			// The later decisions draw over the clipped packet.
+			_, rollDup, rollReorder = rolls(hop, pkt, tagTrunc, tagDup, tagReorder)
 		}
-		if fp.DupProb > 0 && roll(fp.Seed, name, pkt, tagDup) < fp.DupProb {
+		if fp.DupProb > 0 && rollDup < fp.DupProb {
 			dup := *pkt
 			dup.FaultSalt++
 			if n.metrics != nil {
@@ -370,8 +436,11 @@ func (n *Network) applyFaults(dev, next Device, pkt *Packet, at time.Duration) (
 			}
 			n.enqueue(next, &dup, at)
 		}
-		if fp.ReorderProb > 0 && fp.ReorderJitter > 0 && roll(fp.Seed, name, pkt, tagReorder) < fp.ReorderProb {
-			extra := time.Duration(roll(fp.Seed, name, pkt, tagJitter) * float64(fp.ReorderJitter))
+		if fp.ReorderProb > 0 && fp.ReorderJitter > 0 && rollReorder < fp.ReorderProb {
+			// Jitter is drawn only when a packet is reordered; the
+			// spare lanes of its pass cost no extra latency.
+			jitter, _, _ := rolls(hop, pkt, tagJitter, tagJitter, tagJitter)
+			extra := time.Duration(jitter * float64(fp.ReorderJitter))
 			at += extra
 			if n.metrics != nil {
 				n.metrics.reordered.Inc()

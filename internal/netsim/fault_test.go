@@ -193,8 +193,8 @@ func TestReorderJitterDelaysDelivery(t *testing.T) {
 	}
 }
 
-// rollFNV and flowSeedFNV are roll and flowSeed as first written, over
-// hash/fnv: the reference the inline FNV-1a must reproduce.
+// rollFNV and flowSeedFNV are one draw of rolls and flowSeed as first
+// written, over hash/fnv: the reference the inline FNV-1a must reproduce.
 func rollFNV(seed int64, dev string, pkt Packet, tag byte) float64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -231,6 +231,33 @@ func writeAddrPortFNV(h hash.Hash64, ap netip.AddrPort) {
 	h.Write(p[:])
 }
 
+// checkRolls compares the packet's one-pass draws, every tag in every
+// lane, and the prefix-seeded flow seeds of both its endpoints with the
+// hash/fnv reference.
+func checkRolls(t testing.TB, seed int64, dev string, pkt Packet) {
+	t.Helper()
+	hop := hopPrefix(seed, dev)
+	for _, tags := range [][3]byte{
+		{tagTrunc, tagDup, tagReorder}, // the hop's pass
+		{tagJitter, tagJitter, tagJitter},
+		{tagDup, tagReorder, tagTrunc},
+		{tagReorder, tagTrunc, tagDup},
+	} {
+		r0, r1, r2 := rolls(hop, &pkt, tags[0], tags[1], tags[2])
+		for lane, got := range []float64{r0, r1, r2} {
+			if want := rollFNV(seed, dev, pkt, tags[lane]); got != want {
+				t.Fatalf("rolls(%d, %q, %v) lane %d, tag %d = %v, hash/fnv gives %v",
+					seed, dev, pkt, lane, tags[lane], got, want)
+			}
+		}
+	}
+	for _, client := range []netip.Addr{pkt.Src.Addr(), pkt.Dst.Addr()} {
+		if got, want := flowSeed(hop, client), flowSeedFNV(seed, dev, client); got != want {
+			t.Fatalf("flowSeed(%d, %q, %v) = %d, hash/fnv gives %d", seed, dev, client, got, want)
+		}
+	}
+}
+
 func TestRollMatchesFNV(t *testing.T) {
 	flows := [][2]netip.AddrPort{
 		{ap("192.168.1.10:49152"), ap("8.8.8.8:53")},
@@ -238,62 +265,146 @@ func TestRollMatchesFNV(t *testing.T) {
 		{ap("[2001:db8::10]:51000"), ap("[2001:4860:4860::8888]:53")},
 		{ap("[2001:4860:4860::8888]:53"), ap("[2001:db8::10]:65535")},
 		{ap("[::ffff:10.0.0.1]:28000"), ap("[::1]:0")},
+		{ap("0.0.0.0:0"), ap("[::]:53")},
 	}
-	payloads := [][]byte{nil, {}, {0xab}, {0x12, 0x34}, []byte("\x12\x34\x01\x00query")}
+	payloads := [][]byte{nil, {}, {0xab}, {0x12, 0x34}, []byte("\x12\x34\x01\x00query"),
+		make([]byte, 1<<16-1), make([]byte, 1<<16), make([]byte, 1<<16+0x1ff)}
 	devs := []string{"", "cpe", "resolver-8888", "isp-router-ü"}
 	seeds := []int64{0, 1, -1, 20211102 + 9000, math.MinInt64, math.MaxInt64}
+	ttls := []int{64, 0, 255, 256, -1}
 	n := 0
 	for _, fl := range flows {
 		for _, pl := range payloads {
 			for _, dev := range devs {
 				for _, seed := range seeds {
-					for _, tag := range []byte{tagDup, tagReorder, tagJitter, tagTrunc} {
-						pkt := Packet{Src: fl[0], Dst: fl[1], Proto: UDP, TTL: 64 - n%70, Payload: pl, FaultSalt: uint8(n)}
-						n++
-						if got, want := roll(seed, dev, &pkt, tag), rollFNV(seed, dev, pkt, tag); got != want {
-							t.Fatalf("roll(%d, %q, %v, %d) = %v, hash/fnv gives %v", seed, dev, pkt, tag, got, want)
-						}
-					}
-					for _, client := range []netip.Addr{fl[0].Addr(), fl[1].Addr()} {
-						if got, want := flowSeed(seed, dev, client), flowSeedFNV(seed, dev, client); got != want {
-							t.Fatalf("flowSeed(%d, %q, %v) = %d, hash/fnv gives %d", seed, dev, client, got, want)
-						}
-					}
+					pkt := Packet{Src: fl[0], Dst: fl[1], Proto: UDP, TTL: ttls[n%len(ttls)], Payload: pl, FaultSalt: uint8(n * 37)}
+					n++
+					checkRolls(t, seed, dev, pkt)
 				}
 			}
 		}
 	}
 }
 
+// FuzzRoll checks the one-pass draws and the prefix-seeded flow seeds
+// against hash/fnv on arbitrary packets, and on each packet's duplicate,
+// whose salt wraps at 255. The endpoints are built by fuzzAddr, fams
+// holding the source's family in its low two bits and the destination's
+// in the next two. grow pads the payload, so lengths of 2¹⁶ and more
+// are one mutation away.
+func FuzzRoll(f *testing.F) {
+	v4a, v4b := []byte{12: 192, 13: 168, 14: 1, 15: 10}, []byte{12: 8, 13: 8, 14: 8, 15: 8}
+	v6 := netip.MustParseAddr("2001:4860:4860::8888").AsSlice()
+	id := []byte("\x12\x34\x01\x00query")
+	const v4v4, v6v4, mappedV6 = 0b01_01, 0b01_10, 0b10_11 // fuzzAddr families, dst then src
+	f.Add(int64(20211102+9000), "cpe-17", v4a, uint16(49152), v4b, uint16(53), uint8(v4v4), 64, uint8(0), id, uint32(0))
+	f.Add(int64(1), "resolver-8888", v4b, uint16(53), v4a, uint16(30001), uint8(v4v4), 0, uint8(255), id, uint32(0))
+	f.Add(int64(-1), "", v6, uint16(53), v4a, uint16(65535), uint8(mappedV6), 255, uint8(255), []byte{}, uint32(0))
+	f.Add(int64(math.MinInt64), "isp-router-ü", v4a, uint16(0), v6, uint16(28000), uint8(v6v4), 63, uint8(1), []byte{0xab}, uint32(0))
+	f.Add(int64(math.MaxInt64), "\xff\xfe", v6, uint16(51000), v4b, uint16(53), uint8(v6v4), 1, uint8(7), id, uint32(1<<16))
+	f.Fuzz(func(t *testing.T, seed int64, dev string, src []byte, sport uint16, dst []byte, dport uint16,
+		fams uint8, ttl int, salt uint8, payload []byte, grow uint32) {
+		payload = append(payload, make([]byte, grow%(1<<17))...)
+		pkt := Packet{
+			Src:   netip.AddrPortFrom(fuzzAddr(src, fams), sport),
+			Dst:   netip.AddrPortFrom(fuzzAddr(dst, fams>>2), dport),
+			Proto: UDP, TTL: ttl, Payload: payload, FaultSalt: salt,
+		}
+		checkRolls(t, seed, dev, pkt)
+		pkt.FaultSalt++
+		checkRolls(t, seed, dev, pkt)
+	})
+}
+
+// TestTruncatedHopRollsOverClippedPayload: once a hop clips a response,
+// its dup, reorder and jitter draws are those of the clipped packet, not
+// of the packet as it arrived. The response's client port is picked so
+// that the clipped packet's dup and reorder draws fall below the
+// arriving packet's, and the probabilities sit between the two: only
+// the clipped draws duplicate and reorder it.
+func TestTruncatedHopRollsOverClippedPayload(t *testing.T) {
+	const dev, seed, clip = "cpe", 5, 4
+	var arrived, clipped Packet
+	var dupP, reorderP, jitter float64
+	for port := 49152; ; port++ {
+		if port > 65535 {
+			t.Fatal("no client port separates the clipped draws from the arriving ones")
+		}
+		arrived = Packet{
+			Src: ap("8.8.8.8:53"), Dst: netip.AddrPortFrom(addr("192.168.1.10"), uint16(port)), Proto: UDP, TTL: 60,
+			Payload: []byte{0x12, 0x34, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0, 'a', 'n', 's'},
+		}
+		clipped = arrived
+		clipped.Payload = arrived.Payload[:clip]
+		dupC, dupA := rollFNV(seed, dev, clipped, tagDup), rollFNV(seed, dev, arrived, tagDup)
+		reC, reA := rollFNV(seed, dev, clipped, tagReorder), rollFNV(seed, dev, arrived, tagReorder)
+		jitter = rollFNV(seed, dev, clipped, tagJitter)
+		if dupC < dupA && reC < reA && jitter != rollFNV(seed, dev, arrived, tagJitter) {
+			dupP, reorderP = (dupC+dupA)/2, (reC+reA)/2
+			break
+		}
+	}
+	n := NewNetwork()
+	n.SetDefaultFault(FaultProfile{
+		Seed: seed, TruncProb: 1, TruncBytes: clip,
+		DupProb: dupP, ReorderProb: reorderP, ReorderJitter: time.Second,
+	})
+	cpe, host := NewRouter(dev, addr("192.168.1.1")), &sinkDev{name: "host"}
+	pkt := arrived
+	at, ok := n.applyFaults(cpe, host, &pkt, 0)
+	if !ok || string(pkt.Payload) != string(clipped.Payload) {
+		t.Fatalf("hop kept %v with payload %q, want it clipped to %q", ok, pkt.Payload, clipped.Payload)
+	}
+	if want := time.Duration(jitter * float64(time.Second)); at != want {
+		t.Errorf("delivery at %v, want %v: the clipped packet's reorder and jitter draws", at, want)
+	}
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(host.got) != 1 || string(host.got[0].Payload) != string(clipped.Payload) || host.got[0].FaultSalt != 1 {
+		t.Errorf("the hop sent %v, want one clipped duplicate with salt 1: the clipped packet's dup draw", host.got)
+	}
+}
+
 var sinkFloat float64
 var sinkSeed int64
 
-// TestFaultPlaneAllocBudget pins the per-hop fault decisions at zero
-// allocations: the packet hashes, and a Gilbert–Elliott step plus a
-// token-bucket charge on a flow that already has state. The run count
-// keeps the chain inside its lazily computed draws.
+// TestFaultPlaneAllocBudget pins the per-hop fault plane at zero
+// allocations: the packet hashes, and a whole faulted hop (applyFaults),
+// with a Gilbert–Elliott step and a token-bucket charge on a flow that
+// already has state. The run count keeps the chain inside its lazily
+// computed draws.
 func TestFaultPlaneAllocBudget(t *testing.T) {
 	fp := PresetFault(0.5, 1)
 	pkt := Packet{
 		Src: ap("192.168.1.10:49152"), Dst: ap("8.8.8.8:53"), Proto: UDP,
 		TTL: 63, Payload: []byte("\x12\x34\x01\x00query"),
 	}
-	f := newFaultPlane()
-	f.geDrop("cpe", &fp, &pkt)
-	f.allowRate("resolver-8888", &fp, &pkt)
+	n := NewNetwork()
+	n.SetDefaultFault(fp)
+	cpe, resolver := NewRouter("cpe", addr("192.168.1.1")), NewRouter("resolver-8888", addr("8.8.8.8"))
+	hop := func() {
+		p := pkt
+		n.applyFaults(cpe, resolver, &p, 0)
+	}
+	hop()
+	if chains, buckets := FaultFlows(n); chains != 1 || buckets != 1 {
+		t.Fatalf("one hop left %d chains and %d buckets, want 1 and 1", chains, buckets)
+	}
+	prefix := hopPrefix(fp.Seed, "cpe")
 	for name, fn := range map[string]func(){
-		"roll":     func() { sinkFloat = roll(fp.Seed, "cpe", &pkt, tagDup) },
-		"flowSeed": func() { sinkSeed = flowSeed(fp.Seed, "cpe", pkt.Src.Addr()) },
-		"geDrop+allowRate": func() {
-			f.geDrop("cpe", &fp, &pkt)
-			f.allowRate("resolver-8888", &fp, &pkt)
-		},
+		"rolls":       func() { sinkFloat, _, _ = rolls(prefix, &pkt, tagTrunc, tagDup, tagReorder) },
+		"flowSeed":    func() { sinkSeed = flowSeed(prefix, pkt.Src.Addr()) },
+		"applyFaults": hop,
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f/op, budget 0", name, allocs)
 		}
 	}
-	if ch := f.chains[faultKey{dev: "cpe", client: pkt.Src.Addr()}]; ch.rng.tail != nil || ch.rng.n > lfTap {
+	if n.queue.Len() != 0 {
+		t.Fatal("the hop duplicated the packet, so the budget counts the copies' slots")
+	}
+	if ch := n.faults.chains.slab[0]; ch.rng.tail != nil || ch.rng.n > lfTap {
 		t.Fatalf("chain left the lazy range after %d draws", ch.rng.n)
 	}
 	if size := unsafe.Sizeof(geChain{}); size > 24 {

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// BenchmarkRouterHop measures the per-hop path in three cases: a plain
-// backbone hop, a CPE hop that masquerades a LAN packet (SNAT), and a
-// query a CPE diverts to its own service (DNAT) with the reply that
-// conntrack spoofs back to the host. Each operation injects the packet
-// and drains the network; the first two deliver it once more, to the
-// next device.
+// BenchmarkRouterHop measures the per-hop path in four cases: a plain
+// backbone hop, a CPE hop that masquerades a LAN packet (SNAT), the
+// same hop under PresetFault(0.5), and a query a CPE diverts to its own
+// service (DNAT) with the reply that conntrack spoofs back to the host.
+// Each operation injects the packet and drains the network; the first
+// three deliver it once more, to the next device (under faults, none or
+// two times when it is lost or duplicated).
 func BenchmarkRouterHop(b *testing.B) {
 	b.Run("backbone", func(b *testing.B) {
 		next := &sinkDev{name: "next"}
@@ -18,22 +19,28 @@ func BenchmarkRouterHop(b *testing.B) {
 		r.AddRoute(pfx("8.8.8.0/24"), next)
 		r.AddRoute(pfx("96.120.0.0/16"), &sinkDev{name: "access"})
 		r.AddDefaultRoute(&sinkDev{name: "transit"})
-		benchForward(b, r, next, Packet{
+		benchForward(b, NewNetwork(), r, next, Packet{
 			Src: ap("96.120.0.10:30000"), Dst: ap("8.8.8.8:53"), Proto: UDP,
 			TTL: DefaultTTL, Payload: []byte("query"),
 		})
 	})
-	b.Run("cpe-snat", func(b *testing.B) {
+	snatHop := func(b *testing.B, n *Network) {
 		next := &sinkDev{name: "access"}
 		cpe := NewRouter("cpe", addr("192.168.1.1"), addr("96.120.0.10"))
 		cpe.NAT = NewNAT()
 		cpe.NAT.MasqueradeV4 = addr("96.120.0.10")
 		cpe.NAT.LANPrefixes = []netip.Prefix{pfx("192.168.1.0/24")}
 		cpe.AddDefaultRoute(next)
-		benchForward(b, cpe, next, Packet{
+		benchForward(b, n, cpe, next, Packet{
 			Src: ap("192.168.1.10:49152"), Dst: ap("8.8.8.8:53"), Proto: UDP,
 			TTL: DefaultTTL, Payload: []byte("query"),
 		})
+	}
+	b.Run("cpe-snat", func(b *testing.B) { snatHop(b, NewNetwork()) })
+	b.Run("faulted", func(b *testing.B) {
+		n := NewNetwork()
+		n.SetDefaultFault(PresetFault(0.5, 1))
+		snatHop(b, n)
 	})
 	b.Run("cpe-dnat-reply", func(b *testing.B) {
 		n := NewNetwork()
@@ -58,18 +65,23 @@ func BenchmarkRouterHop(b *testing.B) {
 	})
 }
 
-// benchForward injects pkt at r and drains the network once per
-// operation; r forwards it to next.
-func benchForward(b *testing.B, r *Router, next *sinkDev, pkt Packet) {
-	n := NewNetwork()
+// benchForward injects pkt at r and drains n once per operation; r
+// forwards it to next. Under a fault plane the flow state is forgotten
+// every faultFlowPackets packets, as at a probe boundary, so each chain
+// stays inside its lazily computed draws as a study's chains do.
+func benchForward(b *testing.B, n *Network, r *Router, next *sinkDev, pkt Packet) {
+	const faultFlowPackets = 16
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		if i%faultFlowPackets == 0 {
+			n.ForgetFaultFlows()
+		}
 		n.Inject(r, pkt)
 		if _, err := n.Run(); err != nil {
 			b.Fatal(err)
 		}
-		if len(next.got) != 1 {
-			b.Fatalf("%s got %d packets, want 1", next.name, len(next.got))
+		if got := len(next.got); got != 1 && (n.faults == nil || got > 2) {
+			b.Fatalf("%s got %d packets, want 1", next.name, got)
 		}
 		next.got = next.got[:0]
 	}
